@@ -38,6 +38,11 @@ DENSE_EIGEN_CAP = 6000             # max matrix dimension for the dense-eigen me
 # scale is far slower than a handful of Lanczos solves).
 DENSE_AUTO_LIMIT = 1600
 
+# Largest complex band (bytes) that the positivity certificate of
+# semigroup.spectral_bound_check factorises; it grows as 64 * side^3 on a
+# 2-D grid (62 MB at side 101), and larger operators fall back to ARPACK.
+BAND_CHOLESKY_MAX_BYTES = 2**29
+
 # Ghost-mode stabilizer for the centred-difference factor assembly: the
 # assembled operator gains sigma * h^6 * sum_a (D4_a)^T (D4_a), which is
 # O(h^6) on smooth fields but lifts the checkerboard null modes of the

@@ -135,7 +135,12 @@ class DiscreteOperator:
                 f"assembled operator not Hermitian: {herm:.3e} vs scale {scale:.3e}"
             )
         self.matrix = a
+        # Spectral caches: dense eigensystem, dense eigenvalues, smallest
+        # eigenvalues (ARPACK), and positivity certificates keyed by tolerance.
         self._eig = None
+        self._eigvals = None
+        self._smallest = None
+        self._psd_certificate = {}
 
     @property
     def dim(self) -> int:
@@ -165,7 +170,7 @@ class DiscreteOperator:
         """Dense eigenvalues only (cheaper than the full eigensystem), cached."""
         if self._eig is not None:
             return self._eig[0]
-        if getattr(self, "_eigvals", None) is None:
+        if self._eigvals is None:
             if self.dim > defaults.DENSE_EIGEN_CAP:
                 raise ResourceLimitError(
                     f"dense eigenvalues of dimension {self.dim} exceed "

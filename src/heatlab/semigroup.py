@@ -5,6 +5,14 @@ Three propagators are provided: a dense eigendecomposition (exact up to
 rounding, cached on the operator), a Lanczos/Krylov propagator with full
 reorthogonalization and restart by time splitting, and Crank-Nicolson
 time stepping (O(dt^2)).
+
+The spectral bound check reduces to positivity of the operator.  Small
+operators scan their dense spectrum; large operators on a 2-D grid are
+certified by one banded Cholesky factorisation of A + tol*I (it exists
+iff the smallest eigenvalue exceeds -tol), cached per operator and
+tolerance; large operators with n >= 2, or with a band above
+defaults.BAND_CHOLESKY_MAX_BYTES, use shift-inverted ARPACK on the
+smallest eigenvalues.
 """
 
 import csv
@@ -230,6 +238,12 @@ def heat_trace(op: DiscreteOperator, t: float,
 
 @dataclass(frozen=True)
 class SpectralBoundReport:
+    """Outcome of ``spectral_bound_check``.
+
+    ``max_value`` and ``attaining_eigenvalue`` are NaN when the check
+    certified positivity without computing any eigenvalue.
+    """
+
     passed: bool
     max_value: float
     bound: float
@@ -238,14 +252,43 @@ class SpectralBoundReport:
 
 def _smallest_eigenvalues(op: DiscreteOperator, k: int = 16) -> np.ndarray:
     """Smallest eigenvalues of the operator, cached (shift-inverted Lanczos)."""
-    cached = getattr(op, "_smallest", None)
-    if cached is None or cached.size < min(k, op.dim - 2):
-        k = min(k, op.dim - 2)
+    k = min(k, op.dim - 2)
+    if op._smallest is None or op._smallest.size < k:
         op._smallest = np.sort(
             spla.eigsh(op.matrix, k=k, sigma=-0.1, which="LM",
                        return_eigenvectors=False, maxiter=10000, tol=1e-8)
         )
     return op._smallest
+
+
+def _certify_positive(op: DiscreteOperator, psd_tol: float) -> Optional[bool]:
+    """Whether the smallest eigenvalue exceeds -psd_tol, cached per tolerance;
+    None when the band is larger than ``defaults.BAND_CHOLESKY_MAX_BYTES``.
+
+    By Sylvester's law of inertia, ``A + psd_tol*I`` has a Cholesky factor
+    exactly when it is positive definite.  The factorisation is banded in
+    the natural grid order (Golub & Van Loan, Matrix Computations, 4.3),
+    with the half-bandwidth read from the matrix.  The band is stored in
+    LAPACK's lower layout (``ab[d, j] = A[j+d, j]``) in Fortran order, so
+    that it is factorised in place without a copy.
+    """
+    if psd_tol not in op._psd_certificate:
+        low = sp.tril(op.matrix, format="coo")
+        low.sum_duplicates()
+        offset = low.row - low.col
+        bands = int(offset.max()) + 1
+        certified = None
+        if 16 * bands * op.dim <= defaults.BAND_CHOLESKY_MAX_BYTES:
+            ab = np.zeros((bands, op.dim), dtype=complex, order="F")
+            ab[offset, low.col] = low.data
+            ab[0] += psd_tol
+            try:
+                sla.cholesky_banded(ab, overwrite_ab=True, lower=True, check_finite=False)
+                certified = True
+            except np.linalg.LinAlgError:
+                certified = False
+        op._psd_certificate[psd_tol] = certified
+    return op._psd_certificate[psd_tol]
 
 
 def spectral_bound_check(op: DiscreteOperator, t: float, n_power: int,
@@ -254,21 +297,43 @@ def spectral_bound_check(op: DiscreteOperator, t: float, n_power: int,
 
     The bound is the calculus maximum of s^N e^{-ts} over s >= 0 (equal to
     1 for N = 0), so for a PSD spectrum the only falsifiable content is
-    positivity itself: any negative eigenvalue beyond the rounding band
-    breaks the N = 0 bound.  Operators within the dense limit scan their
-    full spectrum; larger ones verify positivity on the smallest eigenvalue
-    cluster and evaluate the scan there (the unscanned spectrum satisfies
-    the bound identically, being nonnegative).  Rounding-band negatives
-    are clipped to zero.
+    positivity itself; a failed positivity test raises
+    ``InvariantViolation``.  Three routes:
+
+    - Within the dense limit, or with a cached dense eigensystem, the full
+      spectrum is scanned.  It is rejected when its smallest eigenvalue is
+      below ``-psd_tol * max(1, max|w|)``.
+    - Larger operators on a 2-D grid (n = 1, fiber dimension 1) are
+      certified by one banded Cholesky factorisation of
+      ``A + psd_tol*I``: they are rejected iff the smallest eigenvalue is
+      <= -psd_tol.  No eigenvalue is computed, so ``max_value`` and
+      ``attaining_eigenvalue`` are NaN and ``passed`` is the certificate.
+    - Larger operators with n >= 2, whose band grows as d*side^(2n-1),
+      and n = 1 operators whose band exceeds
+      ``defaults.BAND_CHOLESKY_MAX_BYTES`` fall back to the 16 smallest
+      eigenvalues from shift-inverted ARPACK, with the dense rule's
+      tolerance scaled by their largest magnitude; the scan is evaluated
+      on them (the unscanned spectrum satisfies the bound identically,
+      being nonnegative).
+
+    Rounding-band negatives are clipped to zero before scanning.
     """
     if t <= 0:
         raise ArgumentError("t must be positive")
     if not 0 <= n_power <= 4:
         raise ArgumentError("N must be between 0 and 4")
     bound = 1.0 if n_power == 0 else (n_power / (np.e * t)) ** n_power
-    if op.dim <= defaults.DENSE_AUTO_LIMIT or getattr(op, "_eig", None) is not None:
+    if op.dim <= defaults.DENSE_AUTO_LIMIT or op._eig is not None:
         w = op.eigenvalues()
     else:
+        certified = _certify_positive(op, psd_tol) if op.grid.n == 1 else None
+        if certified is False:
+            raise InvariantViolation(
+                f"operator not PSD: smallest eigenvalue <= {-psd_tol:.3e} "
+                "(banded Cholesky of A + tol*I failed)"
+            )
+        if certified:
+            return SpectralBoundReport(True, float("nan"), float(bound), float("nan"))
         w = _smallest_eigenvalues(op)
     scale = max(float(np.max(np.abs(w))), 1.0)
     if w[0] < -psd_tol * scale:

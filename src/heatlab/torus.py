@@ -304,7 +304,11 @@ def _discrete_landau_levels(bundle: EllipticCurveBundle, k: int, n_points: int,
     if h.shape[0] <= 1500:
         eigs = np.linalg.eigvalsh(h.toarray())[:count]
     else:
-        eigs = np.sort(spla.eigsh(h, k=count, sigma=0.0, which="LM",
+        # A fixed-seed random start vector keeps reruns byte-identical
+        # without missing any symmetry class of the spectrum.
+        rng = np.random.default_rng(0)
+        v0 = rng.standard_normal(h.shape[0]) + 1j * rng.standard_normal(h.shape[0])
+        eigs = np.sort(spla.eigsh(h, k=count, sigma=0.0, which="LM", v0=v0.astype(h.dtype),
                                   return_eigenvectors=False, maxiter=10000))
     return (eigs[:count] - field) / 4.0
 

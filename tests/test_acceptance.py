@@ -265,7 +265,8 @@ def test_criterion_12_determinism(criterion, tmp_path):
 
     config_dir = Path(__file__).resolve().parents[1] / "configs"
     ok = True
-    for name in ("model_kernel_degenerate.json", "trace_stochastic.json"):
+    for name in ("model_kernel_degenerate.json", "trace_stochastic.json",
+                 "validate_oracle.json"):
         cfg = load_config(config_dir / name)
         d1, d2 = tmp_path / f"{name}-1", tmp_path / f"{name}-2"
         out1 = run_experiment(cfg, d1)

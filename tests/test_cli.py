@@ -211,6 +211,71 @@ def test_threads_env_fallback(tmp_path, monkeypatch):
     assert main(["run", str(path), "--out", str(tmp_path / "o2")]) == 0
 
 
+# Every name the package namespace exported when it imported its submodules
+# eagerly; the lazy namespace must still resolve each of them.
+PACKAGE_EXPORTS = (
+    "AccuracyError", "ArgumentError", "ConfigError", "DomainError", "HeatlabError",
+    "InvariantViolation", "NumericalError", "ResourceLimitError",
+    "CurvatureEndomorphism", "CurvatureField", "FiberEndomorphism", "Perturbation",
+    "WeightFunction", "asymptotic_diagonal", "curvature_at", "morse_bound", "morse_index",
+    "read_curvature_field", "twist_endomorphism",
+    "KernelValue", "ModelSpec", "mehler_scalar", "model_diagonal", "model_kernel",
+    "weighted_kernel",
+    "DiscreteOperator", "GridSpec", "PerturbationSpec", "assemble_model", "assemble_scaled",
+    "gauge_diagonal_identity_check", "to_matrix_market",
+    "ConvergenceReport", "SemigroupMethod", "converge_in_k", "heat_apply", "heat_trace",
+    "kernel_diagonal", "spectral_bound_check",
+    "EllipticCurveBundle", "SpectrumTable", "heat_trace_exact", "heat_trace_truncated",
+    "landau_spectrum", "morse_trace_inequality", "product_torus_morse",
+    "validate_landau_levels", "__version__",
+)
+
+_THREADS_PROBE = """
+import json, os, sys
+import heatlab.cli as cli
+
+seen = []
+apply_threads = cli._apply_threads
+
+def spy(args):
+    seen.append("numpy" in sys.modules)
+    apply_threads(args)
+
+cli._apply_threads = spy
+code = cli.main(["run", sys.argv[1], "--out", sys.argv[2], "--threads", "1"])
+import heatlab
+from heatlab import semigroup
+print(json.dumps({
+    "code": code,
+    "numpy_at_apply": seen,
+    "omp": os.environ.get("OMP_NUM_THREADS"),
+    "missing": [name for name in sys.argv[3:] if not hasattr(heatlab, name)],
+    "same_object": heatlab.spectral_bound_check is semigroup.spectral_bound_check,
+}))
+"""
+
+
+def test_threads_applied_before_numpy_loads(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for var in ("OMP_NUM_THREADS", "HEATLAB_THREADS"):
+        env.pop(var, None)
+    path = _write(tmp_path, "cfg.json", MODEL_KERNEL_CFG)
+    proc = subprocess.run(
+        [sys.executable, "-c", _THREADS_PROBE, str(path), str(tmp_path / "o"),
+         *PACKAGE_EXPORTS],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result == {"code": 0, "numpy_at_apply": [False], "omp": "1", "missing": [],
+                      "same_object": True}
+
+
 def test_shipped_configs_validate():
     from pathlib import Path
 

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from heatlab.errors import ArgumentError, ResourceLimitError
+from heatlab import defaults
+from heatlab.errors import ArgumentError, InvariantViolation, ResourceLimitError
 from heatlab.geometry import WeightFunction
 from heatlab.model_kernels import ModelSpec, model_diagonal
 from heatlab.operators import DiscreteOperator, GridSpec, assemble_model
@@ -244,6 +247,93 @@ def test_bound_rejects_indefinite():
     op = _synthetic_op(np.array([-1.0] + [1.0] * 8))
     with pytest.raises(InvariantViolation):
         spectral_bound_check(op, 1.0, 1)
+
+
+@pytest.fixture(scope="module")
+def sparse_model_op():
+    """A sparse-path n=1 operator (dim 2601) and its smallest eigenvalue."""
+    op = assemble_model(ModelSpec(1, (1.0,), 0), GridSpec(1, 4.0, 0.16))
+    assert op.dim > defaults.DENSE_AUTO_LIMIT
+    lam_min = float(np.linalg.eigvalsh(op.matrix.toarray())[0])
+    return op, lam_min
+
+
+def _shifted(op, shift):
+    """A new operator (with empty caches) for op + shift*I."""
+    return DiscreteOperator((op.matrix + shift * sp.identity(op.dim)).tocsr(), "symmetric",
+                            op.q, op.k, op.grid, op.site_weight)
+
+
+def _forbid_arpack(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("ARPACK called on the n=1 sparse path")
+
+    monkeypatch.setattr(spla, "eigsh", boom)
+
+
+@pytest.mark.parametrize("target, passes", [(-2.0, False), (-0.5, True)])
+def test_certificate_resolves_tolerance(sparse_model_op, monkeypatch, target, passes):
+    op, lam_min = sparse_model_op
+    tol = 1e-8
+    shifted = _shifted(op, target * tol - lam_min)
+    _forbid_arpack(monkeypatch)
+    if passes:
+        rep = spectral_bound_check(shifted, 1.0, 1, psd_tol=tol)
+        assert rep.passed and rep.bound == pytest.approx(1.0 / np.e)
+        assert np.isnan(rep.max_value) and np.isnan(rep.attaining_eigenvalue)
+    else:
+        with pytest.raises(InvariantViolation):
+            spectral_bound_check(shifted, 1.0, 1, psd_tol=tol)
+
+
+def test_certificate_factorises_once_per_operator_and_tolerance(sparse_model_op, monkeypatch):
+    op = _shifted(sparse_model_op[0], 0.0)
+    _forbid_arpack(monkeypatch)
+    calls = []
+    real = sla.cholesky_banded
+
+    def counting(ab, **kwargs):
+        calls.append(ab.shape)
+        assert ab.flags.f_contiguous and kwargs["overwrite_ab"]
+        return real(ab, **kwargs)
+
+    monkeypatch.setattr(sla, "cholesky_banded", counting)
+    for n_power in range(4):
+        for t in (0.5, 1.0, 2.0):
+            assert spectral_bound_check(op, t, n_power).passed
+    # half-bandwidth of the stabilised 51 x 51 grid: 4 grid rows
+    assert calls == [(4 * 51 + 1, op.dim)]
+    spectral_bound_check(op, 1.0, 0, psd_tol=1e-6)
+    assert len(calls) == 2
+
+
+def test_band_above_cap_falls_back_to_arpack(sparse_model_op, monkeypatch):
+    op = _shifted(sparse_model_op[0], 0.0)
+    # one byte below the (205, 2601) complex band
+    monkeypatch.setattr(defaults, "BAND_CHOLESKY_MAX_BYTES", 16 * 205 * op.dim - 1)
+    rep = spectral_bound_check(op, 1.0, 0)
+    assert rep.passed and rep.attaining_eigenvalue == op._smallest[0]
+    assert op._psd_certificate == {1e-8: None}
+
+
+def test_bound_n2_sparse_uses_arpack(monkeypatch):
+    grid = GridSpec(2, 1.5, 0.5)  # 7^4 = 2401 sites
+    op = assemble_model(ModelSpec(2, (1.0, 0.5), 0), grid)
+    assert op.dim > defaults.DENSE_AUTO_LIMIT
+    calls = []
+    real = spla.eigsh
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["k"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "eigsh", counting)
+    for n_power in (2, 0):
+        rep = spectral_bound_check(op, 1.0, n_power)
+        assert rep.passed and np.isfinite(rep.max_value)
+    assert calls == [16]
+    # N = 0 scans e^{-ts}, which peaks at the smallest eigenvalue
+    assert 0 < rep.attaining_eigenvalue == op._smallest[0] < 0.1
 
 
 # ---------------------------------------------------------------------------
