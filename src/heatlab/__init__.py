@@ -29,7 +29,7 @@ _EXPORTS = {
     ),
     "semigroup": (
         "ConvergenceReport", "SemigroupMethod", "converge_in_k", "heat_apply", "heat_trace",
-        "kernel_diagonal", "spectral_bound_check",
+        "heat_traces", "kernel_diagonal", "kernel_diagonals", "spectral_bound_check",
     ),
     "torus": (
         "EllipticCurveBundle", "SpectrumTable", "heat_trace_exact", "heat_trace_truncated",

@@ -352,20 +352,19 @@ def _run_converge(cfg: dict, out: Path):
 def _run_trace(cfg: dict, out: Path):
     from .model_kernels import ModelSpec
     from .operators import GridSpec, assemble_model
-    from .semigroup import SemigroupMethod, heat_trace
+    from .semigroup import SemigroupMethod, heat_traces
 
     spec = ModelSpec(cfg["n"], tuple(float(v) for v in cfg["lambda"]), cfg["q"])
     radius, spacing = float(cfg["grid"]["radius"]), float(cfg["grid"]["spacing"])
     op = assemble_model(spec, GridSpec(cfg["n"], radius, spacing))
-    stochastic = bool(cfg.get("stochastic", False))
-    rows = []
-    for t in cfg["t_list"]:
-        if stochastic:
-            est = heat_trace(op, float(t), SemigroupMethod("krylov"), seed=cfg["seed"],
-                             probes=int(cfg.get("probes", 64)))
-        else:
-            est = heat_trace(op, float(t), SemigroupMethod("dense-eigen"))
-        rows.append([_fmt(t), _fmt(est.value), _fmt(est.stderr), est.probes, est.method])
+    ts = [float(t) for t in cfg["t_list"]]
+    if cfg.get("stochastic", False):
+        ests = heat_traces(op, ts, SemigroupMethod("krylov"), seed=cfg["seed"],
+                           probes=int(cfg.get("probes", 64)))
+    else:
+        ests = heat_traces(op, ts, SemigroupMethod("dense-eigen"))
+    rows = [[_fmt(t), _fmt(est.value), _fmt(est.stderr), est.probes, est.method]
+            for t, est in zip(ts, ests)]
     _write_csv(out, ["t", "value", "stderr", "probes", "method"], rows)
 
 

@@ -2,9 +2,26 @@
 bound checks, and the k-convergence experiment.
 
 Three propagators are provided: a dense eigendecomposition (exact up to
-rounding, cached on the operator), a Lanczos/Krylov propagator with full
-reorthogonalization and restart by time splitting, and Crank-Nicolson
-time stepping (O(dt^2)).
+rounding, cached on the operator), a Lanczos/Krylov propagator, and
+Crank-Nicolson time stepping (O(dt^2)).
+
+The Lanczos relation A V_m = V_m T_m + beta_m v_{m+1} e_m^T does not
+depend on t, so one basis per start vector serves every requested time:
+e^{-tA}v ~ beta0 V_m exp(-t T_m) e_1.  The basis is grown by the
+three-term recurrence plus one block classical Gram-Schmidt pass against
+all earlier vectors.  Every few steps one tridiagonal eigendecomposition
+gives, for all pending times, the a-posteriori error estimate
+beta0 beta_m |e_m^T exp(-t T_m) e_1| (Saad, SIAM J. Numer. Anal. 1992;
+Hochbruck & Lubich, SINUM 1997); a time passes when its estimate is at
+most ``krylov_tol`` times the norm of its approximation.  A basis shorter
+than min(12, dim-1) passes only when it is invariant: a delta start
+resolves the high spectrum long before the low Ritz values emerge.  When
+the basis reaches ``krylov_dim`` vectors, the passing times are accepted
+and the propagator restarts from the furthest of them below the first
+failing time; if the first pending time fails, it restarts from the
+largest halving of that time whose estimate passes.  ``kernel_diagonals``
+and ``heat_traces`` therefore build one basis (plus restarts) per delta or
+probe, however many times they are asked for.
 
 The spectral bound check reduces to positivity of the operator.  Small
 operators scan their dense spectrum; large operators on a 2-D grid are
@@ -17,7 +34,7 @@ smallest eigenvalues.
 
 import csv
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 import scipy.linalg as sla
@@ -25,7 +42,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import defaults, fiber
-from .errors import ArgumentError, InvariantViolation, NumericalError, ResourceLimitError
+from .errors import ArgumentError, InvariantViolation, NumericalError
 from .geometry import FiberEndomorphism, WeightFunction
 from .model_kernels import ModelSpec, model_diagonal
 from .operators import DiscreteOperator, GridSpec, PerturbationSpec, assemble_model, assemble_scaled
@@ -38,7 +55,9 @@ __all__ = [
     "ConvergenceReport",
     "heat_apply",
     "kernel_diagonal",
+    "kernel_diagonals",
     "heat_trace",
+    "heat_traces",
     "spectral_bound_check",
     "converge_in_k",
     "model_baseline_errors",
@@ -49,13 +68,21 @@ _VARIANTS = ("dense-eigen", "krylov", "crank-nicolson")
 
 @dataclass(frozen=True)
 class SemigroupMethod:
-    """Propagator selection: dense-eigen, krylov, or crank-nicolson."""
+    """Propagator selection: dense-eigen, krylov, or crank-nicolson.
+
+    ``krylov_dim`` caps the Lanczos basis built per restart, and
+    ``krylov_tol`` bounds the a-posteriori error estimate of each
+    e^{-tA}v relative to its norm (see the module docstring for the shared
+    basis and the restart rule).  ``dt`` is the Crank-Nicolson step
+    (default t / ``defaults.CN_DEFAULT_STEPS``).  Dense-eigen is limited
+    to dimension ``defaults.DENSE_EIGEN_CAP`` by
+    ``DiscreteOperator.eigensystem``.
+    """
 
     variant: str = "krylov"
     krylov_dim: int = defaults.KRYLOV_DIM
     krylov_tol: float = defaults.KRYLOV_TOL
     dt: Optional[float] = None
-    dense_cap: int = defaults.DENSE_EIGEN_CAP
 
     def __post_init__(self):
         if self.variant not in _VARIANTS:
@@ -69,73 +96,114 @@ class SemigroupMethod:
         return SemigroupMethod("krylov")
 
 
-def _lanczos_segment(matrix, v, t, m, tol):
-    """One Lanczos approximation of e^{-tA}v; returns (approx, err, converged).
+# Lanczos steps between evaluations of the error estimate: each evaluation
+# solves the tridiagonal eigenproblem once for every pending time.
+_ESTIMATE_EVERY = 4
+# Halvings of a failing first time tried on one basis before giving up.
+_MAX_HALVINGS = 64
 
-    Stopping is based on stagnation of successive approximants, guarded
-    against premature plateaus (a delta-like start vector resolves the
-    high spectrum long before the low Ritz values emerge): convergence
-    requires a minimum basis size and two consecutive passes.
-    """
-    beta0 = np.linalg.norm(v)
-    if beta0 == 0.0:
-        return v.copy(), 0.0, True
+
+class _Lanczos(NamedTuple):
+    """A Lanczos decomposition A V^T = V^T T + beta v' e_k^T of a start vector
+    of norm beta0, with T = evec diag(ew) evec^T."""
+
+    basis: np.ndarray   # V: the k orthonormal Lanczos vectors, one per row
+    beta0: float
+    ew: np.ndarray
+    evec: np.ndarray
+    beta: float         # 0 when the basis is invariant
+    trusted: bool       # whether the estimate may certify convergence
+
+    def evaluate(self, taus, tol):
+        """Rows of e^{-tau T} e_1 for each tau, their error estimates
+        beta0*beta*|e_k^T e^{-tau T} e_1| and whether each one passes."""
+        small = (np.exp(-np.outer(taus, self.ew)) * self.evec[0]) @ self.evec.T
+        err = self.beta0 * self.beta * np.abs(small[:, -1])
+        ok = self.trusted & (err <= tol * self.beta0 * np.linalg.norm(small, axis=1))
+        return small, err, ok
+
+    def vectors(self, small):
+        """beta0 V^T s for each row s of ``small``: the approximations of e^{-tA}v."""
+        return self.beta0 * (small @ self.basis)
+
+
+def _lanczos(matrix, v, taus, m, tol) -> _Lanczos:
+    """Grow the Lanczos basis of v until the estimate passes for every tau,
+    the basis is invariant, or it holds m vectors."""
+    beta0 = float(np.linalg.norm(v))
     dim = v.shape[0]
     m = min(m, dim)
-    min_iters = min(12, dim - 1)
+    # A delta-like start resolves the high spectrum long before the low Ritz
+    # values emerge, so a short basis is trusted only when it is invariant.
+    min_size = min(12, dim - 1)
     V = np.empty((m, dim), dtype=complex)
     V[0] = v / beta0
-    alphas, betas = [], []
-    prev = None
-    err = np.inf
-    streak = 0
+    alphas, betas = np.empty(m), np.empty(m)
     for j in range(m):
         w = matrix @ V[j]
-        alpha = float(np.real(np.vdot(V[j], w)))
-        w = w - alpha * V[j]
+        alphas[j] = np.vdot(V[j], w).real
+        w -= alphas[j] * V[j]
         if j > 0:
-            w = w - betas[-1] * V[j - 1]
-        # full reorthogonalization; cheap at this basis size
-        for i in range(j + 1):
-            w = w - np.vdot(V[i], w) * V[i]
-        alphas.append(alpha)
-        ew, evec = sla.eigh_tridiagonal(np.array(alphas), np.array(betas))
-        small = evec @ (np.exp(-t * ew) * evec[0, :])
-        approx = beta0 * (small @ V[: j + 1])
-        if prev is not None:
-            err = np.linalg.norm(approx - prev)
-            streak = streak + 1 if err <= tol * max(1.0, np.linalg.norm(approx)) else 0
-            if streak >= 2 and j >= min_iters:
-                return approx, err, True
-        prev = approx
-        beta = np.linalg.norm(w)
-        if beta < 1e-14 * max(1.0, abs(alpha)):
-            return approx, 0.0, True  # invariant subspace reached
-        if j < m - 1:
-            betas.append(beta)
-            V[j + 1] = w / beta
-    return prev, err, False
+            w -= betas[j - 1] * V[j - 1]
+        # one block classical Gram-Schmidt pass; B.conj() would copy the basis
+        B = V[: j + 1]
+        w -= (B @ w.conj()).conj() @ B
+        betas[j] = np.linalg.norm(w)
+        k = j + 1
+        invariant = betas[j] < 1e-14 * max(1.0, abs(alphas[j]))
+        if invariant or k == m or (k >= min_size and k % _ESTIMATE_EVERY == 0):
+            ew, evec = sla.eigh_tridiagonal(alphas[:k], betas[: k - 1])
+            lz = _Lanczos(B, beta0, ew, evec, 0.0 if invariant else float(betas[j]),
+                          invariant or k >= min_size)
+            if invariant or k == m or lz.evaluate(taus, tol)[2].all():
+                return lz
+        V[k] = w / betas[j]
+    raise AssertionError("unreachable: the loop returns at k == m")
 
 
-def _krylov_apply(matrix, v, t, method: SemigroupMethod):
-    segments = [t]
+def _krylov_times(matrix, v, ts, method: SemigroupMethod) -> np.ndarray:
+    """e^{-tA}v for every t in ts, as rows in the order of ts.
+
+    Each restart builds one Lanczos basis for all pending times and accepts
+    those whose estimate passes.  It restarts from the furthest accepted
+    time below the first failing one or, when the first pending time fails,
+    from its largest halving whose estimate passes on the same basis.
+    """
+    times, where = np.unique(np.asarray(ts, dtype=float), return_inverse=True)
     x = np.asarray(v, dtype=complex)
-    restarts = 0
-    while segments:
-        seg = segments.pop()
-        approx, err, ok = _lanczos_segment(matrix, x, seg, method.krylov_dim, method.krylov_tol)
-        restarts += 1
-        if ok:
-            x = approx
+    out = np.zeros((times.size, x.size), dtype=complex)
+    done = np.zeros(times.size, dtype=bool)
+    start = 0.0  # the time x has been propagated to
+    for restart in range(1, defaults.KRYLOV_MAX_RESTARTS + 1):
+        if not x.any():
+            return out[where]  # e^{-tA}0 = 0
+        todo = np.flatnonzero(~done)
+        taus = times[todo] - start
+        lz = _lanczos(matrix, x, taus, method.krylov_dim, method.krylov_tol)
+        small, err, ok = lz.evaluate(taus, method.krylov_tol)
+        out[todo[ok]] = lz.vectors(small[ok])
+        done[todo[ok]] = True
+        if done.all():
+            return out[where]
+        lead = int(np.argmin(ok))  # the first failing pending time
+        residual = float(err[lead])
+        if lead > 0:
+            start, x = times[todo[lead - 1]], out[todo[lead - 1]]
             continue
-        if restarts >= defaults.KRYLOV_MAX_RESTARTS:
-            raise NumericalError(
-                f"krylov propagator failed to converge after {restarts} restarts "
-                f"(residual {err:.3e}, tolerance {method.krylov_tol:.1e})",
-                residual=err,
-            )
-        segments.extend([0.5 * seg, 0.5 * seg])
-    return x
+        tau = taus[0]
+        for _ in range(_MAX_HALVINGS):
+            tau *= 0.5
+            small, _, ok = lz.evaluate([tau], method.krylov_tol)
+            if ok[0]:
+                break
+        else:
+            break  # not even a short step certifies on this basis
+        start, x = start + tau, lz.vectors(small)[0]
+    raise NumericalError(
+        f"krylov propagator failed to converge after {restart} restarts "
+        f"(residual {residual:.3e}, tolerance {method.krylov_tol:.1e})",
+        residual=residual,
+    )
 
 
 def _crank_nicolson_apply(matrix, v, t, method: SemigroupMethod):
@@ -152,6 +220,24 @@ def _crank_nicolson_apply(matrix, v, t, method: SemigroupMethod):
     return x
 
 
+def _propagate(op: DiscreteOperator, v, ts, method: SemigroupMethod) -> np.ndarray:
+    """e^{-tA}v for every positive t in ts, as rows in the order of ts."""
+    if method.variant == "krylov":
+        return _krylov_times(op.matrix, v, ts, method)
+    if method.variant == "crank-nicolson":
+        return np.array([_crank_nicolson_apply(op.matrix, v, t, method) for t in ts])
+    w, vecs = op.eigensystem()
+    coef = vecs.conj().T @ v
+    return np.array([vecs @ (np.exp(-t * w) * coef) for t in ts])
+
+
+def _positive_times(ts) -> list:
+    ts = [float(t) for t in ts]
+    if any(t <= 0 for t in ts):
+        raise ArgumentError("t must be positive")
+    return ts
+
+
 def heat_apply(op: DiscreteOperator, v, t: float,
                method: Optional[SemigroupMethod] = None) -> np.ndarray:
     """e^{-tA} v by the selected propagator."""
@@ -162,47 +248,42 @@ def heat_apply(op: DiscreteOperator, v, t: float,
         raise ArgumentError(f"vector must have shape ({op.dim},)")
     if t == 0:
         return v.copy()
+    return _propagate(op, v, [t], method or SemigroupMethod.auto(op.dim))[0]
+
+
+def kernel_diagonals(op: DiscreteOperator, site, ts: Sequence[float],
+                     method: Optional[SemigroupMethod] = None) -> list:
+    """Discrete heat-kernel diagonals at a grid site, one fiber matrix per t
+    in ts, in the order of ts.
+
+    Columns are extracted by propagating the discrete delta (unit vector
+    over the Hermitian-volume cell 2^n h^{2n}), so values are directly
+    comparable to the continuum diagonals of ``model_diagonal``.  Each
+    delta is propagated once for all of ts.
+    """
+    ts = _positive_times(ts)
+    grid = op.grid
+    flat = grid.flat_index(site)
+    rows = [b * grid.sites + flat for b in range(op.fiber_dim)]
     method = method or SemigroupMethod.auto(op.dim)
     if method.variant == "dense-eigen":
-        if op.dim > method.dense_cap:
-            raise ResourceLimitError(
-                f"dense-eigen requested for dimension {op.dim} above cap {method.dense_cap}"
-            )
         w, vecs = op.eigensystem()
-        return vecs @ (np.exp(-t * w) * (vecs.conj().T @ v))
-    if method.variant == "krylov":
-        return _krylov_apply(op.matrix, v, t, method)
-    return _crank_nicolson_apply(op.matrix, v, t, method)
+        at = vecs[rows, :]
+        return [FiberEndomorphism(grid.n, op.q,
+                                  (at * np.exp(-t * w)) @ at.conj().T / grid.dv_cell)
+                for t in ts]
+    out = np.empty((len(ts), len(rows), len(rows)), dtype=complex)
+    for b, row in enumerate(rows):
+        delta = np.zeros(op.dim, dtype=complex)
+        delta[row] = 1.0 / grid.dv_cell
+        out[:, :, b] = _propagate(op, delta, ts, method)[:, rows]
+    return [FiberEndomorphism(grid.n, op.q, 0.5 * (m + m.conj().T)) for m in out]
 
 
 def kernel_diagonal(op: DiscreteOperator, site, t: float,
                     method: Optional[SemigroupMethod] = None) -> FiberEndomorphism:
-    """Discrete heat-kernel diagonal at a grid site as a fiber matrix.
-
-    Columns are extracted by propagating the discrete delta (unit vector
-    over the Hermitian-volume cell 2^n h^{2n}), so values are directly
-    comparable to the continuum diagonals of ``model_diagonal``.
-    """
-    if t <= 0:
-        raise ArgumentError("t must be positive")
-    grid = op.grid
-    flat = grid.flat_index(site)
-    d = op.fiber_dim
-    sites = grid.sites
-    method = method or SemigroupMethod.auto(op.dim)
-    out = np.empty((d, d), dtype=complex)
-    if method.variant == "dense-eigen" and op.dim <= method.dense_cap:
-        w, vecs = op.eigensystem()
-        rows = vecs[[b * sites + flat for b in range(d)], :]
-        decay = np.exp(-t * w)
-        out = (rows * decay) @ rows.conj().T / grid.dv_cell
-        return FiberEndomorphism(grid.n, op.q, out)
-    for b in range(d):
-        delta = np.zeros(op.dim, dtype=complex)
-        delta[b * sites + flat] = 1.0 / grid.dv_cell
-        col = heat_apply(op, delta, t, method)
-        out[:, b] = col[[a * sites + flat for a in range(d)]]
-    return FiberEndomorphism(grid.n, op.q, 0.5 * (out + out.conj().T))
+    """Discrete heat-kernel diagonal at a grid site: ``kernel_diagonals`` at one t."""
+    return kernel_diagonals(op, site, [t], method)[0]
 
 
 @dataclass(frozen=True)
@@ -213,27 +294,41 @@ class TraceEstimate:
     method: str
 
 
+def heat_traces(op: DiscreteOperator, ts: Sequence[float],
+                method: Optional[SemigroupMethod] = None,
+                seed: Optional[int] = None,
+                probes: int = defaults.TRACE_PROBES) -> list:
+    """Traces of e^{-tA}, one per t in ts, in the order of ts: exact
+    eigenvalue sums on the dense path, Hutchinson estimation with ``probes``
+    (at least 2) Rademacher probes from ``seed`` otherwise.  Every t uses
+    the same probes, and each probe is propagated once for all of ts."""
+    ts = _positive_times(ts)
+    method = method or SemigroupMethod.auto(op.dim)
+    if method.variant == "dense-eigen":
+        w = op.eigenvalues()
+        return [TraceEstimate(float(np.sum(np.exp(-t * w))), 0.0, 0, "dense-eigen")
+                for t in ts]
+    if seed is None:
+        raise ArgumentError("stochastic trace estimation requires a seed")
+    if probes < 2:
+        raise ArgumentError("stochastic trace estimation requires probes >= 2")
+    rng = np.random.default_rng(seed)
+    samples = np.empty((probes, len(ts)))
+    for i in range(probes):
+        xi = rng.choice([-1.0, 1.0], size=op.dim).astype(complex)
+        samples[i] = (_propagate(op, xi, ts, method) @ xi).real  # xi is real
+    values = samples.mean(axis=0)
+    stderrs = samples.std(axis=0, ddof=1) / np.sqrt(probes)
+    return [TraceEstimate(float(v), float(s), probes, method.variant)
+            for v, s in zip(values, stderrs)]
+
+
 def heat_trace(op: DiscreteOperator, t: float,
                method: Optional[SemigroupMethod] = None,
                seed: Optional[int] = None,
                probes: int = defaults.TRACE_PROBES) -> TraceEstimate:
-    """Trace of e^{-tA}: exact eigenvalue sum on the dense path, Hutchinson
-    estimation with Rademacher probes (fixed seed) otherwise."""
-    if t <= 0:
-        raise ArgumentError("t must be positive")
-    method = method or SemigroupMethod.auto(op.dim)
-    if method.variant == "dense-eigen":
-        w = op.eigenvalues()
-        return TraceEstimate(float(np.sum(np.exp(-t * w))), 0.0, 0, "dense-eigen")
-    if seed is None:
-        raise ArgumentError("stochastic trace estimation requires a seed")
-    rng = np.random.default_rng(seed)
-    samples = np.empty(probes)
-    for i in range(probes):
-        xi = rng.choice([-1.0, 1.0], size=op.dim).astype(complex)
-        samples[i] = float(np.real(np.vdot(xi, heat_apply(op, xi, t, method))))
-    stderr = float(np.std(samples, ddof=1) / np.sqrt(probes))
-    return TraceEstimate(float(np.mean(samples)), stderr, probes, method.variant)
+    """Trace of e^{-tA}: ``heat_traces`` at one t."""
+    return heat_traces(op, [t], method, seed, probes)[0]
 
 
 @dataclass(frozen=True)
@@ -412,8 +507,8 @@ def converge_in_k(weight: WeightFunction, pert: Optional[PerturbationSpec],
     rows = []
     for k in ks:
         op = assemble_scaled(weight, pert, k, grid, q)
-        for t in ts:
-            diag = kernel_diagonal(op, grid.origin_site(), t, method).matrix
+        for t, diag in zip(ts, kernel_diagonals(op, grid.origin_site(), ts, method)):
+            diag = diag.matrix
             target = spec_targets[t]
             err = float(np.max(np.abs(diag - target)))
             rows.append(ConvergenceRow(k, float(t), diag, target, err,
@@ -428,8 +523,7 @@ def model_baseline_errors(weight: WeightFunction, q: int, ts: Sequence[float],
     grid = grid or GridSpec(weight.n, defaults.CONVERGE_RADIUS, defaults.CONVERGE_SPACING)
     op = assemble_model(ModelSpec(weight.n, weight.lam, q), grid)
     out = {}
-    for t in ts:
-        diag = kernel_diagonal(op, grid.origin_site(), t, method).matrix
+    for t, diag in zip(ts, kernel_diagonals(op, grid.origin_site(), ts, method)):
         target = model_diagonal(ModelSpec(weight.n, weight.lam, q), t).matrix
-        out[t] = float(np.max(np.abs(diag - target)))
+        out[t] = float(np.max(np.abs(diag.matrix - target)))
     return out

@@ -276,6 +276,29 @@ def test_threads_applied_before_numpy_loads(tmp_path):
                       "same_object": True}
 
 
+def test_threads_do_not_change_csv_bytes(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    for var in ("OMP_NUM_THREADS", "HEATLAB_THREADS"):
+        env.pop(var, None)
+    for name in ("trace_stochastic", "converge_scaling"):
+        outputs = []
+        for threads in (1, 2):
+            out = tmp_path / f"{name}-{threads}"
+            subprocess.run(
+                [sys.executable, "-m", "heatlab.cli", "run", str(root / "configs" / f"{name}.json"),
+                 "--out", str(out), "--threads", str(threads)],
+                env=env, capture_output=True, text=True, timeout=300, check=True,
+            )
+            outputs.append((out / f"{name}.csv").read_bytes())
+        assert outputs[0] == outputs[1], name
+
+
 def test_shipped_configs_validate():
     from pathlib import Path
 

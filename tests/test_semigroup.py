@@ -4,7 +4,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from heatlab import defaults
+from heatlab import defaults, semigroup
 from heatlab.errors import ArgumentError, InvariantViolation, ResourceLimitError
 from heatlab.geometry import WeightFunction
 from heatlab.model_kernels import ModelSpec, model_diagonal
@@ -16,7 +16,9 @@ from heatlab.semigroup import (
     converge_in_k,
     heat_apply,
     heat_trace,
+    heat_traces,
     kernel_diagonal,
+    kernel_diagonals,
     model_baseline_errors,
     spectral_bound_check,
 )
@@ -118,6 +120,63 @@ def test_krylov_nonconvergence_reports_residual():
     assert err.value.residual is not None
 
 
+@pytest.fixture(scope="module")
+def trace_model_op():
+    """The dim-1089 model operator of the stochastic trace config, its dense
+    eigensystem, and a Rademacher and a delta start vector."""
+    op = assemble_model(ModelSpec(1, (1.0,), 0), GridSpec(1, 4.0, 0.25))
+    assert op.dim == 1089
+    rademacher = np.random.default_rng(7).choice([-1.0, 1.0], size=op.dim).astype(complex)
+    delta = np.zeros(op.dim, dtype=complex)
+    delta[op.dim // 2] = 1.0
+    return op, op.eigensystem(), {"rademacher": rademacher, "delta": delta}
+
+
+@pytest.mark.parametrize("start", ["rademacher", "delta"])
+@pytest.mark.parametrize("ts, krylov_dim, runs", [
+    ((0.5, 1.0, 2.0), defaults.KRYLOV_DIM, 1),
+    ((2.0,), 20, 2),  # a 20-vector basis cannot reach t = 2: restarts from a halving
+    ((0.5, 1.0, 2.0), 20, 2),  # restarts from the furthest passing time
+    ((2.0, 0.5, 1.0, 0.5), defaults.KRYLOV_DIM, 1),  # unsorted, with a duplicate
+])
+def test_krylov_times_match_dense(trace_model_op, monkeypatch, start, ts, krylov_dim, runs):
+    op, (w, vecs), starts = trace_model_op
+    v = starts[start]
+    bases = []
+    real = semigroup._lanczos
+
+    def counting(*args):
+        bases.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(semigroup, "_lanczos", counting)
+    got = semigroup._krylov_times(op.matrix, v, ts, SemigroupMethod("krylov", krylov_dim))
+    assert got.shape == (len(ts), op.dim)
+    assert len(bases) >= runs
+    if runs == 1:
+        assert len(bases) == 1 and sorted(bases[0]) == sorted(set(ts))
+    coef = vecs.conj().T @ v
+    for t, row in zip(ts, got):
+        ref = vecs @ (np.exp(-t * w) * coef)
+        assert np.linalg.norm(row - ref) / np.linalg.norm(ref) <= 1e-8
+
+
+@pytest.mark.parametrize("start", ["rademacher", "delta"])
+def test_lanczos_basis_stays_orthonormal(trace_model_op, start):
+    op, _, starts = trace_model_op
+    # tolerance 0 passes no estimate, so the basis runs to its cap; without
+    # reorthogonalisation the delta basis drifts to ~1e-6 by then
+    lz = semigroup._lanczos(op.matrix, starts[start], [1.0], 60, 0.0)
+    gram = lz.basis @ lz.basis.conj().T
+    assert len(gram) == 60 and np.abs(gram - np.eye(60)).max() <= 1e-12
+
+
+def test_krylov_zero_vector_stays_zero():
+    op = _random_hermitian_op()
+    out = heat_apply(op, np.zeros(op.dim, dtype=complex), 1.0, SemigroupMethod("krylov"))
+    assert not out.any()
+
+
 # ---------------------------------------------------------------------------
 # kernel_diagonal
 
@@ -167,6 +226,19 @@ def test_kernel_diagonal_dense_and_krylov_agree():
     np.testing.assert_allclose(a, b, atol=1e-7 * np.abs(a).max())
 
 
+@pytest.mark.parametrize("variant", ["dense-eigen", "krylov"])
+def test_kernel_diagonals_follow_caller_order(variant):
+    grid = GridSpec(1, 4.0, 0.4)
+    op = assemble_model(ModelSpec(1, (1.0,), 1), grid)
+    method = SemigroupMethod(variant)
+    ts = (0.9, 0.3, 0.9)
+    joint = kernel_diagonals(op, grid.origin_site(), ts, method)
+    assert len(joint) == len(ts)
+    for t, diag in zip(ts, joint):
+        single = kernel_diagonal(op, grid.origin_site(), t, method).matrix
+        np.testing.assert_allclose(diag.matrix, single, rtol=1e-10, atol=0)
+
+
 # ---------------------------------------------------------------------------
 # heat_trace
 
@@ -207,6 +279,37 @@ def test_stochastic_trace_matches_dense():
     est = heat_trace(op, 1.0, SemigroupMethod("krylov"), seed=123)
     assert est.stderr > 0
     assert abs(est.value - dense) <= 3.0 * est.stderr
+
+
+def test_heat_traces_one_krylov_run_per_probe(trace_model_op, monkeypatch):
+    op = trace_model_op[0]
+    ts, probes = (2.0, 0.5, 1.0), 8
+    method = SemigroupMethod("krylov")
+    single = [heat_trace(op, t, method, seed=11, probes=probes) for t in ts]
+    calls = []
+    real = semigroup._krylov_times
+
+    def counting(matrix, v, times, m):
+        calls.append(tuple(times))
+        return real(matrix, v, times, m)
+
+    monkeypatch.setattr(semigroup, "_krylov_times", counting)
+    joint = heat_traces(op, ts, method, seed=11, probes=probes)
+    assert calls == [ts] * probes
+    for a, b in zip(joint, single):
+        assert (a.probes, a.method) == (probes, "krylov")
+        assert abs(a.value - b.value) <= 1e-10 * abs(b.value)
+        assert abs(a.stderr - b.stderr) <= 1e-10 * abs(b.stderr)
+
+
+@pytest.mark.parametrize("probes", [1, 0])
+def test_stochastic_trace_requires_two_probes(probes):
+    op = _synthetic_op(np.linspace(0, 1, 9))
+    method = SemigroupMethod("krylov")
+    with pytest.raises(ArgumentError):
+        heat_trace(op, 1.0, method, seed=1, probes=probes)
+    with pytest.raises(ArgumentError):
+        heat_traces(op, [0.5, 1.0], method, seed=1, probes=probes)
 
 
 def test_stochastic_trace_requires_seed():
