@@ -25,7 +25,7 @@ _EXPORTS = {
     ),
     "operators": (
         "DiscreteOperator", "GridSpec", "PerturbationSpec", "assemble_model",
-        "assemble_scaled", "gauge_diagonal_identity_check", "to_matrix_market",
+        "assemble_scaled", "to_matrix_market",
     ),
     "semigroup": (
         "ConvergenceReport", "SemigroupMethod", "converge_in_k", "heat_apply", "heat_trace",

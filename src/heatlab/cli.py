@@ -5,8 +5,9 @@ Usage:
     heatlab run <config.json> [--out DIR] [--threads N]
     heatlab validate <config.json>
 
-Configs are strict JSON: unknown or duplicate keys are errors, one
-experiment per file.  Identical configs and seeds produce byte-identical
+Configs are strict JSON, one experiment per file, checked against that
+experiment's table in ``SCHEMAS`` (type, constraint and default of every
+key): unknown or duplicate keys and malformed values are errors.  Identical configs and seeds produce byte-identical
 CSV bodies; a manifest.json records the config hash, seed, tool version,
 and wall time.  Exit codes: 0 success, 2 config error, 3 numerical
 failure.
@@ -16,16 +17,16 @@ import argparse
 import csv
 import hashlib
 import json
+import operator
 import os
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ConfigError, HeatlabError
 
 VERSION = "0.1.0"
-
-EXPERIMENTS = ("model-kernel", "converge", "trace", "morse", "spectrum", "validate-oracle")
 
 _THREAD_ENV_VARS = (
     "OMP_NUM_THREADS",
@@ -59,212 +60,215 @@ def load_config(path) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Schema validation
+# Schema: one table per experiment, one _Field per key.  Rules that tie
+# fields together follow the tables in ``_check_cross_fields``.
 
 
-def _require(cfg: dict, key: str, kind, what: str):
-    if key not in cfg:
-        raise ConfigError(f"missing field {key!r}")
-    value = cfg[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise ConfigError(f"field {key!r} must be {what}")
-    return value
+class _Library(str):
+    """A default read from ``heatlab.defaults`` when a config is validated:
+    loading the CLI imports no other package module, so that --threads acts
+    before numpy loads."""
 
 
-def _positive_list(cfg: dict, key: str, integral: bool):
-    value = _require(cfg, key, list, "a list")
-    if not value:
-        raise ConfigError(f"field {key!r} must be nonempty")
-    out = []
-    for v in value:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"field {key!r} must contain numbers")
-        if integral and (not isinstance(v, int) or v < 1):
-            raise ConfigError(f"field {key!r} must contain positive integers")
-        if not integral and v <= 0:
-            raise ConfigError(f"field {key!r} must contain positive numbers")
-        out.append(int(v) if integral else float(v))
+_REQUIRED = object()
+
+
+class _Field(NamedTuple):
+    """A key's type (a name in _TYPES, a tuple of the allowed values, or
+    the table of a nested object), its constraint "symbol op bound" on the
+    value or on each list element, and its default (None: it may be absent)."""
+
+    type: object
+    rule: str = None
+    default: object = _REQUIRED
+
+
+def _integer(v):
+    return v if type(v) is int else None
+
+
+def _number(v):
+    return float(v) if type(v) in (int, float) and abs(v) <= sys.float_info.max else None
+
+
+def _list_of(parse):
+    def parse_list(v):
+        out = [parse(x) for x in v] if type(v) is list and v else [None]
+        return None if None in out else out
+
+    return parse_list
+
+
+_TYPES = {
+    "an integer": _integer,
+    "a number": _number,
+    "a string": lambda v: v if type(v) is str else None,
+    "a boolean": lambda v: v if type(v) is bool else None,
+    "a nonempty list of integers": _list_of(_integer),
+    "a nonempty list of numbers": _list_of(_number),
+}
+_OPS = {">": operator.gt, ">=": operator.ge, "!=": operator.ne}
+
+_TAU_IM = _Field("a number", "Im(tau) > 0")
+_K_LIST = _Field("a nonempty list of integers", "k >= 1")
+_T_LIST = _Field("a nonempty list of numbers", "t > 0")
+_MODEL = {
+    "n": _Field("an integer", "n >= 1"),
+    "lambda": _Field("a nonempty list of numbers"),
+    "q": _Field("an integer"),
+    "t_list": _T_LIST,
+}
+_GRID = _Field({
+    "radius": _Field("a number", "radius > 0"),
+    "spacing": _Field("a number", "h > 0"),
+})
+
+
+def _perturbation(*kinds):
+    return _Field({
+        "kind": _Field(("zero", *kinds), None, "zero"),
+        "amplitude": _Field("a number", None, 0.0),
+    }, None, {})
+
+
+SCHEMAS = {
+    "model-kernel": _MODEL,
+    "converge": {
+        **_MODEL,
+        "k_list": _K_LIST,
+        "grid": _GRID,
+        "weight_perturbation": _perturbation("re_z3", "abs_z4"),
+        "metric_perturbation": _perturbation("linear_r11"),
+        "method": _Field({
+            "variant": _Field(("auto", "dense-eigen", "krylov"), None, "auto"),
+            "krylov_dim": _Field("an integer", "krylov_dim >= 1", _Library("KRYLOV_DIM")),
+            "krylov_tol": _Field("a number", "krylov_tol > 0", _Library("KRYLOV_TOL")),
+        }, None, {}),
+    },
+    "trace": {
+        **_MODEL,
+        "grid": _GRID,
+        "stochastic": _Field("a boolean", None, False),
+        "probes": _Field("an integer", "probes >= 2", _Library("TRACE_PROBES")),
+    },
+    "morse": {
+        "model": _Field(("elliptic", "product")),
+        "tau_im": _TAU_IM,
+        "degree": _Field("an integer", "degree != 0", None),           # model elliptic
+        "degrees": _Field("a nonempty list of integers", None, None),  # model product
+        "k_list": _K_LIST,
+        "q_list": _Field("a nonempty list of integers"),
+        "t_list": _T_LIST,
+    },
+    "spectrum": {
+        "tau_im": _TAU_IM,
+        "degree": _Field("an integer", "degree != 0"),
+        "k": _Field("an integer", "k >= 1"),
+        "q": _Field((0, 1)),
+        "cutoff": _Field("an integer", "cutoff >= 0"),
+    },
+    "validate-oracle": {
+        "tau_im": _TAU_IM,
+        "degree": _Field("an integer", "degree >= 1"),
+        "k_list": _K_LIST,
+        "eigen_count": _Field("an integer", "eigen_count >= 1", 10),
+        "resolutions": _Field("a nonempty list of integers", None, [32, 64]),
+    },
+}
+_COMMON = {
+    "experiment": _Field(tuple(SCHEMAS)),
+    "seed": _Field("an integer"),
+    "output": _Field("a string"),
+}
+
+
+def _check_value(value, field: _Field, name: str):
+    if isinstance(field.type, dict):
+        if type(value) is not dict:
+            raise ConfigError(f"field {name!r} must be an object")
+        return _check_table(value, field.type, name)
+    if isinstance(field.type, tuple):
+        if not any(type(value) is type(c) and value == c for c in field.type):
+            raise ConfigError(f"field {name!r} must be one of {field.type}")
+        return value
+    parsed = _TYPES[field.type](value)
+    if parsed is None:
+        raise ConfigError(f"field {name!r} must be {field.type}")
+    if field.rule is not None:
+        _, op, bound = field.rule.split()
+        values = parsed if type(parsed) is list else [parsed]
+        if not all(_OPS[op](v, float(bound)) for v in values):
+            raise ConfigError(f"field {name!r} must satisfy {field.rule}")
+    return parsed
+
+
+def _check_table(raw: dict, table: dict, where: str = None) -> dict:
+    unknown = sorted(set(raw) - set(table))
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r} in {where or 'config'}")
+    out = {}
+    for key, field in table.items():
+        name = f"{where}.{key}" if where else key
+        if key in raw:
+            value = raw[key]
+        elif field.default is _REQUIRED:
+            raise ConfigError(f"missing field {name!r}")
+        elif field.default is None:
+            continue
+        elif isinstance(field.default, _Library):
+            from . import defaults
+
+            value = getattr(defaults, field.default)
+        else:
+            value = field.default
+        out[key] = _check_value(value, field, name)
     return out
 
 
-def _check_keys(cfg: dict, allowed, where: str = "config"):
-    unknown = sorted(set(cfg) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown key {unknown[0]!r} in {where}")
-
-
-def _grid_from(cfg: dict):
-    grid = _require(cfg, "grid", dict, "an object")
-    _check_keys(grid, {"radius", "spacing"}, "grid")
-    radius = _require(grid, "radius", (int, float), "a number")
-    spacing = _require(grid, "spacing", (int, float), "a number")
-    if radius <= 0:
-        raise ConfigError("grid.radius must satisfy radius > 0")
-    if spacing <= 0:
-        raise ConfigError("grid.spacing must satisfy h > 0")
-    return float(radius), float(spacing)
-
-
-def _method_from(cfg: dict):
-    method = cfg.get("method", {"variant": "auto"})
-    if not isinstance(method, dict):
-        raise ConfigError("field 'method' must be an object")
-    _check_keys(method, {"variant", "krylov_dim", "krylov_tol", "dt"}, "method")
-    variant = method.get("variant", "auto")
-    if variant not in ("auto", "dense-eigen", "krylov", "crank-nicolson"):
-        raise ConfigError(f"method.variant {variant!r} not recognized")
-    return method
-
-
-_WEIGHT_PERTURBATIONS = ("zero", "re_z3", "abs_z4")
-_METRIC_PERTURBATIONS = ("zero", "linear_r11")
-
-
-def _perturbation_from(cfg: dict, key: str, kinds):
-    spec = cfg.get(key, {"kind": "zero"})
-    if not isinstance(spec, dict):
-        raise ConfigError(f"field {key!r} must be an object")
-    _check_keys(spec, {"kind", "amplitude"}, key)
-    kind = spec.get("kind", "zero")
-    if kind not in kinds:
-        raise ConfigError(f"{key}.kind must be one of {kinds}")
-    amplitude = spec.get("amplitude", 0.0)
-    if isinstance(amplitude, bool) or not isinstance(amplitude, (int, float)):
-        raise ConfigError(f"{key}.amplitude must be a number")
-    return kind, float(amplitude)
-
-
-def _validate_common(cfg: dict) -> str:
-    kind = _require(cfg, "experiment", str, "a string")
-    if kind not in EXPERIMENTS:
-        raise ConfigError(f"experiment must be one of {EXPERIMENTS}")
-    _require(cfg, "seed", int, "an integer")
-    _require(cfg, "output", str, "a string")
-    return kind
+def _check_cross_fields(cfg: dict) -> None:
+    kind = cfg["experiment"]
+    if "n" in cfg:
+        if len(cfg["lambda"]) != cfg["n"]:
+            raise ConfigError("field 'lambda' must list n eigenvalues")
+        if not 0 <= cfg["q"] <= cfg["n"]:
+            raise ConfigError("field 'q' must satisfy 0 <= q <= n")
+    if kind == "converge":
+        if cfg["n"] != 1:
+            raise ConfigError("converge experiments support n = 1")
+        if cfg["k_list"] != sorted(set(cfg["k_list"])):
+            raise ConfigError("field 'k_list' must be strictly increasing")
+    elif kind == "morse":
+        elliptic = cfg["model"] == "elliptic"
+        needed = "degree" if elliptic else "degrees"
+        if needed not in cfg:
+            raise ConfigError(f"missing field {needed!r} (model {cfg['model']!r})")
+        degs = cfg.get("degrees")
+        if not elliptic and (len(degs) != 2 or not degs[0] > 0 > degs[1]):
+            raise ConfigError("field 'degrees' must be two integers with signs (+, -)")
+        qmax = 1 if elliptic else 2
+        if not all(0 <= q <= qmax for q in cfg["q_list"]):
+            raise ConfigError(f"field 'q_list' must contain integers in [0, {qmax}]")
+    elif kind == "validate-oracle":
+        res = cfg["resolutions"]
+        if len(res) != 2 or res[0] < 4 or res[1] != 2 * res[0]:
+            raise ConfigError("field 'resolutions' must be [N, 2N] with N >= 4")
 
 
 def validate_config(cfg: dict) -> dict:
-    """Schema check only; returns the normalized config."""
-    kind = _validate_common(cfg)
-    common = {"experiment", "seed", "output"}
-    if kind == "model-kernel":
-        _check_keys(cfg, common | {"n", "lambda", "q", "t_list"})
-        n = _require(cfg, "n", int, "an integer")
-        lam = _require(cfg, "lambda", list, "a list")
-        if n < 1 or len(lam) != n:
-            raise ConfigError("field 'lambda' must list n eigenvalues, n >= 1")
-        q = _require(cfg, "q", int, "an integer")
-        if not 0 <= q <= n:
-            raise ConfigError("field 'q' must satisfy 0 <= q <= n")
-        _positive_list(cfg, "t_list", integral=False)
-    elif kind == "converge":
-        _check_keys(cfg, common | {"n", "lambda", "q", "t_list", "k_list", "grid",
-                                   "weight_perturbation", "metric_perturbation", "method"})
-        n = _require(cfg, "n", int, "an integer")
-        if n != 1:
-            raise ConfigError("converge experiments support n = 1")
-        lam = _require(cfg, "lambda", list, "a list")
-        if len(lam) != n:
-            raise ConfigError("field 'lambda' must list n eigenvalues")
-        q = _require(cfg, "q", int, "an integer")
-        if not 0 <= q <= n:
-            raise ConfigError("field 'q' must satisfy 0 <= q <= n")
-        _positive_list(cfg, "t_list", integral=False)
-        ks = _positive_list(cfg, "k_list", integral=True)
-        if ks != sorted(set(ks)):
-            raise ConfigError("field 'k_list' must be strictly increasing")
-        _grid_from(cfg)
-        _perturbation_from(cfg, "weight_perturbation", _WEIGHT_PERTURBATIONS)
-        _perturbation_from(cfg, "metric_perturbation", _METRIC_PERTURBATIONS)
-        _method_from(cfg)
-    elif kind == "trace":
-        _check_keys(cfg, common | {"n", "lambda", "q", "t_list", "grid", "stochastic", "probes"})
-        n = _require(cfg, "n", int, "an integer")
-        lam = _require(cfg, "lambda", list, "a list")
-        if len(lam) != n:
-            raise ConfigError("field 'lambda' must list n eigenvalues")
-        q = _require(cfg, "q", int, "an integer")
-        if not 0 <= q <= n:
-            raise ConfigError("field 'q' must satisfy 0 <= q <= n")
-        _positive_list(cfg, "t_list", integral=False)
-        _grid_from(cfg)
-        if "stochastic" in cfg and not isinstance(cfg["stochastic"], bool):
-            raise ConfigError("field 'stochastic' must be a boolean")
-        if "probes" in cfg:
-            p = _require(cfg, "probes", int, "an integer")
-            if p < 2:
-                raise ConfigError("field 'probes' must be >= 2")
-    elif kind == "morse":
-        _check_keys(cfg, common | {"model", "tau_im", "degree", "degrees", "k_list",
-                                   "q_list", "t_list"})
-        model = _require(cfg, "model", str, "a string")
-        if model not in ("elliptic", "product"):
-            raise ConfigError("field 'model' must be 'elliptic' or 'product'")
-        tau = _require(cfg, "tau_im", (int, float), "a number")
-        if tau <= 0:
-            raise ConfigError("field 'tau_im' must satisfy Im(tau) > 0")
-        if model == "elliptic":
-            d = _require(cfg, "degree", int, "an integer")
-            if d == 0:
-                raise ConfigError("field 'degree' must be nonzero")
-            qmax = 1
-        else:
-            degs = _require(cfg, "degrees", list, "a list")
-            if len(degs) != 2 or not all(isinstance(d, int) for d in degs):
-                raise ConfigError("field 'degrees' must be two integers")
-            if not (degs[0] > 0 and degs[1] < 0):
-                raise ConfigError("field 'degrees' must have signs (+, -)")
-            qmax = 2
-        _positive_list(cfg, "k_list", integral=True)
-        qs = _require(cfg, "q_list", list, "a list")
-        if not qs or any(
-            isinstance(q, bool) or not isinstance(q, int) or not 0 <= q <= qmax for q in qs
-        ):
-            raise ConfigError(f"field 'q_list' must contain integers in [0, {qmax}]")
-        _positive_list(cfg, "t_list", integral=False)
-    elif kind == "spectrum":
-        _check_keys(cfg, common | {"tau_im", "degree", "k", "q", "cutoff"})
-        tau = _require(cfg, "tau_im", (int, float), "a number")
-        if tau <= 0:
-            raise ConfigError("field 'tau_im' must satisfy Im(tau) > 0")
-        d = _require(cfg, "degree", int, "an integer")
-        if d == 0:
-            raise ConfigError("field 'degree' must be nonzero")
-        k = _require(cfg, "k", int, "an integer")
-        if k < 1:
-            raise ConfigError("field 'k' must be >= 1")
-        q = _require(cfg, "q", int, "an integer")
-        if q not in (0, 1):
-            raise ConfigError("field 'q' must be 0 or 1")
-        c = _require(cfg, "cutoff", int, "an integer")
-        if c < 0:
-            raise ConfigError("field 'cutoff' must be >= 0")
-    elif kind == "validate-oracle":
-        _check_keys(cfg, common | {"tau_im", "degree", "k_list", "eigen_count", "resolutions"})
-        tau = _require(cfg, "tau_im", (int, float), "a number")
-        if tau <= 0:
-            raise ConfigError("field 'tau_im' must satisfy Im(tau) > 0")
-        d = _require(cfg, "degree", int, "an integer")
-        if d < 1:
-            raise ConfigError("field 'degree' must be >= 1")
-        _positive_list(cfg, "k_list", integral=True)
-        if "eigen_count" in cfg:
-            c = _require(cfg, "eigen_count", int, "an integer")
-            if c < 1:
-                raise ConfigError("field 'eigen_count' must be >= 1")
-        if "resolutions" in cfg:
-            res = _require(cfg, "resolutions", list, "a list")
-            if len(res) != 2 or not all(isinstance(r, int) and r >= 4 for r in res) \
-                    or res[1] != 2 * res[0]:
-                raise ConfigError("field 'resolutions' must be [N, 2N] with N >= 4")
-    return cfg
+    """Check a loaded config against its experiment's table and the
+    cross-field rules; return a new dict with every default filled in."""
+    if "experiment" not in cfg:
+        raise ConfigError("missing field 'experiment'")
+    kind = _check_value(cfg["experiment"], _COMMON["experiment"], "experiment")
+    out = _check_table(cfg, {**_COMMON, **SCHEMAS[kind]})
+    _check_cross_fields(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Experiment runners (import compute modules lazily so --threads can pin
-# BLAS pools before numpy loads)
+# BLAS pools before numpy loads).  Each reads a config as returned by
+# validate_config.
 
 
 def _fmt(x: float) -> str:
@@ -284,11 +288,11 @@ def _run_model_kernel(cfg: dict, out: Path):
     from . import fiber
     from .model_kernels import ModelSpec, model_diagonal
 
-    spec = ModelSpec(cfg["n"], tuple(float(v) for v in cfg["lambda"]), cfg["q"])
+    spec = ModelSpec(cfg["n"], tuple(cfg["lambda"]), cfg["q"])
     idx = fiber.multi_indices(spec.n, spec.q)
     rows = []
     for t in cfg["t_list"]:
-        diag = model_diagonal(spec, float(t)).matrix
+        diag = model_diagonal(spec, t).matrix
         for a, J in enumerate(idx):
             for b, K in enumerate(idx):
                 rows.append([_fmt(t), spec.q, fiber.index_label(J), fiber.index_label(K),
@@ -296,56 +300,25 @@ def _run_model_kernel(cfg: dict, out: Path):
     _write_csv(out, ["t", "q", "row_J", "col_J", "re_value", "im_value"], rows)
 
 
-def _build_perturbations(cfg: dict):
+def _run_converge(cfg: dict, out: Path):
     import numpy as np
 
-    from .geometry import cubic_re_perturbation, quartic_abs_perturbation
-    from .operators import PerturbationSpec
+    from .geometry import WeightFunction, cubic_re_perturbation, quartic_abs_perturbation
+    from .operators import GridSpec, PerturbationSpec
+    from .semigroup import SemigroupMethod, converge_in_k
 
-    wkind, wamp = cfg.get("weight_perturbation", {"kind": "zero"}).get("kind", "zero"), \
-        float(cfg.get("weight_perturbation", {}).get("amplitude", 0.0))
-    weight_pert = None
-    if wkind == "re_z3" and wamp != 0.0:
-        weight_pert = cubic_re_perturbation(wamp)
-    elif wkind == "abs_z4" and wamp != 0.0:
-        weight_pert = quartic_abs_perturbation(wamp)
-    mkind, mamp = cfg.get("metric_perturbation", {"kind": "zero"}).get("kind", "zero"), \
-        float(cfg.get("metric_perturbation", {}).get("amplitude", 0.0))
-    metric = None
-    if mkind == "linear_r11" and mamp != 0.0:
-        amp = mamp
+    wp, mp, method = cfg["weight_perturbation"], cfg["metric_perturbation"], cfg["method"]
+    weight_pert = metric = None
+    if wp["kind"] != "zero" and wp["amplitude"] != 0.0:
+        build = {"re_z3": cubic_re_perturbation, "abs_z4": quartic_abs_perturbation}
+        weight_pert = build[wp["kind"]](wp["amplitude"])
+    if mp["kind"] == "linear_r11" and mp["amplitude"] != 0.0:
+        amp = mp["amplitude"]
         metric = PerturbationSpec(r=lambda y: np.array([[amp * y[0]]], dtype=complex))
-    return weight_pert, metric
-
-
-def _method_obj(cfg: dict):
-    from .semigroup import SemigroupMethod
-
-    m = cfg.get("method", {"variant": "auto"})
-    variant = m.get("variant", "auto")
-    if variant == "auto":
-        return None
-    kwargs = {"variant": variant}
-    if "krylov_dim" in m:
-        kwargs["krylov_dim"] = int(m["krylov_dim"])
-    if "krylov_tol" in m:
-        kwargs["krylov_tol"] = float(m["krylov_tol"])
-    if "dt" in m:
-        kwargs["dt"] = float(m["dt"])
-    return SemigroupMethod(**kwargs)
-
-
-def _run_converge(cfg: dict, out: Path):
-    from .geometry import WeightFunction
-    from .operators import GridSpec
-    from .semigroup import converge_in_k
-
-    weight_pert, metric = _build_perturbations(cfg)
-    weight = WeightFunction(cfg["n"], tuple(float(v) for v in cfg["lambda"]), weight_pert)
-    radius, spacing = float(cfg["grid"]["radius"]), float(cfg["grid"]["spacing"])
-    grid = GridSpec(cfg["n"], radius, spacing)
-    report = converge_in_k(weight, metric, cfg["q"], [float(t) for t in cfg["t_list"]],
-                           [int(k) for k in cfg["k_list"]], grid, _method_obj(cfg))
+    weight = WeightFunction(cfg["n"], tuple(cfg["lambda"]), weight_pert)
+    grid = GridSpec(cfg["n"], cfg["grid"]["radius"], cfg["grid"]["spacing"])
+    report = converge_in_k(weight, metric, cfg["q"], cfg["t_list"], cfg["k_list"], grid,
+                           None if method["variant"] == "auto" else SemigroupMethod(**method))
     report.to_csv(out)
 
 
@@ -354,13 +327,12 @@ def _run_trace(cfg: dict, out: Path):
     from .operators import GridSpec, assemble_model
     from .semigroup import SemigroupMethod, heat_traces
 
-    spec = ModelSpec(cfg["n"], tuple(float(v) for v in cfg["lambda"]), cfg["q"])
-    radius, spacing = float(cfg["grid"]["radius"]), float(cfg["grid"]["spacing"])
-    op = assemble_model(spec, GridSpec(cfg["n"], radius, spacing))
-    ts = [float(t) for t in cfg["t_list"]]
-    if cfg.get("stochastic", False):
+    spec = ModelSpec(cfg["n"], tuple(cfg["lambda"]), cfg["q"])
+    op = assemble_model(spec, GridSpec(cfg["n"], cfg["grid"]["radius"], cfg["grid"]["spacing"]))
+    ts = cfg["t_list"]
+    if cfg["stochastic"]:
         ests = heat_traces(op, ts, SemigroupMethod("krylov"), seed=cfg["seed"],
-                           probes=int(cfg.get("probes", 64)))
+                           probes=cfg["probes"])
     else:
         ests = heat_traces(op, ts, SemigroupMethod("dense-eigen"))
     rows = [[_fmt(t), _fmt(est.value), _fmt(est.stderr), est.probes, est.method]
@@ -371,32 +343,26 @@ def _run_trace(cfg: dict, out: Path):
 def _run_morse(cfg: dict, out: Path):
     from .torus import EllipticCurveBundle, morse_trace_inequality, product_torus_morse
 
-    tau = complex(0.0, float(cfg["tau_im"]))
-    rows = []
+    tau = complex(0.0, cfg["tau_im"])
     if cfg["model"] == "elliptic":
-        bundle = EllipticCurveBundle(tau, cfg["degree"])
-        for k in cfg["k_list"]:
-            for q in cfg["q_list"]:
-                for t in cfg["t_list"]:
-                    rec = morse_trace_inequality(bundle, int(k), int(q), float(t))
-                    rows.append([rec.k, rec.q, _fmt(rec.t), rec.lhs, _fmt(rec.rhs),
-                                 _fmt(rec.gap), rec.holds])
+        bundles, inequality = [EllipticCurveBundle(tau, cfg["degree"])], morse_trace_inequality
     else:
-        b1 = EllipticCurveBundle(tau, cfg["degrees"][0])
-        b2 = EllipticCurveBundle(tau, cfg["degrees"][1])
-        for k in cfg["k_list"]:
-            for q in cfg["q_list"]:
-                for t in cfg["t_list"]:
-                    rec = product_torus_morse(b1, b2, int(k), int(q), float(t))
-                    rows.append([rec.k, rec.q, _fmt(rec.t), rec.lhs, _fmt(rec.rhs),
-                                 _fmt(rec.gap), rec.holds])
+        bundles = [EllipticCurveBundle(tau, d) for d in cfg["degrees"]]
+        inequality = product_torus_morse
+    rows = []
+    for k in cfg["k_list"]:
+        for q in cfg["q_list"]:
+            for t in cfg["t_list"]:
+                rec = inequality(*bundles, k, q, t)
+                rows.append([rec.k, rec.q, _fmt(rec.t), rec.lhs, _fmt(rec.rhs),
+                             _fmt(rec.gap), rec.holds])
     _write_csv(out, ["k", "q", "t", "lhs", "rhs", "gap", "holds"], rows)
 
 
 def _run_spectrum(cfg: dict, out: Path):
     from .torus import EllipticCurveBundle, landau_spectrum
 
-    bundle = EllipticCurveBundle(complex(0.0, float(cfg["tau_im"])), cfg["degree"])
+    bundle = EllipticCurveBundle(complex(0.0, cfg["tau_im"]), cfg["degree"])
     table = landau_spectrum(bundle, cfg["k"], cfg["q"], cfg["cutoff"])
     rows = [[m, _fmt(eig), int(mult)]
             for m, (eig, mult) in enumerate(table.rows)]
@@ -406,15 +372,13 @@ def _run_spectrum(cfg: dict, out: Path):
 def _run_validate_oracle(cfg: dict, out: Path):
     from .torus import EllipticCurveBundle, riemann_roch_dims, validate_landau_levels
 
-    bundle = EllipticCurveBundle(complex(0.0, float(cfg["tau_im"])), cfg["degree"])
-    res = tuple(cfg.get("resolutions", [32, 64]))
-    count = int(cfg.get("eigen_count", 10))
+    bundle = EllipticCurveBundle(complex(0.0, cfg["tau_im"]), cfg["degree"])
     rows = []
     for k in cfg["k_list"]:
-        val = validate_landau_levels(bundle, int(k), count, res)
-        h0, _ = riemann_roch_dims(int(k), bundle.degree)
+        val = validate_landau_levels(bundle, k, cfg["eigen_count"], tuple(cfg["resolutions"]))
+        h0, _ = riemann_roch_dims(k, bundle.degree)
         for i, level in enumerate(val.levels):
-            rows.append([int(k), int(level), _fmt(val.expected[i]), _fmt(val.extrapolated[i]),
+            rows.append([k, int(level), _fmt(val.expected[i]), _fmt(val.extrapolated[i]),
                          _fmt(val.error_estimate[i]), int(val.multiplicities[i]),
                          val.expected_multiplicity, h0, bool(val.matches[i])])
     _write_csv(out, ["k", "level", "expected", "extrapolated", "error_estimate",
@@ -433,14 +397,16 @@ _RUNNERS = {
 
 
 def run_experiment(cfg: dict, out_dir: Path) -> Path:
-    validate_config(cfg)
+    """Validate and run a loaded config; the manifest hashes it as loaded,
+    before its defaults are filled in."""
+    loaded, cfg = cfg, validate_config(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     out = out_dir / cfg["output"]
     started = time.time()
     _RUNNERS[cfg["experiment"]](cfg, out)
     manifest = {
         "config_sha256": hashlib.sha256(
-            json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()
+            json.dumps(loaded, sort_keys=True, separators=(",", ":")).encode()
         ).hexdigest(),
         "seed": cfg["seed"],
         "tool_version": VERSION,

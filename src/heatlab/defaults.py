@@ -13,8 +13,6 @@ this normalization (see README, "Volume conventions"), so a discrete delta
 carries weight 1/(2^n h^{2n}).
 """
 
-import numpy as np
-
 # Eigenvalues with |lambda| below this are treated as degenerate: the
 # asymptotic-diagonal factor switches to its Taylor series and the Morse
 # index is reported as degenerate.  Units of curvature.
@@ -54,16 +52,8 @@ KRYLOV_DIM = 60
 KRYLOV_TOL = 1e-8
 KRYLOV_MAX_RESTARTS = 64
 
-# Crank-Nicolson default number of time steps when no dt is given.
-CN_DEFAULT_STEPS = 1024
-
 # Stochastic trace estimation.
 TRACE_PROBES = 64
-
-# Boundary-radius guidance: Dirichlet truncation radius so the model ground
-# state mass outside is < 1e-8; fallback when some lambda vanishes.
-RADIUS_SAFETY = 5.0
-RADIUS_FALLBACK = 8.0
 
 # Fixed grid policy for the k-convergence experiment (scaled coordinates).
 CONVERGE_RADIUS = 6.0
@@ -75,12 +65,3 @@ RICHARDSON_SAFETY = 2.0
 
 # CSV float formatting: 17 significant digits round-trips float64 exactly.
 CSV_FLOAT_FORMAT = ".17g"
-
-
-def suggest_radius(lambdas) -> float:
-    """Dirichlet radius with ground-state tail below 1e-8 for the given eigenvalues."""
-    lam = np.asarray(lambdas, dtype=float)
-    nonzero = np.abs(lam[np.abs(lam) > 0])
-    if nonzero.size == 0:
-        return RADIUS_FALLBACK
-    return max(RADIUS_SAFETY / np.sqrt(nonzero.min()), RADIUS_SAFETY)

@@ -161,20 +161,6 @@ class WeightFunction:
             raise InvariantViolation("curvature eigenvalues must be finite")
         object.__setattr__(self, "lam", lam)
 
-    def value(self, z) -> float:
-        z = np.asarray(z, dtype=complex)
-        v = float(np.dot(self.lam, np.abs(z) ** 2))
-        if self.perturbation is not None:
-            v += self.perturbation.value_at(z)
-        return v
-
-    def zbar_gradient(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=complex)
-        g = np.asarray(self.lam, dtype=complex) * z
-        if self.perturbation is not None:
-            g = g + self.perturbation.zbar_gradient_at(z)
-        return g
-
     def check_chart(self, z) -> None:
         z = np.asarray(z, dtype=complex)
         if np.linalg.norm(z) >= self.chart_radius:

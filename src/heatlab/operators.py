@@ -34,7 +34,6 @@ __all__ = [
     "PerturbationSpec",
     "assemble_model",
     "assemble_scaled",
-    "gauge_diagonal_identity_check",
     "to_matrix_market",
 ]
 
@@ -50,15 +49,12 @@ class GridSpec:
     n: int
     radius: float
     spacing: float
-    boundary: str = "dirichlet"
 
     def __post_init__(self):
         if self.n < 1:
             raise ArgumentError("dimension must be positive")
         if self.radius <= 0 or self.spacing <= 0:
             raise ArgumentError("radius and spacing must be positive")
-        if self.boundary != "dirichlet":
-            raise ArgumentError("only Dirichlet truncation is supported")
         if self.sites > defaults.SITE_CAP:
             raise ResourceLimitError(
                 f"grid has {self.sites} sites, cap is {defaults.SITE_CAP}"
@@ -120,11 +116,9 @@ class DiscreteOperator:
     """Hermitian sparse operator over grid sites x fiber components."""
 
     matrix: sp.csr_matrix
-    gauge: str
     q: int
     k: int            # 0 denotes the unscaled model operator
     grid: GridSpec
-    site_weight: float
 
     def __post_init__(self):
         a = self.matrix.tocsr()
@@ -149,10 +143,6 @@ class DiscreteOperator:
     @property
     def fiber_dim(self) -> int:
         return fiber.fiber_dim(self.grid.n, self.q)
-
-    @property
-    def dv_site_volume(self) -> float:
-        return self.grid.dv_cell
 
     def eigensystem(self):
         """Dense eigendecomposition, cached; guarded by the dense cap."""
@@ -218,9 +208,6 @@ class PerturbationSpec:
             raise InvariantViolation("frame perturbation r must vanish at 0")
         if abs(self.m_at(zero) - 1.0) > 1e-12:
             raise InvariantViolation("volume density must equal 1 at 0")
-
-
-TRIVIAL_PERTURBATION = PerturbationSpec()
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +286,7 @@ def assemble_model(spec: ModelSpec, grid: GridSpec,
     theta0 = fiber.twist_eigenvalues(spec.lam, spec.q)
     if np.any(theta0 != 0):
         a = a + sp.kron(sp.diags(theta0), sp.identity(grid.sites))
-    return DiscreteOperator(a.tocsr(), "symmetric", spec.q, 0, grid, grid.lebesgue_cell)
+    return DiscreteOperator(a.tocsr(), spec.q, 0, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +348,7 @@ def assemble_scaled(weight: WeightFunction, pert: Optional[PerturbationSpec],
         raise ArgumentError(f"q={q} outside [0, {n}]")
     if k < 1:
         raise ArgumentError("k must be a positive integer")
-    pert = pert or TRIVIAL_PERTURBATION
+    pert = pert or PerturbationSpec()
     pert.validate_origin(n)
     sqrtk = np.sqrt(float(k))
     corner = grid.effective_radius * np.sqrt(2.0 * n) / sqrtk
@@ -502,29 +489,7 @@ def assemble_scaled(weight: WeightFunction, pert: Optional[PerturbationSpec],
             x = x + d_qm1 @ aop
         a = a + 0.5 * (x + x.getH())
 
-    return DiscreteOperator(a.tocsr(), "symmetric", q, k, grid, grid.lebesgue_cell)
-
-
-def gauge_diagonal_identity_check(weight: WeightFunction, k: int, grid: GridSpec,
-                                  site, pert: Optional[PerturbationSpec] = None,
-                                  q: int = 0, t: float = 1.0,
-                                  tol: float = 1e-10) -> bool:
-    """Check that the kernel diagonal agrees between the symmetric and
-    weighted gauges at a site (the conjugation factors cancel pointwise)."""
-    from . import semigroup
-
-    op = assemble_scaled(weight, pert, k, grid, q)
-    method = semigroup.SemigroupMethod.auto(op.dim)
-    diag_sym = semigroup.kernel_diagonal(op, site, t, method).matrix
-    y = np.asarray(
-        [grid.axis_coords()[site[2 * j]] + 1j * grid.axis_coords()[site[2 * j + 1]]
-         for j in range(grid.n)]
-    ) / np.sqrt(float(k))
-    pert = pert or TRIVIAL_PERTURBATION
-    g = np.exp(0.5 * k * weight.value(y)) * np.sqrt(pert.m_at(y))
-    diag_weighted = (g * diag_sym) * (1.0 / g)
-    scale = max(np.max(np.abs(diag_sym)), 1e-300)
-    return bool(np.max(np.abs(diag_weighted - diag_sym)) <= tol * scale)
+    return DiscreteOperator(a.tocsr(), q, k, grid)
 
 
 def to_matrix_market(op: DiscreteOperator, path) -> None:

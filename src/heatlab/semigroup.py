@@ -1,9 +1,8 @@
 """Heat semigroup actions e^{-tA}v, kernel diagonals, traces, spectral
 bound checks, and the k-convergence experiment.
 
-Three propagators are provided: a dense eigendecomposition (exact up to
-rounding, cached on the operator), a Lanczos/Krylov propagator, and
-Crank-Nicolson time stepping (O(dt^2)).
+Two propagators are provided: a dense eigendecomposition (exact up to
+rounding, cached on the operator) and a Lanczos/Krylov propagator.
 
 The Lanczos relation A V_m = V_m T_m + beta_m v_{m+1} e_m^T does not
 depend on t, so one basis per start vector serves every requested time:
@@ -34,6 +33,7 @@ smallest eigenvalues.
 
 import csv
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -63,30 +63,33 @@ __all__ = [
     "model_baseline_errors",
 ]
 
-_VARIANTS = ("dense-eigen", "krylov", "crank-nicolson")
+_VARIANTS = ("dense-eigen", "krylov")
 
 
 @dataclass(frozen=True)
 class SemigroupMethod:
-    """Propagator selection: dense-eigen, krylov, or crank-nicolson.
+    """Propagator selection, one of the two propagators: dense-eigen or krylov.
 
-    ``krylov_dim`` caps the Lanczos basis built per restart, and
-    ``krylov_tol`` bounds the a-posteriori error estimate of each
-    e^{-tA}v relative to its norm (see the module docstring for the shared
-    basis and the restart rule).  ``dt`` is the Crank-Nicolson step
-    (default t / ``defaults.CN_DEFAULT_STEPS``).  Dense-eigen is limited
-    to dimension ``defaults.DENSE_EIGEN_CAP`` by
+    ``krylov_dim`` (an integer >= 1) caps the Lanczos basis built per
+    restart, and ``krylov_tol`` (a number > 0) bounds the a-posteriori
+    error estimate of each e^{-tA}v relative to its norm (see the module
+    docstring for the shared basis and the restart rule).  Dense-eigen is
+    limited to dimension ``defaults.DENSE_EIGEN_CAP`` by
     ``DiscreteOperator.eigensystem``.
     """
 
     variant: str = "krylov"
     krylov_dim: int = defaults.KRYLOV_DIM
     krylov_tol: float = defaults.KRYLOV_TOL
-    dt: Optional[float] = None
 
     def __post_init__(self):
         if self.variant not in _VARIANTS:
             raise ArgumentError(f"unknown method variant {self.variant!r}")
+        dim, tol = self.krylov_dim, self.krylov_tol
+        if isinstance(dim, bool) or not isinstance(dim, Integral) or dim < 1:
+            raise ArgumentError(f"krylov_dim must be an integer >= 1, got {dim!r}")
+        if isinstance(tol, bool) or not isinstance(tol, Real) or not tol > 0:
+            raise ArgumentError(f"krylov_tol must be a number > 0, got {tol!r}")
 
     @staticmethod
     def auto(dim: int) -> "SemigroupMethod":
@@ -206,26 +209,10 @@ def _krylov_times(matrix, v, ts, method: SemigroupMethod) -> np.ndarray:
     )
 
 
-def _crank_nicolson_apply(matrix, v, t, method: SemigroupMethod):
-    dt = method.dt if method.dt is not None else t / defaults.CN_DEFAULT_STEPS
-    steps = max(1, int(np.ceil(t / dt - 1e-12)))
-    dt = t / steps
-    eye = sp.identity(matrix.shape[0], format="csc")
-    lhs = (eye + 0.5 * dt * matrix).tocsc()
-    rhs = (eye - 0.5 * dt * matrix).tocsr()
-    lu = spla.splu(lhs)
-    x = np.asarray(v, dtype=complex)
-    for _ in range(steps):
-        x = lu.solve(rhs @ x)
-    return x
-
-
 def _propagate(op: DiscreteOperator, v, ts, method: SemigroupMethod) -> np.ndarray:
     """e^{-tA}v for every positive t in ts, as rows in the order of ts."""
     if method.variant == "krylov":
         return _krylov_times(op.matrix, v, ts, method)
-    if method.variant == "crank-nicolson":
-        return np.array([_crank_nicolson_apply(op.matrix, v, t, method) for t in ts])
     w, vecs = op.eigensystem()
     coef = vecs.conj().T @ v
     return np.array([vecs @ (np.exp(-t * w) * coef) for t in ts])

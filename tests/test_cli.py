@@ -70,6 +70,58 @@ def test_unknown_key_rejected(tmp_path):
         validate_config(cfg)
 
 
+CONVERGE_CFG = {
+    "experiment": "converge",
+    "n": 1,
+    "lambda": [1.0],
+    "q": 0,
+    "k_list": [4],
+    "t_list": [1.0],
+    "grid": {"radius": 3.0, "spacing": 0.5},
+    "seed": 5,
+    "output": "conv.csv",
+}
+
+MORSE_PRODUCT_CFG = {
+    "experiment": "morse",
+    "model": "product",
+    "tau_im": 1.0,
+    "degrees": [2, -3],
+    "k_list": [1],
+    "q_list": [0],
+    "t_list": [1.0],
+    "seed": 1,
+    "output": "morse.csv",
+}
+
+
+@pytest.mark.parametrize("base, change, field", [
+    (MODEL_KERNEL_CFG, {"lambda": ["a"]}, "'lambda'"),
+    (MODEL_KERNEL_CFG, {"lambda": [True]}, "'lambda'"),
+    (CONVERGE_CFG, {"method": {"krylov_dim": 0}}, "'method.krylov_dim'"),
+    (CONVERGE_CFG, {"method": {"krylov_dim": "x"}}, "'method.krylov_dim'"),
+    (CONVERGE_CFG, {"method": {"krylov_tol": -1}}, "'method.krylov_tol'"),
+    (CONVERGE_CFG, {"method": {"variant": "crank-nicolson"}}, "'method.variant'"),
+    (CONVERGE_CFG, {"method": {"variant": "crank-nicolson", "dt": 0}}, "'dt'"),
+    (MORSE_PRODUCT_CFG, {"degrees": [True, -3]}, "'degrees'"),
+])
+def test_malformed_value_exits_2_naming_field(tmp_path, capsys, base, change, field):
+    path = _write(tmp_path, "bad.json", {**base, **change})
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert field in capsys.readouterr().err
+
+
+def test_validate_fills_defaults():
+    from heatlab import defaults
+
+    cfg = validate_config(dict(CONVERGE_CFG))
+    assert cfg["method"] == {"variant": "auto", "krylov_dim": defaults.KRYLOV_DIM,
+                             "krylov_tol": defaults.KRYLOV_TOL}
+    assert cfg["weight_perturbation"] == cfg["metric_perturbation"] == {"kind": "zero",
+                                                                          "amplitude": 0.0}
+    assert validate_config(cfg) == cfg
+
+
 def test_model_kernel_run_value(tmp_path):
     path = _write(tmp_path, "cfg.json", MODEL_KERNEL_CFG)
     out_dir = tmp_path / "out"
@@ -222,7 +274,7 @@ PACKAGE_EXPORTS = (
     "KernelValue", "ModelSpec", "mehler_scalar", "model_diagonal", "model_kernel",
     "weighted_kernel",
     "DiscreteOperator", "GridSpec", "PerturbationSpec", "assemble_model", "assemble_scaled",
-    "gauge_diagonal_identity_check", "to_matrix_market",
+    "to_matrix_market",
     "ConvergenceReport", "SemigroupMethod", "converge_in_k", "heat_apply", "heat_trace",
     "kernel_diagonal", "spectral_bound_check",
     "EllipticCurveBundle", "SpectrumTable", "heat_trace_exact", "heat_trace_truncated",

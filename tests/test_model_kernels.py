@@ -50,7 +50,7 @@ def test_mehler_matches_discretized_semigroup_column():
     spec = ModelSpec(1, (lam,), 0)
     grid = GridSpec(1, 5.0, 0.2)
     box = assemble_model(spec, grid)
-    osc = DiscreteOperator(2.0 * box.matrix, "symmetric", 0, 0, grid, grid.lebesgue_cell)
+    osc = DiscreteOperator(2.0 * box.matrix, 0, 0, grid)
     i0 = grid.flat_index(grid.origin_site())
     delta = np.zeros(osc.dim, dtype=complex)
     delta[i0] = 1.0 / grid.lebesgue_cell

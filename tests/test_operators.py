@@ -13,7 +13,6 @@ from heatlab.operators import (
     PerturbationSpec,
     assemble_model,
     assemble_scaled,
-    gauge_diagonal_identity_check,
     to_matrix_market,
 )
 
@@ -271,18 +270,7 @@ def test_frame_perturbation_must_vanish_at_origin():
 
 
 # ---------------------------------------------------------------------------
-# gauge identity and export
-
-
-def test_gauge_diagonal_identity():
-    grid = GridSpec(1, 3.0, 0.25)
-    model_weight = WeightFunction(1, (1.0,))
-    perturbed = WeightFunction(1, (1.0,), cubic_re_perturbation(0.1))
-    origin = grid.origin_site()
-    assert gauge_diagonal_identity_check(model_weight, 4, grid, origin)
-    assert gauge_diagonal_identity_check(perturbed, 4, grid, origin)
-    off_center = tuple(i + 3 for i in origin)
-    assert gauge_diagonal_identity_check(perturbed, 4, grid, off_center)
+# export
 
 
 def test_matrix_market_export_roundtrip(tmp_path):
