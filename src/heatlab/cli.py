@@ -318,7 +318,7 @@ def _run_converge(cfg: dict, out: Path):
     weight = WeightFunction(cfg["n"], tuple(cfg["lambda"]), weight_pert)
     grid = GridSpec(cfg["n"], cfg["grid"]["radius"], cfg["grid"]["spacing"])
     report = converge_in_k(weight, metric, cfg["q"], cfg["t_list"], cfg["k_list"], grid,
-                           None if method["variant"] == "auto" else SemigroupMethod(**method))
+                           SemigroupMethod(**method))
     report.to_csv(out)
 
 
@@ -462,12 +462,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except HeatlabError as exc:
-        detail = ""
-        if getattr(exc, "residual", None) is not None:
-            detail = f" (residual {exc.residual:.3e})"
-        if getattr(exc, "bound", None) is not None:
-            detail = f" (bound {exc.bound:.3e})"
-        print(f"numerical failure: {exc}{detail}", file=sys.stderr)
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 
 

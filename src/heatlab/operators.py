@@ -25,7 +25,7 @@ from scipy.io import mmwrite
 
 from . import defaults, fiber
 from .errors import ArgumentError, DomainError, InvariantViolation, ResourceLimitError
-from .geometry import WeightFunction, _fd_real_partial
+from .geometry import WeightFunction
 from .model_kernels import ModelSpec
 
 __all__ = [
@@ -177,7 +177,7 @@ class PerturbationSpec:
     ``r`` maps a point of C^n to the n x n matrix of frame coefficients
     (must vanish at 0), ``alpha`` to the n-vector of adjoint zero-order
     terms, ``volume_density`` to the positive density m (m(0) = 1).  All
-    default to the trivial values.
+    default to the trivial values.  Each takes one point of shape (n,).
     """
 
     r: Optional[Callable[[np.ndarray], np.ndarray]] = None
@@ -293,38 +293,48 @@ def assemble_model(spec: ModelSpec, grid: GridSpec,
 # Scaled operator
 
 
-def _fd_complex_partial(f: Callable, y: np.ndarray, a: int, h: float, shape) -> np.ndarray:
-    """4th-order d/dz_a of a matrix/vector-valued callable at y."""
+def _sample(f: Callable, points: np.ndarray, shape: tuple = (), dtype=None) -> np.ndarray:
+    """Values of a per-point callable at every row of ``points`` (shape
+    (points, n)), stacked into an array of shape (points, *shape)."""
+    return np.array([f(p) for p in points], dtype=dtype).reshape((len(points),) + shape)
+
+
+def _stencil_partials(f: Callable, y: np.ndarray, shape: tuple = (), dtype=None) -> list:
+    """4th-order central differences of a per-point callable along each real
+    axis (x_1, y_1, ..., x_n, y_n) at every row of y: one array of shape
+    (points, *shape) per axis."""
     c = (1.0, -8.0, 8.0, -1.0)
     o = (-2.0, -1.0, 1.0, 2.0)
-    ex = np.zeros(y.shape, dtype=complex)
-    ex[a] = 1.0
-    ey = np.zeros(y.shape, dtype=complex)
-    ey[a] = 1j
-    dx = sum(ci * np.asarray(f(y + oi * h * ex), dtype=complex) for ci, oi in zip(c, o)) / (12 * h)
-    dy = sum(ci * np.asarray(f(y + oi * h * ey), dtype=complex) for ci, oi in zip(c, o)) / (12 * h)
-    return (0.5 * (dx - 1j * dy)).reshape(shape)
+    h = defaults.FD_STEP
+    out = []
+    for axis in range(2 * y.shape[1]):
+        e = np.zeros(y.shape[1], dtype=complex)
+        e[axis // 2] = 1.0 if axis % 2 == 0 else 1j
+        total = 0
+        for ci, oi in zip(c, o):
+            total = total + ci * _sample(f, y + oi * h * e, shape, dtype)
+        out.append(total / (12 * h))
+    return out
 
 
-def _wedge_term_coefficients(pert: PerturbationSpec, y: np.ndarray, n: int) -> np.ndarray:
+def _wedge_term_coefficients(r: np.ndarray, dr: list) -> np.ndarray:
     """(0,2)-components w^j_{bc} of dbar of the dual frame, in the scaled frame.
 
-    Returns an array of shape (n, n, n) with entry [j, b, c] (antisymmetric
-    in b, c).  Zero when no frame perturbation is present or n = 1.
+    ``r`` holds the frame samples (points, n, n) and ``dr`` their real-axis
+    partials from ``_stencil_partials``.  Returns an array of shape
+    (points, n, n, n) with entry [i, j, b, c] (antisymmetric in b, c).
     """
-    w = np.zeros((n, n, n), dtype=complex)
-    if pert.r is None or n == 1:
-        return w
-    mbar = np.conj(np.eye(n) + pert.r_at(y, n))
+    n = r.shape[1]
+    mbar = np.conj(np.eye(n) + r)
     p = np.linalg.inv(mbar)
-    dn = np.empty((n, n, n), dtype=complex)  # dn[a] = d/dzbar_a of Nbar
-    h = defaults.FD_STEP
+    dn = np.empty(r.shape[:1] + (n, n, n), dtype=complex)  # dn[:, a] = d/dzbar_a of Nbar
     for a in range(n):
-        dm = np.conj(_fd_complex_partial(lambda u: pert.r_at(u, n), y, a, h, (n, n)))
-        dn[a] = -(p @ dm @ p).T
+        dm = np.conj(0.5 * (dr[2 * a] - 1j * dr[2 * a + 1]))
+        dn[:, a] = -np.swapaxes(p @ dm @ p, 1, 2)
+    w = np.empty_like(dn)
     for j in range(n):
-        t = np.einsum("as,ba,cs->bc", dn[:, j, :], mbar, mbar)
-        w[j] = t - t.T
+        t = np.einsum("pas,pba,pcs->pbc", dn[:, :, j, :], mbar, mbar)
+        w[:, j] = t - np.swapaxes(t, 1, 2)
     return w
 
 
@@ -368,23 +378,18 @@ def assemble_scaled(weight: WeightFunction, pert: Optional[PerturbationSpec],
     has_m = pert.volume_density is not None
     has_p = weight.perturbation is not None
 
-    # Per-site samples.
-    rbar = np.zeros((sites, n, n), dtype=complex)
+    # Every coefficient is sampled once per assembly, one call per point.
     if has_r:
-        for i in range(sites):
-            rbar[i] = np.conj(pert.r_at(y[i], n))
+        r = _sample(pert.r, y, (n, n), complex)
     grad_phi = (lam * y).astype(complex)        # d phi0 / dzbar at y
     if has_p:
-        for i in range(sites):
-            grad_phi[i] += weight.perturbation.zbar_gradient_at(y[i])
-    grad_logm = np.zeros((sites, n), dtype=complex)
+        grad_phi = grad_phi + _sample(weight.perturbation.zbar_gradient_at, y, (n,))
     if has_m:
-        logm = lambda u: np.log(pert.m_at(u))
-        for i in range(sites):
-            for j in range(n):
-                gx = _fd_real_partial(logm, y[i], 2 * j, defaults.FD_STEP)
-                gy = _fd_real_partial(logm, y[i], 2 * j + 1, defaults.FD_STEP)
-                grad_logm[i, j] = 0.5 * (gx + 1j * gy)
+        d = _stencil_partials(lambda u: np.log(pert.m_at(u)), y)
+        grad_logm = np.stack([0.5 * (d[2 * j] + 1j * d[2 * j + 1]) for j in range(n)], axis=1)
+    wcoef = None
+    if has_r and n > 1 and q >= 1:
+        wcoef = _wedge_term_coefficients(r, _stencil_partials(pert.r, y, (n, n), complex))
 
     # Row operators B_j = sum_s (delta_js + rbar_js) d/dzbar_s + g_j.
     rows = []
@@ -397,7 +402,7 @@ def assemble_scaled(weight: WeightFunction, pert: Optional[PerturbationSpec],
             g = g - 0.5 / sqrtk * grad_logm[:, j]
         if has_r:
             for s in range(n):
-                coef = rbar[:, j, s]
+                coef = np.conj(r[:, j, s])
                 if np.any(coef != 0):
                     b = b + sp.diags(coef) @ ops.dzbar(s)
                     g = g + 0.5 * sqrtk * coef * grad_phi[:, s]
@@ -414,10 +419,7 @@ def assemble_scaled(weight: WeightFunction, pert: Optional[PerturbationSpec],
         out = sp.csr_matrix((dq1 * sites, dq * sites), dtype=complex)
         for j in range(n):
             out = out + sp.kron(fiber.wedge_matrix(n, degree, j), rows[j])
-        if has_r and n > 1 and degree >= 1:
-            wcoef = np.zeros((sites, n, n, n), dtype=complex)
-            for i in range(sites):
-                wcoef[i] = _wedge_term_coefficients(pert, y[i], n)
+        if wcoef is not None and degree >= 1:
             blocks = {}
             for j in range(n):
                 for b in range(n):
@@ -432,8 +434,7 @@ def assemble_scaled(weight: WeightFunction, pert: Optional[PerturbationSpec],
                         )
                         for (rr, cc), fv in np.ndenumerate(f):
                             if fv != 0:
-                                key = (rr, cc)
-                                blocks[key] = blocks.get(key, 0) + fv * vals
+                                blocks[rr, cc] = blocks.get((rr, cc), 0) + fv * vals
             if blocks:
                 add = sp.lil_matrix(out.shape, dtype=complex)
                 for (rr, cc), vals in blocks.items():
@@ -467,9 +468,7 @@ def assemble_scaled(weight: WeightFunction, pert: Optional[PerturbationSpec],
 
     # Optional adjoint zero-order terms (Hermitian part; see README).
     if pert.alpha is not None:
-        alpha = np.empty((sites, n), dtype=complex)
-        for i in range(sites):
-            alpha[i] = pert.alpha_at(y[i], n)
+        alpha = _sample(lambda u: pert.alpha_at(u, n), y, (n,))
         x = sp.csr_matrix((dq * sites, dq * sites), dtype=complex)
         if d_q is not None:
             aop = sp.csr_matrix((dq * sites, fiber.fiber_dim(n, q + 1) * sites), dtype=complex)

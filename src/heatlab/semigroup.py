@@ -32,7 +32,7 @@ smallest eigenvalues.
 """
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from numbers import Integral, Real
 from typing import NamedTuple, Optional, Sequence
 
@@ -63,19 +63,20 @@ __all__ = [
     "model_baseline_errors",
 ]
 
-_VARIANTS = ("dense-eigen", "krylov")
+_VARIANTS = ("auto", "dense-eigen", "krylov")
 
 
 @dataclass(frozen=True)
 class SemigroupMethod:
-    """Propagator selection, one of the two propagators: dense-eigen or krylov.
+    """Propagator selection: dense-eigen, krylov, or auto (dense-eigen up to
+    dimension ``defaults.DENSE_AUTO_LIMIT``, krylov above it).
 
     ``krylov_dim`` (an integer >= 1) caps the Lanczos basis built per
     restart, and ``krylov_tol`` (a number > 0) bounds the a-posteriori
     error estimate of each e^{-tA}v relative to its norm (see the module
-    docstring for the shared basis and the restart rule).  Dense-eigen is
-    limited to dimension ``defaults.DENSE_EIGEN_CAP`` by
-    ``DiscreteOperator.eigensystem``.
+    docstring for the shared basis and the restart rule); both also hold
+    when auto selects krylov.  Dense-eigen is limited to dimension
+    ``defaults.DENSE_EIGEN_CAP`` by ``DiscreteOperator.eigensystem``.
     """
 
     variant: str = "krylov"
@@ -91,12 +92,14 @@ class SemigroupMethod:
         if isinstance(tol, bool) or not isinstance(tol, Real) or not tol > 0:
             raise ArgumentError(f"krylov_tol must be a number > 0, got {tol!r}")
 
-    @staticmethod
-    def auto(dim: int) -> "SemigroupMethod":
-        """Dense eigendecomposition for small operators, Krylov otherwise."""
-        if dim <= defaults.DENSE_AUTO_LIMIT:
-            return SemigroupMethod("dense-eigen")
-        return SemigroupMethod("krylov")
+
+def _select(method: Optional[SemigroupMethod], dim: int) -> SemigroupMethod:
+    """The propagator that ``method`` (None: auto) selects for an operator of
+    dimension ``dim``."""
+    method = method or SemigroupMethod("auto")
+    if method.variant != "auto":
+        return method
+    return replace(method, variant="dense-eigen" if dim <= defaults.DENSE_AUTO_LIMIT else "krylov")
 
 
 # Lanczos steps between evaluations of the error estimate: each evaluation
@@ -235,7 +238,7 @@ def heat_apply(op: DiscreteOperator, v, t: float,
         raise ArgumentError(f"vector must have shape ({op.dim},)")
     if t == 0:
         return v.copy()
-    return _propagate(op, v, [t], method or SemigroupMethod.auto(op.dim))[0]
+    return _propagate(op, v, [t], _select(method, op.dim))[0]
 
 
 def kernel_diagonals(op: DiscreteOperator, site, ts: Sequence[float],
@@ -252,7 +255,7 @@ def kernel_diagonals(op: DiscreteOperator, site, ts: Sequence[float],
     grid = op.grid
     flat = grid.flat_index(site)
     rows = [b * grid.sites + flat for b in range(op.fiber_dim)]
-    method = method or SemigroupMethod.auto(op.dim)
+    method = _select(method, op.dim)
     if method.variant == "dense-eigen":
         w, vecs = op.eigensystem()
         at = vecs[rows, :]
@@ -290,7 +293,7 @@ def heat_traces(op: DiscreteOperator, ts: Sequence[float],
     (at least 2) Rademacher probes from ``seed`` otherwise.  Every t uses
     the same probes, and each probe is propagated once for all of ts."""
     ts = _positive_times(ts)
-    method = method or SemigroupMethod.auto(op.dim)
+    method = _select(method, op.dim)
     if method.variant == "dense-eigen":
         w = op.eigenvalues()
         return [TraceEstimate(float(np.sum(np.exp(-t * w))), 0.0, 0, "dense-eigen")

@@ -151,6 +151,20 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     assert "cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("variant", ["krylov", "auto"])
+def test_krylov_failure_reports_residual_once(tmp_path, capsys, variant):
+    # dim 3721 > DENSE_AUTO_LIMIT, so auto selects Krylov and must honour
+    # its one-vector basis, which cannot converge
+    cfg = {
+        "experiment": "converge", "n": 1, "lambda": [1.0], "q": 0,
+        "k_list": [4], "t_list": [1.0], "grid": {"radius": 3.0, "spacing": 0.1},
+        "method": {"variant": variant, "krylov_dim": 1}, "seed": 1, "output": "c.csv",
+    }
+    path = _write(tmp_path, "starved.json", cfg)
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err.count("residual") == 1
+
+
 def _byte_identical_outputs(tmp_path, cfg, name):
     p = _write(tmp_path, name, cfg)
     d1, d2 = tmp_path / "r1", tmp_path / "r2"

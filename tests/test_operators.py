@@ -9,6 +9,7 @@ from heatlab.errors import ArgumentError, DomainError, ResourceLimitError
 from heatlab.geometry import WeightFunction, cubic_re_perturbation
 from heatlab.model_kernels import ModelSpec
 from heatlab.operators import (
+    DiscreteOperator,
     GridSpec,
     PerturbationSpec,
     assemble_model,
@@ -216,15 +217,238 @@ def test_scaled_two_dim_frame_perturbation():
 def test_frame_derivative_coefficients_hand_case():
     # r_{1,2}(y) = a*y_2 gives dual-frame derivative dbar w^2 = abar w^1 ^ w^2;
     # all other components vanish (hand computation)
-    from heatlab.operators import _wedge_term_coefficients
+    from heatlab.operators import _sample, _stencil_partials, _wedge_term_coefficients
 
     a = 0.3 + 0.1j
-    pert = PerturbationSpec(r=lambda y: np.array([[0.0, a * y[1]], [0.0, 0.0]]))
-    y = np.array([0.4 - 0.2j, 0.1 + 0.5j])
-    w = _wedge_term_coefficients(pert, y, 2)
+
+    def r_at(y):
+        return np.array([[0.0, a * y[1]], [0.0, 0.0]], dtype=complex)
+
+    y = np.array([[0.4 - 0.2j, 0.1 + 0.5j]])
+    w = _wedge_term_coefficients(_sample(r_at, y, (2, 2)),
+                                 _stencil_partials(r_at, y, (2, 2)))[0]
     np.testing.assert_allclose(w[1, 0, 1], np.conj(a), rtol=1e-8)
     np.testing.assert_allclose(w[1, 1, 0], -np.conj(a), rtol=1e-8)
     np.testing.assert_allclose(w[0], 0.0, atol=1e-10)
+
+
+# Per-site reference for the batched coefficient sampling of assemble_scaled:
+# one call per grid site of the finite-difference helpers, as assembled
+# before the sampling was batched.  The batched assembly must reproduce it
+# bit for bit.
+
+
+def _ref_fd_real_partial(f, z, axis, h):
+    step = np.zeros(z.shape[0], dtype=complex)
+    step[axis // 2] = h if axis % 2 == 0 else 1j * h
+    c = (1.0, -8.0, 8.0, -1.0)
+    o = (-2.0, -1.0, 1.0, 2.0)
+    return sum(ci * f(z + oi * step) for ci, oi in zip(c, o)) / (12.0 * h)
+
+
+def _ref_fd_complex_partial(f, y, a, h, shape):
+    c = (1.0, -8.0, 8.0, -1.0)
+    o = (-2.0, -1.0, 1.0, 2.0)
+    ex = np.zeros(y.shape, dtype=complex)
+    ex[a] = 1.0
+    ey = np.zeros(y.shape, dtype=complex)
+    ey[a] = 1j
+    dx = sum(ci * np.asarray(f(y + oi * h * ex), dtype=complex) for ci, oi in zip(c, o)) / (12 * h)
+    dy = sum(ci * np.asarray(f(y + oi * h * ey), dtype=complex) for ci, oi in zip(c, o)) / (12 * h)
+    return (0.5 * (dx - 1j * dy)).reshape(shape)
+
+
+def _ref_wedge_term_coefficients(pert, y, n):
+    w = np.zeros((n, n, n), dtype=complex)
+    if pert.r is None or n == 1:
+        return w
+    mbar = np.conj(np.eye(n) + pert.r_at(y, n))
+    p = np.linalg.inv(mbar)
+    dn = np.empty((n, n, n), dtype=complex)
+    h = defaults.FD_STEP
+    for a in range(n):
+        dm = np.conj(_ref_fd_complex_partial(lambda u: pert.r_at(u, n), y, a, h, (n, n)))
+        dn[a] = -(p @ dm @ p).T
+    for j in range(n):
+        t = np.einsum("as,ba,cs->bc", dn[:, j, :], mbar, mbar)
+        w[j] = t - t.T
+    return w
+
+
+def _reference_assemble_scaled(weight, pert, k, grid, q, stabilizer=defaults.GHOST_STABILIZER):
+    from heatlab import fiber
+    from heatlab.operators import _GridOperators
+
+    n = weight.n
+    sqrtk = np.sqrt(float(k))
+    ops = _GridOperators(grid)
+    sites = grid.sites
+    z = ops.z
+    y = z / sqrtk
+    lam = np.asarray(weight.lam)
+    has_r = pert.r is not None
+    has_m = pert.volume_density is not None
+    has_p = weight.perturbation is not None
+
+    rbar = np.zeros((sites, n, n), dtype=complex)
+    if has_r:
+        for i in range(sites):
+            rbar[i] = np.conj(pert.r_at(y[i], n))
+    grad_phi = (lam * y).astype(complex)
+    if has_p:
+        for i in range(sites):
+            grad_phi[i] += weight.perturbation.zbar_gradient_at(y[i])
+    grad_logm = np.zeros((sites, n), dtype=complex)
+    if has_m:
+        logm = lambda u: np.log(pert.m_at(u))
+        for i in range(sites):
+            for j in range(n):
+                gx = _ref_fd_real_partial(logm, y[i], 2 * j, defaults.FD_STEP)
+                gy = _ref_fd_real_partial(logm, y[i], 2 * j + 1, defaults.FD_STEP)
+                grad_logm[i, j] = 0.5 * (gx + 1j * gy)
+
+    rows = []
+    for j in range(n):
+        b = ops.dzbar(j)
+        g = 0.5 * lam[j] * z[:, j].astype(complex)
+        if has_p:
+            g = g + 0.5 * sqrtk * (grad_phi[:, j] - lam[j] * y[:, j])
+        if has_m:
+            g = g - 0.5 / sqrtk * grad_logm[:, j]
+        if has_r:
+            for s in range(n):
+                coef = rbar[:, j, s]
+                if np.any(coef != 0):
+                    b = b + sp.diags(coef) @ ops.dzbar(s)
+                    g = g + 0.5 * sqrtk * coef * grad_phi[:, s]
+                    if has_m:
+                        g = g - 0.5 / sqrtk * coef * grad_logm[:, s]
+        rows.append((b + sp.diags(g)).tocsr())
+
+    def dbar_matrix(degree):
+        if degree < 0 or degree >= n + 1:
+            return None
+        dq, dq1 = fiber.fiber_dim(n, degree), fiber.fiber_dim(n, degree + 1)
+        if dq1 == 0:
+            return None
+        out = sp.csr_matrix((dq1 * sites, dq * sites), dtype=complex)
+        for j in range(n):
+            out = out + sp.kron(fiber.wedge_matrix(n, degree, j), rows[j])
+        if has_r and n > 1 and degree >= 1:
+            wcoef = np.zeros((sites, n, n, n), dtype=complex)
+            for i in range(sites):
+                wcoef[i] = _ref_wedge_term_coefficients(pert, y[i], n)
+            blocks = {}
+            for j in range(n):
+                for b in range(n):
+                    for c in range(b + 1, n):
+                        vals = wcoef[:, j, b, c]
+                        if not np.any(vals != 0):
+                            continue
+                        f = (fiber.wedge_matrix(n, degree, b)
+                             @ fiber.wedge_matrix(n, degree - 1, c)
+                             @ fiber.contract_matrix(n, degree, j))
+                        for (rr, cc), fv in np.ndenumerate(f):
+                            if fv != 0:
+                                blocks[(rr, cc)] = blocks.get((rr, cc), 0) + fv * vals
+            if blocks:
+                add = sp.lil_matrix(out.shape, dtype=complex)
+                for (rr, cc), vals in blocks.items():
+                    idx = np.arange(sites)
+                    add[rr * sites + idx, cc * sites + idx] = vals / sqrtk
+                out = out + add.tocsr()
+        return out.tocsr()
+
+    d_q = dbar_matrix(q)
+    d_qm1 = dbar_matrix(q - 1)
+    dq = fiber.fiber_dim(n, q)
+    a = sp.csr_matrix((dq * sites, dq * sites), dtype=complex)
+    if d_q is not None:
+        a = a + d_q.getH() @ d_q
+    if d_qm1 is not None:
+        a = a + d_qm1 @ d_qm1.getH()
+    for j in range(n):
+        pi_j = np.real(np.diag(fiber.projection_contains(n, q, j)))
+        if not np.any(pi_j != 0):
+            continue
+        c0 = ops.model_factor(j, lam[j])
+        comm = (c0 @ c0.getH() - c0.getH() @ c0).tocsr()
+        a = a + sp.kron(sp.diags(pi_j), (lam[j] * sp.identity(sites) - comm).tocsr())
+    a = a + sp.kron(sp.identity(dq), ops.stabilizer(stabilizer))
+    if pert.alpha is not None:
+        alpha = np.empty((sites, n), dtype=complex)
+        for i in range(sites):
+            alpha[i] = pert.alpha_at(y[i], n)
+        x = sp.csr_matrix((dq * sites, dq * sites), dtype=complex)
+        if d_q is not None:
+            aop = sp.csr_matrix((dq * sites, fiber.fiber_dim(n, q + 1) * sites), dtype=complex)
+            for j in range(n):
+                aop = aop + sp.kron(fiber.contract_matrix(n, q + 1, j),
+                                    sp.diags(alpha[:, j] / sqrtk))
+            x = x + aop @ d_q
+        if d_qm1 is not None:
+            aop = sp.csr_matrix((fiber.fiber_dim(n, q - 1) * sites, dq * sites), dtype=complex)
+            for j in range(n):
+                aop = aop + sp.kron(fiber.contract_matrix(n, q, j), sp.diags(alpha[:, j] / sqrtk))
+            x = x + d_qm1 @ aop
+        a = a + 0.5 * (x + x.getH())
+    return DiscreteOperator(a.tocsr(), q, k, grid).matrix
+
+
+def _full_two_dim_inputs():
+    def r(y):
+        return np.array([[0.02 * y[1], 0.1 * y[0]], [0.05 * np.conj(y[1]), 0.0]], dtype=complex)
+
+    def alpha(y):
+        return np.array([0.2 + 0.1j * y[0], 0.05 * np.conj(y[1])], dtype=complex)
+
+    def m(y):
+        return float(np.exp(0.3 * np.abs(y[0]) ** 2 - 0.1 * np.real(y[1] ** 2)))
+
+    weight = WeightFunction(2, (1.0, -0.5), cubic_re_perturbation(0.1))
+    return weight, PerturbationSpec(r=r, alpha=alpha, volume_density=m)
+
+
+@pytest.mark.parametrize("q", [1, 2])
+def test_batched_sampling_matches_per_site_reference(q):
+    grid = GridSpec(2, 1.5, 0.5)
+    weight, pert = _full_two_dim_inputs()
+    for k in (4, 64):
+        got = assemble_scaled(weight, pert, k, grid, q).matrix
+        ref = _reference_assemble_scaled(weight, pert, k, grid, q)
+        assert np.array_equal(got.indptr, ref.indptr)
+        assert np.array_equal(got.indices, ref.indices)
+        assert np.array_equal(got.data, ref.data)
+
+
+@pytest.mark.parametrize("n, q", [(3, 2), (1, 1)])
+def test_frame_sampled_once_per_point_and_stencil_point(n, q):
+    # r is read once per site, plus once per point of the 4-point stencil
+    # along each of the 2n real axes when the (0,2) frame term is present
+    # (n >= 2, q >= 1), however many form degrees use that term
+    grid = GridSpec(n, 0.5, 0.5)
+    calls = []
+
+    def r(y):
+        calls.append(1)
+        return 0.1 * np.outer(y, np.ones(n))
+
+    assemble_scaled(WeightFunction(n, (1.0,) * n), PerturbationSpec(r=r), 4, grid, q)
+    per_site = 1 + 8 * n if n > 1 else 1
+    assert len(calls) == grid.sites * per_site + 1  # + validate_origin's call at 0
+
+
+def test_volume_density_checked_at_every_stencil_point():
+    # m is positive at every site y = z / sqrt(k) but not at the stencil
+    # point a step FD_STEP beyond the grid's largest x_1
+    grid = GridSpec(1, 1.0, 0.5)
+    edge = grid.effective_radius / 2.0 + 0.5 * defaults.FD_STEP
+
+    def m(y):
+        return 1.0 if np.real(y[0]) < edge else -1.0
+
+    with pytest.raises(DomainError):
+        assemble_scaled(WeightFunction(1, (1.0,)), PerturbationSpec(volume_density=m), 4, grid, 0)
 
 
 def test_alpha_term_keeps_hermiticity_and_defaults_to_zero():
