@@ -1,0 +1,195 @@
+"""Time heatlab layers at fixed sizes and write the medians and quartiles
+to a JSON file.
+
+Cases (each repeat times one call of the case's work, after one untimed
+warm-up; set-up that a case needs runs untimed before every repeat):
+
+- ``n1``: ``assemble_scaled`` with n = 1, lambda = 1, q = 0, k = 16 on the
+  grid of radius 6 and spacing 0.1 (14 641 sites), weight perturbation
+  0.1 Re(z^3) and frame perturbation r_11(y) = 0.1 y_1;
+- ``n2``: ``assemble_scaled`` with n = 2, lambda = (1, -0.5), q = 1,
+  k = 16 on the grid of radius 2 and spacing 0.5 (6 561 sites), frame
+  perturbation r = [[0, 0.1 y_1], [0.05 y_2, 0]];
+- ``bound_n1``: 12 ``spectral_bound_check`` calls (N = 0..3 at t = 0.5, 1,
+  2) on a fresh model operator (set-up) with n = 1, lambda = 1, q = 0 on
+  the grid of radius 5 and spacing 0.1 (10 201 sites);
+- ``bound_n2``: the same 12 checks on a fresh model operator with n = 2,
+  lambda = (1, 0.5), q = 1 on the grid of radius 1.5 and spacing 0.5
+  (2 401 sites, dimension 4 802);
+- ``oracle_32_64`` and ``oracle_48_96``: ``validate_landau_levels`` for
+  the degree-1 bundle on tau = i at k = 3 with 10 eigenvalues, at
+  resolutions (32, 64) and (48, 96).
+
+Usage:
+    python bench/run.py --out BENCH_6.json [--repeats 7] [--threads 1]
+                        [--baseline OTHER.json]
+
+``--baseline`` embeds an earlier report of this script (for example one
+written from a checkout of the parent commit) under "baseline" and prints
+the ratio of the medians.  The BLAS thread variables are set to
+``--threads`` before numpy loads.  The output records the git sha
+(suffixed "-dirty" for uncommitted changes), the Python, numpy and scipy
+versions, nproc, the thread count OpenBLAS reports and the process's OS
+thread count after the imports.
+"""
+
+import argparse
+import ctypes
+import glob
+import json
+import os
+import platform
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+_THREAD_ENV_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _git_sha():
+    """HEAD's sha, suffixed "-dirty" when the working tree has changes."""
+    try:
+        out = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=40"],
+                             cwd=ROOT, capture_output=True, text=True, timeout=10)
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    return out.stdout.strip() or None
+
+
+def _os_threads():
+    try:
+        with open("/proc/self/status", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("Threads:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
+    return None
+
+
+def _openblas_threads():
+    """Thread count of numpy's bundled OpenBLAS, or None if it is not found."""
+    import numpy
+
+    libs = glob.glob(os.path.join(os.path.dirname(numpy.__file__), os.pardir,
+                                  "numpy.libs", "*openblas*"))
+    for path in libs:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                     "openblas_get_num_threads"):
+            fn = getattr(lib, name, None)
+            if fn is not None:
+                fn.restype = ctypes.c_int
+                return int(fn())
+    return None
+
+
+def _cases():
+    """name -> (set-up, work): work(set-up()) is timed."""
+    import numpy as np
+
+    from heatlab import geometry as geo, operators as ops, semigroup, torus
+    from heatlab.model_kernels import ModelSpec
+
+    def r11(y):
+        return np.array([[0.1 * y[0]]], dtype=complex)
+
+    def r_frame(y):
+        return np.array([[0.0, 0.1 * y[0]], [0.05 * y[1], 0.0]], dtype=complex)
+
+    def assemble(weight, pert, k, grid, q):
+        return lambda: None, lambda _: ops.assemble_scaled(weight, pert, k, grid, q)
+
+    def bound(spec, grid):
+        def checks(op):
+            for n_power in range(4):
+                for t in (0.5, 1.0, 2.0):
+                    semigroup.spectral_bound_check(op, t, n_power)
+            return op
+
+        return lambda: ops.assemble_model(spec, grid), checks
+
+    def oracle(resolutions):
+        bundle = torus.EllipticCurveBundle(1j, 1)
+        return lambda: None, lambda _: torus.validate_landau_levels(bundle, 3, 10, resolutions)
+
+    return {
+        "n1": assemble(geo.WeightFunction(1, (1.0,), geo.cubic_re_perturbation(0.1)),
+                       ops.PerturbationSpec(r=r11), 16, ops.GridSpec(1, 6.0, 0.1), 0),
+        "n2": assemble(geo.WeightFunction(2, (1.0, -0.5)), ops.PerturbationSpec(r=r_frame), 16,
+                       ops.GridSpec(2, 2.0, 0.5), 1),
+        "bound_n1": bound(ModelSpec(1, (1.0,), 0), ops.GridSpec(1, 5.0, 0.1)),
+        "bound_n2": bound(ModelSpec(2, (1.0, 0.5), 1), ops.GridSpec(2, 1.5, 0.5)),
+        "oracle_32_64": oracle((32, 64)),
+        "oracle_48_96": oracle((48, 96)),
+    }
+
+
+def _describe(result):
+    """Size fields of an operator, or the level count of an oracle validation."""
+    if hasattr(result, "matrix"):
+        return {"sites": result.grid.sites, "dim": result.dim, "nnz": int(result.matrix.nnz)}
+    return {"levels": len(result.levels), "all_match": result.all_match}
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", required=True, help="JSON file to write")
+    parser.add_argument("--repeats", type=int, default=7, help="timed calls per case (>= 5)")
+    parser.add_argument("--threads", type=int, default=1, help="BLAS thread count")
+    parser.add_argument("--baseline", help="earlier report of this script to embed")
+    args = parser.parse_args(argv)
+    if args.repeats < 5:
+        parser.error("--repeats must be at least 5")
+    if args.threads < 1:
+        parser.error("--threads must be at least 1")
+    baseline = None
+    if args.baseline:
+        baseline = json.loads(Path(args.baseline).read_text(encoding="utf-8"))
+    for var in _THREAD_ENV_VARS:
+        os.environ[var] = str(args.threads)
+    sys.path.insert(0, str(ROOT / "src"))
+    import numpy as np
+    import scipy
+
+    results = {}
+    for name, (setup, work) in _cases().items():
+        info = _describe(work(setup()))
+        samples = []
+        for _ in range(args.repeats):
+            arg = setup()
+            start = time.perf_counter()
+            work(arg)
+            samples.append(time.perf_counter() - start)
+        q1, med, q3 = np.percentile(samples, [25, 50, 75])
+        results[name] = {**info, "median_s": med, "iqr_s": q3 - q1, "q1_s": q1, "q3_s": q3,
+                         "samples_s": samples}
+        line = f"{name}: median {med:.3f} s, IQR {q3 - q1:.3f} s over {args.repeats} repeats {info}"
+        if baseline and name in baseline["cases"]:
+            line += f"; baseline median {baseline['cases'][name]['median_s']:.3f} s"
+        print(line, flush=True)
+    report = {
+        "benchmark": "heatlab layers",
+        "git_sha": _git_sha(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "nproc": os.cpu_count(),
+        "threads": {"requested": args.threads, "openblas": _openblas_threads(),
+                    "os_threads": _os_threads()},
+        "repeats": args.repeats,
+        "cases": results,
+    }
+    if baseline is not None:
+        report["baseline"] = baseline
+    Path(args.out).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    print(f"wrote {args.out}")
+
+
+if __name__ == "__main__":
+    main()

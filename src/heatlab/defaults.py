@@ -38,7 +38,7 @@ DENSE_AUTO_LIMIT = 1600
 
 # Largest complex band (bytes) that the positivity certificate of
 # semigroup.spectral_bound_check factorises; it grows as 64 * side^3 on a
-# 2-D grid (62 MB at side 101), and larger operators fall back to ARPACK.
+# 2-D grid (62 MB at side 101), and larger bands raise ResourceLimitError.
 BAND_CHOLESKY_MAX_BYTES = 2**29
 
 # Ghost-mode stabilizer for the centred-difference factor assembly: the

@@ -129,11 +129,10 @@ class DiscreteOperator:
                 f"assembled operator not Hermitian: {herm:.3e} vs scale {scale:.3e}"
             )
         self.matrix = a
-        # Spectral caches: dense eigensystem, dense eigenvalues, smallest
-        # eigenvalues (ARPACK), and positivity certificates keyed by tolerance.
+        # Spectral caches: dense eigensystem, dense eigenvalues, and banded
+        # Cholesky positivity certificates keyed by tolerance.
         self._eig = None
         self._eigvals = None
-        self._smallest = None
         self._psd_certificate = {}
 
     @property

@@ -10,15 +10,15 @@ inequalities.
 
 The Landau structure (spacing and multiplicity) is validated numerically
 against a discretized periodic magnetic Laplacian with Peierls link
-phases; see ``validate_landau_levels``.
+phases; see ``validate_landau_levels``.  A level is the set of ARPACK
+eigenvalues between two exact mid-gaps, checked against an inertia count
+below the top one.  Only the oracle imports scipy.sparse.
 """
 
 from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import defaults
 from .errors import AccuracyError, ArgumentError, InvariantViolation
@@ -260,10 +260,13 @@ def product_torus_morse(b1: EllipticCurveBundle, b2: EllipticCurveBundle,
 # Discretized periodic magnetic Laplacian oracle
 
 
-def magnetic_torus_operator(flux_quanta: int, n_points: int, side: float) -> sp.csr_matrix:
+def magnetic_torus_operator(flux_quanta: int, n_points: int, side: float):
     """Peierls-phase discretization of the uniform-field magnetic Laplacian
     (-i grad - A)^2 on a square torus of the given side, with the stated
-    number of flux quanta; magnetic periodic boundary conditions."""
+    number of flux quanta; magnetic periodic boundary conditions.  Returns
+    a scipy.sparse CSR matrix."""
+    import scipy.sparse as sp
+
     if flux_quanta < 1 or n_points < 4 or side <= 0:
         raise ArgumentError("need flux_quanta >= 1, n_points >= 4, side > 0")
     N, Q = n_points, flux_quanta
@@ -293,24 +296,48 @@ def magnetic_torus_operator(flux_quanta: int, n_points: int, side: float) -> sp.
     return sp.coo_matrix((vals, (rows, cols)), shape=(N * N, N * N)).tocsr()
 
 
+def _count_below(h, shift: float) -> int:
+    """Number of eigenvalues of the Hermitian sparse matrix h below shift:
+    the negative pivots of an LDL^H factorisation of h - shift*I (Sylvester's
+    law of inertia; Parlett, The Symmetric Eigenvalue Problem, 3.3), which
+    SuperLU gives as U = D L^H when it keeps to the diagonal."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
+    a = (h - shift * sp.identity(h.shape[0], dtype=h.dtype, format="csr")).tocsc()
+    lu = spla.splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                   options={"SymmetricMode": True})
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise AccuracyError(f"inertia count at shift {shift:.6g} needed off-diagonal pivots")
+    return int(np.count_nonzero(lu.U.diagonal().real < 0))
+
+
 def _discrete_landau_levels(bundle: EllipticCurveBundle, k: int, n_points: int,
-                            count: int) -> np.ndarray:
-    """Smallest eigenvalues of the discretized Laplacian on sections,
-    normalized to the Landau convention (level m at k lambda m)."""
+                            count: int) -> list:
+    """The ``count`` smallest eigenvalues of the discretized Laplacian on
+    sections, normalized to the Landau convention (level m at k lambda m),
+    split into ``count // (k d)`` levels at the mid-gaps k lambda (m -+ 1/2).
+    Raises ``AccuracyError`` when they miss one below the top mid-gap."""
+    import scipy.sparse.linalg as spla
+
     quanta = k * bundle.degree
     side = np.sqrt(bundle.area / 2.0)   # Lebesgue side; dv area = 2 * side^2
     field = 2.0 * np.pi * quanta / side**2
     h = magnetic_torus_operator(quanta, n_points, side)
-    if h.shape[0] <= 1500:
-        eigs = np.linalg.eigvalsh(h.toarray())[:count]
-    else:
-        # A fixed-seed random start vector keeps reruns byte-identical
-        # without missing any symmetry class of the spectrum.
-        rng = np.random.default_rng(0)
-        v0 = rng.standard_normal(h.shape[0]) + 1j * rng.standard_normal(h.shape[0])
-        eigs = np.sort(spla.eigsh(h, k=count, sigma=0.0, which="LM", v0=v0.astype(h.dtype),
-                                  return_eigenvectors=False, maxiter=10000))
-    return (eigs[:count] - field) / 4.0
+    # A fixed-seed random start vector keeps reruns byte-identical
+    # without missing any symmetry class of the spectrum.
+    rng = np.random.default_rng(0)
+    v0 = rng.standard_normal(h.shape[0]) + 1j * rng.standard_normal(h.shape[0])
+    eigs = np.sort(spla.eigsh(h, k=count, sigma=0.0, which="LM", v0=v0.astype(h.dtype),
+                              return_eigenvectors=False, maxiter=10000))
+    eigs = (eigs - field) / 4.0
+    gaps = k * bundle.lambda_scalar * (np.arange(count // quanta + 1) - 0.5)
+    cuts = np.searchsorted(eigs, gaps)
+    below = _count_below(h, field + 4.0 * gaps[-1])
+    if below != cuts[-1]:
+        raise AccuracyError(f"{below} eigenvalues lie below the top mid-gap at N={n_points}, "
+                            f"but only {cuts[-1]} of the {count} computed")
+    return [eigs[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
 
 
 @dataclass(frozen=True)
@@ -330,51 +357,36 @@ class LandauLevelValidation:
         return bool(np.all(self.matches))
 
 
-def _cluster(eigs: np.ndarray, gap: float) -> list:
-    clusters, current = [], [eigs[0]]
-    for e in eigs[1:]:
-        if e - current[-1] > gap:
-            clusters.append(current)
-            current = [e]
-        else:
-            current.append(e)
-    clusters.append(current)
-    return clusters
-
-
 def validate_landau_levels(bundle: EllipticCurveBundle, k: int,
                            eigen_count: int = 10,
                            resolutions: Tuple[int, int] = (32, 64)) -> LandauLevelValidation:
     """Validate spectrum-table eigenvalues and multiplicities against the
     discretized periodic magnetic Laplacian at two resolutions with
-    Richardson extrapolation (the discretization error is O(h^2))."""
+    Richardson extrapolation (the discretization error is O(h^2)).  The
+    ``eigen_count`` smallest eigenvalues (k d <= eigen_count <= N^2 - 2)
+    give ``eigen_count // (k d)`` levels; a level matches when its
+    multiplicity is k d at both resolutions and its extrapolation is within
+    the error estimate."""
     if bundle.degree < 1:
         raise ArgumentError("oracle validation requires positive degree")
     n1, n2 = resolutions
     if n2 != 2 * n1:
         raise ArgumentError("resolutions must differ by a factor of 2")
+    kd = k * bundle.degree
+    if not kd <= eigen_count <= n1**2 - 2:
+        raise ArgumentError(f"eigen_count must lie in [k*degree, N^2 - 2] = [{kd}, {n1**2 - 2}]")
     lam = k * bundle.lambda_scalar
     coarse = _discrete_landau_levels(bundle, k, n1, eigen_count)
     fine = _discrete_landau_levels(bundle, k, n2, eigen_count)
-    gap = 0.5 * lam
-    cl_coarse = _cluster(coarse, gap)
-    cl_fine = _cluster(fine, gap)
-    n_levels = min(len(cl_coarse), len(cl_fine))
-    # drop a trailing incomplete cluster (its states straddle eigen_count)
-    kd = k * bundle.degree
-    while n_levels and (len(cl_coarse[n_levels - 1]) < kd or len(cl_fine[n_levels - 1]) < kd):
-        n_levels -= 1
-    if n_levels == 0:
-        raise AccuracyError("no complete Landau cluster among the requested eigenvalues")
-    expected = np.array([lam * m for m in range(n_levels)])
-    e1 = np.array([np.mean(c) for c in cl_coarse[:n_levels]])
-    e2 = np.array([np.mean(c) for c in cl_fine[:n_levels]])
+    expected = lam * np.arange(len(fine))
+    e1, e2 = (np.array([c.mean() for c in lv]) for lv in (coarse, fine))
     extrap = (4.0 * e2 - e1) / 3.0
     err = defaults.RICHARDSON_SAFETY * np.abs(e2 - e1) / 3.0 + 1e-9 * lam
-    mults = np.array([len(c) for c in cl_fine[:n_levels]], dtype=int)
-    matches = (np.abs(extrap - expected) <= err) & (mults == kd)
+    mults = np.array([c.size for c in fine], dtype=int)
+    complete = (mults == kd) & (np.array([c.size for c in coarse]) == kd)
+    matches = (np.abs(extrap - expected) <= err) & complete
     return LandauLevelValidation(
-        levels=np.arange(n_levels), expected=expected, extrapolated=extrap,
+        levels=np.arange(len(fine)), expected=expected, extrapolated=extrap,
         error_estimate=err, multiplicities=mults, expected_multiplicity=kd,
         matches=matches,
     )

@@ -94,6 +94,18 @@ MORSE_PRODUCT_CFG = {
     "output": "morse.csv",
 }
 
+# eigen_count must lie in [max(k_list) * degree, N^2 - 2] = [3, 142]
+ORACLE_CFG = {
+    "experiment": "validate-oracle",
+    "tau_im": 1.0,
+    "degree": 1,
+    "k_list": [1, 3],
+    "eigen_count": 6,
+    "resolutions": [12, 24],
+    "seed": 1,
+    "output": "oracle.csv",
+}
+
 
 @pytest.mark.parametrize("base, change, field", [
     (MODEL_KERNEL_CFG, {"lambda": ["a"]}, "'lambda'"),
@@ -104,6 +116,8 @@ MORSE_PRODUCT_CFG = {
     (CONVERGE_CFG, {"method": {"variant": "crank-nicolson"}}, "'method.variant'"),
     (CONVERGE_CFG, {"method": {"variant": "crank-nicolson", "dt": 0}}, "'dt'"),
     (MORSE_PRODUCT_CFG, {"degrees": [True, -3]}, "'degrees'"),
+    (ORACLE_CFG, {"eigen_count": 2}, "'eigen_count'"),
+    (ORACLE_CFG, {"eigen_count": 12**2 - 1}, "'eigen_count'"),
 ])
 def test_malformed_value_exits_2_naming_field(tmp_path, capsys, base, change, field):
     path = _write(tmp_path, "bad.json", {**base, **change})
@@ -340,6 +354,32 @@ def test_threads_applied_before_numpy_loads(tmp_path):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result == {"code": 0, "numpy_at_apply": [False], "omp": "1", "missing": [],
                       "same_object": True}
+
+
+_IMPORTS_PROBE = """
+import json, sys
+import heatlab.cli as cli
+
+code = cli.main(["run", sys.argv[1], "--out", sys.argv[2]])
+print(json.dumps({"code": code, "scipy.sparse": "scipy.sparse" in sys.modules}))
+"""
+
+
+def test_morse_run_leaves_scipy_sparse_unloaded(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORTS_PROBE, str(root / "configs" / "morse_elliptic.json"),
+         str(tmp_path / "o")],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result == {"code": 0, "scipy.sparse": False}
 
 
 def test_threads_do_not_change_csv_bytes(tmp_path):

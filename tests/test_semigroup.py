@@ -6,6 +6,7 @@ import scipy.sparse.linalg as spla
 
 from heatlab import defaults, semigroup
 from heatlab.errors import ArgumentError, InvariantViolation, ResourceLimitError
+from heatlab.fiber import fiber_dim
 from heatlab.geometry import WeightFunction
 from heatlab.model_kernels import ModelSpec, model_diagonal
 from heatlab.operators import DiscreteOperator, GridSpec, assemble_model
@@ -353,6 +354,24 @@ def sparse_model_op():
     return op, lam_min
 
 
+@pytest.fixture(scope="module")
+def sparse_model_op_n2():
+    """A sparse-path n=2 operator (dim 2401) and its smallest eigenvalue.
+
+    The q=0 model is the Kronecker sum of the two n=1 models on 7 x 7
+    grids, so its smallest eigenvalue is the sum of theirs.
+    """
+    lam = (1.0, 0.5)
+    op = assemble_model(ModelSpec(2, lam, 0), GridSpec(2, 1.5, 0.5))
+    assert op.dim > defaults.DENSE_AUTO_LIMIT
+    f1, f2 = (assemble_model(ModelSpec(1, (lj,), 0), GridSpec(1, 1.5, 0.5)).matrix
+              for lj in lam)
+    kron_sum = sp.kron(f1, sp.identity(f2.shape[0])) + sp.kron(sp.identity(f1.shape[0]), f2)
+    assert abs(op.matrix - kron_sum).max() <= 1e-13 * abs(op.matrix).max()
+    lam_min = sum(float(np.linalg.eigvalsh(f.toarray())[0]) for f in (f1, f2))
+    return op, lam_min
+
+
 def _shifted(op, shift):
     """A new operator (with empty caches) for op + shift*I."""
     return DiscreteOperator((op.matrix + shift * sp.identity(op.dim)).tocsr(), op.q, op.k,
@@ -361,14 +380,29 @@ def _shifted(op, shift):
 
 def _forbid_arpack(monkeypatch):
     def boom(*args, **kwargs):
-        raise AssertionError("ARPACK called on the n=1 sparse path")
+        raise AssertionError("ARPACK called by the positivity check")
 
     monkeypatch.setattr(spla, "eigsh", boom)
 
 
+def _count_band_factorisations(monkeypatch):
+    """Spy on the banded Cholesky: the list of band shapes it factorises."""
+    calls = []
+    real = sla.cholesky_banded
+
+    def counting(ab, **kwargs):
+        calls.append(ab.shape)
+        assert ab.flags.f_contiguous and kwargs["overwrite_ab"]
+        return real(ab, **kwargs)
+
+    monkeypatch.setattr(sla, "cholesky_banded", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("target, passes", [(-2.0, False), (-0.5, True)])
-def test_certificate_resolves_tolerance(sparse_model_op, monkeypatch, target, passes):
-    op, lam_min = sparse_model_op
+def test_certificate_resolves_tolerance(request, monkeypatch, n, target, passes):
+    op, lam_min = request.getfixturevalue({1: "sparse_model_op", 2: "sparse_model_op_n2"}[n])
     tol = 1e-8
     shifted = _shifted(op, target * tol - lam_min)
     _forbid_arpack(monkeypatch)
@@ -384,15 +418,7 @@ def test_certificate_resolves_tolerance(sparse_model_op, monkeypatch, target, pa
 def test_certificate_factorises_once_per_operator_and_tolerance(sparse_model_op, monkeypatch):
     op = _shifted(sparse_model_op[0], 0.0)
     _forbid_arpack(monkeypatch)
-    calls = []
-    real = sla.cholesky_banded
-
-    def counting(ab, **kwargs):
-        calls.append(ab.shape)
-        assert ab.flags.f_contiguous and kwargs["overwrite_ab"]
-        return real(ab, **kwargs)
-
-    monkeypatch.setattr(sla, "cholesky_banded", counting)
+    calls = _count_band_factorisations(monkeypatch)
     for n_power in range(4):
         for t in (0.5, 1.0, 2.0):
             assert spectral_bound_check(op, t, n_power).passed
@@ -402,33 +428,30 @@ def test_certificate_factorises_once_per_operator_and_tolerance(sparse_model_op,
     assert len(calls) == 2
 
 
-def test_band_above_cap_falls_back_to_arpack(sparse_model_op, monkeypatch):
+def test_band_above_cap_raises_resource_limit(sparse_model_op, monkeypatch):
     op = _shifted(sparse_model_op[0], 0.0)
-    # one byte below the (205, 2601) complex band
-    monkeypatch.setattr(defaults, "BAND_CHOLESKY_MAX_BYTES", 16 * 205 * op.dim - 1)
-    rep = spectral_bound_check(op, 1.0, 0)
-    assert rep.passed and rep.attaining_eigenvalue == op._smallest[0]
-    assert op._psd_certificate == {1e-8: None}
+    _forbid_arpack(monkeypatch)
+    band_bytes = 16 * 205 * op.dim  # the (205, 2601) complex band
+    monkeypatch.setattr(defaults, "BAND_CHOLESKY_MAX_BYTES", band_bytes - 1)
+    with pytest.raises(ResourceLimitError, match=f"{band_bytes} bytes.*cap {band_bytes - 1}"):
+        spectral_bound_check(op, 1.0, 0)
+    assert op._psd_certificate == {}
+    monkeypatch.setattr(defaults, "BAND_CHOLESKY_MAX_BYTES", band_bytes)
+    assert spectral_bound_check(op, 1.0, 0).passed
 
 
-def test_bound_n2_sparse_uses_arpack(monkeypatch):
+@pytest.mark.parametrize("q", [0, 1])
+def test_bound_n2_certifies_with_one_band(monkeypatch, q):
     grid = GridSpec(2, 1.5, 0.5)  # 7^4 = 2401 sites
-    op = assemble_model(ModelSpec(2, (1.0, 0.5), 0), grid)
-    assert op.dim > defaults.DENSE_AUTO_LIMIT
-    calls = []
-    real = spla.eigsh
-
-    def counting(*args, **kwargs):
-        calls.append(kwargs["k"])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(spla, "eigsh", counting)
+    op = assemble_model(ModelSpec(2, (1.0, 0.5), q), grid)
+    assert op.dim == fiber_dim(2, q) * grid.sites > defaults.DENSE_AUTO_LIMIT
+    _forbid_arpack(monkeypatch)
+    calls = _count_band_factorisations(monkeypatch)
     for n_power in (2, 0):
         rep = spectral_bound_check(op, 1.0, n_power)
-        assert rep.passed and np.isfinite(rep.max_value)
-    assert calls == [16]
-    # N = 0 scans e^{-ts}, which peaks at the smallest eigenvalue
-    assert 0 < rep.attaining_eigenvalue == op._smallest[0] < 0.1
+        assert rep.passed and np.isnan(rep.max_value) and np.isnan(rep.attaining_eigenvalue)
+    # half-bandwidth: the stabiliser reaches 4 steps along the slowest axis
+    assert calls == [(4 * 7**3 + 1, op.dim)]
 
 
 # ---------------------------------------------------------------------------

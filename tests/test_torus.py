@@ -203,3 +203,65 @@ def test_landau_validation_small():
     assert val.all_match
     assert val.expected_multiplicity == 1
     np.testing.assert_allclose(val.expected[1], b.lambda_scalar)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_inertia_count_matches_dense_at_every_mid_gap(k):
+    from heatlab.torus import _count_below
+
+    b = EllipticCurveBundle(1j, 1)
+    side = np.sqrt(b.area / 2.0)
+    field = 2.0 * np.pi * k / side**2
+    h = magnetic_torus_operator(k, 16, side)
+    w = np.linalg.eigvalsh(h.toarray())
+    # raw mid-gaps field + 4 k lambda (m + 1/2), up to past half the spectrum
+    gaps = field + 4.0 * k * b.lambda_scalar * (np.arange(40) + 0.5)
+    gaps = gaps[gaps < np.median(w)]
+    assert gaps.size >= 5
+    counts = [_count_below(h, s) for s in gaps]
+    assert counts == [int(np.count_nonzero(w < s)) for s in gaps]
+    assert counts[:3] == [k, 2 * k, 3 * k]
+
+
+def test_missed_degenerate_copy_raises(monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    real = spla.eigsh
+
+    def drop_one_copy(h, k, **kwargs):
+        # the k smallest eigenvalues, except one copy of the doubly
+        # degenerate ground level, replaced by the next eigenvalue
+        w = np.sort(real(h, k=k + 1, **kwargs))
+        return np.delete(w, 0)
+
+    monkeypatch.setattr(spla, "eigsh", drop_one_copy)
+    with pytest.raises(AccuracyError, match="below the top mid-gap"):
+        validate_landau_levels(EllipticCurveBundle(1j, 1), 2, eigen_count=6,
+                               resolutions=(16, 32))
+
+
+def test_multiplicity_checked_at_both_resolutions(monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    real = spla.eigsh
+
+    def move_one_copy(h, k, **kwargs):
+        # at the coarse resolution only, one ground copy is read as a
+        # first-level eigenvalue; the count below the top mid-gap is intact
+        w = np.sort(real(h, k=k, **kwargs))
+        if h.shape[0] == 16**2:
+            w[1] = w[2]
+        return w
+
+    monkeypatch.setattr(spla, "eigsh", move_one_copy)
+    val = validate_landau_levels(EllipticCurveBundle(1j, 1), 2, eigen_count=6,
+                                 resolutions=(16, 32))
+    assert val.multiplicities.tolist() == [2, 2, 2]
+    assert val.matches.tolist() == [False, False, True]
+
+
+@pytest.mark.parametrize("k, eigen_count", [(2, 1), (1, 16**2 - 1)])
+def test_eigen_count_out_of_range_rejected(k, eigen_count):
+    with pytest.raises(ArgumentError, match="eigen_count"):
+        validate_landau_levels(EllipticCurveBundle(1j, 1), k, eigen_count=eigen_count,
+                               resolutions=(16, 32))
