@@ -21,7 +21,7 @@ warm-up; set-up that a case needs runs untimed before every repeat):
   resolutions (32, 64) and (48, 96).
 
 Usage:
-    python bench/run.py --out BENCH_6.json [--repeats 7] [--threads 1]
+    python bench/run.py --out BENCH_<n>.json [--repeats 7] [--threads 1]
                         [--baseline OTHER.json]
 
 ``--baseline`` embeds an earlier report of this script (for example one

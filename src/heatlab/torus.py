@@ -10,7 +10,10 @@ inequalities.
 
 The Landau structure (spacing and multiplicity) is validated numerically
 against a discretized periodic magnetic Laplacian with Peierls link
-phases; see ``validate_landau_levels``.  A level is the set of ARPACK
+phases; see ``validate_landau_levels``.  In Landau gauge a partial
+Fourier transform in y turns that operator into Harper's equation: real
+cyclic tridiagonal rings with the same spectrum, which the oracle solves
+instead of the 2-D Peierls matrix.  A level is the set of ARPACK
 eigenvalues between two exact mid-gaps, checked against an inertia count
 below the top one.  Only the oracle imports scipy.sparse.
 """
@@ -296,6 +299,40 @@ def magnetic_torus_operator(flux_quanta: int, n_points: int, side: float):
     return sp.coo_matrix((vals, (rows, cols)), shape=(N * N, N * N)).tocsr()
 
 
+def _harper_rings(flux_quanta: int, n_points: int, side: float):
+    """The y-Fourier transform of ``magnetic_torus_operator``, an exact
+    unitary equivalent: Harper's equation (Harper 1955; Hofstadter 1976).
+
+    Momentum m turns the Landau-gauge y-hop at x-index i into the diagonal
+    (4 - 2 cos 2 pi (m / N + Q i / N^2)) / h^2, and the twisted x wrap link
+    joins x-site N-1 at momentum m to x-site 0 at m + Q.  With g = gcd(N, Q)
+    this leaves g real rings of L = N^2 / g sites; site ring * L + p carries
+    x-index p mod N and momentum ring + Q floor(p / N).  Returns a real
+    scipy.sparse CSR matrix with 3 entries per row."""
+    import scipy.sparse as sp
+
+    if flux_quanta < 1 or n_points < 4 or side <= 0:
+        raise ArgumentError("need flux_quanta >= 1, n_points >= 4, side > 0")
+    N, Q = n_points, flux_quanta
+    h = side / N
+    L = N * N // np.gcd(N, Q)
+    site = np.arange(N * N)
+    ring, p = np.divmod(site, L)
+    i = p % N
+    m = ring + Q * (p // N)
+    # the phase m / N + Q i / N^2 reduced exactly in integers
+    phase = (m * N + Q * i) % (N * N) / (N * N)
+    diag = (4.0 - 2.0 * np.cos(2.0 * np.pi * phase)) / h**2
+    hop = np.full(N * N, -1.0 / h**2)
+    start = ring * L
+    cols = np.stack([start + (p - 1) % L, site, start + (p + 1) % L], axis=1)
+    vals = np.stack([hop, diag, hop], axis=1)
+    rings = sp.csr_matrix((vals.ravel(), cols.ravel(), np.arange(0, 3 * N * N + 1, 3)),
+                          shape=(N * N, N * N))
+    rings.sort_indices()
+    return rings
+
+
 def _count_below(h, shift: float) -> int:
     """Number of eigenvalues of the Hermitian sparse matrix h below shift:
     the negative pivots of an LDL^H factorisation of h - shift*I (Sylvester's
@@ -317,18 +354,19 @@ def _discrete_landau_levels(bundle: EllipticCurveBundle, k: int, n_points: int,
     """The ``count`` smallest eigenvalues of the discretized Laplacian on
     sections, normalized to the Landau convention (level m at k lambda m),
     split into ``count // (k d)`` levels at the mid-gaps k lambda (m -+ 1/2).
-    Raises ``AccuracyError`` when they miss one below the top mid-gap."""
+    The eigenvalues come from the Harper rings (``_harper_rings``), the real
+    tridiagonal y-Fourier transform of the Peierls matrix.  Raises
+    ``AccuracyError`` when they miss one below the top mid-gap."""
     import scipy.sparse.linalg as spla
 
     quanta = k * bundle.degree
     side = np.sqrt(bundle.area / 2.0)   # Lebesgue side; dv area = 2 * side^2
     field = 2.0 * np.pi * quanta / side**2
-    h = magnetic_torus_operator(quanta, n_points, side)
+    h = _harper_rings(quanta, n_points, side)
     # A fixed-seed random start vector keeps reruns byte-identical
     # without missing any symmetry class of the spectrum.
-    rng = np.random.default_rng(0)
-    v0 = rng.standard_normal(h.shape[0]) + 1j * rng.standard_normal(h.shape[0])
-    eigs = np.sort(spla.eigsh(h, k=count, sigma=0.0, which="LM", v0=v0.astype(h.dtype),
+    v0 = np.random.default_rng(0).standard_normal(h.shape[0])
+    eigs = np.sort(spla.eigsh(h, k=count, sigma=0.0, which="LM", v0=v0,
                               return_eigenvectors=False, maxiter=10000))
     eigs = (eigs - field) / 4.0
     gaps = k * bundle.lambda_scalar * (np.arange(count // quanta + 1) - 0.5)

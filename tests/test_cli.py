@@ -392,7 +392,7 @@ def test_threads_do_not_change_csv_bytes(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     for var in ("OMP_NUM_THREADS", "HEATLAB_THREADS"):
         env.pop(var, None)
-    for name in ("trace_stochastic", "converge_scaling"):
+    for name in ("trace_stochastic", "converge_scaling", "validate_oracle"):
         outputs = []
         for threads in (1, 2):
             out = tmp_path / f"{name}-{threads}"

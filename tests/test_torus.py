@@ -205,20 +205,36 @@ def test_landau_validation_small():
     np.testing.assert_allclose(val.expected[1], b.lambda_scalar)
 
 
-@pytest.mark.parametrize("k", [1, 2])
-def test_inertia_count_matches_dense_at_every_mid_gap(k):
-    from heatlab.torus import _count_below
+# gcd(N, Q) = 1, > 1 and Q > N; (5, 25) has odd rings of 5 sites, on which
+# the sign of the hop is not a gauge choice
+@pytest.mark.parametrize("n_points, flux_quanta", [(16, 1), (16, 4), (12, 3), (6, 8), (5, 25)])
+@pytest.mark.parametrize("side", [1.0, np.sqrt(0.5)])
+def test_harper_rings_have_the_peierls_spectrum(n_points, flux_quanta, side):
+    from heatlab.torus import _harper_rings
+
+    rings = _harper_rings(flux_quanta, n_points, side)
+    assert rings.dtype == np.float64
+    assert np.diff(rings.indptr).tolist() == [3] * n_points**2
+    w = np.linalg.eigvalsh(rings.toarray())
+    ref = np.linalg.eigvalsh(magnetic_torus_operator(flux_quanta, n_points, side).toarray())
+    np.testing.assert_allclose(w, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+@pytest.mark.parametrize("builder", ["magnetic_torus_operator", "_harper_rings"])
+def test_inertia_count_matches_dense_at_every_mid_gap(builder, k):
+    import heatlab.torus as torus
 
     b = EllipticCurveBundle(1j, 1)
     side = np.sqrt(b.area / 2.0)
     field = 2.0 * np.pi * k / side**2
-    h = magnetic_torus_operator(k, 16, side)
+    h = getattr(torus, builder)(k, 16, side)
     w = np.linalg.eigvalsh(h.toarray())
     # raw mid-gaps field + 4 k lambda (m + 1/2), up to past half the spectrum
     gaps = field + 4.0 * k * b.lambda_scalar * (np.arange(40) + 0.5)
     gaps = gaps[gaps < np.median(w)]
     assert gaps.size >= 5
-    counts = [_count_below(h, s) for s in gaps]
+    counts = [torus._count_below(h, s) for s in gaps]
     assert counts == [int(np.count_nonzero(w < s)) for s in gaps]
     assert counts[:3] == [k, 2 * k, 3 * k]
 
@@ -265,3 +281,10 @@ def test_eigen_count_out_of_range_rejected(k, eigen_count):
     with pytest.raises(ArgumentError, match="eigen_count"):
         validate_landau_levels(EllipticCurveBundle(1j, 1), k, eigen_count=eigen_count,
                                resolutions=(16, 32))
+
+
+def test_too_coarse_resolution_rejected():
+    # eigen_count lies in [k d, N^2 - 2], so only the N >= 4 check can fire
+    with pytest.raises(ArgumentError, match="n_points >= 4"):
+        validate_landau_levels(EllipticCurveBundle(1j, 1), 1, eigen_count=2,
+                               resolutions=(3, 6))
