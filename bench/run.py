@@ -28,7 +28,8 @@ Usage:
 written from a checkout of the parent commit) under "baseline" and prints
 the ratio of the medians.  The BLAS thread variables are set to
 ``--threads`` before numpy loads.  The output records the git sha
-(suffixed "-dirty" for uncommitted changes), the Python, numpy and scipy
+(suffixed "-dirty" for uncommitted changes), the total line count of
+``src/heatlab/*.py`` (``src_lines``), the Python, numpy and scipy
 versions, nproc, the thread count OpenBLAS reports and the process's OS
 thread count after the imports.
 """
@@ -56,6 +57,12 @@ def _git_sha():
     except (OSError, subprocess.TimeoutExpired):
         return None
     return out.stdout.strip() or None
+
+
+def _src_lines():
+    """Total line count of the package sources measured."""
+    return sum(len(path.read_text(encoding="utf-8").splitlines())
+               for path in (ROOT / "src" / "heatlab").glob("*.py"))
 
 
 def _os_threads():
@@ -176,6 +183,7 @@ def main(argv=None):
     report = {
         "benchmark": "heatlab layers",
         "git_sha": _git_sha(),
+        "src_lines": _src_lines(),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
@@ -185,8 +193,11 @@ def main(argv=None):
         "repeats": args.repeats,
         "cases": results,
     }
+    line = f"src_lines: {report['src_lines']}"
     if baseline is not None:
         report["baseline"] = baseline
+        line += f"; baseline {baseline.get('src_lines')}"
+    print(line)
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {args.out}")
 

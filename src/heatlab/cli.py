@@ -227,6 +227,9 @@ def _check_table(raw: dict, table: dict, where: str = None) -> dict:
 
 def _check_cross_fields(cfg: dict) -> None:
     kind = cfg["experiment"]
+    output = cfg["output"]
+    if output in ("", ".", "..", "manifest.json") or "/" in output or "\\" in output:
+        raise ConfigError("field 'output' must be a bare file name other than manifest.json")
     if "n" in cfg:
         if len(cfg["lambda"]) != cfg["n"]:
             raise ConfigError("field 'lambda' must list n eigenvalues")

@@ -46,23 +46,39 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Wirtinger finite differences
 
+# 4th-order central first difference: sum_i W_i f(x + O_i h) / (12 h).
+_D1_WEIGHTS = (1.0, -8.0, 8.0, -1.0)
+_D1_OFFSETS = (-2.0, -1.0, 1.0, 2.0)
 
-def _fd_real_partial(f: Callable, z: np.ndarray, axis: int, h: float) -> float:
-    """4th-order central difference of f along one real coordinate axis."""
-    n = z.shape[0]
-    step = np.zeros(n, dtype=complex)
-    step[axis // 2] = h if axis % 2 == 0 else 1j * h
-    c = (1.0, -8.0, 8.0, -1.0)
-    o = (-2.0, -1.0, 1.0, 2.0)
-    return sum(ci * f(z + oi * step) for ci, oi in zip(c, o)) / (12.0 * h)
+
+def _sample(f: Callable, points: np.ndarray, shape: tuple = (), dtype=None) -> np.ndarray:
+    """Values of a per-point callable at every row of ``points`` (shape
+    (points, n)), stacked into an array of shape (points, *shape)."""
+    return np.array([f(p) for p in points], dtype=dtype).reshape((len(points),) + shape)
+
+
+def _stencil_partials(f: Callable, y: np.ndarray, shape: tuple = (), dtype=None) -> list:
+    """4th-order central differences of a per-point callable along each real
+    axis (x_1, y_1, ..., x_n, y_n) at every row of y, with step
+    ``defaults.FD_STEP``: one array of shape (points, *shape) per axis."""
+    h = defaults.FD_STEP
+    out = []
+    for axis in range(2 * y.shape[1]):
+        e = np.zeros(y.shape[1], dtype=complex)
+        e[axis // 2] = 1.0 if axis % 2 == 0 else 1j
+        total = 0
+        for ci, oi in zip(_D1_WEIGHTS, _D1_OFFSETS):
+            total = total + ci * _sample(f, y + oi * h * e, shape, dtype)
+        out.append(total / (12 * h))
+    return out
 
 
 def _fd_real_hessian(f: Callable, z: np.ndarray, h: float) -> np.ndarray:
     """4th-order real Hessian of f: C^n -> R viewed on R^{2n}."""
     n2 = 2 * z.shape[0]
     H = np.empty((n2, n2))
-    c1 = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
-    o1 = np.array([-2.0, -1.0, 1.0, 2.0])
+    c1 = np.array(_D1_WEIGHTS) / 12.0
+    o1 = np.array(_D1_OFFSETS)
     c2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
     o2 = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
 
@@ -123,14 +139,8 @@ class Perturbation:
         z = np.asarray(z, dtype=complex)
         if self.zbar_gradient is not None:
             return np.asarray(self.zbar_gradient(z), dtype=complex)
-        h = defaults.FD_STEP
-        n = z.shape[0]
-        g = np.empty(n, dtype=complex)
-        for j in range(n):
-            gx = _fd_real_partial(self.value, z, 2 * j, h)
-            gy = _fd_real_partial(self.value, z, 2 * j + 1, h)
-            g[j] = 0.5 * (gx + 1j * gy)
-        return g
+        d = _stencil_partials(self.value, z[None, :])
+        return 0.5 * (np.concatenate(d[0::2]) + 1j * np.concatenate(d[1::2]))
 
     def hessian_at(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=complex)
@@ -451,7 +461,7 @@ def write_curvature_field(path, field: CurvatureField) -> None:
 # Ready-made perturbations
 
 
-def cubic_re_perturbation(amplitude: float, n: int = 1) -> Perturbation:
+def cubic_re_perturbation(amplitude: float) -> Perturbation:
     """p(z) = amplitude * Re(z_1^3), with exact derivatives."""
 
     def value(z):
@@ -468,7 +478,7 @@ def cubic_re_perturbation(amplitude: float, n: int = 1) -> Perturbation:
     return Perturbation(value, zbar_grad, hessian)
 
 
-def quartic_abs_perturbation(amplitude: float, n: int = 1) -> Perturbation:
+def quartic_abs_perturbation(amplitude: float) -> Perturbation:
     """p(z) = amplitude * |z_1|^4, with exact derivatives."""
 
     def value(z):

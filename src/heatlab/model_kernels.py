@@ -104,7 +104,7 @@ class KernelValue:
 
 def _check_time(t: float) -> None:
     if not np.isfinite(t) or t <= 0:
-        raise ArgumentError("t must be positive")
+        raise ArgumentError(f"t must be finite and positive, got {t!r}")
 
 
 def _mehler_factor_log(lam: float, t: float, zj: complex, wj: complex,

@@ -25,7 +25,7 @@ from scipy.io import mmwrite
 
 from . import defaults, fiber
 from .errors import ArgumentError, DomainError, InvariantViolation, ResourceLimitError
-from .geometry import WeightFunction
+from .geometry import WeightFunction, _sample, _stencil_partials
 from .model_kernels import ModelSpec
 
 __all__ = [
@@ -129,8 +129,10 @@ class DiscreteOperator:
                 f"assembled operator not Hermitian: {herm:.3e} vs scale {scale:.3e}"
             )
         self.matrix = a
-        # Spectral caches: dense eigensystem, dense eigenvalues, and banded
-        # Cholesky positivity certificates keyed by tolerance.
+        # Spectral caches: the dense eigensystem and eigenvalues (read by the
+        # dense-eigen propagator and exact traces only), and the banded
+        # Cholesky positivity certificates keyed by tolerance (the one input
+        # of spectral_bound_check).
         self._eig = None
         self._eigvals = None
         self._psd_certificate = {}
@@ -265,21 +267,20 @@ class _GridOperators:
         return (self.dzbar(j) + sp.diags(0.5 * lam * self.z[:, j])).tocsr()
 
 
-def _scalar_model_part(ops: _GridOperators, lam, stabilizer: float) -> sp.csr_matrix:
-    out = ops.stabilizer(stabilizer)
+def _scalar_model_part(ops: _GridOperators, lam) -> sp.csr_matrix:
+    out = ops.stabilizer(defaults.GHOST_STABILIZER)
     for j, lj in enumerate(lam):
         c = ops.model_factor(j, lj)
         out = out + c.getH() @ c
     return out.tocsr()
 
 
-def assemble_model(spec: ModelSpec, grid: GridSpec,
-                   stabilizer: float = defaults.GHOST_STABILIZER) -> DiscreteOperator:
+def assemble_model(spec: ModelSpec, grid: GridSpec) -> DiscreteOperator:
     """Model operator sum_j C_j^dag C_j + Theta_0 (plus the ghost stabilizer)."""
     if spec.n != grid.n:
         raise ArgumentError("model and grid dimensions differ")
     ops = _GridOperators(grid)
-    scalar = _scalar_model_part(ops, spec.lam, stabilizer)
+    scalar = _scalar_model_part(ops, spec.lam)
     d = fiber.fiber_dim(spec.n, spec.q)
     a = sp.kron(sp.identity(d), scalar)
     theta0 = fiber.twist_eigenvalues(spec.lam, spec.q)
@@ -290,30 +291,6 @@ def assemble_model(spec: ModelSpec, grid: GridSpec,
 
 # ---------------------------------------------------------------------------
 # Scaled operator
-
-
-def _sample(f: Callable, points: np.ndarray, shape: tuple = (), dtype=None) -> np.ndarray:
-    """Values of a per-point callable at every row of ``points`` (shape
-    (points, n)), stacked into an array of shape (points, *shape)."""
-    return np.array([f(p) for p in points], dtype=dtype).reshape((len(points),) + shape)
-
-
-def _stencil_partials(f: Callable, y: np.ndarray, shape: tuple = (), dtype=None) -> list:
-    """4th-order central differences of a per-point callable along each real
-    axis (x_1, y_1, ..., x_n, y_n) at every row of y: one array of shape
-    (points, *shape) per axis."""
-    c = (1.0, -8.0, 8.0, -1.0)
-    o = (-2.0, -1.0, 1.0, 2.0)
-    h = defaults.FD_STEP
-    out = []
-    for axis in range(2 * y.shape[1]):
-        e = np.zeros(y.shape[1], dtype=complex)
-        e[axis // 2] = 1.0 if axis % 2 == 0 else 1j
-        total = 0
-        for ci, oi in zip(c, o):
-            total = total + ci * _sample(f, y + oi * h * e, shape, dtype)
-        out.append(total / (12 * h))
-    return out
 
 
 def _wedge_term_coefficients(r: np.ndarray, dr: list) -> np.ndarray:
@@ -338,8 +315,7 @@ def _wedge_term_coefficients(r: np.ndarray, dr: list) -> np.ndarray:
 
 
 def assemble_scaled(weight: WeightFunction, pert: Optional[PerturbationSpec],
-                    k: int, grid: GridSpec, q: int,
-                    stabilizer: float = defaults.GHOST_STABILIZER) -> DiscreteOperator:
+                    k: int, grid: GridSpec, q: int) -> DiscreteOperator:
     """Scaled operator at tensor power k on the fixed grid, symmetric gauge.
 
     Rows of the scaled dbar are assembled per coefficient sampling at
@@ -409,43 +385,28 @@ def assemble_scaled(weight: WeightFunction, pert: Optional[PerturbationSpec],
                         g = g - 0.5 / sqrtk * coef * grad_logm[:, s]
         rows.append((b + sp.diags(g)).tocsr())
 
-    def dbar_matrix(degree: int) -> Optional[sp.csr_matrix]:
-        if degree < 0 or degree >= n + 1:
-            return None
-        dq, dq1 = fiber.fiber_dim(n, degree), fiber.fiber_dim(n, degree + 1)
-        if dq1 == 0:
-            return None
-        out = sp.csr_matrix((dq1 * sites, dq * sites), dtype=complex)
-        for j in range(n):
-            out = out + sp.kron(fiber.wedge_matrix(n, degree, j), rows[j])
-        if wcoef is not None and degree >= 1:
-            blocks = {}
-            for j in range(n):
-                for b in range(n):
-                    for c in range(b + 1, n):
-                        vals = wcoef[:, j, b, c]
-                        if not np.any(vals != 0):
-                            continue
-                        f = (
-                            fiber.wedge_matrix(n, degree, b)
-                            @ fiber.wedge_matrix(n, degree - 1, c)
-                            @ fiber.contract_matrix(n, degree, j)
-                        )
-                        for (rr, cc), fv in np.ndenumerate(f):
-                            if fv != 0:
-                                blocks[rr, cc] = blocks.get((rr, cc), 0) + fv * vals
-            if blocks:
-                add = sp.lil_matrix(out.shape, dtype=complex)
-                for (rr, cc), vals in blocks.items():
-                    idx = np.arange(sites)
-                    add[rr * sites + idx, cc * sites + idx] = vals / sqrtk
-                out = out + add.tocsr()
-        return out.tocsr()
+    def fiber_sum(terms) -> sp.csr_matrix:
+        """sum of F (x) S over pairs of a fiber matrix F and a site matrix S."""
+        return sum(sp.kron(f, s) for f, s in terms).tocsr()
 
-    d_q = dbar_matrix(q)
-    d_qm1 = dbar_matrix(q - 1)
+    def dbar_matrix(degree: int) -> sp.csr_matrix:
+        """The scaled dbar from (0,degree) to (0,degree+1) forms."""
+        out = fiber_sum((fiber.wedge_matrix(n, degree, j), rows[j]) for j in range(n))
+        if wcoef is None or degree < 1:
+            return out
+        # The (0,2) frame term: wedge_b wedge_c iota_j (x) w^j_bc, divided by
+        # sqrt(k) after the sum over (j, b, c).
+        frame = [(fiber.wedge_matrix(n, degree, b) @ fiber.wedge_matrix(n, degree - 1, c)
+                  @ fiber.contract_matrix(n, degree, j), sp.diags(wcoef[:, j, b, c]))
+                 for j in range(n) for b in range(n) for c in range(b + 1, n)
+                 if np.any(wcoef[:, j, b, c] != 0)]
+        return out + fiber_sum(frame) / sqrtk if frame else out
+
+    # D_q is absent at q = n, D_{q-1} at q = 0.
+    d_q = dbar_matrix(q) if q < n else None
+    d_qm1 = dbar_matrix(q - 1) if q >= 1 else None
     dq = fiber.fiber_dim(n, q)
-    a = sp.csr_matrix((dq * sites, dq * sites), dtype=complex)
+    a = 0
     if d_q is not None:
         a = a + d_q.getH() @ d_q
     if d_qm1 is not None:
@@ -463,28 +424,22 @@ def assemble_scaled(weight: WeightFunction, pert: Optional[PerturbationSpec],
         a = a + sp.kron(sp.diags(pi_j), delta)
 
     # Stabilizer on every fiber component.
-    a = a + sp.kron(sp.identity(dq), ops.stabilizer(stabilizer))
+    a = a + sp.kron(sp.identity(dq), ops.stabilizer(defaults.GHOST_STABILIZER))
 
-    # Optional adjoint zero-order terms (Hermitian part; see README).
+    # Optional adjoint zero-order terms (Hermitian part; see README): the
+    # contractions iota_j alpha_j / sqrt(k) into and out of degree q.
     if pert.alpha is not None:
         alpha = _sample(lambda u: pert.alpha_at(u, n), y, (n,))
-        x = sp.csr_matrix((dq * sites, dq * sites), dtype=complex)
+
+        def contraction(degree: int) -> sp.csr_matrix:
+            return fiber_sum((fiber.contract_matrix(n, degree, j), sp.diags(alpha[:, j] / sqrtk))
+                             for j in range(n))
+
+        x = 0
         if d_q is not None:
-            aop = sp.csr_matrix((dq * sites, fiber.fiber_dim(n, q + 1) * sites), dtype=complex)
-            for j in range(n):
-                aop = aop + sp.kron(
-                    fiber.contract_matrix(n, q + 1, j), sp.diags(alpha[:, j] / sqrtk)
-                )
-            x = x + aop @ d_q
+            x = x + contraction(q + 1) @ d_q
         if d_qm1 is not None:
-            aop = sp.csr_matrix(
-                (fiber.fiber_dim(n, q - 1) * sites, dq * sites), dtype=complex
-            )
-            for j in range(n):
-                aop = aop + sp.kron(
-                    fiber.contract_matrix(n, q, j), sp.diags(alpha[:, j] / sqrtk)
-                )
-            x = x + d_qm1 @ aop
+            x = x + d_qm1 @ contraction(q)
         a = a + 0.5 * (x + x.getH())
 
     return DiscreteOperator(a.tocsr(), q, k, grid)

@@ -22,12 +22,12 @@ largest halving of that time whose estimate passes.  ``kernel_diagonals``
 and ``heat_traces`` therefore build one basis (plus restarts) per delta or
 probe, however many times they are asked for.
 
-The spectral bound check reduces to positivity of the operator.  Small
-operators scan their dense spectrum; every larger operator, for any n and
-fiber dimension, is certified by one banded Cholesky factorisation of
-A + tol*I (it exists iff the smallest eigenvalue exceeds -tol), cached
-per operator and tolerance.  A band above
-defaults.BAND_CHOLESKY_MAX_BYTES raises ResourceLimitError.
+The spectral bound check reduces to positivity of the operator.  Every
+operator, of any size, n and fiber dimension, is certified by one banded
+Cholesky factorisation of A + tol*I (it exists iff the smallest
+eigenvalue exceeds -tol), cached per operator and tolerance, so the
+verdict never depends on which spectral caches an earlier call filled.
+A band above defaults.BAND_CHOLESKY_MAX_BYTES raises ResourceLimitError.
 """
 
 import csv
@@ -42,7 +42,7 @@ import scipy.sparse as sp
 from . import defaults, fiber
 from .errors import ArgumentError, InvariantViolation, NumericalError, ResourceLimitError
 from .geometry import FiberEndomorphism, WeightFunction
-from .model_kernels import ModelSpec, model_diagonal
+from .model_kernels import ModelSpec, _check_time, model_diagonal
 from .operators import DiscreteOperator, GridSpec, PerturbationSpec, assemble_model, assemble_scaled
 
 __all__ = [
@@ -220,23 +220,22 @@ def _propagate(op: DiscreteOperator, v, ts, method: SemigroupMethod) -> np.ndarr
 
 
 def _positive_times(ts) -> list:
+    """ts as floats; ArgumentError unless every one is finite and positive."""
     ts = [float(t) for t in ts]
-    if any(t <= 0 for t in ts):
-        raise ArgumentError("t must be positive")
+    for t in ts:
+        _check_time(t)
     return ts
 
 
 def heat_apply(op: DiscreteOperator, v, t: float,
                method: Optional[SemigroupMethod] = None) -> np.ndarray:
-    """e^{-tA} v by the selected propagator."""
-    if t < 0:
-        raise ArgumentError("t must be nonnegative")
+    """e^{-tA} v by the selected propagator (a copy of v at t = 0)."""
     v = np.asarray(v, dtype=complex)
     if v.shape != (op.dim,):
         raise ArgumentError(f"vector must have shape ({op.dim},)")
     if t == 0:
         return v.copy()
-    return _propagate(op, v, [t], _select(method, op.dim))[0]
+    return _propagate(op, v, _positive_times([t]), _select(method, op.dim))[0]
 
 
 def kernel_diagonals(op: DiscreteOperator, site, ts: Sequence[float],
@@ -321,10 +320,9 @@ def heat_trace(op: DiscreteOperator, t: float,
 
 @dataclass(frozen=True)
 class SpectralBoundReport:
-    """Outcome of ``spectral_bound_check``.
-
-    ``max_value`` and ``attaining_eigenvalue`` are NaN when the check
-    certified positivity without computing any eigenvalue.
+    """Outcome of ``spectral_bound_check``: ``passed`` is the positivity
+    certificate and ``bound`` is (N/(e t))^N.  No eigenvalue is computed,
+    so ``max_value`` and ``attaining_eigenvalue`` are always NaN.
     """
 
     passed: bool
@@ -348,7 +346,7 @@ def _certify_positive(op: DiscreteOperator, psd_tol: float) -> bool:
         low = sp.tril(op.matrix, format="coo")
         low.sum_duplicates()
         offset = low.row - low.col
-        bands = int(offset.max()) + 1
+        bands = int(offset.max(initial=0)) + 1
         nbytes = 16 * bands * op.dim
         if nbytes > defaults.BAND_CHOLESKY_MAX_BYTES:
             raise ResourceLimitError(
@@ -371,43 +369,24 @@ def spectral_bound_check(op: DiscreteOperator, t: float, n_power: int,
     """Check max_s s^N e^{-ts} <= (N/(e t))^N over the operator spectrum.
 
     The bound is the calculus maximum of s^N e^{-ts} over s >= 0 (equal to
-    1 for N = 0), so for a PSD spectrum the only falsifiable content is
-    positivity itself; a failed positivity test raises
-    ``InvariantViolation``.  Two routes:
-
-    - Within the dense limit, or with a cached dense eigensystem, the full
-      spectrum is scanned.  It is rejected when its smallest eigenvalue is
-      below ``-psd_tol * max(1, max|w|)``; rounding-band negatives are
-      clipped to zero before scanning.
-    - Every larger operator, for any n and fiber dimension, is certified
-      by one banded Cholesky factorisation of ``A + psd_tol*I``: it is
-      rejected iff the smallest eigenvalue is <= -psd_tol.  No eigenvalue
-      is computed, so ``max_value`` and ``attaining_eigenvalue`` are NaN
-      and ``passed`` is the certificate.  A band above
-      ``defaults.BAND_CHOLESKY_MAX_BYTES`` (it grows as d*side^(2n-1)
-      rows) raises ``ResourceLimitError``.
+    1 for N = 0), so the only falsifiable content is positivity itself.
+    Every operator, for any size, n and fiber dimension, is certified by
+    one banded Cholesky factorisation of ``A + psd_tol*I``: it is rejected
+    with ``InvariantViolation`` iff its smallest eigenvalue is <= -psd_tol,
+    whatever spectral caches the operator holds.  A band above
+    ``defaults.BAND_CHOLESKY_MAX_BYTES`` (it grows as d*side^(2n-1) rows)
+    raises ``ResourceLimitError``.
     """
-    if t <= 0:
-        raise ArgumentError("t must be positive")
+    (t,) = _positive_times([t])
     if not 0 <= n_power <= 4:
         raise ArgumentError("N must be between 0 and 4")
+    if not _certify_positive(op, psd_tol):
+        raise InvariantViolation(
+            f"operator not PSD: smallest eigenvalue <= {-psd_tol:.3e} "
+            "(banded Cholesky of A + tol*I failed)"
+        )
     bound = 1.0 if n_power == 0 else (n_power / (np.e * t)) ** n_power
-    if op.dim > defaults.DENSE_AUTO_LIMIT and op._eig is None:
-        if not _certify_positive(op, psd_tol):
-            raise InvariantViolation(
-                f"operator not PSD: smallest eigenvalue <= {-psd_tol:.3e} "
-                "(banded Cholesky of A + tol*I failed)"
-            )
-        return SpectralBoundReport(True, float("nan"), float(bound), float("nan"))
-    w = op.eigenvalues()
-    scale = max(float(np.max(np.abs(w))), 1.0)
-    if w[0] < -psd_tol * scale:
-        raise InvariantViolation(f"operator not PSD: smallest eigenvalue {w[0]:.3e}")
-    s = np.clip(w, 0.0, None)
-    vals = s**n_power * np.exp(-t * s)
-    i = int(np.argmax(vals))
-    return SpectralBoundReport(bool(vals[i] <= bound * (1 + 1e-12)), float(vals[i]),
-                               float(bound), float(s[i]))
+    return SpectralBoundReport(True, float("nan"), float(bound), float("nan"))
 
 
 # ---------------------------------------------------------------------------

@@ -118,11 +118,15 @@ ORACLE_CFG = {
     (MORSE_PRODUCT_CFG, {"degrees": [True, -3]}, "'degrees'"),
     (ORACLE_CFG, {"eigen_count": 2}, "'eigen_count'"),
     (ORACLE_CFG, {"eigen_count": 12**2 - 1}, "'eigen_count'"),
+    (MODEL_KERNEL_CFG, {"output": "manifest.json"}, "'output'"),
+    (MODEL_KERNEL_CFG, {"output": "../escaped.csv"}, "'output'"),
+    (MODEL_KERNEL_CFG, {"output": ".."}, "'output'"),
 ])
 def test_malformed_value_exits_2_naming_field(tmp_path, capsys, base, change, field):
     path = _write(tmp_path, "bad.json", {**base, **change})
     assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
     assert field in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
 
 
 def test_validate_fills_defaults():

@@ -102,6 +102,22 @@ def test_dense_cap_enforced():
         heat_apply(op, v + 1.0, 1.0, SemigroupMethod("dense-eigen"))
 
 
+_TIMED_ENTRY_POINTS = {
+    "heat_apply": lambda op, t: heat_apply(op, np.ones(op.dim, dtype=complex), t),
+    "kernel_diagonals": lambda op, t: kernel_diagonals(op, op.grid.origin_site(), [0.5, t]),
+    "heat_traces": lambda op, t: heat_traces(op, [t]),
+    "spectral_bound_check": lambda op, t: spectral_bound_check(op, t, 1),
+}
+
+
+@pytest.mark.parametrize("entry", list(_TIMED_ENTRY_POINTS))
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -1.0])
+def test_time_must_be_finite_and_positive(entry, t):
+    op = _synthetic_op(np.linspace(0.0, 5.0, 9))
+    with pytest.raises(ArgumentError, match="finite and positive"):
+        _TIMED_ENTRY_POINTS[entry](op, t)
+
+
 def test_krylov_nonconvergence_reports_residual():
     from heatlab.errors import NumericalError
 
@@ -318,15 +334,14 @@ def test_stochastic_trace_requires_seed():
 def test_bound_n0_is_one():
     op = _synthetic_op(np.linspace(0.0, 5.0, 9))
     rep = spectral_bound_check(op, 1.0, 0)
-    assert rep.passed and rep.bound == 1.0 and rep.max_value <= 1.0
+    assert rep.passed and rep.bound == 1.0
+    assert np.isnan(rep.max_value) and np.isnan(rep.attaining_eigenvalue)
 
 
-def test_bound_attained_at_unit_eigenvalue():
-    op = _synthetic_op(np.array([0.2, 1.0, 3.0] + [7.0] * 6))
-    rep = spectral_bound_check(op, 1.0, 1)
-    np.testing.assert_allclose(rep.max_value, 1.0 / np.e, rtol=1e-12)
-    np.testing.assert_allclose(rep.attaining_eigenvalue, 1.0, atol=1e-12)
-    assert rep.passed
+def test_bound_on_zero_operator():
+    # no stored entry at all: the band is the diagonal of tol*I
+    op = _synthetic_op(np.zeros(9))
+    assert op.matrix.nnz == 0 and spectral_bound_check(op, 1.0, 2).passed
 
 
 def test_bound_on_model_operators():
@@ -352,6 +367,14 @@ def sparse_model_op():
     assert op.dim > defaults.DENSE_AUTO_LIMIT
     lam_min = float(np.linalg.eigvalsh(op.matrix.toarray())[0])
     return op, lam_min
+
+
+@pytest.fixture(scope="module")
+def dense_model_op():
+    """An operator within the dense limit (dim 441) and its smallest eigenvalue."""
+    op = assemble_model(ModelSpec(1, (1.0,), 0), GridSpec(1, 4.0, 0.4))
+    assert op.dim <= defaults.DENSE_AUTO_LIMIT
+    return op, float(np.linalg.eigvalsh(op.matrix.toarray())[0])
 
 
 @pytest.fixture(scope="module")
@@ -399,10 +422,13 @@ def _count_band_factorisations(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("n", [1, 2])
+_CERTIFIED_OPS = {1: "sparse_model_op", 2: "sparse_model_op_n2", "dense": "dense_model_op"}
+
+
+@pytest.mark.parametrize("case", list(_CERTIFIED_OPS))
 @pytest.mark.parametrize("target, passes", [(-2.0, False), (-0.5, True)])
-def test_certificate_resolves_tolerance(request, monkeypatch, n, target, passes):
-    op, lam_min = request.getfixturevalue({1: "sparse_model_op", 2: "sparse_model_op_n2"}[n])
+def test_certificate_resolves_tolerance(request, monkeypatch, case, target, passes):
+    op, lam_min = request.getfixturevalue(_CERTIFIED_OPS[case])
     tol = 1e-8
     shifted = _shifted(op, target * tol - lam_min)
     _forbid_arpack(monkeypatch)
@@ -413,6 +439,23 @@ def test_certificate_resolves_tolerance(request, monkeypatch, n, target, passes)
     else:
         with pytest.raises(InvariantViolation):
             spectral_bound_check(shifted, 1.0, 1, psd_tol=tol)
+
+
+def test_verdict_ignores_cached_eigensystem(monkeypatch):
+    # above the dense limit and with max|w| ~ 68, so a spectrum scan scaled
+    # by max(1, max|w|) would accept lambda_min = -10 tol once the dense
+    # eigensystem is cached; the certificate rejects it either way
+    op = assemble_model(ModelSpec(1, (1.0,), 0), GridSpec(1, 4.0, 0.2))
+    assert op.dim > defaults.DENSE_AUTO_LIMIT
+    tol = 1e-8
+    lam_min = float(np.linalg.eigvalsh(op.matrix.toarray())[0])
+    calls = _count_band_factorisations(monkeypatch)
+    fresh, cached = (_shifted(op, -10 * tol - lam_min) for _ in range(2))
+    cached.eigensystem()
+    for shifted in (fresh, cached):
+        with pytest.raises(InvariantViolation):
+            spectral_bound_check(shifted, 1.0, 1, psd_tol=tol)
+    assert len(calls) == 2
 
 
 def test_certificate_factorises_once_per_operator_and_tolerance(sparse_model_op, monkeypatch):
