@@ -140,7 +140,7 @@ SCHEMAS = {
         "weight_perturbation": _perturbation("re_z3", "abs_z4"),
         "metric_perturbation": _perturbation("linear_r11"),
         "method": _Field({
-            "variant": _Field(("auto", "dense-eigen", "krylov"), None, "auto"),
+            "variant": _Field(("dense-eigen", "krylov"), None, "krylov"),
             "krylov_dim": _Field("an integer", "krylov_dim >= 1", _Library("KRYLOV_DIM")),
             "krylov_tol": _Field("a number", "krylov_tol > 0", _Library("KRYLOV_TOL")),
         }, None, {}),

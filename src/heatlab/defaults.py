@@ -31,11 +31,6 @@ HESSIAN_ASYMMETRY_TOL = 1e-10      # raw finite-difference Hessians before symme
 SITE_CAP = 200_000                 # max number of spatial grid sites
 DENSE_EIGEN_CAP = 6000             # max matrix dimension for the dense-eigen method
 
-# Dimension above which kernel/diagonal evaluations automatically prefer the
-# Krylov propagator over a dense eigendecomposition (dense LAPACK on this
-# scale is far slower than a handful of Lanczos solves).
-DENSE_AUTO_LIMIT = 1600
-
 # Largest complex band (bytes) that the positivity certificate of
 # semigroup.spectral_bound_check factorises; it grows as 64 * side^3 on a
 # 2-D grid (62 MB at side 101), and larger bands raise ResourceLimitError.

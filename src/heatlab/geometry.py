@@ -21,6 +21,7 @@ import numpy as np
 
 from . import defaults, fiber
 from .errors import ArgumentError, DomainError, InvariantViolation
+from .model_kernels import _check_time
 
 __all__ = [
     "Perturbation",
@@ -292,8 +293,7 @@ def heat_factor(lam: float, t: float) -> float:
     Below the degeneracy threshold the 4-term Taylor series of
     x / (1 - e^{-x}) at x = t*lambda is used; at lambda = 0 this is 1/(2 pi t).
     """
-    if t <= 0:
-        raise ArgumentError("t must be positive")
+    _check_time(t)
     x = t * lam
     if abs(lam) < defaults.DEGENERACY_THRESHOLD:
         series = 1.0 + x / 2.0 + x**2 / 12.0 - x**4 / 720.0
@@ -308,8 +308,7 @@ def _expm_hermitian(m: np.ndarray) -> np.ndarray:
 
 def asymptotic_diagonal(curv: CurvatureEndomorphism, q: int, t: float) -> FiberEndomorphism:
     """Limit diagonal: prod_j f(mu_j, t) times exp(t Theta) on the (0,q) fiber."""
-    if t <= 0:
-        raise ArgumentError("t must be positive")
+    _check_time(t)
     mu = curv.eigenvalues()
     pref = 1.0
     for m in mu:

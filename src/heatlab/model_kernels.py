@@ -22,6 +22,10 @@ coth(t lambda / 2) versus coth(t lambda); only the latter satisfies the
 heat equation (both are Hermitian-symmetric), and it is the default.  The
 rejected reading is kept behind the ``quadratic_reading`` switch for the
 residual diagnostic.
+
+Degeneracy follows ``geometry.heat_factor``: |lambda| below
+``defaults.DEGENERACY_THRESHOLD`` takes the lambda = 0 (Euclidean) branch, so
+tiny or subnormal eigenvalues never reach the 1/(1 - e^{-t lambda}) forms.
 """
 
 from dataclasses import dataclass
@@ -29,7 +33,7 @@ from typing import Literal, Tuple
 
 import numpy as np
 
-from . import fiber
+from . import defaults, fiber
 from .errors import ArgumentError, InvariantViolation
 
 __all__ = [
@@ -110,7 +114,7 @@ def _check_time(t: float) -> None:
 def _mehler_factor_log(lam: float, t: float, zj: complex, wj: complex,
                        reading: QuadraticReading) -> Tuple[float, complex]:
     """(log prefactor, exponent) of one Lebesgue-normalized Mehler factor."""
-    if lam == 0.0:
+    if abs(lam) < defaults.DEGENERACY_THRESHOLD:
         return -np.log(2.0 * np.pi * t), -abs(zj - wj) ** 2 / (2.0 * t)
     x = t * lam
     # lam / (pi (1 - e^{-2x})) > 0 for either sign of lam
@@ -188,10 +192,10 @@ def model_diagonal(spec: ModelSpec, t: float) -> "FiberEndomorphism":
 
     prod_j  lam_j (1 + (e^{-t lam_j} - 1) Pi_j) / (2 pi (1 - e^{-t lam_j})),
 
-    where Pi_j projects onto multi-indices containing j; a lam_j = 0 factor
-    contributes 1/(2 pi t) times the identity.
+    where Pi_j projects onto multi-indices containing j; the scalar factor
+    is ``geometry.heat_factor`` (1/(2 pi t) at lam_j = 0).
     """
-    from .geometry import FiberEndomorphism
+    from .geometry import FiberEndomorphism, heat_factor
 
     _check_time(t)
     n, q = spec.n, spec.q
@@ -199,12 +203,7 @@ def model_diagonal(spec: ModelSpec, t: float) -> "FiberEndomorphism":
     diag = np.ones(dims)
     idx = fiber.multi_indices(n, q)
     for j, lam in enumerate(spec.lam):
-        if lam == 0.0:
-            scalar = 1.0 / (2.0 * np.pi * t)
-            diag = diag * scalar
-            continue
-        scalar = lam / (2.0 * np.pi * (-np.expm1(-t * lam)))
         decay = np.exp(-t * lam)
         factor = np.array([decay if j in J else 1.0 for J in idx])
-        diag = diag * scalar * factor
+        diag = diag * heat_factor(lam, t) * factor
     return FiberEndomorphism(n, q, np.diag(diag))

@@ -129,10 +129,10 @@ class DiscreteOperator:
                 f"assembled operator not Hermitian: {herm:.3e} vs scale {scale:.3e}"
             )
         self.matrix = a
-        # Spectral caches: the dense eigensystem and eigenvalues (read by the
-        # dense-eigen propagator and exact traces only), and the banded
-        # Cholesky positivity certificates keyed by tolerance (the one input
-        # of spectral_bound_check).
+        # Spectral caches: the dense eigensystem and eigenvalues (filled only
+        # when the dense-eigen reference method is asked for: its propagator
+        # and exact traces), and the banded Cholesky positivity certificates
+        # keyed by tolerance (the one input of spectral_bound_check).
         self._eig = None
         self._eigvals = None
         self._psd_certificate = {}
@@ -145,16 +145,18 @@ class DiscreteOperator:
     def fiber_dim(self) -> int:
         return fiber.fiber_dim(self.grid.n, self.q)
 
+    def _dense(self) -> np.ndarray:
+        """The matrix as a dense array, guarded by the dense cap."""
+        if self.dim > defaults.DENSE_EIGEN_CAP:
+            raise ResourceLimitError(
+                f"dense eigensolve of dimension {self.dim} exceeds cap {defaults.DENSE_EIGEN_CAP}"
+            )
+        return self.matrix.toarray()
+
     def eigensystem(self):
-        """Dense eigendecomposition, cached; guarded by the dense cap."""
+        """Dense eigendecomposition (w, v), cached."""
         if self._eig is None:
-            if self.dim > defaults.DENSE_EIGEN_CAP:
-                raise ResourceLimitError(
-                    f"dense eigendecomposition of dimension {self.dim} exceeds "
-                    f"cap {defaults.DENSE_EIGEN_CAP}"
-                )
-            w, v = np.linalg.eigh(self.matrix.toarray())
-            self._eig = (w, v)
+            self._eig = tuple(np.linalg.eigh(self._dense()))
         return self._eig
 
     def eigenvalues(self):
@@ -162,12 +164,7 @@ class DiscreteOperator:
         if self._eig is not None:
             return self._eig[0]
         if self._eigvals is None:
-            if self.dim > defaults.DENSE_EIGEN_CAP:
-                raise ResourceLimitError(
-                    f"dense eigenvalues of dimension {self.dim} exceed "
-                    f"cap {defaults.DENSE_EIGEN_CAP}"
-                )
-            self._eigvals = np.linalg.eigvalsh(self.matrix.toarray())
+            self._eigvals = np.linalg.eigvalsh(self._dense())
         return self._eigvals
 
 
@@ -248,18 +245,19 @@ class _GridOperators:
         d1, d2 = _d1(s, h), _d2(s, h)
         self.first = [_place(d1, a, axes, s) for a in range(axes)]
         d4 = (d2 @ d2).tocsr()
-        self.stab_1d = (d4.T @ d4).tocsr()
-        self.stab_axes = [_place(self.stab_1d, a, axes, s) for a in range(axes)]
+        stab = (d4.T @ d4).tocsr()
+        self.stab_axes = [_place(stab, a, axes, s) for a in range(axes)]
         self.z = grid.site_coordinates()
 
     def dzbar(self, j: int) -> sp.csr_matrix:
         return 0.5 * (self.first[2 * j] + 1j * self.first[2 * j + 1])
 
-    def stabilizer(self, coeff: float) -> sp.csr_matrix:
-        h = self.grid.spacing
-        out = coeff * h**6 * self.stab_axes[0]
+    def stabilizer(self) -> sp.csr_matrix:
+        """The ghost stabilizer sigma * h^6 * sum_a D4_a^T D4_a."""
+        coeff = defaults.GHOST_STABILIZER * self.grid.spacing**6
+        out = coeff * self.stab_axes[0]
         for a in range(1, 2 * self.grid.n):
-            out = out + coeff * h**6 * self.stab_axes[a]
+            out = out + coeff * self.stab_axes[a]
         return out.tocsr()
 
     def model_factor(self, j: int, lam: float) -> sp.csr_matrix:
@@ -268,7 +266,7 @@ class _GridOperators:
 
 
 def _scalar_model_part(ops: _GridOperators, lam) -> sp.csr_matrix:
-    out = ops.stabilizer(defaults.GHOST_STABILIZER)
+    out = ops.stabilizer()
     for j, lj in enumerate(lam):
         c = ops.model_factor(j, lj)
         out = out + c.getH() @ c
@@ -424,7 +422,7 @@ def assemble_scaled(weight: WeightFunction, pert: Optional[PerturbationSpec],
         a = a + sp.kron(sp.diags(pi_j), delta)
 
     # Stabilizer on every fiber component.
-    a = a + sp.kron(sp.identity(dq), ops.stabilizer(defaults.GHOST_STABILIZER))
+    a = a + sp.kron(sp.identity(dq), ops.stabilizer())
 
     # Optional adjoint zero-order terms (Hermitian part; see README): the
     # contractions iota_j alpha_j / sqrt(k) into and out of degree q.

@@ -1,8 +1,10 @@
 """Heat semigroup actions e^{-tA}v, kernel diagonals, traces, spectral
 bound checks, and the k-convergence experiment.
 
-Two propagators are provided: a dense eigendecomposition (exact up to
-rounding, cached on the operator) and a Lanczos/Krylov propagator.
+The Lanczos/Krylov propagator is the default at every size: approximating
+e^{-tA}v needs no size threshold (Hochbruck & Lubich, SINUM 1997).  A dense
+eigendecomposition (exact up to rounding, cached on the operator) runs only
+when asked for, as the reference.
 
 The Lanczos relation A V_m = V_m T_m + beta_m v_{m+1} e_m^T does not
 depend on t, so one basis per start vector serves every requested time:
@@ -31,7 +33,7 @@ A band above defaults.BAND_CHOLESKY_MAX_BYTES raises ResourceLimitError.
 """
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from numbers import Integral, Real
 from typing import NamedTuple, Optional, Sequence
 
@@ -61,20 +63,20 @@ __all__ = [
     "model_baseline_errors",
 ]
 
-_VARIANTS = ("auto", "dense-eigen", "krylov")
+_VARIANTS = ("dense-eigen", "krylov")
 
 
 @dataclass(frozen=True)
 class SemigroupMethod:
-    """Propagator selection: dense-eigen, krylov, or auto (dense-eigen up to
-    dimension ``defaults.DENSE_AUTO_LIMIT``, krylov above it).
+    """Propagator selection: krylov (the default, used whenever no method
+    is given) or dense-eigen (the exact reference, run only when asked for).
 
     ``krylov_dim`` (an integer >= 1) caps the Lanczos basis built per
     restart, and ``krylov_tol`` (a number > 0) bounds the a-posteriori
     error estimate of each e^{-tA}v relative to its norm (see the module
-    docstring for the shared basis and the restart rule); both also hold
-    when auto selects krylov.  Dense-eigen is limited to dimension
-    ``defaults.DENSE_EIGEN_CAP`` by ``DiscreteOperator.eigensystem``.
+    docstring for the shared basis and the restart rule).  Dense-eigen is
+    limited to dimension ``defaults.DENSE_EIGEN_CAP`` by
+    ``DiscreteOperator.eigensystem``.
     """
 
     variant: str = "krylov"
@@ -89,15 +91,6 @@ class SemigroupMethod:
             raise ArgumentError(f"krylov_dim must be an integer >= 1, got {dim!r}")
         if isinstance(tol, bool) or not isinstance(tol, Real) or not tol > 0:
             raise ArgumentError(f"krylov_tol must be a number > 0, got {tol!r}")
-
-
-def _select(method: Optional[SemigroupMethod], dim: int) -> SemigroupMethod:
-    """The propagator that ``method`` (None: auto) selects for an operator of
-    dimension ``dim``."""
-    method = method or SemigroupMethod("auto")
-    if method.variant != "auto":
-        return method
-    return replace(method, variant="dense-eigen" if dim <= defaults.DENSE_AUTO_LIMIT else "krylov")
 
 
 # Lanczos steps between evaluations of the error estimate: each evaluation
@@ -210,8 +203,9 @@ def _krylov_times(matrix, v, ts, method: SemigroupMethod) -> np.ndarray:
     )
 
 
-def _propagate(op: DiscreteOperator, v, ts, method: SemigroupMethod) -> np.ndarray:
-    """e^{-tA}v for every positive t in ts, as rows in the order of ts."""
+def _propagate(op: DiscreteOperator, v, ts, method: Optional[SemigroupMethod]) -> np.ndarray:
+    """e^{-tA}v for every positive t in ts, as rows in the order of ts (None: Krylov)."""
+    method = method or SemigroupMethod()
     if method.variant == "krylov":
         return _krylov_times(op.matrix, v, ts, method)
     w, vecs = op.eigensystem()
@@ -229,13 +223,13 @@ def _positive_times(ts) -> list:
 
 def heat_apply(op: DiscreteOperator, v, t: float,
                method: Optional[SemigroupMethod] = None) -> np.ndarray:
-    """e^{-tA} v by the selected propagator (a copy of v at t = 0)."""
+    """e^{-tA} v by ``method`` (default Krylov; a copy of v at t = 0)."""
     v = np.asarray(v, dtype=complex)
     if v.shape != (op.dim,):
         raise ArgumentError(f"vector must have shape ({op.dim},)")
     if t == 0:
         return v.copy()
-    return _propagate(op, v, _positive_times([t]), _select(method, op.dim))[0]
+    return _propagate(op, v, _positive_times([t]), method)[0]
 
 
 def kernel_diagonals(op: DiscreteOperator, site, ts: Sequence[float],
@@ -252,13 +246,6 @@ def kernel_diagonals(op: DiscreteOperator, site, ts: Sequence[float],
     grid = op.grid
     flat = grid.flat_index(site)
     rows = [b * grid.sites + flat for b in range(op.fiber_dim)]
-    method = _select(method, op.dim)
-    if method.variant == "dense-eigen":
-        w, vecs = op.eigensystem()
-        at = vecs[rows, :]
-        return [FiberEndomorphism(grid.n, op.q,
-                                  (at * np.exp(-t * w)) @ at.conj().T / grid.dv_cell)
-                for t in ts]
     out = np.empty((len(ts), len(rows), len(rows)), dtype=complex)
     for b, row in enumerate(rows):
         delta = np.zeros(op.dim, dtype=complex)
@@ -285,12 +272,12 @@ def heat_traces(op: DiscreteOperator, ts: Sequence[float],
                 method: Optional[SemigroupMethod] = None,
                 seed: Optional[int] = None,
                 probes: int = defaults.TRACE_PROBES) -> list:
-    """Traces of e^{-tA}, one per t in ts, in the order of ts: exact
-    eigenvalue sums on the dense path, Hutchinson estimation with ``probes``
-    (at least 2) Rademacher probes from ``seed`` otherwise.  Every t uses
-    the same probes, and each probe is propagated once for all of ts."""
+    """Traces of e^{-tA}, one per t in ts, in the order of ts: by default
+    Hutchinson estimation with ``probes`` (at least 2) Rademacher probes
+    from ``seed`` (then required), exact eigenvalue sums under dense-eigen.
+    Every t uses the same probes, each propagated once for all of ts."""
     ts = _positive_times(ts)
-    method = _select(method, op.dim)
+    method = method or SemigroupMethod()
     if method.variant == "dense-eigen":
         w = op.eigenvalues()
         return [TraceEstimate(float(np.sum(np.exp(-t * w))), 0.0, 0, "dense-eigen")
@@ -400,7 +387,6 @@ class ConvergenceRow:
     value: np.ndarray
     model: np.ndarray
     abs_err: float
-    err_sqrtk: float
 
 
 @dataclass(frozen=True)
@@ -460,8 +446,7 @@ def converge_in_k(weight: WeightFunction, pert: Optional[PerturbationSpec],
             diag = diag.matrix
             target = spec_targets[t]
             err = float(np.max(np.abs(diag - target)))
-            rows.append(ConvergenceRow(k, float(t), diag, target, err,
-                                       err * float(np.sqrt(k))))
+            rows.append(ConvergenceRow(k, float(t), diag, target, err))
     return ConvergenceReport(weight.n, q, tuple(rows))
 
 

@@ -26,6 +26,7 @@ import numpy as np
 from . import defaults
 from .errors import AccuracyError, ArgumentError, InvariantViolation
 from .geometry import CurvatureEndomorphism, CurvatureField, morse_bound
+from .model_kernels import _check_time
 
 __all__ = [
     "EllipticCurveBundle",
@@ -124,8 +125,7 @@ def landau_spectrum(bundle: EllipticCurveBundle, k: int, q: int, cutoff: int) ->
 def heat_trace_exact(bundle: EllipticCurveBundle, k: int, q: int, t: float) -> float:
     """Closed-form trace of e^{-(t/k) box^q_k}: geometric series over levels."""
     _check_kq(bundle, k, q)
-    if t <= 0:
-        raise ArgumentError("t must be positive")
+    _check_time(t)
     if bundle.degree < 0:
         return heat_trace_exact(bundle.dual(), k, 1 - q, t)
     lam = bundle.lambda_scalar
@@ -139,8 +139,7 @@ def heat_trace_truncated(bundle: EllipticCurveBundle, k: int, q: int, t: float,
                          cutoff: int, rtol: float = 1e-12) -> float:
     """Trace from the truncated spectrum table; errors out when the geometric
     tail exceeds the requested relative accuracy."""
-    if t <= 0:
-        raise ArgumentError("t must be positive")
+    _check_time(t)
     table = landau_spectrum(bundle, k, q, cutoff)
     # t * lambda of the dual (positive-degree) model governs the tail
     x = t * 2.0 * np.pi * abs(bundle.degree) / bundle.area
@@ -187,6 +186,7 @@ def morse_trace_inequality(bundle: EllipticCurveBundle, k: int, q: int, t: float
     inequality lhs <= rhs holds for every t, with equality at q = n = 1.
     """
     _check_kq(bundle, k, q)
+    _check_time(t)
     dims = riemann_roch_dims(k, bundle.degree)
     lhs = sum((-1) ** (q - j) * dims[j] for j in range(q + 1))
     rhs = sum((-1) ** (q - j) * heat_trace_exact(bundle, k, j, t) for j in range(q + 1))
@@ -238,6 +238,7 @@ def product_torus_morse(b1: EllipticCurveBundle, b2: EllipticCurveBundle,
         raise ArgumentError("q must be in {0, 1, 2} on a product of curves")
     if k < 1:
         raise ArgumentError("k must be a positive integer")
+    _check_time(t)
     dims = _kunneth_dims(b1, b2, k)
     lhs = sum((-1) ** (q - j) * dims[j] for j in range(q + 1))
 

@@ -121,6 +121,7 @@ ORACLE_CFG = {
     (MODEL_KERNEL_CFG, {"output": "manifest.json"}, "'output'"),
     (MODEL_KERNEL_CFG, {"output": "../escaped.csv"}, "'output'"),
     (MODEL_KERNEL_CFG, {"output": ".."}, "'output'"),
+    (CONVERGE_CFG, {"method": {"variant": "auto"}}, "'method.variant'"),
 ])
 def test_malformed_value_exits_2_naming_field(tmp_path, capsys, base, change, field):
     path = _write(tmp_path, "bad.json", {**base, **change})
@@ -133,7 +134,7 @@ def test_validate_fills_defaults():
     from heatlab import defaults
 
     cfg = validate_config(dict(CONVERGE_CFG))
-    assert cfg["method"] == {"variant": "auto", "krylov_dim": defaults.KRYLOV_DIM,
+    assert cfg["method"] == {"variant": "krylov", "krylov_dim": defaults.KRYLOV_DIM,
                              "krylov_tol": defaults.KRYLOV_TOL}
     assert cfg["weight_perturbation"] == cfg["metric_perturbation"] == {"kind": "zero",
                                                                           "amplitude": 0.0}
@@ -169,10 +170,9 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     assert "cap" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("variant", ["krylov", "auto"])
+@pytest.mark.parametrize("variant", ["krylov"])
 def test_krylov_failure_reports_residual_once(tmp_path, capsys, variant):
-    # dim 3721 > DENSE_AUTO_LIMIT, so auto selects Krylov and must honour
-    # its one-vector basis, which cannot converge
+    # a one-vector basis cannot converge on the dim-3721 operator
     cfg = {
         "experiment": "converge", "n": 1, "lambda": [1.0], "q": 0,
         "k_list": [4], "t_list": [1.0], "grid": {"radius": 3.0, "spacing": 0.1},

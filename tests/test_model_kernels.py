@@ -183,6 +183,20 @@ def test_weighted_kernel_examples():
     )
 
 
+@pytest.mark.parametrize("lam", [5e-324, -5e-324, 1e-320, 1e-12])
+@pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+def test_tiny_curvature_takes_the_flat_branch(lam, t):
+    # below the degeneracy threshold 0.5 * t * lam may underflow to 0, so
+    # the closed forms would divide by zero or lose every digit
+    z, w = np.array([0.3 - 0.2j]), np.array([-0.1 + 0.4j])
+    for q in (0, 1):
+        tiny, flat = ModelSpec(1, (lam,), q), ModelSpec(1, (0.0,), q)
+        for got, ref in ((model_kernel(tiny, t, z, w).value, model_kernel(flat, t, z, w).value),
+                         (model_diagonal(tiny, t).matrix, model_diagonal(flat, t).matrix)):
+            assert np.all(np.isfinite(got))
+            np.testing.assert_allclose(got, ref, rtol=1e-6, atol=0)
+
+
 # ---------------------------------------------------------------------------
 # model_diagonal
 

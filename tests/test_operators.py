@@ -275,7 +275,7 @@ def _ref_wedge_term_coefficients(pert, y, n):
     return w
 
 
-def _reference_assemble_scaled(weight, pert, k, grid, q, stabilizer=defaults.GHOST_STABILIZER):
+def _reference_assemble_scaled(weight, pert, k, grid, q):
     from heatlab import fiber
     from heatlab.operators import _GridOperators
 
@@ -374,7 +374,7 @@ def _reference_assemble_scaled(weight, pert, k, grid, q, stabilizer=defaults.GHO
         c0 = ops.model_factor(j, lam[j])
         comm = (c0 @ c0.getH() - c0.getH() @ c0).tocsr()
         a = a + sp.kron(sp.diags(pi_j), (lam[j] * sp.identity(sites) - comm).tocsr())
-    a = a + sp.kron(sp.identity(dq), ops.stabilizer(stabilizer))
+    a = a + sp.kron(sp.identity(dq), ops.stabilizer())
     if pert.alpha is not None:
         alpha = np.empty((sites, n), dtype=complex)
         for i in range(sites):

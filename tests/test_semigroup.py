@@ -55,6 +55,7 @@ def test_identity_at_tiny_time():
 @pytest.mark.parametrize("bad", [
     {"variant": "crank-nicolson"}, {"krylov_dim": 0}, {"krylov_dim": "x"},
     {"krylov_dim": True}, {"krylov_tol": -1}, {"krylov_tol": float("nan")},
+    {"variant": "auto"},
 ])
 def test_method_rejects_malformed_settings(bad):
     with pytest.raises(ArgumentError):
@@ -92,6 +93,26 @@ def test_semigroup_law(pair):
         two_step = heat_apply(op, heat_apply(op, v, s, method), t, method)
         one_step = heat_apply(op, v, s + t, method)
         assert np.linalg.norm(two_step - one_step) / np.linalg.norm(one_step) < tol
+
+
+def test_default_method_never_diagonalises(monkeypatch):
+    # dense-eigen is a reference run only when asked for, at every size
+    grid = GridSpec(1, 4.0, 0.4)
+    op = assemble_model(ModelSpec(1, (1.0,), 1), grid)
+    assert op.dim == 441
+
+    def boom():
+        raise AssertionError("dense eigensolve without a dense-eigen method")
+
+    monkeypatch.setattr(op, "eigensystem", boom)
+    monkeypatch.setattr(op, "eigenvalues", boom)
+    v = np.ones(op.dim, dtype=complex)
+    krylov = SemigroupMethod("krylov")
+    np.testing.assert_array_equal(heat_apply(op, v, 0.8), heat_apply(op, v, 0.8, krylov))
+    got = kernel_diagonals(op, grid.origin_site(), [0.5, 1.0])
+    ref = kernel_diagonals(op, grid.origin_site(), [0.5, 1.0], krylov)
+    for a, b in zip(got, ref):
+        np.testing.assert_array_equal(a.matrix, b.matrix)
 
 
 def test_dense_cap_enforced():
@@ -362,31 +383,31 @@ def test_bound_rejects_indefinite():
 
 @pytest.fixture(scope="module")
 def sparse_model_op():
-    """A sparse-path n=1 operator (dim 2601) and its smallest eigenvalue."""
+    """An n=1 operator (dim 2601) and its smallest eigenvalue."""
     op = assemble_model(ModelSpec(1, (1.0,), 0), GridSpec(1, 4.0, 0.16))
-    assert op.dim > defaults.DENSE_AUTO_LIMIT
+    assert op.dim == 2601
     lam_min = float(np.linalg.eigvalsh(op.matrix.toarray())[0])
     return op, lam_min
 
 
 @pytest.fixture(scope="module")
 def dense_model_op():
-    """An operator within the dense limit (dim 441) and its smallest eigenvalue."""
+    """A small n=1 operator (dim 441) and its smallest eigenvalue."""
     op = assemble_model(ModelSpec(1, (1.0,), 0), GridSpec(1, 4.0, 0.4))
-    assert op.dim <= defaults.DENSE_AUTO_LIMIT
+    assert op.dim == 441
     return op, float(np.linalg.eigvalsh(op.matrix.toarray())[0])
 
 
 @pytest.fixture(scope="module")
 def sparse_model_op_n2():
-    """A sparse-path n=2 operator (dim 2401) and its smallest eigenvalue.
+    """An n=2 operator (dim 2401) and its smallest eigenvalue.
 
     The q=0 model is the Kronecker sum of the two n=1 models on 7 x 7
     grids, so its smallest eigenvalue is the sum of theirs.
     """
     lam = (1.0, 0.5)
     op = assemble_model(ModelSpec(2, lam, 0), GridSpec(2, 1.5, 0.5))
-    assert op.dim > defaults.DENSE_AUTO_LIMIT
+    assert op.dim == 2401
     f1, f2 = (assemble_model(ModelSpec(1, (lj,), 0), GridSpec(1, 1.5, 0.5)).matrix
               for lj in lam)
     kron_sum = sp.kron(f1, sp.identity(f2.shape[0])) + sp.kron(sp.identity(f1.shape[0]), f2)
@@ -442,11 +463,11 @@ def test_certificate_resolves_tolerance(request, monkeypatch, case, target, pass
 
 
 def test_verdict_ignores_cached_eigensystem(monkeypatch):
-    # above the dense limit and with max|w| ~ 68, so a spectrum scan scaled
-    # by max(1, max|w|) would accept lambda_min = -10 tol once the dense
-    # eigensystem is cached; the certificate rejects it either way
+    # dim 1681 with max|w| ~ 68, so a spectrum scan scaled by max(1, max|w|)
+    # would accept lambda_min = -10 tol once the dense eigensystem is
+    # cached; the certificate rejects it either way
     op = assemble_model(ModelSpec(1, (1.0,), 0), GridSpec(1, 4.0, 0.2))
-    assert op.dim > defaults.DENSE_AUTO_LIMIT
+    assert op.dim == 1681
     tol = 1e-8
     lam_min = float(np.linalg.eigvalsh(op.matrix.toarray())[0])
     calls = _count_band_factorisations(monkeypatch)
@@ -487,7 +508,7 @@ def test_band_above_cap_raises_resource_limit(sparse_model_op, monkeypatch):
 def test_bound_n2_certifies_with_one_band(monkeypatch, q):
     grid = GridSpec(2, 1.5, 0.5)  # 7^4 = 2401 sites
     op = assemble_model(ModelSpec(2, (1.0, 0.5), q), grid)
-    assert op.dim == fiber_dim(2, q) * grid.sites > defaults.DENSE_AUTO_LIMIT
+    assert op.dim == fiber_dim(2, q) * grid.sites == (2401, 4802)[q]
     _forbid_arpack(monkeypatch)
     calls = _count_band_factorisations(monkeypatch)
     for n_power in (2, 0):
@@ -518,8 +539,8 @@ def test_k_list_must_increase():
 
 def test_report_rows_sorted_and_nonnegative():
     rows = (
-        ConvergenceRow(4, 1.0, np.ones((1, 1)), np.ones((1, 1)), 0.1, 0.2),
-        ConvergenceRow(2, 1.0, np.ones((1, 1)), np.ones((1, 1)), 0.1, 0.2),
+        ConvergenceRow(4, 1.0, np.ones((1, 1)), np.ones((1, 1)), 0.1),
+        ConvergenceRow(2, 1.0, np.ones((1, 1)), np.ones((1, 1)), 0.1),
     )
     from heatlab.errors import InvariantViolation
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from heatlab.errors import AccuracyError, ArgumentError
-from heatlab.geometry import CurvatureEndomorphism, asymptotic_diagonal
+from heatlab.geometry import CurvatureEndomorphism, asymptotic_diagonal, heat_factor
 from heatlab.torus import (
     EllipticCurveBundle,
     heat_trace_exact,
@@ -23,6 +23,25 @@ def test_bundle_identity_lambda_area():
         EllipticCurveBundle(1.0 - 0.5j, 1)
     with pytest.raises(ArgumentError):
         EllipticCurveBundle(1j, 0)
+
+
+_B1, _B2 = EllipticCurveBundle(1j, 2), EllipticCurveBundle(1j, -3)
+_CLOSED_FORMS = {
+    "heat_factor": lambda t: heat_factor(1.0, t),
+    "asymptotic_diagonal": lambda t: asymptotic_diagonal(CurvatureEndomorphism.diagonal([1.0]),
+                                                         0, t),
+    "heat_trace_exact": lambda t: heat_trace_exact(_B1, 1, 0, t),
+    "heat_trace_truncated": lambda t: heat_trace_truncated(_B1, 1, 0, t, 40),
+    "morse_trace_inequality": lambda t: morse_trace_inequality(_B1, 1, 0, t),
+    "product_torus_morse": lambda t: product_torus_morse(_B1, _B2, 1, 0, t),
+}
+
+
+@pytest.mark.parametrize("entry", list(_CLOSED_FORMS))
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -1.0])
+def test_closed_forms_reject_bad_time(entry, t):
+    with pytest.raises(ArgumentError, match="finite and positive"):
+        _CLOSED_FORMS[entry](t)
 
 
 # ---------------------------------------------------------------------------
