@@ -1,8 +1,9 @@
 """Time heatlab layers at fixed sizes and write the medians and quartiles
 to a JSON file.
 
-Cases (each repeat times one call of the case's work, after one untimed
-warm-up; set-up that a case needs runs untimed before every repeat):
+Cases (each repeat is one fresh process: it runs the case's set-up and one
+untimed warm-up call, then times one call of the case's work on a fresh
+set-up):
 
 - ``n1``: ``assemble_scaled`` with n = 1, lambda = 1, q = 0, k = 16 on the
   grid of radius 6 and spacing 0.1 (14 641 sites), weight perturbation
@@ -16,22 +17,31 @@ warm-up; set-up that a case needs runs untimed before every repeat):
 - ``bound_n2``: the same 12 checks on a fresh model operator with n = 2,
   lambda = (1, 0.5), q = 1 on the grid of radius 1.5 and spacing 0.5
   (2 401 sites, dimension 4 802);
+- ``diag_n1``: ``kernel_diagonals`` at the origin for t = 0.5 and 1 on a
+  fresh model operator with n = 1, lambda = 1, q = 1 on the grid of
+  radius 5 and spacing 0.1 (10 201 sites);
+- ``trace_n1``: ``heat_traces`` with Krylov and the probes, seed and times
+  of ``configs/trace_stochastic.json`` on a fresh model operator of that
+  config (1 089 sites, 64 probes);
 - ``oracle_32_64`` and ``oracle_48_96``: ``validate_landau_levels`` for
   the degree-1 bundle on tau = i at k = 3 with 10 eigenvalues, at
   resolutions (32, 64) and (48, 96).
 
 Usage:
     python bench/run.py --out BENCH_<n>.json [--repeats 7] [--threads 1]
-                        [--baseline OTHER.json]
+                        [--baseline-root TREE]
 
-``--baseline`` embeds an earlier report of this script (for example one
-written from a checkout of the parent commit) under "baseline" and prints
-the ratio of the medians.  The BLAS thread variables are set to
-``--threads`` before numpy loads.  The output records the git sha
-(suffixed "-dirty" for uncommitted changes), the total line count of
-``src/heatlab/*.py`` (``src_lines``), the Python, numpy and scipy
-versions, nproc, the thread count OpenBLAS reports and the process's OS
-thread count after the imports.
+``--baseline-root`` names another checkout (for example one of the parent
+commit).  Each repeat of a case then runs once against TREE/src and once
+against this tree's src, alternating which runs first, with the same
+thread settings, so that drift of the host between the two sides reaches
+both alike.  Its medians go under "baseline", and the report counts the
+repeats this tree won.  The BLAS thread variables are set to ``--threads``
+for every process.  The output records the git sha (suffixed "-dirty" for
+uncommitted changes), the total line count of ``src/heatlab/*.py``
+(``src_lines``), the Python, numpy and scipy versions, nproc, the thread
+count OpenBLAS reports and the process's OS thread count after the
+imports.
 """
 
 import argparse
@@ -49,20 +59,20 @@ ROOT = Path(__file__).resolve().parent.parent
 _THREAD_ENV_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _git_sha():
-    """HEAD's sha, suffixed "-dirty" when the working tree has changes."""
+def _git_sha(root):
+    """The sha of root's HEAD, suffixed "-dirty" when its working tree has changes."""
     try:
         out = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=40"],
-                             cwd=ROOT, capture_output=True, text=True, timeout=10)
+                             cwd=root, capture_output=True, text=True, timeout=10)
     except (OSError, subprocess.TimeoutExpired):
         return None
     return out.stdout.strip() or None
 
 
-def _src_lines():
+def _src_lines(root):
     """Total line count of the package sources measured."""
     return sum(len(path.read_text(encoding="utf-8").splitlines())
-               for path in (ROOT / "src" / "heatlab").glob("*.py"))
+               for path in (root / "src" / "heatlab").glob("*.py"))
 
 
 def _os_threads():
@@ -112,14 +122,25 @@ def _cases():
     def assemble(weight, pert, k, grid, q):
         return lambda: None, lambda _: ops.assemble_scaled(weight, pert, k, grid, q)
 
-    def bound(spec, grid):
-        def checks(op):
-            for n_power in range(4):
-                for t in (0.5, 1.0, 2.0):
-                    semigroup.spectral_bound_check(op, t, n_power)
-            return op
+    def model(spec, grid):
+        return lambda: ops.assemble_model(spec, grid)
 
-        return lambda: ops.assemble_model(spec, grid), checks
+    def bound_checks(op):
+        for n_power in range(4):
+            for t in (0.5, 1.0, 2.0):
+                semigroup.spectral_bound_check(op, t, n_power)
+        return op
+
+    def diagonals(op):
+        semigroup.kernel_diagonals(op, op.grid.origin_site(), (0.5, 1.0))
+        return op
+
+    cfg = json.loads((ROOT / "configs" / "trace_stochastic.json").read_text(encoding="utf-8"))
+
+    def traces(op):
+        semigroup.heat_traces(op, cfg["t_list"], semigroup.SemigroupMethod("krylov"),
+                              seed=cfg["seed"], probes=cfg["probes"])
+        return op
 
     def oracle(resolutions):
         bundle = torus.EllipticCurveBundle(1j, 1)
@@ -130,8 +151,12 @@ def _cases():
                        ops.PerturbationSpec(r=r11), 16, ops.GridSpec(1, 6.0, 0.1), 0),
         "n2": assemble(geo.WeightFunction(2, (1.0, -0.5)), ops.PerturbationSpec(r=r_frame), 16,
                        ops.GridSpec(2, 2.0, 0.5), 1),
-        "bound_n1": bound(ModelSpec(1, (1.0,), 0), ops.GridSpec(1, 5.0, 0.1)),
-        "bound_n2": bound(ModelSpec(2, (1.0, 0.5), 1), ops.GridSpec(2, 1.5, 0.5)),
+        "bound_n1": (model(ModelSpec(1, (1.0,), 0), ops.GridSpec(1, 5.0, 0.1)), bound_checks),
+        "bound_n2": (model(ModelSpec(2, (1.0, 0.5), 1), ops.GridSpec(2, 1.5, 0.5)), bound_checks),
+        "diag_n1": (model(ModelSpec(1, (1.0,), 1), ops.GridSpec(1, 5.0, 0.1)), diagonals),
+        "trace_n1": (model(ModelSpec(cfg["n"], tuple(cfg["lambda"]), cfg["q"]),
+                           ops.GridSpec(cfg["n"], cfg["grid"]["radius"], cfg["grid"]["spacing"])),
+                     traces),
         "oracle_32_64": oracle((32, 64)),
         "oracle_48_96": oracle((48, 96)),
     }
@@ -144,46 +169,86 @@ def _describe(result):
     return {"levels": len(result.levels), "all_match": result.all_match}
 
 
+def _worker(src, name):
+    """Time one repeat of case ``name`` against the package sources in src and
+    print the seconds and the case's size fields as one JSON line."""
+    sys.path.insert(0, src)
+    setup, work = _cases()[name]
+    info = _describe(work(setup()))
+    arg = setup()
+    start = time.perf_counter()
+    work(arg)
+    print(json.dumps({"s": time.perf_counter() - start, "info": info}))
+
+
+def _repeat(root, name, env):
+    """One fresh worker process timing case ``name`` against root's sources."""
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--worker", str(root / "src"), name]
+    out = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    if out.returncode != 0:
+        sys.exit(f"case {name} failed against {root}:\n{out.stderr}")
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def _summary(info, samples):
+    import numpy as np
+
+    q1, med, q3 = np.percentile(samples, [25, 50, 75])
+    return {**info, "median_s": med, "iqr_s": q3 - q1, "q1_s": q1, "q3_s": q3,
+            "samples_s": samples}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--out", required=True, help="JSON file to write")
+    parser.add_argument("--out", help="JSON file to write (required)")
     parser.add_argument("--repeats", type=int, default=7, help="timed calls per case (>= 5)")
     parser.add_argument("--threads", type=int, default=1, help="BLAS thread count")
-    parser.add_argument("--baseline", help="earlier report of this script to embed")
+    parser.add_argument("--baseline-root", help="checkout to time alternately with this tree")
+    parser.add_argument("--worker", nargs=2, metavar=("SRC", "CASE"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    if args.worker:
+        return _worker(*args.worker)
+    if not args.out:
+        parser.error("--out is required")
     if args.repeats < 5:
         parser.error("--repeats must be at least 5")
     if args.threads < 1:
         parser.error("--threads must be at least 1")
-    baseline = None
-    if args.baseline:
-        baseline = json.loads(Path(args.baseline).read_text(encoding="utf-8"))
+    trees = {"change": ROOT}
+    if args.baseline_root:
+        base = Path(args.baseline_root).resolve()
+        if not (base / "src" / "heatlab").is_dir():
+            parser.error(f"--baseline-root {base} has no src/heatlab")
+        trees = {"baseline": base, "change": ROOT}
     for var in _THREAD_ENV_VARS:
         os.environ[var] = str(args.threads)
-    sys.path.insert(0, str(ROOT / "src"))
+    sys.path.insert(0, str(ROOT / "src"))  # _cases() names the cases
     import numpy as np
     import scipy
 
-    results = {}
-    for name, (setup, work) in _cases().items():
-        info = _describe(work(setup()))
-        samples = []
-        for _ in range(args.repeats):
-            arg = setup()
-            start = time.perf_counter()
-            work(arg)
-            samples.append(time.perf_counter() - start)
-        q1, med, q3 = np.percentile(samples, [25, 50, 75])
-        results[name] = {**info, "median_s": med, "iqr_s": q3 - q1, "q1_s": q1, "q3_s": q3,
-                         "samples_s": samples}
-        line = f"{name}: median {med:.3f} s, IQR {q3 - q1:.3f} s over {args.repeats} repeats {info}"
-        if baseline and name in baseline["cases"]:
-            line += f"; baseline median {baseline['cases'][name]['median_s']:.3f} s"
+    results = {side: {} for side in trees}
+    for name in _cases():
+        samples = {side: [] for side in trees}
+        for i in range(args.repeats):
+            for side in (list(trees) if i % 2 == 0 else list(trees)[::-1]):
+                rep = _repeat(trees[side], name, dict(os.environ))
+                samples[side].append(rep["s"])
+                info = rep["info"]
+        for side in trees:
+            results[side][name] = _summary(info, samples[side])
+        ours = results["change"][name]
+        line = (f"{name}: median {ours['median_s']:.3f} s, IQR {ours['iqr_s']:.3f} s "
+                f"over {args.repeats} repeats {info}")
+        if "baseline" in trees:
+            theirs = results["baseline"][name]
+            ours["wins"] = int(np.sum(np.array(samples["change"]) < samples["baseline"]))
+            line += (f"; baseline median {theirs['median_s']:.3f} s, IQR {theirs['iqr_s']:.3f} s;"
+                     f" this tree faster in {ours['wins']}/{args.repeats} pairs")
         print(line, flush=True)
     report = {
         "benchmark": "heatlab layers",
-        "git_sha": _git_sha(),
-        "src_lines": _src_lines(),
+        "git_sha": _git_sha(ROOT),
+        "src_lines": _src_lines(ROOT),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
@@ -191,12 +256,13 @@ def main(argv=None):
         "threads": {"requested": args.threads, "openblas": _openblas_threads(),
                     "os_threads": _os_threads()},
         "repeats": args.repeats,
-        "cases": results,
+        "cases": results["change"],
     }
     line = f"src_lines: {report['src_lines']}"
-    if baseline is not None:
-        report["baseline"] = baseline
-        line += f"; baseline {baseline.get('src_lines')}"
+    if "baseline" in trees:
+        report["baseline"] = {"git_sha": _git_sha(base),
+                              "src_lines": _src_lines(base), "cases": results["baseline"]}
+        line += f"; baseline {report['baseline']['src_lines']}"
     print(line)
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {args.out}")

@@ -337,11 +337,8 @@ def _run_trace(cfg: dict, out: Path):
     spec = ModelSpec(cfg["n"], tuple(cfg["lambda"]), cfg["q"])
     op = assemble_model(spec, GridSpec(cfg["n"], cfg["grid"]["radius"], cfg["grid"]["spacing"]))
     ts = cfg["t_list"]
-    if cfg["stochastic"]:
-        ests = heat_traces(op, ts, SemigroupMethod("krylov"), seed=cfg["seed"],
-                           probes=cfg["probes"])
-    else:
-        ests = heat_traces(op, ts, SemigroupMethod("dense-eigen"))
+    method = SemigroupMethod("krylov" if cfg["stochastic"] else "dense-eigen")
+    ests = heat_traces(op, ts, method, seed=cfg["seed"], probes=cfg["probes"])
     rows = [[_fmt(t), _fmt(est.value), _fmt(est.stderr), est.probes, est.method]
             for t, est in zip(ts, ests)]
     _write_csv(out, ["t", "value", "stderr", "probes", "method"], rows)

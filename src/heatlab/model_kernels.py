@@ -24,8 +24,8 @@ rejected reading is kept behind the ``quadratic_reading`` switch for the
 residual diagnostic.
 
 Degeneracy follows ``geometry.heat_factor``: |lambda| below
-``defaults.DEGENERACY_THRESHOLD`` takes the lambda = 0 (Euclidean) branch, so
-tiny or subnormal eigenvalues never reach the 1/(1 - e^{-t lambda}) forms.
+``defaults.DEGENERACY_THRESHOLD`` takes the Euclidean branch plus its terms
+linear in lambda, so tiny eigenvalues never reach the 1/(1 - e^{-t lambda}) forms.
 """
 
 from dataclasses import dataclass
@@ -115,7 +115,8 @@ def _mehler_factor_log(lam: float, t: float, zj: complex, wj: complex,
                        reading: QuadraticReading) -> Tuple[float, complex]:
     """(log prefactor, exponent) of one Lebesgue-normalized Mehler factor."""
     if abs(lam) < defaults.DEGENERACY_THRESHOLD:
-        return -np.log(2.0 * np.pi * t), -abs(zj - wj) ** 2 / (2.0 * t)
+        return (t * lam - np.log(2.0 * np.pi * t),
+                -abs(zj - wj) ** 2 / (2.0 * t) + 1j * lam * (zj * np.conj(wj)).imag)
     x = t * lam
     # lam / (pi (1 - e^{-2x})) > 0 for either sign of lam
     logpref = np.log(lam / (np.pi * (-np.expm1(-2.0 * x))))
@@ -139,9 +140,9 @@ def mehler_scalar(spec: ModelSpec, t: float, z, w,
         exp(-(lam/2) coth(t lam) (|z_j|^2 + |w_j|^2)
             + lam (e^{t lam} z_j wbar_j + e^{-t lam} zbar_j w_j) / (2 sinh(t lam)))
 
-    with the lam = 0 factor replaced by the Euclidean limit
-    (2 pi t)^{-1} exp(-|z_j - w_j|^2 / (2 t)).  Factors accumulate in
-    log space when n > 8.
+    with a degenerate factor replaced by its expansion to first order in lam,
+    (2 pi t)^{-1} exp(t lam - |z_j - w_j|^2 / (2 t) + i lam Im(z_j wbar_j)).
+    Factors accumulate in log space when n > 8.
     """
     _check_time(t)
     if quadratic_reading not in QUADRATIC_READINGS:

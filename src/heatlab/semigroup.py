@@ -16,20 +16,19 @@ beta0 beta_m |e_m^T exp(-t T_m) e_1| (Saad, SIAM J. Numer. Anal. 1992;
 Hochbruck & Lubich, SINUM 1997); a time passes when its estimate is at
 most ``krylov_tol`` times the norm of its approximation.  A basis shorter
 than min(12, dim-1) passes only when it is invariant: a delta start
-resolves the high spectrum long before the low Ritz values emerge.  When
-the basis reaches ``krylov_dim`` vectors, the passing times are accepted
-and the propagator restarts from the furthest of them below the first
-failing time; if the first pending time fails, it restarts from the
-largest halving of that time whose estimate passes.  ``kernel_diagonals``
-and ``heat_traces`` therefore build one basis (plus restarts) per delta or
-probe, however many times they are asked for.
+resolves the high spectrum long before the low Ritz values emerge.  A
+basis of ``krylov_dim`` vectors restarts (see ``_krylov_times``).
 
-The spectral bound check reduces to positivity of the operator.  Every
-operator, of any size, n and fiber dimension, is certified by one banded
-Cholesky factorisation of A + tol*I (it exists iff the smallest
-eigenvalue exceeds -tol), cached per operator and tolerance, so the
-verdict never depends on which spectral caches an earlier call filled.
-A band above defaults.BAND_CHOLESKY_MAX_BYTES raises ResourceLimitError.
+Kernel diagonals and trace samples are quadratic forms u^H e^{-tA} u.  As A
+is Hermitian, e^{-tA} = (e^{-tA/2})^H e^{-tA/2}: each start vector is
+propagated once, to every t/2 (Lanczos needs about sqrt(t ||A||) steps), and
+the forms are the Gram matrix of the half-time vectors, positive
+semidefinite by construction (Golub & Meurant, Matrices, Moments and
+Quadrature, 2010).  An estimate eps at t/2 bounds the relative error of a
+form by 2 eps + eps^2 to first order; the observed error is second order.
+
+The spectral bound check reduces to positivity, certified by one banded
+Cholesky factorisation (see ``spectral_bound_check``).
 """
 
 import csv
@@ -73,8 +72,8 @@ class SemigroupMethod:
 
     ``krylov_dim`` (an integer >= 1) caps the Lanczos basis built per
     restart, and ``krylov_tol`` (a number > 0) bounds the a-posteriori
-    error estimate of each e^{-tA}v relative to its norm (see the module
-    docstring for the shared basis and the restart rule).  Dense-eigen is
+    error estimate of each e^{-tA}v relative to its norm (the shared basis is
+    in the module docstring, the restart rule in ``_krylov_times``).  Dense-eigen is
     limited to dimension ``defaults.DENSE_EIGEN_CAP`` by
     ``DiscreteOperator.eigensystem``.
     """
@@ -237,21 +236,27 @@ def kernel_diagonals(op: DiscreteOperator, site, ts: Sequence[float],
     """Discrete heat-kernel diagonals at a grid site, one fiber matrix per t
     in ts, in the order of ts.
 
-    Columns are extracted by propagating the discrete delta (unit vector
-    over the Hermitian-volume cell 2^n h^{2n}), so values are directly
-    comparable to the continuum diagonals of ``model_diagonal``.  Each
-    delta is propagated once for all of ts.
+    The fiber matrix is the Gram matrix X^H X / dv_cell of the half-time
+    vectors x_b = e^{-(t/2)A} e_b of the fiber deltas at the site, for both
+    methods; dividing by the Hermitian-volume cell 2^n h^{2n} makes it
+    comparable with ``model_diagonal``.  A Krylov estimate eps at t/2 bounds
+    its relative error by 2 eps + eps^2 to first order (module docstring).
     """
     ts = _positive_times(ts)
     grid = op.grid
     flat = grid.flat_index(site)
-    rows = [b * grid.sites + flat for b in range(op.fiber_dim)]
-    out = np.empty((len(ts), len(rows), len(rows)), dtype=complex)
-    for b, row in enumerate(rows):
+    xs = np.empty((len(ts), op.fiber_dim, op.dim), dtype=complex)
+    for b in range(op.fiber_dim):
         delta = np.zeros(op.dim, dtype=complex)
-        delta[row] = 1.0 / grid.dv_cell
-        out[:, :, b] = _propagate(op, delta, ts, method)[:, rows]
-    return [FiberEndomorphism(grid.n, op.q, 0.5 * (m + m.conj().T)) for m in out]
+        delta[b * grid.sites + flat] = 1.0
+        xs[:, b] = _propagate(op, delta, [0.5 * t for t in ts], method)
+    return [FiberEndomorphism(grid.n, op.q, _gram(x) / grid.dv_cell) for x in xs]
+
+
+def _gram(x) -> np.ndarray:
+    """The Gram matrix of the rows of x, Hermitian bit for bit."""
+    upper = np.triu(x.conj() @ x.T, 1)
+    return upper + upper.conj().T + np.diag(np.linalg.norm(x, axis=1) ** 2)
 
 
 def kernel_diagonal(op: DiscreteOperator, site, t: float,
@@ -275,7 +280,9 @@ def heat_traces(op: DiscreteOperator, ts: Sequence[float],
     """Traces of e^{-tA}, one per t in ts, in the order of ts: by default
     Hutchinson estimation with ``probes`` (at least 2) Rademacher probes
     from ``seed`` (then required), exact eigenvalue sums under dense-eigen.
-    Every t uses the same probes, each propagated once for all of ts."""
+    Every t uses the same probes; each sample is ||e^{-(t/2)A} xi||^2, with
+    relative error at most 2 eps + eps^2 to first order for an estimate eps
+    at t/2 (module docstring)."""
     ts = _positive_times(ts)
     method = method or SemigroupMethod()
     if method.variant == "dense-eigen":
@@ -287,10 +294,11 @@ def heat_traces(op: DiscreteOperator, ts: Sequence[float],
     if probes < 2:
         raise ArgumentError("stochastic trace estimation requires probes >= 2")
     rng = np.random.default_rng(seed)
+    half = [0.5 * t for t in ts]
     samples = np.empty((probes, len(ts)))
     for i in range(probes):
         xi = rng.choice([-1.0, 1.0], size=op.dim).astype(complex)
-        samples[i] = (_propagate(op, xi, ts, method) @ xi).real  # xi is real
+        samples[i] = np.linalg.norm(_propagate(op, xi, half, method), axis=1) ** 2
     values = samples.mean(axis=0)
     stderrs = samples.std(axis=0, ddof=1) / np.sqrt(probes)
     return [TraceEstimate(float(v), float(s), probes, method.variant)
@@ -436,17 +444,13 @@ def converge_in_k(weight: WeightFunction, pert: Optional[PerturbationSpec],
     if ks != sorted(ks) or len(set(ks)) != len(ks):
         raise ArgumentError("k list must be strictly increasing")
     grid = grid or GridSpec(weight.n, defaults.CONVERGE_RADIUS, defaults.CONVERGE_SPACING)
-    spec_targets = {
-        t: model_diagonal(ModelSpec(weight.n, weight.lam, q), t).matrix for t in ts
-    }
+    targets = {t: model_diagonal(ModelSpec(weight.n, weight.lam, q), t).matrix for t in ts}
     rows = []
     for k in ks:
         op = assemble_scaled(weight, pert, k, grid, q)
         for t, diag in zip(ts, kernel_diagonals(op, grid.origin_site(), ts, method)):
-            diag = diag.matrix
-            target = spec_targets[t]
-            err = float(np.max(np.abs(diag - target)))
-            rows.append(ConvergenceRow(k, float(t), diag, target, err))
+            err = float(np.max(np.abs(diag.matrix - targets[t])))
+            rows.append(ConvergenceRow(k, float(t), diag.matrix, targets[t], err))
     return ConvergenceReport(weight.n, q, tuple(rows))
 
 
@@ -455,9 +459,7 @@ def model_baseline_errors(weight: WeightFunction, q: int, ts: Sequence[float],
                           method: Optional[SemigroupMethod] = None) -> dict:
     """Pure discretization error of the unperturbed model on the same grid."""
     grid = grid or GridSpec(weight.n, defaults.CONVERGE_RADIUS, defaults.CONVERGE_SPACING)
-    op = assemble_model(ModelSpec(weight.n, weight.lam, q), grid)
-    out = {}
-    for t, diag in zip(ts, kernel_diagonals(op, grid.origin_site(), ts, method)):
-        target = model_diagonal(ModelSpec(weight.n, weight.lam, q), t).matrix
-        out[t] = float(np.max(np.abs(diag.matrix - target)))
-    return out
+    spec = ModelSpec(weight.n, weight.lam, q)
+    diags = kernel_diagonals(assemble_model(spec, grid), grid.origin_site(), ts, method)
+    return {t: float(np.max(np.abs(diag.matrix - model_diagonal(spec, t).matrix)))
+            for t, diag in zip(ts, diags)}

@@ -197,6 +197,25 @@ def test_tiny_curvature_takes_the_flat_branch(lam, t):
             np.testing.assert_allclose(got, ref, rtol=1e-6, atol=0)
 
 
+@pytest.mark.parametrize("lam", [5e-9, -5e-9])
+@pytest.mark.parametrize("z, w", [(1000.0, 1000.0 + 1j), (0.3 - 0.2j, -0.1 + 0.4j)])
+def test_degenerate_branch_matches_closed_form(lam, z, w):
+    # the branch keeps the terms linear in lam; the dropped phase
+    # lam Im(z wbar) alone was a 5e-6 relative error at |z| = 1000
+    import mpmath as mp
+
+    t = 0.5
+    with mp.workdps(60):
+        lm, zm, wm = mp.mpf(lam), mp.mpc(z), mp.mpc(w)
+        x = t * lm
+        ref = lm / (mp.pi * (1 - mp.exp(-2 * x))) * mp.exp(
+            -(lm / 2) * mp.coth(x) * (abs(zm) ** 2 + abs(wm) ** 2)
+            + lm * (mp.exp(x) * zm * mp.conj(wm) + mp.exp(-x) * mp.conj(zm) * wm)
+            / (2 * mp.sinh(x)))
+        got = mehler_scalar(ModelSpec(1, (lam,), 0), t, [z], [w])
+        assert abs(mp.mpc(got) - ref) / abs(ref) < 1e-15
+
+
 # ---------------------------------------------------------------------------
 # model_diagonal
 

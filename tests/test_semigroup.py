@@ -9,7 +9,13 @@ from heatlab.errors import ArgumentError, InvariantViolation, ResourceLimitError
 from heatlab.fiber import fiber_dim
 from heatlab.geometry import WeightFunction
 from heatlab.model_kernels import ModelSpec, model_diagonal
-from heatlab.operators import DiscreteOperator, GridSpec, assemble_model
+from heatlab.operators import (
+    DiscreteOperator,
+    GridSpec,
+    PerturbationSpec,
+    assemble_model,
+    assemble_scaled,
+)
 from heatlab.semigroup import (
     ConvergenceReport,
     ConvergenceRow,
@@ -269,6 +275,55 @@ def test_kernel_diagonals_follow_caller_order(variant):
         np.testing.assert_allclose(diag.matrix, single, rtol=1e-10, atol=0)
 
 
+def _frame_perturbation(y):
+    return np.array([[0.0, 0.5 * y[0]], [0.3 * y[1], 0.0]], dtype=complex)
+
+
+_GRAM_OPS = {
+    "n1": lambda: assemble_model(ModelSpec(1, (1.0,), 0), GridSpec(1, 4.0, 0.4)),
+    # d = 2 with nonzero off-diagonal fiber entries
+    "n2q1": lambda: assemble_scaled(WeightFunction(2, (1.0, -0.5)),
+                                    PerturbationSpec(r=_frame_perturbation), 1,
+                                    GridSpec(2, 1.0, 0.5), 1),
+}
+
+
+@pytest.mark.parametrize("case", list(_GRAM_OPS))
+def test_kernel_diagonals_are_half_time_gram_matrices(case):
+    op = _GRAM_OPS[case]()
+    ts = (0.5, 1.0, 2.0)
+    dense = kernel_diagonals(op, op.grid.origin_site(), ts, SemigroupMethod("dense-eigen"))
+    krylov = kernel_diagonals(op, op.grid.origin_site(), ts)
+    for a, b in zip(dense, krylov):
+        scale = np.abs(a.matrix).max()
+        assert np.abs(a.matrix - b.matrix).max() <= 1e-12 * scale
+        for m in (a.matrix, b.matrix):
+            assert np.array_equal(m, m.conj().T)
+            assert np.linalg.eigvalsh(m).min() >= -1e-14 * np.abs(m).max()
+    if case == "n2q1":
+        assert np.abs(krylov[0].matrix[0, 1]) > 1e-6
+
+
+def test_kernel_diagonals_reach_half_time_without_restart(monkeypatch):
+    # the full-time delta run at t = 1 fills the 60-vector basis and
+    # restarts, which costs accuracy; t/2 fits in one basis
+    op = assemble_model(ModelSpec(1, (1.0,), 1), GridSpec(1, 5.0, 0.1))
+    site, ts = op.grid.origin_site(), [0.5, 1.0]
+    reference = kernel_diagonals(op, site, ts, SemigroupMethod("krylov", 400, 1e-15))
+    runs = []
+    real = semigroup._lanczos
+
+    def counting(*args):
+        runs.append(tuple(args[2]))
+        return real(*args)
+
+    monkeypatch.setattr(semigroup, "_lanczos", counting)
+    got = kernel_diagonals(op, site, ts)
+    assert runs == [(0.25, 0.5)] * op.fiber_dim
+    for a, b in zip(got, reference):
+        assert np.abs(a.matrix - b.matrix).max() <= 1e-13
+
+
 # ---------------------------------------------------------------------------
 # heat_trace
 
@@ -325,11 +380,19 @@ def test_heat_traces_one_krylov_run_per_probe(trace_model_op, monkeypatch):
 
     monkeypatch.setattr(semigroup, "_krylov_times", counting)
     joint = heat_traces(op, ts, method, seed=11, probes=probes)
-    assert calls == [ts] * probes
+    assert calls == [tuple(t / 2 for t in ts)] * probes
     for a, b in zip(joint, single):
         assert (a.probes, a.method) == (probes, "krylov")
         assert abs(a.value - b.value) <= 1e-10 * abs(b.value)
         assert abs(a.stderr - b.stderr) <= 1e-10 * abs(b.stderr)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_trace_samples_are_nonnegative(trace_model_op, seed):
+    # with two probes the samples are value -+ stderr; each one is the
+    # squared norm of e^{-(t/2)A} xi
+    for est in heat_traces(trace_model_op[0], (0.5, 2.0, 8.0), seed=seed, probes=2):
+        assert est.value - est.stderr >= 0
 
 
 @pytest.mark.parametrize("probes", [1, 0])
@@ -463,11 +526,11 @@ def test_certificate_resolves_tolerance(request, monkeypatch, case, target, pass
 
 
 def test_verdict_ignores_cached_eigensystem(monkeypatch):
-    # dim 1681 with max|w| ~ 68, so a spectrum scan scaled by max(1, max|w|)
+    # dim 441 with max|w| ~ 64, so a spectrum scan scaled by max(1, max|w|)
     # would accept lambda_min = -10 tol once the dense eigensystem is
     # cached; the certificate rejects it either way
-    op = assemble_model(ModelSpec(1, (1.0,), 0), GridSpec(1, 4.0, 0.2))
-    assert op.dim == 1681
+    op = assemble_model(ModelSpec(1, (1.0,), 0), GridSpec(1, 2.0, 0.2))
+    assert op.dim == 441
     tol = 1e-8
     lam_min = float(np.linalg.eigvalsh(op.matrix.toarray())[0])
     calls = _count_band_factorisations(monkeypatch)
