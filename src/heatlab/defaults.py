@@ -49,6 +49,10 @@ KRYLOV_MAX_RESTARTS = 64
 
 # Stochastic trace estimation.
 TRACE_PROBES = 64
+# Largest working set (bytes) of one Chebyshev sweep over trace probes: the
+# probes advance in column slabs of (3 + number of times) complex vectors
+# per probe within it (6.7 MB for the 64 probes and 3 times at dim 1089).
+TRACE_BLOCK_BYTES = 2**26
 
 # Fixed grid policy for the k-convergence experiment (scaled coordinates).
 CONVERGE_RADIUS = 6.0

@@ -1,12 +1,14 @@
 """Heat semigroup actions e^{-tA}v, kernel diagonals, traces, spectral
 bound checks, and the k-convergence experiment.
 
-The Lanczos/Krylov propagator is the default at every size: approximating
-e^{-tA}v needs no size threshold (Hochbruck & Lubich, SINUM 1997).  A dense
+Under the default method, ``heat_apply`` and ``kernel_diagonals`` run
+Lanczos and stochastic ``heat_traces`` run a Chebyshev block.  A dense
 eigendecomposition (exact up to rounding, cached on the operator) runs only
 when asked for, as the reference.
 
-The Lanczos relation A V_m = V_m T_m + beta_m v_{m+1} e_m^T does not
+``heat_apply`` and ``kernel_diagonals`` use Lanczos/Krylov at every size:
+approximating e^{-tA}v needs no size threshold (Hochbruck & Lubich, SINUM
+1997).  The Lanczos relation A V_m = V_m T_m + beta_m v_{m+1} e_m^T does not
 depend on t, so one basis per start vector serves every requested time:
 e^{-tA}v ~ beta0 V_m exp(-t T_m) e_1.  The basis is grown by the
 three-term recurrence plus one block classical Gram-Schmidt pass against
@@ -19,13 +21,27 @@ than min(12, dim-1) passes only when it is invariant: a delta start
 resolves the high spectrum long before the low Ritz values emerge.  A
 basis of ``krylov_dim`` vectors restarts (see ``_krylov_times``).
 
+Stochastic traces advance all Hutchinson probes as one block through the
+Chebyshev expansion of e^{-tA} on a certified spectral interval (Tal-Ezer &
+Kosloff, J. Chem. Phys. 81, 1984; Weisse, Wellein, Alvermann & Fehske, Rev.
+Mod. Phys. 78, 2006): one sparse product per degree for every probe and
+time, with no orthogonalisation and no small eigenproblem.  Each sample
+carries an a-priori error bound, and the sweep stops once that bound is
+below unit roundoff relative to every result (see ``_ChebyshevBlock``).
+Delta starts keep Lanczos: the interval needs the positivity certificate,
+which costs about 0.2 s at dimension 10 201 (grid radius 5, spacing 0.1),
+where Lanczos takes about 0.06 s for both diagonals at t = 0.5 and 1, while
+the Gershgorin lower end (-66.5 there, against a smallest eigenvalue near
+0) would make the expansion cancel e^{33 t}.
+
 Kernel diagonals and trace samples are quadratic forms u^H e^{-tA} u.  As A
 is Hermitian, e^{-tA} = (e^{-tA/2})^H e^{-tA/2}: each start vector is
 propagated once, to every t/2 (Lanczos needs about sqrt(t ||A||) steps), and
 the forms are the Gram matrix of the half-time vectors, positive
 semidefinite by construction (Golub & Meurant, Matrices, Moments and
-Quadrature, 2010).  An estimate eps at t/2 bounds the relative error of a
-form by 2 eps + eps^2 to first order; the observed error is second order.
+Quadrature, 2010).  A Krylov estimate eps at t/2 bounds the relative error
+of a form by 2 eps + eps^2 to first order; the observed error is second
+order.
 
 The spectral bound check reduces to positivity, certified by one banded
 Cholesky factorisation (see ``spectral_bound_check``).
@@ -70,12 +86,14 @@ class SemigroupMethod:
     """Propagator selection: krylov (the default, used whenever no method
     is given) or dense-eigen (the exact reference, run only when asked for).
 
-    ``krylov_dim`` (an integer >= 1) caps the Lanczos basis built per
-    restart, and ``krylov_tol`` (a number > 0) bounds the a-posteriori
-    error estimate of each e^{-tA}v relative to its norm (the shared basis is
-    in the module docstring, the restart rule in ``_krylov_times``).  Dense-eigen is
-    limited to dimension ``defaults.DENSE_EIGEN_CAP`` by
-    ``DiscreteOperator.eigensystem``.
+    Under krylov, ``heat_apply`` and ``kernel_diagonals`` run Lanczos:
+    ``krylov_dim`` (an integer >= 1) caps the basis built per restart, and
+    ``krylov_tol`` (a number > 0) bounds the a-posteriori error estimate of
+    each e^{-tA}v relative to its norm (the shared basis is in the module
+    docstring, the restart rule in ``_krylov_times``).  Stochastic
+    ``heat_traces`` run a Chebyshev block that is exact to rounding, so the
+    two settings do not apply to them.  Dense-eigen is limited to dimension
+    ``defaults.DENSE_EIGEN_CAP`` by ``DiscreteOperator.eigensystem``.
     """
 
     variant: str = "krylov"
@@ -273,6 +291,216 @@ class TraceEstimate:
     method: str
 
 
+# Unit roundoff of float64: a Chebyshev sweep stops once its a-priori tail
+# bound is below it relative to every column's norm.
+_ROUNDOFF = 2.0 ** -53
+# The default positivity tolerance, which also gives a sweep its lower end.
+_PSD_TOL = 1e-8
+# Largest rounding estimate of a sweep that is trusted, relative to its result.
+_ROUNDING_LIMIT = 2.0 ** -36
+
+
+def _spectral_interval(op: DiscreteOperator) -> tuple:
+    """An interval [a, b] holding the spectrum of the Hermitian op.
+
+    b is the Gershgorin upper end.  a is -_PSD_TOL when the Gershgorin lower
+    end is below it and the banded Cholesky certificate passes; otherwise
+    (a failed certificate, or a band that raises ``ResourceLimitError``) it
+    is the Gershgorin lower end min_i (a_ii - sum_{j != i} |a_ij|).
+    """
+    diag = op.matrix.diagonal().real
+    radius = np.asarray(abs(op.matrix).sum(axis=1)).ravel() - np.abs(diag)
+    low, high = float(np.min(diag - radius)), float(np.max(diag + radius))
+    if low < -_PSD_TOL:
+        try:
+            if _certify_positive(op, _PSD_TOL):
+                low = -_PSD_TOL
+        except ResourceLimitError:
+            pass
+    return low, high
+
+
+def _log_bessel_tails(x: float, kmax: int) -> np.ndarray:
+    """Upper bounds on log sum_{j>K} I_j(x) for K = 0..kmax and x >= 0.
+
+    With nu = K+1, Luke's bound I_nu(x) <= (x/2)^nu e^{x^2/(4(nu+1))} / nu!
+    and the ratio bound I_{j+1}(x)/I_j(x) <= x/(2(j+1)) <= rho = x/(2(nu+1))
+    for j >= nu give sum_{j>=nu} I_j(x) <= I_nu(x)/(1 - rho); the bound is
+    +inf where rho >= 1.  Both follow from the power series of I_nu.
+    """
+    nu = np.arange(1, kmax + 2, dtype=float)
+    if x == 0:
+        return np.full(nu.size, -np.inf)
+    log_i = nu * np.log(0.5 * x) + x * x / (4.0 * (nu + 1.0)) - np.cumsum(np.log(nu))
+    rho = x / (2.0 * (nu + 1.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(rho < 1.0, log_i - np.log1p(-rho), np.inf)
+
+
+class _Sweep(NamedTuple):
+    """One Chebyshev sweep of a block: per tau (rows) and column, the sums
+    y, the bound ``trunc`` on ||y - e^{-tau A} xi||, and the rounding
+    estimate K u e^{-tau a} ||xi|| / ||y|| relative to ||y||."""
+
+    ys: np.ndarray      # (len(taus), dim, columns)
+    norms: np.ndarray
+    trunc: np.ndarray
+    rounding: np.ndarray
+    degree: int
+
+
+class _ChebyshevBlock:
+    """e^{-tau A} on a block of start vectors for several tau at once.
+
+    On the spectral interval [a, b] of ``_spectral_interval``, with centre c
+    and half-width r, e^{-tau A} = sum_k c_k(tau) T_k((A - c)/r), where
+    c_k = 2 (-1)^k e^{-tau c} I_k(tau r), halved at k = 0 (Tal-Ezer & Kosloff,
+    J. Chem. Phys. 81, 1984).  Truncating after degree K leaves an error of
+    norm at most ||xi|| sum_{k>K} |c_k| for a start vector xi, whatever its
+    spectral content in [a, b]; ``_log_bessel_tails`` bounds that sum.
+    """
+
+    def __init__(self, op: DiscreteOperator):
+        self.low, self.high = a, b = _spectral_interval(op)
+        self.centre, self.radius = 0.5 * (a + b), max(0.5 * (b - a), np.finfo(float).tiny)
+        # the recurrence T_{k+1} = 2 (A - c)/r T_k - T_{k-1}, with the 2 folded in
+        shifted = op.matrix - self.centre * sp.identity(op.dim, format="csr")
+        self.matrix = (shifted * (2.0 / self.radius)).tocsr()
+
+    def _expansion(self, taus) -> tuple:
+        """Coefficients c_k(tau) and bounds tail[K] >= sum_{k>K} |c_k(tau)|
+        plus the aliasing error of the computed coefficients, as rows per
+        degree up to the cap, and the cap.
+
+        The cap is the first degree whose tail is at most _ROUNDOFF e^{-tau b}:
+        as ||e^{-tau A} xi|| >= e^{-tau b} ||xi||, every column passes the
+        stopping rule of ``sweep`` by then.  The coefficients are a discrete
+        cosine transform of e^{-tau(c + r cos theta)} at N + 1
+        Chebyshev-Lobatto angles, N = 2 (cap + 1); each one is then off by at
+        most sum_{j >= 2N - cap} |c_j|.
+        """
+        r, b = self.radius, self.high
+
+        def log_tails(kmax):
+            # log sum_{j>K} |c_j| = log 2 - tau c + log sum_{j>K} I_j(tau r)
+            return np.array([np.log(2.0) - tau * self.centre + _log_bessel_tails(tau * r, kmax)
+                             for tau in taus]).T
+
+        search = log_tails(int(4.0 * r * max(taus)) + 128)
+        passing = np.all(search <= np.log(_ROUNDOFF) - taus * b, axis=1)
+        cap = int(np.argmax(passing)) if passing.any() else len(search) - 1
+        nodes = 2 * (cap + 1)
+        theta = np.pi * np.arange(nodes + 1) / nodes
+        f = np.exp(-np.outer(taus, self.low + r * (1.0 + np.cos(theta))))
+        even = np.concatenate([f, f[:, -2:0:-1]], axis=1)
+        coef = np.fft.rfft(even, axis=1).real[:, : cap + 1] / nodes
+        coef[:, 0] *= 0.5
+        tails = np.exp(log_tails(2 * nodes))
+        aliasing = np.arange(1, cap + 2)[:, None] * tails[2 * nodes - cap - 1]
+        return coef.T, tails[: cap + 1] + aliasing, cap
+
+    def sweep(self, xi, taus) -> _Sweep:
+        """The truncated expansions of e^{-tau A} xi for every tau and column
+        of the block xi, advanced together at one sparse product per degree.
+
+        The sweep stops at the first checked degree K where
+        tail[K] ||xi|| <= _ROUNDOFF ||y|| for every column and tau, y being
+        the partial sum; the first check comes once every tail is below
+        sqrt(_ROUNDOFF), and each later one where the last check predicts
+        the rule to pass.
+        """
+        taus = np.asarray(taus, dtype=float)
+        coef, tail, cap = self._expansion(taus)
+        xi_norm = np.sqrt(_squared_norms(xi))
+        ys = coef[0][:, None, None] * xi
+        prev, cur = None, xi
+        k = 0
+        check = int(np.argmax(np.all(tail <= np.sqrt(_ROUNDOFF), axis=1)))
+        while True:
+            if k >= check:
+                norms = np.sqrt(_squared_norms(ys))
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    ratio = np.where(xi_norm > 0, xi_norm / norms, 0.0)
+                if k == cap or np.all(tail[k][:, None] * ratio <= _ROUNDOFF):
+                    break
+                ahead = np.all(tail[k + 1:] * ratio.max(axis=1) <= _ROUNDOFF, axis=1)
+                check = k + 1 + int(np.argmax(ahead)) if ahead.any() else cap
+            nxt = self.matrix @ cur
+            if prev is None:
+                nxt *= 0.5
+            else:
+                nxt -= prev
+            prev, cur = cur, nxt
+            k += 1
+            for y, ck in zip(ys, coef[k]):
+                sla.blas.zaxpy(cur.ravel(), y.ravel(), a=ck)  # in place: y is contiguous
+        # sum_k |c_k| = e^{-tau a}: the largest partial sum a term can carry
+        rounding = max(k, 1) * _ROUNDOFF * np.exp(-taus * self.low)[:, None] * ratio
+        return _Sweep(ys, norms, tail[k][:, None] * xi_norm, rounding, k)
+
+    def samples(self, xi, taus) -> tuple:
+        """||e^{-tau A} xi||^2 for each column of xi (rows) and tau
+        (columns), and bounds on their errors.
+
+        A sweep whose rounding estimate exceeds _ROUNDING_LIMIT for a tau is
+        not trusted there: the block restarts from the furthest trusted tau
+        before it, or from the largest halving of the first pending tau
+        that is trusted, by the semigroup law; later steps are no longer
+        than that halving.  That happens only when a is far below the
+        smallest eigenvalue (a Gershgorin lower end) or for tau lambda_min
+        large enough that e^{-tau A} xi is tiny beside xi.  An
+        error E_s at time s grows to at most e^{-(tau - s) a} E_s by tau, and
+        the truncation bounds of the steps add; a sample with error bound
+        E on its vector y is off by at most 2 E ||y|| + E^2, plus rounding.
+        """
+        times, where = np.unique(np.asarray(taus, dtype=float), return_inverse=True)
+        xi = np.asarray(xi, dtype=complex)
+        norms = np.empty((times.size, xi.shape[1]))
+        errs = np.empty_like(norms)
+        state, start, state_err, done = xi, 0.0, np.zeros(xi.shape[1]), 0
+        longest = np.inf  # the longest step trusted after a halving
+        while done < times.size:
+            steps = times[done:] - start
+            halved = steps[0] > longest
+            steps = np.array([longest]) if halved else steps[steps <= longest]
+            for _ in range(_MAX_HALVINGS):
+                sw = self.sweep(state, steps)
+                trusted = np.all(sw.rounding <= _ROUNDING_LIMIT, axis=1)
+                if trusted[0]:
+                    break
+                steps, halved = steps[:1] * 0.5, True
+                longest = steps[0]
+            else:
+                raise NumericalError(
+                    f"chebyshev propagator lost accuracy on [{self.low:.6g}, {self.high:.6g}] "
+                    f"(rounding estimate {sw.rounding.max():.3e})",
+                    residual=float(sw.rounding.max()))
+            count = int(np.argmin(trusted)) if not trusted.all() else len(steps)
+            err = np.exp(-steps[:count] * self.low)[:, None] * state_err + sw.trunc[:count]
+            state, state_err = sw.ys[count - 1], err[count - 1]
+            if halved:
+                start += steps[0]
+                continue
+            norms[done: done + count], errs[done: done + count] = sw.norms[:count], err
+            done += count
+            start = times[done - 1]
+        norms, errs = norms[where], errs[where]
+        return (norms ** 2).T, (errs * (2.0 * norms + errs)).T
+
+
+def _squared_norms(x) -> np.ndarray:
+    """Squared 2-norms along axis -2: of the columns of each trailing matrix."""
+    return (x.real ** 2 + x.imag ** 2).sum(axis=-2)
+
+
+def _rademacher_block(rng, dim: int, width: int) -> np.ndarray:
+    """``width`` Rademacher probes as columns, drawn one after another."""
+    block = np.empty((dim, width), dtype=complex)
+    for j in range(width):
+        block[:, j] = rng.choice([-1.0, 1.0], size=dim)
+    return block
+
+
 def heat_traces(op: DiscreteOperator, ts: Sequence[float],
                 method: Optional[SemigroupMethod] = None,
                 seed: Optional[int] = None,
@@ -280,9 +508,16 @@ def heat_traces(op: DiscreteOperator, ts: Sequence[float],
     """Traces of e^{-tA}, one per t in ts, in the order of ts: by default
     Hutchinson estimation with ``probes`` (at least 2) Rademacher probes
     from ``seed`` (then required), exact eigenvalue sums under dense-eigen.
-    Every t uses the same probes; each sample is ||e^{-(t/2)A} xi||^2, with
-    relative error at most 2 eps + eps^2 to first order for an estimate eps
-    at t/2 (module docstring)."""
+
+    Every t uses the same probes; each sample is ||e^{-(t/2)A} xi||^2.  All
+    probes and times advance as one Chebyshev block (``_ChebyshevBlock``),
+    in column slabs of at most ``defaults.TRACE_BLOCK_BYTES``.  Each sample
+    has an a-priori error bound (``_ChebyshevBlock.samples``); once the
+    positivity certificate holds, it is below unit roundoff relative to the
+    sample, so the estimate is exact to rounding for its probes.  The method
+    label stays "krylov": the polynomial p(A) xi lies in the Krylov space of
+    xi.  ``krylov_dim`` and ``krylov_tol`` do not apply.
+    """
     ts = _positive_times(ts)
     method = method or SemigroupMethod()
     if method.variant == "dense-eigen":
@@ -294,11 +529,14 @@ def heat_traces(op: DiscreteOperator, ts: Sequence[float],
     if probes < 2:
         raise ArgumentError("stochastic trace estimation requires probes >= 2")
     rng = np.random.default_rng(seed)
+    block = _ChebyshevBlock(op)
     half = [0.5 * t for t in ts]
-    samples = np.empty((probes, len(ts)))
-    for i in range(probes):
-        xi = rng.choice([-1.0, 1.0], size=op.dim).astype(complex)
-        samples[i] = np.linalg.norm(_propagate(op, xi, half, method), axis=1) ** 2
+    # the sweep holds the slab, two recurrence vectors and one sum per time
+    width = max(1, defaults.TRACE_BLOCK_BYTES // (16 * (3 + len(ts)) * op.dim))
+    samples = np.concatenate([
+        block.samples(_rademacher_block(rng, op.dim, min(width, probes - start)), half)[0]
+        for start in range(0, probes, width)
+    ])
     values = samples.mean(axis=0)
     stderrs = samples.std(axis=0, ddof=1) / np.sqrt(probes)
     return [TraceEstimate(float(v), float(s), probes, method.variant)
@@ -360,7 +598,7 @@ def _certify_positive(op: DiscreteOperator, psd_tol: float) -> bool:
 
 
 def spectral_bound_check(op: DiscreteOperator, t: float, n_power: int,
-                         psd_tol: float = 1e-8) -> SpectralBoundReport:
+                         psd_tol: float = _PSD_TOL) -> SpectralBoundReport:
     """Check max_s s^N e^{-ts} <= (N/(e t))^N over the operator spectrum.
 
     The bound is the calculus maximum of s^N e^{-ts} over s >= 0 (equal to

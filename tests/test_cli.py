@@ -417,3 +417,22 @@ def test_shipped_configs_validate():
     assert paths, "no shipped configs found"
     for path in paths:
         validate_config(load_config(path))
+
+
+def test_python_m_heatlab_runs_a_config(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "heatlab", "run", str(root / "configs" / "spectrum_landau.json"),
+         "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("wrote ")
+    got = (tmp_path / "spectrum_landau.csv").read_bytes()
+    assert got == (root / "tests" / "reference" / "spectrum_landau.csv").read_bytes()

@@ -366,25 +366,156 @@ def test_stochastic_trace_matches_dense():
     assert abs(est.value - dense) <= 3.0 * est.stderr
 
 
-def test_heat_traces_one_krylov_run_per_probe(trace_model_op, monkeypatch):
+class _CountingMatrix:
+    """A sparse matrix that records the column count of every product."""
+
+    def __init__(self, matrix):
+        self.matrix, self.widths = matrix, []
+
+    def __matmul__(self, block):
+        self.widths.append(block.shape[1])
+        return self.matrix @ block
+
+
+def test_heat_traces_share_one_block_sweep(trace_model_op, monkeypatch):
     op = trace_model_op[0]
     ts, probes = (2.0, 0.5, 1.0), 8
     method = SemigroupMethod("krylov")
     single = [heat_trace(op, t, method, seed=11, probes=probes) for t in ts]
-    calls = []
-    real = semigroup._krylov_times
+    sweeps = []
+    real = semigroup._ChebyshevBlock.sweep
 
-    def counting(matrix, v, times, m):
-        calls.append(tuple(times))
-        return real(matrix, v, times, m)
+    def counting(block, xi, taus):
+        block.matrix = _CountingMatrix(block.matrix)
+        out = real(block, xi, taus)
+        sweeps.append((sorted(taus), block.matrix.widths, out.degree))
+        block.matrix = block.matrix.matrix
+        return out
 
-    monkeypatch.setattr(semigroup, "_krylov_times", counting)
+    monkeypatch.setattr(semigroup._ChebyshevBlock, "sweep", counting)
     joint = heat_traces(op, ts, method, seed=11, probes=probes)
-    assert calls == [tuple(t / 2 for t in ts)] * probes
+    # one sweep for all probes and times: one product of all probes per degree
+    ((taus, widths, degree),) = sweeps
+    assert taus == [0.25, 0.5, 1.0]
+    assert degree > 0 and widths == [probes] * degree
     for a, b in zip(joint, single):
         assert (a.probes, a.method) == (probes, "krylov")
         assert abs(a.value - b.value) <= 1e-10 * abs(b.value)
         assert abs(a.stderr - b.stderr) <= 1e-10 * abs(b.stderr)
+
+
+def _exact_half_time_samples(op, xi, ts):
+    """||e^{-(t/2)A} xi||^2 per column of xi (rows) and t (columns), from
+    the dense eigensystem."""
+    w, vecs = op.eigensystem()
+    weights = np.abs(vecs.conj().T @ xi) ** 2
+    return np.array([np.exp(-t * w) @ weights for t in ts]).T
+
+
+@pytest.fixture(scope="module")
+def small_model_op():
+    """A small q=1 model operator (dim 289) and four Rademacher probes."""
+    op = assemble_model(ModelSpec(1, (1.0,), 1), GridSpec(1, 2.0, 0.25))
+    assert op.dim == 289
+    return op, semigroup._rademacher_block(np.random.default_rng(3), op.dim, 4)
+
+
+_TS = (0.5, 2.0, 8.0)
+
+
+def test_chebyshev_samples_within_a_priori_bound(small_model_op):
+    op, xi = small_model_op
+    block = semigroup._ChebyshevBlock(op)
+    assert block.low == -1e-8  # the certificate passed
+    samples, bounds = block.samples(xi, [t / 2 for t in _TS])
+    exact = _exact_half_time_samples(op, xi, _TS)
+    assert np.all(bounds > 0)
+    # the bound sits below unit roundoff of each sample; the allowance
+    # covers the rounding of the sweep and of the dense eigensystem
+    assert np.all(bounds <= 2**-50 * samples)
+    assert np.all(np.abs(samples - exact) <= bounds + 1e-13 * exact)
+
+
+def test_chebyshev_tail_bounds_truncation_error(small_model_op):
+    # the partial sums are within tail[K] ||xi|| of the exact half-time
+    # vector at every degree K, not only where a sweep stops
+    op, xi = small_model_op
+    taus = [t / 2 for t in _TS]
+    block = semigroup._ChebyshevBlock(op)
+    coef, tail, cap = block._expansion(np.array(taus))
+    w, vecs = op.eigensystem()
+    exact = [vecs @ (np.exp(-tau * w)[:, None] * (vecs.conj().T @ xi)) for tau in taus]
+    xi_norm = np.linalg.norm(xi, axis=0)
+    prev, cur = None, xi
+    partial = [c * xi for c in coef[0]]
+    for k in range(1, cap + 1):
+        nxt = block.matrix @ cur
+        nxt = 0.5 * nxt if prev is None else nxt - prev
+        prev, cur = cur, nxt
+        for i, c in enumerate(coef[k]):
+            partial[i] = partial[i] + c * cur
+            gap = np.linalg.norm(partial[i] - exact[i], axis=0)
+            allowance = 1e-13 * np.linalg.norm(exact[i], axis=0)
+            assert np.all(gap <= tail[k, i] * xi_norm + allowance), (k, taus[i])
+
+
+def _dense_traces_of_probes(op, ts, seed, probes):
+    """The Hutchinson means of heat_traces' probes, from dense-eigen."""
+    xi = semigroup._rademacher_block(np.random.default_rng(seed), op.dim, probes)
+    return _exact_half_time_samples(op, xi, ts).mean(axis=0)
+
+
+def test_chebyshev_trace_with_gershgorin_lower_end():
+    # negative eigenvalues fail the certificate; the interval falls back to
+    # the Gershgorin lower end
+    op = _synthetic_op(np.linspace(-3.0, 40.0, 9))
+    assert semigroup._spectral_interval(op) == (-3.0, 40.0)
+    assert op._psd_certificate == {1e-8: False}
+    ests = heat_traces(op, _TS, seed=5, probes=6)
+    for est, value in zip(ests, _dense_traces_of_probes(op, _TS, 5, 6)):
+        assert abs(est.value - value) <= 1e-13 * value
+
+
+def test_chebyshev_trace_when_the_band_exceeds_its_cap(small_model_op, monkeypatch):
+    op = _shifted(small_model_op[0], 0.0)
+    monkeypatch.setattr(defaults, "BAND_CHOLESKY_MAX_BYTES", 16)
+    with pytest.raises(ResourceLimitError):
+        semigroup._certify_positive(op, 1e-8)
+    sweeps = []
+    real = semigroup._ChebyshevBlock.sweep
+
+    def recording(block, xi, taus):
+        sweeps.append(list(taus))
+        return real(block, xi, taus)
+
+    monkeypatch.setattr(semigroup._ChebyshevBlock, "sweep", recording)
+    # the Gershgorin lower end of the magnetic stencil is far below
+    # lambda_min = 1, so t = 8 cancels e^{-4a}: the block restarts
+    assert semigroup._ChebyshevBlock(op).low < -10.0
+    ests = heat_traces(op, _TS, seed=9, probes=4)
+    assert len(sweeps) > 1 and sweeps[0] == [0.25, 1.0, 4.0]
+    for est, value in zip(ests, _dense_traces_of_probes(op, _TS, 9, 4)):
+        assert abs(est.value - value) <= 1e-12 * value
+
+
+def test_trace_probes_advance_in_slabs(trace_model_op, monkeypatch):
+    op = trace_model_op[0]
+    ts = (0.5, 2.0)
+    whole = heat_traces(op, ts, seed=4, probes=5)
+    widths = []
+    real = semigroup._ChebyshevBlock.sweep
+
+    def recording(block, xi, taus):
+        widths.append(xi.shape[1])
+        return real(block, xi, taus)
+
+    monkeypatch.setattr(semigroup._ChebyshevBlock, "sweep", recording)
+    monkeypatch.setattr(defaults, "TRACE_BLOCK_BYTES", 16 * (3 + len(ts)) * op.dim * 2)
+    slabbed = heat_traces(op, ts, seed=4, probes=5)
+    assert widths == [2, 2, 1]
+    for a, b in zip(slabbed, whole):
+        assert abs(a.value - b.value) <= 1e-13 * b.value
+        assert abs(a.stderr - b.stderr) <= 1e-11 * b.stderr
 
 
 @pytest.mark.parametrize("seed", range(8))
