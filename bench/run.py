@@ -20,9 +20,9 @@ set-up):
 - ``diag_n1``: ``kernel_diagonals`` at the origin for t = 0.5 and 1 on a
   fresh model operator with n = 1, lambda = 1, q = 1 on the grid of
   radius 5 and spacing 0.1 (10 201 sites);
-- ``trace_n1``: ``heat_traces`` with Krylov and the probes, seed and times
-  of ``configs/trace_stochastic.json`` on a fresh model operator of that
-  config (1 089 sites, 64 probes);
+- ``trace_n1``: stochastic ``heat_traces`` (the default method) with the
+  probes, seed and times of ``configs/trace_stochastic.json`` on a fresh
+  model operator of that config (1 089 sites, 64 probes);
 - ``oracle_32_64`` and ``oracle_48_96``: ``validate_landau_levels`` for
   the degree-1 bundle on tau = i at k = 3 with 10 eigenvalues, at
   resolutions (32, 64) and (48, 96).
