@@ -20,6 +20,9 @@ set-up):
 - ``diag_n1``: ``kernel_diagonals`` at the origin for t = 0.5 and 1 on a
   fresh model operator with n = 1, lambda = 1, q = 1 on the grid of
   radius 5 and spacing 0.1 (10 201 sites);
+- ``diag_n2``: ``kernel_diagonals`` at the origin for t = 1 (both fiber
+  deltas) on a fresh ``n2`` scaled operator (dimension 13 122), as the
+  n = 2 step of perfbench's ``converge`` workload runs it;
 - ``trace_n1``: stochastic ``heat_traces`` (the default method) with the
   probes, seed and times of ``configs/trace_stochastic.json`` on a fresh
   model operator of that config (1 089 sites, 64 probes);
@@ -131,8 +134,8 @@ def _cases():
                 semigroup.spectral_bound_check(op, t, n_power)
         return op
 
-    def diagonals(op):
-        semigroup.kernel_diagonals(op, op.grid.origin_site(), (0.5, 1.0))
+    def diagonals(op, ts=(0.5, 1.0)):
+        semigroup.kernel_diagonals(op, op.grid.origin_site(), ts)
         return op
 
     cfg = json.loads((ROOT / "configs" / "trace_stochastic.json").read_text(encoding="utf-8"))
@@ -154,6 +157,10 @@ def _cases():
         "bound_n1": (model(ModelSpec(1, (1.0,), 0), ops.GridSpec(1, 5.0, 0.1)), bound_checks),
         "bound_n2": (model(ModelSpec(2, (1.0, 0.5), 1), ops.GridSpec(2, 1.5, 0.5)), bound_checks),
         "diag_n1": (model(ModelSpec(1, (1.0,), 1), ops.GridSpec(1, 5.0, 0.1)), diagonals),
+        "diag_n2": (lambda: ops.assemble_scaled(geo.WeightFunction(2, (1.0, -0.5)),
+                                                ops.PerturbationSpec(r=r_frame), 16,
+                                                ops.GridSpec(2, 2.0, 0.5), 1),
+                    lambda op: diagonals(op, (1.0,))),
         "trace_n1": (model(ModelSpec(cfg["n"], tuple(cfg["lambda"]), cfg["q"]),
                            ops.GridSpec(cfg["n"], cfg["grid"]["radius"], cfg["grid"]["spacing"])),
                      traces),

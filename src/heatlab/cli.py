@@ -141,8 +141,6 @@ SCHEMAS = {
         "metric_perturbation": _perturbation("linear_r11"),
         "method": _Field({
             "variant": _Field(("dense-eigen", "krylov"), None, "krylov"),
-            "krylov_dim": _Field("an integer", "krylov_dim >= 1", _Library("KRYLOV_DIM")),
-            "krylov_tol": _Field("a number", "krylov_tol > 0", _Library("KRYLOV_TOL")),
         }, None, {}),
     },
     "trace": {
@@ -205,7 +203,8 @@ def _check_value(value, field: _Field, name: str):
 def _check_table(raw: dict, table: dict, where: str = None) -> dict:
     unknown = sorted(set(raw) - set(table))
     if unknown:
-        raise ConfigError(f"unknown key {unknown[0]!r} in {where or 'config'}")
+        name = f"{where}.{unknown[0]}" if where else unknown[0]
+        raise ConfigError(f"unknown key {unknown[0]!r} in {where or 'config'}: no field {name!r}")
     out = {}
     for key, field in table.items():
         name = f"{where}.{key}" if where else key

@@ -42,11 +42,6 @@ BAND_CHOLESKY_MAX_BYTES = 2**29
 # centred first difference to O(1/h^2).  See README, "Discretization".
 GHOST_STABILIZER = 0.005
 
-# Krylov propagator: Lanczos basis size per restart and residual tolerance.
-KRYLOV_DIM = 60
-KRYLOV_TOL = 1e-8
-KRYLOV_MAX_RESTARTS = 64
-
 # Stochastic trace estimation.
 TRACE_PROBES = 64
 # Largest working set (bytes) of one Chebyshev sweep over trace probes: the

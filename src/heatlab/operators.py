@@ -21,7 +21,6 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.io import mmwrite
 
 from . import defaults, fiber
 from .errors import ArgumentError, DomainError, InvariantViolation, ResourceLimitError
@@ -36,6 +35,9 @@ __all__ = [
     "assemble_scaled",
     "to_matrix_market",
 ]
+
+# Unit roundoff of float64.
+_ROUNDOFF = 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -136,6 +138,10 @@ class DiscreteOperator:
         self._eig = None
         self._eigvals = None
         self._psd_certificate = {}
+        # A proven lower bound on the spectrum of the stored matrix, set only
+        # by assemble_model and assemble_scaled (see ``_floor``); None for
+        # every other operator.
+        self._floor = None
 
     @property
     def dim(self) -> int:
@@ -235,7 +241,10 @@ def _place(op1d: sp.spmatrix, axis: int, axes: int, s: int) -> sp.csr_matrix:
 
 
 class _GridOperators:
-    """Per-grid cache of placed derivative matrices and coordinate arrays."""
+    """Per-grid cache of placed derivative matrices and coordinate arrays,
+    and of the k-invariant parts of ``assemble_scaled``: the stabilizer on
+    the fiber and the twist corrections.  One instance serves every k of
+    one ``converge_in_k`` call."""
 
     def __init__(self, grid: GridSpec):
         self.grid = grid
@@ -244,10 +253,11 @@ class _GridOperators:
         axes = 2 * grid.n
         d1, d2 = _d1(s, h), _d2(s, h)
         self.first = [_place(d1, a, axes, s) for a in range(axes)]
-        d4 = (d2 @ d2).tocsr()
-        stab = (d4.T @ d4).tocsr()
+        self.d4 = (d2 @ d2).tocsr()
+        stab = (self.d4.T @ self.d4).tocsr()
         self.stab_axes = [_place(stab, a, axes, s) for a in range(axes)]
         self.z = grid.site_coordinates()
+        self._fiber_stabilizers, self._twists = {}, {}
 
     def dzbar(self, j: int) -> sp.csr_matrix:
         return 0.5 * (self.first[2 * j] + 1j * self.first[2 * j + 1])
@@ -260,31 +270,125 @@ class _GridOperators:
             out = out + coeff * self.stab_axes[a]
         return out.tocsr()
 
+    def fiber_stabilizer(self, d: int) -> sp.csr_matrix:
+        """The stabilizer on each of d fiber components, built once."""
+        if d not in self._fiber_stabilizers:
+            self._fiber_stabilizers[d] = sp.kron(sp.identity(d), self.stabilizer()).tocsr()
+        return self._fiber_stabilizers[d]
+
     def model_factor(self, j: int, lam: float) -> sp.csr_matrix:
         """C_j = d/dzbar_j + (lam/2) z_j."""
         return (self.dzbar(j) + sp.diags(0.5 * lam * self.z[:, j])).tocsr()
 
+    def twist(self, lam, q: int) -> tuple:
+        """The exact twist corrections of ``assemble_scaled`` at degree q.
 
-def _scalar_model_part(ops: _GridOperators, lam) -> sp.csr_matrix:
-    out = ops.stabilizer()
-    for j, lj in enumerate(lam):
-        c = ops.model_factor(j, lj)
-        out = out + c.getH() @ c
-    return out.tocsr()
+        Returns the pieces pi_j (x) delta_j, delta_j = lam_j I - [C0_j, C0_j^H]
+        with C0_j the model factor, for each j that some fiber index J
+        contains; the least Gershgorin lower end of sum_{j in J} delta_j
+        over the blocks J, a lower end of the spectrum of the pieces' sum;
+        its absolute row sums; and the most terms in one of them.
+        """
+        key = (tuple(lam), q)
+        if key not in self._twists:
+            n, sites = self.grid.n, self.grid.sites
+            pieces, deltas = [], {}
+            for j in range(n):
+                pi_j = np.real(np.diag(fiber.projection_contains(n, q, j)))
+                if not np.any(pi_j != 0):
+                    continue
+                c0 = self.model_factor(j, lam[j])
+                comm = (c0 @ c0.getH() - c0.getH() @ c0).tocsr()
+                deltas[j] = (lam[j] * sp.identity(sites) - comm).tocsr()
+                pieces.append(sp.kron(sp.diags(pi_j), deltas[j]))
+            lower, rows, count = 0.0, np.zeros(fiber.fiber_dim(n, q) * sites), 0
+            if deltas:
+                blocks = [_gershgorin(sum(deltas[j] for j in J).tocsr())
+                          for J in fiber.multi_indices(n, q)]
+                lower = min(b[0] for b in blocks)
+                rows = np.concatenate([b[2] for b in blocks])
+                count = max(b[3] for b in blocks)
+            self._twists[key] = pieces, lower, rows, count
+        return self._twists[key]
+
+
+def _gershgorin(m) -> tuple:
+    """The Gershgorin ends min_i (m_ii - sum_{j != i} |m_ij|) and
+    max_i (m_ii + sum_{j != i} |m_ij|) of a Hermitian CSR matrix, its
+    absolute row sums |m| 1, and the largest number of terms in one."""
+    diag = m.diagonal().real
+    rows = np.asarray(abs(m).sum(axis=1)).ravel()
+    radius = rows - np.abs(diag)
+    count = int(np.diff(m.indptr).max(initial=0))
+    return float(np.min(diag - radius)), float(np.max(diag + radius)), rows, count
+
+
+def _inner_length(g) -> int:
+    """The longest inner product in an entry of G^H G: the largest number of
+    stored entries in a column of the CSR matrix G."""
+    return int(np.bincount(g.indices, minlength=g.shape[1]).max(initial=0))
+
+
+def _floor(ops: _GridOperators, d: int, lower: float, grams, rest, roundings: int) -> float:
+    """A lower bound on the spectrum of the stored matrix fl(A), where
+    A = sum_G G^H G + I_d (x) S + R is assembled in floating point from
+    stored Gram factors G, the stabilizer S of ``ops`` and a stored
+    Hermitian remainder R with lambda_min(R) >= lower.
+
+    The Gram parts are positive semidefinite, so lambda_min(A) >= lower
+    (Weyl).  Every entry of fl(A) - A is at most gamma_m times the entry of
+    B = sum_G |G|^H |G| + I_d (x) sigma h^6 sum_a |D4_a|^T |D4_a| + |R|
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.1
+    and 3.5), with gamma_m = m u / (1 - m u) and m the number of roundings
+    on the way to one entry: the longest inner product of a Gram part, 3
+    for a complex product (whose error is at most sqrt(2) gamma_2 <=
+    gamma_3, Higham Lemma 3.5), 1 + 2n for the stabilizer's coefficient and
+    axes, and ``roundings`` more (the pieces summed into A, and the row
+    count of R, which bounds the rounding of the Gershgorin sums that gave
+    ``lower``).  B is symmetric and nonnegative, so ||fl(A) - A||_2 <=
+    ||B||_inf = max_i (B 1)_i, which takes two sparse products per factor;
+    ``rest`` is |R| 1.  The result is lower - gamma_m max_i (B 1)_i.
+    """
+    s, axes = ops.grid.points_per_axis, 2 * ops.grid.n
+    d4 = abs(ops.d4)
+    w = d4.T @ (d4 @ np.ones(s))  # |D4|^T |D4| 1 along one axis
+    stab = sum(w.reshape([s if b == a else 1 for b in range(axes)]) for a in range(axes))
+    bound = rest + np.tile(defaults.GHOST_STABILIZER * ops.grid.spacing**6 * stab.ravel(), d)
+    inner = _inner_length(d4)
+    for g in grams:
+        g = abs(g)
+        bound += g.T @ (g @ np.ones(g.shape[1]))
+        inner = max(inner, _inner_length(g))
+    m = inner + 3 + 1 + axes + roundings
+    gamma = m * _ROUNDOFF / (1.0 - m * _ROUNDOFF)
+    return lower - gamma * float(bound.max())
 
 
 def assemble_model(spec: ModelSpec, grid: GridSpec) -> DiscreteOperator:
-    """Model operator sum_j C_j^dag C_j + Theta_0 (plus the ghost stabilizer)."""
+    """Model operator sum_j C_j^dag C_j + Theta_0 (plus the ghost stabilizer).
+
+    Its spectral floor is min Theta_0 less the rounding allowance of
+    ``_floor``: the C_j and the stabilizer are Gram parts.
+    """
     if spec.n != grid.n:
         raise ArgumentError("model and grid dimensions differ")
     ops = _GridOperators(grid)
-    scalar = _scalar_model_part(ops, spec.lam)
-    d = fiber.fiber_dim(spec.n, spec.q)
-    a = sp.kron(sp.identity(d), scalar)
+    factors = [ops.model_factor(j, lj) for j, lj in enumerate(spec.lam)]
     theta0 = fiber.twist_eigenvalues(spec.lam, spec.q)
+    # Every fiber block holds the same Gram part, so the largest row sum of
+    # B is the largest over the sites plus the largest |Theta_0|; the pieces
+    # summed are the C_j^dag C_j and Theta_0, whose row count is 1.
+    floor = _floor(ops, 1, float(theta0.min()), factors, np.abs(theta0).max(), len(factors) + 2)
+    scalar = ops.stabilizer()
+    for c in factors:
+        scalar = scalar + c.getH() @ c
+    d = fiber.fiber_dim(spec.n, spec.q)
+    a = sp.kron(sp.identity(d), scalar.tocsr())
     if np.any(theta0 != 0):
         a = a + sp.kron(sp.diags(theta0), sp.identity(grid.sites))
-    return DiscreteOperator(a.tocsr(), spec.q, 0, grid)
+    op = DiscreteOperator(a.tocsr(), spec.q, 0, grid)
+    op._floor = floor
+    return op
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +417,8 @@ def _wedge_term_coefficients(r: np.ndarray, dr: list) -> np.ndarray:
 
 
 def assemble_scaled(weight: WeightFunction, pert: Optional[PerturbationSpec],
-                    k: int, grid: GridSpec, q: int) -> DiscreteOperator:
+                    k: int, grid: GridSpec, q: int, *,
+                    _ops: Optional[_GridOperators] = None) -> DiscreteOperator:
     """Scaled operator at tensor power k on the fixed grid, symmetric gauge.
 
     Rows of the scaled dbar are assembled per coefficient sampling at
@@ -323,6 +428,12 @@ def assemble_scaled(weight: WeightFunction, pert: Optional[PerturbationSpec],
     1/sqrt(k) prefactor.  The assembled Laplacian is
     D_q^dag D_q + D_{q-1} D_{q-1}^dag plus an exact twist correction making
     the unperturbed case reduce identically to ``assemble_model``.
+
+    Its spectral floor is the Gershgorin lower end of the twist correction
+    plus that of the adjoint zero-order part, less the rounding allowance
+    of ``_floor``: D_q, D_{q-1}^dag and the stabilizer are Gram parts.
+    ``_ops`` carries the k-invariant parts of an earlier call on the same
+    grid and weight (``converge_in_k`` passes one for all its k).
     """
     n = weight.n
     if n != grid.n:
@@ -341,8 +452,7 @@ def assemble_scaled(weight: WeightFunction, pert: Optional[PerturbationSpec],
             f"{weight.chart_radius:.3g}"
         )
 
-    ops = _GridOperators(grid)
-    sites = grid.sites
+    ops = _ops or _GridOperators(grid)
     z = ops.z
     y = z / sqrtk
     lam = np.asarray(weight.lam)
@@ -412,17 +522,12 @@ def assemble_scaled(weight: WeightFunction, pert: Optional[PerturbationSpec],
 
     # Exact twist correction: replace the discrete factor commutators by the
     # continuum eigenvalues so the unperturbed case reduces to assemble_model.
-    for j in range(n):
-        pi_j = np.real(np.diag(fiber.projection_contains(n, q, j)))
-        if not np.any(pi_j != 0):
-            continue
-        c0 = ops.model_factor(j, lam[j])
-        comm = (c0 @ c0.getH() - c0.getH() @ c0).tocsr()
-        delta = (lam[j] * sp.identity(sites) - comm).tocsr()
-        a = a + sp.kron(sp.diags(pi_j), delta)
+    twists, lower, rest, rest_rows = ops.twist(lam, q)
+    for piece in twists:
+        a = a + piece
 
     # Stabilizer on every fiber component.
-    a = a + sp.kron(sp.identity(dq), ops.stabilizer())
+    a = a + ops.fiber_stabilizer(dq)
 
     # Optional adjoint zero-order terms (Hermitian part; see README): the
     # contractions iota_j alpha_j / sqrt(k) into and out of degree q.
@@ -438,11 +543,20 @@ def assemble_scaled(weight: WeightFunction, pert: Optional[PerturbationSpec],
             x = x + contraction(q + 1) @ d_q
         if d_qm1 is not None:
             x = x + d_qm1 @ contraction(q)
-        a = a + 0.5 * (x + x.getH())
+        zero_order = (0.5 * (x + x.getH())).tocsr()
+        a = a + zero_order
+        low, _, sums, count = _gershgorin(zero_order)
+        lower, rest, rest_rows = lower + low, rest + sums, rest_rows + count
 
-    return DiscreteOperator(a.tocsr(), q, k, grid)
+    op = DiscreteOperator(a.tocsr(), q, k, grid)
+    grams = [g for g in (d_q, None if d_qm1 is None else d_qm1.getH().tocsr()) if g is not None]
+    pieces = len(grams) + len(twists) + 2  # with the stabilizer and the zero-order part
+    op._floor = _floor(ops, dq, lower, grams, rest, pieces + rest_rows)
+    return op
 
 
 def to_matrix_market(op: DiscreteOperator, path) -> None:
     """Export in Matrix Market coordinate format (complex general)."""
+    from scipy.io import mmwrite
+
     mmwrite(str(path), op.matrix.tocoo(), field="complex", symmetry="general")

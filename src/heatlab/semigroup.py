@@ -1,66 +1,60 @@
 """Heat semigroup actions e^{-tA}v, kernel diagonals, traces, spectral
 bound checks, and the k-convergence experiment.
 
-Under the default method, ``heat_apply`` and ``kernel_diagonals`` run
-Lanczos and stochastic ``heat_traces`` run a Chebyshev block.  A dense
-eigendecomposition (exact up to rounding, cached on the operator) runs only
-when asked for, as the reference.
+Under the default method every heat action runs one propagator: the
+Chebyshev expansion of e^{-tA} on an interval [a, b] that holds the
+spectrum (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 1984; Weisse, Wellein,
+Alvermann & Fehske, Rev. Mod. Phys. 78, 2006).  ``heat_apply`` advances a
+one-column block, ``kernel_diagonals`` the d fiber deltas of a site, and
+stochastic ``heat_traces`` the Hutchinson probes; each block reaches every
+requested time at one sparse product per degree, with no
+orthogonalisation and no small eigenproblem.  Each result carries an
+a-priori error bound, and a sweep stops once that bound is below unit
+roundoff relative to every result (see ``_ChebyshevBlock``).  A dense
+eigendecomposition (exact up to rounding, cached on the operator) runs
+only when asked for, as the reference.
 
-``heat_apply`` and ``kernel_diagonals`` use Lanczos/Krylov at every size:
-approximating e^{-tA}v needs no size threshold (Hochbruck & Lubich, SINUM
-1997).  The Lanczos relation A V_m = V_m T_m + beta_m v_{m+1} e_m^T does not
-depend on t, so one basis per start vector serves every requested time:
-e^{-tA}v ~ beta0 V_m exp(-t T_m) e_1.  The basis is grown by the
-three-term recurrence plus one block classical Gram-Schmidt pass against
-all earlier vectors.  Every few steps one tridiagonal eigendecomposition
-gives, for all pending times, the a-posteriori error estimate
-beta0 beta_m |e_m^T exp(-t T_m) e_1| (Saad, SIAM J. Numer. Anal. 1992;
-Hochbruck & Lubich, SINUM 1997); a time passes when its estimate is at
-most ``krylov_tol`` times the norm of its approximation.  A basis shorter
-than min(12, dim-1) passes only when it is invariant: a delta start
-resolves the high spectrum long before the low Ritz values emerge.  A
-basis of ``krylov_dim`` vectors restarts (see ``_krylov_times``).
-
-Stochastic traces advance all Hutchinson probes as one block through the
-Chebyshev expansion of e^{-tA} on a certified spectral interval (Tal-Ezer &
-Kosloff, J. Chem. Phys. 81, 1984; Weisse, Wellein, Alvermann & Fehske, Rev.
-Mod. Phys. 78, 2006): one sparse product per degree for every probe and
-time, with no orthogonalisation and no small eigenproblem.  Each sample
-carries an a-priori error bound, and the sweep stops once that bound is
-below unit roundoff relative to every result (see ``_ChebyshevBlock``).
-Delta starts keep Lanczos: the interval needs the positivity certificate,
-which costs about 0.2 s at dimension 10 201 (grid radius 5, spacing 0.1),
-where Lanczos takes about 0.06 s for both diagonals at t = 0.5 and 1, while
-the Gershgorin lower end (-66.5 there, against a smallest eigenvalue near
-0) would make the expansion cancel e^{33 t}.
+b is the Gershgorin upper end.  a is the spectral floor that
+``assemble_model`` and ``assemble_scaled`` prove for every operator they
+build: its Gram parts are positive semidefinite, the remainder is bounded
+by Gershgorin, and a rounding allowance covers the assembly
+(``operators._floor``).  Any other operator falls back to the banded
+Cholesky positivity certificate, or else to the Gershgorin lower end
+(``_spectral_interval``).
 
 Kernel diagonals and trace samples are quadratic forms u^H e^{-tA} u.  As A
 is Hermitian, e^{-tA} = (e^{-tA/2})^H e^{-tA/2}: each start vector is
-propagated once, to every t/2 (Lanczos needs about sqrt(t ||A||) steps), and
-the forms are the Gram matrix of the half-time vectors, positive
-semidefinite by construction (Golub & Meurant, Matrices, Moments and
-Quadrature, 2010).  A Krylov estimate eps at t/2 bounds the relative error
-of a form by 2 eps + eps^2 to first order; the observed error is second
-order.
+propagated once, to every t/2, and the forms are the Gram matrix of the
+half-time vectors, positive semidefinite by construction (Golub & Meurant,
+Matrices, Moments and Quadrature, 2010).  A bound E on the error of a
+half-time vector y bounds that of its squared norm by 2 E ||y|| + E^2.
 
 The spectral bound check reduces to positivity, certified by one banded
-Cholesky factorisation (see ``spectral_bound_check``).
+Cholesky factorisation (see ``spectral_bound_check``); a floor never
+decides it.
 """
 
 import csv
 from dataclasses import dataclass
-from numbers import Integral, Real
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 
 from . import defaults, fiber
 from .errors import ArgumentError, InvariantViolation, NumericalError, ResourceLimitError
 from .geometry import FiberEndomorphism, WeightFunction
 from .model_kernels import ModelSpec, _check_time, model_diagonal
-from .operators import DiscreteOperator, GridSpec, PerturbationSpec, assemble_model, assemble_scaled
+from .operators import (
+    _ROUNDOFF,
+    DiscreteOperator,
+    GridSpec,
+    PerturbationSpec,
+    _gershgorin,
+    _GridOperators,
+    assemble_model,
+    assemble_scaled,
+)
 
 __all__ = [
     "SemigroupMethod",
@@ -86,148 +80,29 @@ class SemigroupMethod:
     """Propagator selection: krylov (the default, used whenever no method
     is given) or dense-eigen (the exact reference, run only when asked for).
 
-    Under krylov, ``heat_apply`` and ``kernel_diagonals`` run Lanczos:
-    ``krylov_dim`` (an integer >= 1) caps the basis built per restart, and
-    ``krylov_tol`` (a number > 0) bounds the a-posteriori error estimate of
-    each e^{-tA}v relative to its norm (the shared basis is in the module
-    docstring, the restart rule in ``_krylov_times``).  Stochastic
-    ``heat_traces`` run a Chebyshev block that is exact to rounding, so the
-    two settings do not apply to them.  Dense-eigen is limited to dimension
-    ``defaults.DENSE_EIGEN_CAP`` by ``DiscreteOperator.eigensystem``.
+    Under krylov every heat action runs the Chebyshev block of the module
+    docstring, exact to rounding on its interval.  The label stays "krylov":
+    the polynomial p(A) v lies in the Krylov space of v.  Dense-eigen is
+    limited to dimension ``defaults.DENSE_EIGEN_CAP`` by
+    ``DiscreteOperator.eigensystem``.
     """
 
     variant: str = "krylov"
-    krylov_dim: int = defaults.KRYLOV_DIM
-    krylov_tol: float = defaults.KRYLOV_TOL
 
     def __post_init__(self):
         if self.variant not in _VARIANTS:
             raise ArgumentError(f"unknown method variant {self.variant!r}")
-        dim, tol = self.krylov_dim, self.krylov_tol
-        if isinstance(dim, bool) or not isinstance(dim, Integral) or dim < 1:
-            raise ArgumentError(f"krylov_dim must be an integer >= 1, got {dim!r}")
-        if isinstance(tol, bool) or not isinstance(tol, Real) or not tol > 0:
-            raise ArgumentError(f"krylov_tol must be a number > 0, got {tol!r}")
 
 
-# Lanczos steps between evaluations of the error estimate: each evaluation
-# solves the tridiagonal eigenproblem once for every pending time.
-_ESTIMATE_EVERY = 4
-# Halvings of a failing first time tried on one basis before giving up.
-_MAX_HALVINGS = 64
-
-
-class _Lanczos(NamedTuple):
-    """A Lanczos decomposition A V^T = V^T T + beta v' e_k^T of a start vector
-    of norm beta0, with T = evec diag(ew) evec^T."""
-
-    basis: np.ndarray   # V: the k orthonormal Lanczos vectors, one per row
-    beta0: float
-    ew: np.ndarray
-    evec: np.ndarray
-    beta: float         # 0 when the basis is invariant
-    trusted: bool       # whether the estimate may certify convergence
-
-    def evaluate(self, taus, tol):
-        """Rows of e^{-tau T} e_1 for each tau, their error estimates
-        beta0*beta*|e_k^T e^{-tau T} e_1| and whether each one passes."""
-        small = (np.exp(-np.outer(taus, self.ew)) * self.evec[0]) @ self.evec.T
-        err = self.beta0 * self.beta * np.abs(small[:, -1])
-        ok = self.trusted & (err <= tol * self.beta0 * np.linalg.norm(small, axis=1))
-        return small, err, ok
-
-    def vectors(self, small):
-        """beta0 V^T s for each row s of ``small``: the approximations of e^{-tA}v."""
-        return self.beta0 * (small @ self.basis)
-
-
-def _lanczos(matrix, v, taus, m, tol) -> _Lanczos:
-    """Grow the Lanczos basis of v until the estimate passes for every tau,
-    the basis is invariant, or it holds m vectors."""
-    beta0 = float(np.linalg.norm(v))
-    dim = v.shape[0]
-    m = min(m, dim)
-    # A delta-like start resolves the high spectrum long before the low Ritz
-    # values emerge, so a short basis is trusted only when it is invariant.
-    min_size = min(12, dim - 1)
-    V = np.empty((m, dim), dtype=complex)
-    V[0] = v / beta0
-    alphas, betas = np.empty(m), np.empty(m)
-    for j in range(m):
-        w = matrix @ V[j]
-        alphas[j] = np.vdot(V[j], w).real
-        w -= alphas[j] * V[j]
-        if j > 0:
-            w -= betas[j - 1] * V[j - 1]
-        # one block classical Gram-Schmidt pass; B.conj() would copy the basis
-        B = V[: j + 1]
-        w -= (B @ w.conj()).conj() @ B
-        betas[j] = np.linalg.norm(w)
-        k = j + 1
-        invariant = betas[j] < 1e-14 * max(1.0, abs(alphas[j]))
-        if invariant or k == m or (k >= min_size and k % _ESTIMATE_EVERY == 0):
-            ew, evec = sla.eigh_tridiagonal(alphas[:k], betas[: k - 1])
-            lz = _Lanczos(B, beta0, ew, evec, 0.0 if invariant else float(betas[j]),
-                          invariant or k >= min_size)
-            if invariant or k == m or lz.evaluate(taus, tol)[2].all():
-                return lz
-        V[k] = w / betas[j]
-    raise AssertionError("unreachable: the loop returns at k == m")
-
-
-def _krylov_times(matrix, v, ts, method: SemigroupMethod) -> np.ndarray:
-    """e^{-tA}v for every t in ts, as rows in the order of ts.
-
-    Each restart builds one Lanczos basis for all pending times and accepts
-    those whose estimate passes.  It restarts from the furthest accepted
-    time below the first failing one or, when the first pending time fails,
-    from its largest halving whose estimate passes on the same basis.
-    """
-    times, where = np.unique(np.asarray(ts, dtype=float), return_inverse=True)
-    x = np.asarray(v, dtype=complex)
-    out = np.zeros((times.size, x.size), dtype=complex)
-    done = np.zeros(times.size, dtype=bool)
-    start = 0.0  # the time x has been propagated to
-    for restart in range(1, defaults.KRYLOV_MAX_RESTARTS + 1):
-        if not x.any():
-            return out[where]  # e^{-tA}0 = 0
-        todo = np.flatnonzero(~done)
-        taus = times[todo] - start
-        lz = _lanczos(matrix, x, taus, method.krylov_dim, method.krylov_tol)
-        small, err, ok = lz.evaluate(taus, method.krylov_tol)
-        out[todo[ok]] = lz.vectors(small[ok])
-        done[todo[ok]] = True
-        if done.all():
-            return out[where]
-        lead = int(np.argmin(ok))  # the first failing pending time
-        residual = float(err[lead])
-        if lead > 0:
-            start, x = times[todo[lead - 1]], out[todo[lead - 1]]
-            continue
-        tau = taus[0]
-        for _ in range(_MAX_HALVINGS):
-            tau *= 0.5
-            small, _, ok = lz.evaluate([tau], method.krylov_tol)
-            if ok[0]:
-                break
-        else:
-            break  # not even a short step certifies on this basis
-        start, x = start + tau, lz.vectors(small)[0]
-    raise NumericalError(
-        f"krylov propagator failed to converge after {restart} restarts "
-        f"(residual {residual:.3e}, tolerance {method.krylov_tol:.1e})",
-        residual=residual,
-    )
-
-
-def _propagate(op: DiscreteOperator, v, ts, method: Optional[SemigroupMethod]) -> np.ndarray:
-    """e^{-tA}v for every positive t in ts, as rows in the order of ts (None: Krylov)."""
+def _propagate(op: DiscreteOperator, xi, ts, method: Optional[SemigroupMethod]) -> np.ndarray:
+    """e^{-tA} xi for every column of the block xi and positive t in ts, as
+    an array (len(ts), dim, columns) in the order of ts (None: Chebyshev)."""
     method = method or SemigroupMethod()
     if method.variant == "krylov":
-        return _krylov_times(op.matrix, v, ts, method)
+        return _ChebyshevBlock(op).propagate(xi, ts).ys
     w, vecs = op.eigensystem()
-    coef = vecs.conj().T @ v
-    return np.array([vecs @ (np.exp(-t * w) * coef) for t in ts])
+    coef = vecs.conj().T @ xi
+    return np.array([vecs @ (np.exp(-t * w)[:, None] * coef) for t in ts])
 
 
 def _positive_times(ts) -> list:
@@ -240,13 +115,13 @@ def _positive_times(ts) -> list:
 
 def heat_apply(op: DiscreteOperator, v, t: float,
                method: Optional[SemigroupMethod] = None) -> np.ndarray:
-    """e^{-tA} v by ``method`` (default Krylov; a copy of v at t = 0)."""
+    """e^{-tA} v by ``method`` (default Chebyshev; a copy of v at t = 0)."""
     v = np.asarray(v, dtype=complex)
     if v.shape != (op.dim,):
         raise ArgumentError(f"vector must have shape ({op.dim},)")
     if t == 0:
         return v.copy()
-    return _propagate(op, v, _positive_times([t]), method)[0]
+    return _propagate(op, v[:, None], _positive_times([t]), method)[0, :, 0]
 
 
 def kernel_diagonals(op: DiscreteOperator, site, ts: Sequence[float],
@@ -257,18 +132,16 @@ def kernel_diagonals(op: DiscreteOperator, site, ts: Sequence[float],
     The fiber matrix is the Gram matrix X^H X / dv_cell of the half-time
     vectors x_b = e^{-(t/2)A} e_b of the fiber deltas at the site, for both
     methods; dividing by the Hermitian-volume cell 2^n h^{2n} makes it
-    comparable with ``model_diagonal``.  A Krylov estimate eps at t/2 bounds
-    its relative error by 2 eps + eps^2 to first order (module docstring).
+    comparable with ``model_diagonal``.  All d deltas advance as one block
+    to every t/2; each x_b is exact to rounding (module docstring).
     """
     ts = _positive_times(ts)
     grid = op.grid
-    flat = grid.flat_index(site)
-    xs = np.empty((len(ts), op.fiber_dim, op.dim), dtype=complex)
-    for b in range(op.fiber_dim):
-        delta = np.zeros(op.dim, dtype=complex)
-        delta[b * grid.sites + flat] = 1.0
-        xs[:, b] = _propagate(op, delta, [0.5 * t for t in ts], method)
-    return [FiberEndomorphism(grid.n, op.q, _gram(x) / grid.dv_cell) for x in xs]
+    fibers = np.arange(op.fiber_dim)
+    deltas = np.zeros((op.dim, op.fiber_dim), dtype=complex)
+    deltas[fibers * grid.sites + grid.flat_index(site), fibers] = 1.0
+    xs = _propagate(op, deltas, [0.5 * t for t in ts], method)
+    return [FiberEndomorphism(grid.n, op.q, _gram(x.T) / grid.dv_cell) for x in xs]
 
 
 def _gram(x) -> np.ndarray:
@@ -291,26 +164,27 @@ class TraceEstimate:
     method: str
 
 
-# Unit roundoff of float64: a Chebyshev sweep stops once its a-priori tail
-# bound is below it relative to every column's norm.
-_ROUNDOFF = 2.0 ** -53
 # The default positivity tolerance, which also gives a sweep its lower end.
 _PSD_TOL = 1e-8
 # Largest rounding estimate of a sweep that is trusted, relative to its result.
 _ROUNDING_LIMIT = 2.0 ** -36
+# Halvings of an untrusted first step tried before giving up.
+_MAX_HALVINGS = 64
 
 
 def _spectral_interval(op: DiscreteOperator) -> tuple:
     """An interval [a, b] holding the spectrum of the Hermitian op.
 
-    b is the Gershgorin upper end.  a is -_PSD_TOL when the Gershgorin lower
-    end is below it and the banded Cholesky certificate passes; otherwise
-    (a failed certificate, or a band that raises ``ResourceLimitError``) it
-    is the Gershgorin lower end min_i (a_ii - sum_{j != i} |a_ij|).
+    b is the Gershgorin upper end.  a is the larger of the Gershgorin lower
+    end min_i (a_ii - sum_{j != i} |a_ij|) and the floor that the assemblers
+    prove.  Without a floor, a is -_PSD_TOL when the Gershgorin lower end is
+    below it and the banded Cholesky certificate passes; otherwise (a failed
+    certificate, or a band that raises ``ResourceLimitError``) it is the
+    Gershgorin lower end.
     """
-    diag = op.matrix.diagonal().real
-    radius = np.asarray(abs(op.matrix).sum(axis=1)).ravel() - np.abs(diag)
-    low, high = float(np.min(diag - radius)), float(np.max(diag + radius))
+    low, high, *_ = _gershgorin(op.matrix)
+    if op._floor is not None:
+        return max(low, op._floor), high
     if low < -_PSD_TOL:
         try:
             if _certify_positive(op, _PSD_TOL):
@@ -349,6 +223,15 @@ class _Sweep(NamedTuple):
     degree: int
 
 
+class _Propagation(NamedTuple):
+    """e^{-tau A} xi per tau (first axis) and column of xi, with bounds."""
+
+    ys: np.ndarray           # (len(taus), dim, columns): the vectors y
+    errs: np.ndarray         # (len(taus), columns): bounds E on ||y - e^{-tau A} xi||
+    squares: np.ndarray      # ||y||^2
+    square_errs: np.ndarray  # 2 E ||y|| + E^2, bounds on the errors of the squares
+
+
 class _ChebyshevBlock:
     """e^{-tau A} on a block of start vectors for several tau at once.
 
@@ -363,9 +246,12 @@ class _ChebyshevBlock:
     def __init__(self, op: DiscreteOperator):
         self.low, self.high = a, b = _spectral_interval(op)
         self.centre, self.radius = 0.5 * (a + b), max(0.5 * (b - a), np.finfo(float).tiny)
-        # the recurrence T_{k+1} = 2 (A - c)/r T_k - T_{k-1}, with the 2 folded in
-        shifted = op.matrix - self.centre * sp.identity(op.dim, format="csr")
-        self.matrix = (shifted * (2.0 / self.radius)).tocsr()
+        # the recurrence T_{k+1} = 2 (A - c)/r T_k - T_{k-1}, with 2/r and the
+        # shift folded into a copy of the stored values; setdiag keeps the
+        # sparsity pattern when every diagonal entry is stored, as the
+        # stabilizer makes it in every assembled operator
+        self.matrix = op.matrix * (2.0 / self.radius)
+        self.matrix.setdiag(self.matrix.diagonal() - 2.0 * self.centre / self.radius)
 
     def _expansion(self, taus) -> tuple:
         """Coefficients c_k(tau) and bounds tail[K] >= sum_{k>K} |c_k(tau)|
@@ -433,14 +319,14 @@ class _ChebyshevBlock:
             prev, cur = cur, nxt
             k += 1
             for y, ck in zip(ys, coef[k]):
-                sla.blas.zaxpy(cur.ravel(), y.ravel(), a=ck)  # in place: y is contiguous
+                y += ck * cur
         # sum_k |c_k| = e^{-tau a}: the largest partial sum a term can carry
         rounding = max(k, 1) * _ROUNDOFF * np.exp(-taus * self.low)[:, None] * ratio
         return _Sweep(ys, norms, tail[k][:, None] * xi_norm, rounding, k)
 
-    def samples(self, xi, taus) -> tuple:
-        """||e^{-tau A} xi||^2 for each column of xi (rows) and tau
-        (columns), and bounds on their errors.
+    def propagate(self, xi, taus) -> _Propagation:
+        """e^{-tau A} xi for each tau and column of the block xi, in the
+        order of taus, with a-priori bounds on their errors.
 
         A sweep whose rounding estimate exceeds _ROUNDING_LIMIT for a tau is
         not trusted there: the block restarts from the furthest trusted tau
@@ -450,42 +336,46 @@ class _ChebyshevBlock:
         smallest eigenvalue (a Gershgorin lower end) or for tau lambda_min
         large enough that e^{-tau A} xi is tiny beside xi.  An
         error E_s at time s grows to at most e^{-(tau - s) a} E_s by tau, and
-        the truncation bounds of the steps add; a sample with error bound
-        E on its vector y is off by at most 2 E ||y|| + E^2, plus rounding.
+        the truncation bounds of the steps add.
         """
         times, where = np.unique(np.asarray(taus, dtype=float), return_inverse=True)
         xi = np.asarray(xi, dtype=complex)
-        norms = np.empty((times.size, xi.shape[1]))
-        errs = np.empty_like(norms)
+        accepted = []  # (ys, norms, errs) of the times each trusted sweep passed
         state, start, state_err, done = xi, 0.0, np.zeros(xi.shape[1]), 0
         longest = np.inf  # the longest step trusted after a halving
         while done < times.size:
             steps = times[done:] - start
             halved = steps[0] > longest
             steps = np.array([longest]) if halved else steps[steps <= longest]
-            for _ in range(_MAX_HALVINGS):
+            for halvings in range(_MAX_HALVINGS + 1):
                 sw = self.sweep(state, steps)
                 trusted = np.all(sw.rounding <= _ROUNDING_LIMIT, axis=1)
                 if trusted[0]:
                     break
+                if halvings == _MAX_HALVINGS:
+                    residual = float(sw.rounding.max())
+                    raise NumericalError(
+                        f"chebyshev propagator lost accuracy on [{self.low:.6g}, "
+                        f"{self.high:.6g}] (residual {residual:.3e}, the rounding "
+                        f"estimate relative to the result)", residual=residual)
                 steps, halved = steps[:1] * 0.5, True
                 longest = steps[0]
-            else:
-                raise NumericalError(
-                    f"chebyshev propagator lost accuracy on [{self.low:.6g}, {self.high:.6g}] "
-                    f"(rounding estimate {sw.rounding.max():.3e})",
-                    residual=float(sw.rounding.max()))
             count = int(np.argmin(trusted)) if not trusted.all() else len(steps)
             err = np.exp(-steps[:count] * self.low)[:, None] * state_err + sw.trunc[:count]
             state, state_err = sw.ys[count - 1], err[count - 1]
             if halved:
                 start += steps[0]
                 continue
-            norms[done: done + count], errs[done: done + count] = sw.norms[:count], err
+            accepted.append((sw.ys[:count], sw.norms[:count], err))
             done += count
             start = times[done - 1]
-        norms, errs = norms[where], errs[where]
-        return (norms ** 2).T, (errs * (2.0 * norms + errs)).T
+        if len(accepted) == 1:
+            ys, norms, errs = accepted[0]
+        else:
+            ys, norms, errs = (np.concatenate(part) for part in zip(*accepted))
+        if not np.array_equal(where, np.arange(times.size)):
+            ys, norms, errs = ys[where], norms[where], errs[where]
+        return _Propagation(ys, errs, norms ** 2, errs * (2.0 * norms + errs))
 
 
 def _squared_norms(x) -> np.ndarray:
@@ -512,11 +402,9 @@ def heat_traces(op: DiscreteOperator, ts: Sequence[float],
     Every t uses the same probes; each sample is ||e^{-(t/2)A} xi||^2.  All
     probes and times advance as one Chebyshev block (``_ChebyshevBlock``),
     in column slabs of at most ``defaults.TRACE_BLOCK_BYTES``.  Each sample
-    has an a-priori error bound (``_ChebyshevBlock.samples``); once the
-    positivity certificate holds, it is below unit roundoff relative to the
-    sample, so the estimate is exact to rounding for its probes.  The method
-    label stays "krylov": the polynomial p(A) xi lies in the Krylov space of
-    xi.  ``krylov_dim`` and ``krylov_tol`` do not apply.
+    has an a-priori error bound (``_ChebyshevBlock.propagate``) below unit
+    roundoff relative to the sample, so the estimate is exact to rounding
+    for its probes.
     """
     ts = _positive_times(ts)
     method = method or SemigroupMethod()
@@ -534,7 +422,7 @@ def heat_traces(op: DiscreteOperator, ts: Sequence[float],
     # the sweep holds the slab, two recurrence vectors and one sum per time
     width = max(1, defaults.TRACE_BLOCK_BYTES // (16 * (3 + len(ts)) * op.dim))
     samples = np.concatenate([
-        block.samples(_rademacher_block(rng, op.dim, min(width, probes - start)), half)[0]
+        block.propagate(_rademacher_block(rng, op.dim, min(width, probes - start)), half).squares.T
         for start in range(0, probes, width)
     ])
     values = samples.mean(axis=0)
@@ -576,6 +464,8 @@ def _certify_positive(op: DiscreteOperator, psd_tol: float) -> bool:
     ``defaults.BAND_CHOLESKY_MAX_BYTES`` raises ``ResourceLimitError``.
     """
     if psd_tol not in op._psd_certificate:
+        import scipy.linalg as sla
+
         low = sp.tril(op.matrix, format="coo")
         low.sum_duplicates()
         offset = low.row - low.col
@@ -684,8 +574,9 @@ def converge_in_k(weight: WeightFunction, pert: Optional[PerturbationSpec],
     grid = grid or GridSpec(weight.n, defaults.CONVERGE_RADIUS, defaults.CONVERGE_SPACING)
     targets = {t: model_diagonal(ModelSpec(weight.n, weight.lam, q), t).matrix for t in ts}
     rows = []
+    ops = _GridOperators(grid)  # the k-invariant parts, shared by every k
     for k in ks:
-        op = assemble_scaled(weight, pert, k, grid, q)
+        op = assemble_scaled(weight, pert, k, grid, q, _ops=ops)
         for t, diag in zip(ts, kernel_diagonals(op, grid.origin_site(), ts, method)):
             err = float(np.max(np.abs(diag.matrix - targets[t])))
             rows.append(ConvergenceRow(k, float(t), diag.matrix, targets[t], err))

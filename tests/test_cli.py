@@ -131,11 +131,8 @@ def test_malformed_value_exits_2_naming_field(tmp_path, capsys, base, change, fi
 
 
 def test_validate_fills_defaults():
-    from heatlab import defaults
-
     cfg = validate_config(dict(CONVERGE_CFG))
-    assert cfg["method"] == {"variant": "krylov", "krylov_dim": defaults.KRYLOV_DIM,
-                             "krylov_tol": defaults.KRYLOV_TOL}
+    assert cfg["method"] == {"variant": "krylov"}
     assert cfg["weight_perturbation"] == cfg["metric_perturbation"] == {"kind": "zero",
                                                                           "amplitude": 0.0}
     assert validate_config(cfg) == cfg
@@ -171,12 +168,17 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("variant", ["krylov"])
-def test_krylov_failure_reports_residual_once(tmp_path, capsys, variant):
-    # a one-vector basis cannot converge on the dim-3721 operator
+def test_krylov_failure_reports_residual_once(tmp_path, capsys, monkeypatch, variant):
+    # with no halving allowed and no sweep trusted, the Chebyshev propagator
+    # fails on the dim-3721 operator; the CLI prints its residual once
+    from heatlab import semigroup
+
+    monkeypatch.setattr(semigroup, "_MAX_HALVINGS", 0)
+    monkeypatch.setattr(semigroup, "_ROUNDING_LIMIT", 0.0)
     cfg = {
         "experiment": "converge", "n": 1, "lambda": [1.0], "q": 0,
         "k_list": [4], "t_list": [1.0], "grid": {"radius": 3.0, "spacing": 0.1},
-        "method": {"variant": variant, "krylov_dim": 1}, "seed": 1, "output": "c.csv",
+        "method": {"variant": variant}, "seed": 1, "output": "c.csv",
     }
     path = _write(tmp_path, "starved.json", cfg)
     assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 3

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.io import mmread
 from scipy.sparse.linalg import eigsh
@@ -491,6 +492,65 @@ def test_frame_perturbation_must_vanish_at_origin():
     bad = PerturbationSpec(r=lambda y: np.array([[0.1]], dtype=complex))
     with pytest.raises(InvariantViolation):
         assemble_scaled(WeightFunction(1, (1.0,)), bad, 4, grid, 0)
+
+
+# ---------------------------------------------------------------------------
+# spectral floors
+
+
+def _frame_n2(y):
+    return np.array([[0.0, 0.5 * y[0]], [0.3 * y[1], 0.0]], dtype=complex)
+
+
+def _alpha(y):
+    return 0.3 * y + 0.2j
+
+
+def _floor_operators():
+    """(label, builder) for model and scaled operators on small grids:
+    n = 1 and 2, every q, curvatures of both signs, with and without a
+    frame perturbation and an adjoint zero-order term."""
+    cases = {
+        1: (GridSpec(1, 2.0, 0.25), [(1.0,), (-0.7,)],
+            [PerturbationSpec(), _linear_r11(0.1), PerturbationSpec(alpha=_alpha),
+             PerturbationSpec(r=_linear_r11(0.1).r, alpha=_alpha)]),
+        2: (GridSpec(2, 1.0, 0.5), [(1.0, -0.5), (-1.0, -0.7)],
+            [PerturbationSpec(), PerturbationSpec(r=_frame_n2, alpha=_alpha)]),
+    }
+    for n, (grid, lams, perts) in cases.items():
+        for lam in lams:
+            for q in range(n + 1):
+                tag = f"n{n}-lam{','.join(map(str, lam))}-q{q}"
+                yield f"model-{tag}", lambda n=n, lam=lam, q=q, grid=grid: \
+                    assemble_model(ModelSpec(n, lam, q), grid)
+                for pert in perts:
+                    label = f"scaled-{tag}-r{pert.r is not None:d}-a{pert.alpha is not None:d}"
+                    yield label, lambda n=n, lam=lam, q=q, grid=grid, pert=pert: \
+                        assemble_scaled(WeightFunction(n, lam), pert, 4, grid, q)
+
+
+_FLOOR_CASES = dict(_floor_operators())
+
+
+@pytest.mark.parametrize("case", list(_FLOOR_CASES))
+def test_floor_is_below_the_smallest_eigenvalue(case):
+    op = _FLOOR_CASES[case]()
+    lam_min = sla.eigvalsh(op.matrix.toarray(), subset_by_index=[0, 0])[0]
+    assert op._floor <= lam_min
+
+
+@pytest.mark.parametrize("q, floor", [(0, 0.0), (1, 1.0)])
+def test_model_floor_is_min_theta0_less_rounding(q, floor):
+    op = assemble_model(ModelSpec(1, (1.0,), q), GridSpec(1, 5.0, 0.1))
+    assert floor - 1e-11 < op._floor < floor
+
+
+def test_floor_is_private_to_the_assemblers():
+    op = assemble_model(ModelSpec(1, (1.0,), 0), GridSpec(1, 2.0, 0.5))
+    copy = DiscreteOperator(op.matrix, op.q, op.k, op.grid)
+    assert op._floor is not None and copy._floor is None
+    with pytest.raises(TypeError):
+        DiscreteOperator(op.matrix, op.q, op.k, op.grid, op._floor)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -13,6 +15,7 @@ from heatlab.operators import (
     DiscreteOperator,
     GridSpec,
     PerturbationSpec,
+    _GridOperators,
     assemble_model,
     assemble_scaled,
 )
@@ -59,13 +62,19 @@ def test_identity_at_tiny_time():
 
 
 @pytest.mark.parametrize("bad", [
-    {"variant": "crank-nicolson"}, {"krylov_dim": 0}, {"krylov_dim": "x"},
-    {"krylov_dim": True}, {"krylov_tol": -1}, {"krylov_tol": float("nan")},
+    {"variant": "crank-nicolson"}, {"variant": "Krylov"}, {"variant": ""},
+    {"variant": None}, {"variant": 1}, {"variant": "lanczos"},
     {"variant": "auto"},
 ])
 def test_method_rejects_malformed_settings(bad):
     with pytest.raises(ArgumentError):
         SemigroupMethod(**bad)
+
+
+def test_method_has_no_krylov_knobs():
+    assert [f.name for f in dataclasses.fields(SemigroupMethod)] == ["variant"]
+    with pytest.raises(TypeError):
+        SemigroupMethod("krylov", krylov_dim=60)
 
 
 def test_diagonal_operator_exact():
@@ -145,15 +154,22 @@ def test_time_must_be_finite_and_positive(entry, t):
         _TIMED_ENTRY_POINTS[entry](op, t)
 
 
-def test_krylov_nonconvergence_reports_residual():
+def test_krylov_nonconvergence_reports_residual(monkeypatch):
+    # no floor and a failed certificate: the Gershgorin lower end (-49.9) is
+    # far below lambda_min (-12.7), so t = 2 needs restarts from halvings;
+    # with none allowed the propagator fails and reports its rounding estimate
     from heatlab.errors import NumericalError
 
     op = _random_hermitian_op()
     v = np.random.default_rng(5).normal(size=op.dim) + 0j
-    starved = SemigroupMethod("krylov", krylov_dim=3, krylov_tol=1e-14)
+    expected = heat_apply(op, v, 2.0, SemigroupMethod("dense-eigen"))
+    got = heat_apply(op, v, 2.0)
+    assert op._psd_certificate == {1e-8: False}
+    assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
+    monkeypatch.setattr(semigroup, "_MAX_HALVINGS", 0)
     with pytest.raises(NumericalError) as err:
-        heat_apply(op, v, 50.0, starved)
-    assert err.value.residual is not None
+        heat_apply(op, v, 2.0)
+    assert err.value.residual > semigroup._ROUNDING_LIMIT
 
 
 @pytest.fixture(scope="module")
@@ -168,49 +184,72 @@ def trace_model_op():
     return op, op.eigensystem(), {"rademacher": rademacher, "delta": delta}
 
 
+def _dense_action(op, xi, ts):
+    """e^{-tA} xi per t (first axis), from the dense eigensystem."""
+    w, vecs = op.eigensystem()
+    coef = vecs.conj().T @ xi
+    return np.array([vecs @ (np.exp(-t * w)[:, None] * coef) for t in ts])
+
+
 @pytest.mark.parametrize("start", ["rademacher", "delta"])
-@pytest.mark.parametrize("ts, krylov_dim, runs", [
-    ((0.5, 1.0, 2.0), defaults.KRYLOV_DIM, 1),
-    ((2.0,), 20, 2),  # a 20-vector basis cannot reach t = 2: restarts from a halving
-    ((0.5, 1.0, 2.0), 20, 2),  # restarts from the furthest passing time
-    ((2.0, 0.5, 1.0, 0.5), defaults.KRYLOV_DIM, 1),  # unsorted, with a duplicate
+@pytest.mark.parametrize("ts", [
+    (0.5, 1.0, 2.0),
+    (8.0,),
+    (2.0, 0.5, 1.0, 0.5),  # unsorted, with a duplicate
 ])
-def test_krylov_times_match_dense(trace_model_op, monkeypatch, start, ts, krylov_dim, runs):
-    op, (w, vecs), starts = trace_model_op
-    v = starts[start]
-    bases = []
-    real = semigroup._lanczos
-
-    def counting(*args):
-        bases.append(args[2])
-        return real(*args)
-
-    monkeypatch.setattr(semigroup, "_lanczos", counting)
-    got = semigroup._krylov_times(op.matrix, v, ts, SemigroupMethod("krylov", krylov_dim))
-    assert got.shape == (len(ts), op.dim)
-    assert len(bases) >= runs
-    if runs == 1:
-        assert len(bases) == 1 and sorted(bases[0]) == sorted(set(ts))
-    coef = vecs.conj().T @ v
-    for t, row in zip(ts, got):
-        ref = vecs @ (np.exp(-t * w) * coef)
-        assert np.linalg.norm(row - ref) / np.linalg.norm(ref) <= 1e-8
-
-
-@pytest.mark.parametrize("start", ["rademacher", "delta"])
-def test_lanczos_basis_stays_orthonormal(trace_model_op, start):
+def test_chebyshev_block_matches_dense(trace_model_op, start, ts):
+    # the propagated block is within its a-priori bound of the exact action,
+    # in the order of ts, and its squares are the squared norms
     op, _, starts = trace_model_op
-    # tolerance 0 passes no estimate, so the basis runs to its cap; without
-    # reorthogonalisation the delta basis drifts to ~1e-6 by then
-    lz = semigroup._lanczos(op.matrix, starts[start], [1.0], 60, 0.0)
-    gram = lz.basis @ lz.basis.conj().T
-    assert len(gram) == 60 and np.abs(gram - np.eye(60)).max() <= 1e-12
+    xi = starts[start][:, None]
+    got = semigroup._ChebyshevBlock(op).propagate(xi, ts)
+    exact = _dense_action(op, xi, ts)
+    assert got.ys.shape == (len(ts), op.dim, 1)
+    gap = np.linalg.norm(got.ys - exact, axis=1)
+    assert np.all(gap <= got.errs + 1e-13 * np.linalg.norm(exact, axis=1))
+    np.testing.assert_allclose(got.squares, np.linalg.norm(got.ys, axis=1) ** 2, rtol=1e-14)
 
 
 def test_krylov_zero_vector_stays_zero():
     op = _random_hermitian_op()
     out = heat_apply(op, np.zeros(op.dim, dtype=complex), 1.0, SemigroupMethod("krylov"))
     assert not out.any()
+
+
+_BOUND_TS = (0.5, 2.0, 8.0)
+
+
+@pytest.mark.parametrize("t", _BOUND_TS)
+def test_heat_apply_within_a_priori_bound_of_dense(trace_model_op, t):
+    op, _, starts = trace_model_op
+    v = starts["rademacher"]
+    exact = _dense_action(op, v[:, None], [t])[0, :, 0]
+    (bound,) = semigroup._ChebyshevBlock(op).propagate(v[:, None], [t]).errs[0]
+    gap = np.linalg.norm(heat_apply(op, v, t) - exact)
+    assert gap <= bound + 1e-13 * np.linalg.norm(exact)
+
+
+@pytest.fixture(scope="module")
+def n2q1_op():
+    """The d = 2 scaled operator of the Gram tests (dim 1250)."""
+    return _GRAM_OPS["n2q1"]()
+
+
+@pytest.mark.parametrize("t", _BOUND_TS)
+def test_kernel_diagonals_within_a_priori_bound_of_dense(n2q1_op, t):
+    # two fiber deltas with nonzero off-diagonal coupling; the Gram entry
+    # b, c is off by at most E_b ||y_c|| + E_c ||y_b|| + E_b E_c
+    op = n2q1_op
+    assert op._floor is not None and op.fiber_dim == 2
+    site = op.grid.origin_site()
+    got = kernel_diagonal(op, site, t).matrix
+    exact = kernel_diagonal(op, site, t, SemigroupMethod("dense-eigen")).matrix
+    deltas = np.zeros((op.dim, 2), dtype=complex)
+    deltas[[op.grid.flat_index(site), op.grid.sites + op.grid.flat_index(site)], [0, 1]] = 1.0
+    prop = semigroup._ChebyshevBlock(op).propagate(deltas, [0.5 * t])
+    e, y = prop.errs[0], np.sqrt(prop.squares[0])
+    bound = (np.outer(e, y) + np.outer(y, e) + np.outer(e, e)) / op.grid.dv_cell
+    assert np.all(np.abs(got - exact) <= bound + 1e-13 * np.abs(exact).max())
 
 
 # ---------------------------------------------------------------------------
@@ -305,23 +344,27 @@ def test_kernel_diagonals_are_half_time_gram_matrices(case):
 
 
 def test_kernel_diagonals_reach_half_time_without_restart(monkeypatch):
-    # the full-time delta run at t = 1 fills the 60-vector basis and
-    # restarts, which costs accuracy; t/2 fits in one basis
+    # every fiber delta advances as one block to every t/2 in one sweep,
+    # on the floor of the assembled operator: no certificate, no restart
     op = assemble_model(ModelSpec(1, (1.0,), 1), GridSpec(1, 5.0, 0.1))
     site, ts = op.grid.origin_site(), [0.5, 1.0]
-    reference = kernel_diagonals(op, site, ts, SemigroupMethod("krylov", 400, 1e-15))
-    runs = []
-    real = semigroup._lanczos
+    sweeps = []
+    real = semigroup._ChebyshevBlock.sweep
 
-    def counting(*args):
-        runs.append(tuple(args[2]))
-        return real(*args)
+    def recording(block, xi, taus):
+        sweeps.append((xi.shape[1], list(taus)))
+        return real(block, xi, taus)
 
-    monkeypatch.setattr(semigroup, "_lanczos", counting)
+    monkeypatch.setattr(semigroup._ChebyshevBlock, "sweep", recording)
+    calls = _count_band_factorisations(monkeypatch)
     got = kernel_diagonals(op, site, ts)
-    assert runs == [(0.25, 0.5)] * op.fiber_dim
-    for a, b in zip(got, reference):
-        assert np.abs(a.matrix - b.matrix).max() <= 1e-13
+    assert sweeps == [(op.fiber_dim, [0.25, 0.5])] and calls == []
+    # the semigroup law: two quarter-time steps reach the same half-time vector
+    delta = np.zeros(op.dim, dtype=complex)
+    delta[op.grid.flat_index(site)] = 1.0
+    half = heat_apply(op, heat_apply(op, delta, 0.25), 0.25)
+    value = np.linalg.norm(half) ** 2 / op.grid.dv_cell
+    assert abs(got[1].matrix[0, 0] - value) <= 1e-13 * value
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +469,10 @@ _TS = (0.5, 2.0, 8.0)
 def test_chebyshev_samples_within_a_priori_bound(small_model_op):
     op, xi = small_model_op
     block = semigroup._ChebyshevBlock(op)
-    assert block.low == -1e-8  # the certificate passed
-    samples, bounds = block.samples(xi, [t / 2 for t in _TS])
+    assert block.low == op._floor  # the assembler's floor, min Theta_0 = 1 less rounding
+    assert 1.0 - 1e-12 < op._floor < 1.0 and op._psd_certificate == {}
+    prop = block.propagate(xi, [t / 2 for t in _TS])
+    samples, bounds = prop.squares.T, prop.square_errs.T
     exact = _exact_half_time_samples(op, xi, _TS)
     assert np.all(bounds > 0)
     # the bound sits below unit roundoff of each sample; the allowance
@@ -496,6 +541,37 @@ def test_chebyshev_trace_when_the_band_exceeds_its_cap(small_model_op, monkeypat
     assert len(sweeps) > 1 and sweeps[0] == [0.25, 1.0, 4.0]
     for est, value in zip(ests, _dense_traces_of_probes(op, _TS, 9, 4)):
         assert abs(est.value - value) <= 1e-12 * value
+
+
+def test_operator_without_floor_takes_the_certificate(small_model_op):
+    # a copy built outside the assemblers has no floor: its lower end is
+    # -tol once the banded Cholesky certificate passes
+    op = _shifted(small_model_op[0], 0.0)
+    assert op._floor is None and semigroup._gershgorin(op.matrix)[0] < -1e-8
+    assert semigroup._ChebyshevBlock(op).low == -1e-8
+    assert op._psd_certificate == {1e-8: True}
+
+
+def test_floor_lets_a_large_operator_sweep_once(monkeypatch):
+    # dim 28 561: the positivity band is above its cap, and the Gershgorin
+    # lower end (-21.9) would force restarts; the floor min Theta_0 = 0
+    # gives one sweep for all probes and times, with no factorisation
+    op = assemble_model(ModelSpec(2, (1.0, 0.5), 0), GridSpec(2, 1.5, 0.25))
+    assert op.dim == 28561 and semigroup._gershgorin(op.matrix)[0] < -20.0
+    assert -1e-12 < op._floor < 0.0
+    sweeps = []
+    real = semigroup._ChebyshevBlock.sweep
+
+    def recording(block, xi, taus):
+        out = real(block, xi, taus)
+        sweeps.append((list(taus), bool(np.all(out.rounding <= semigroup._ROUNDING_LIMIT))))
+        return out
+
+    monkeypatch.setattr(semigroup._ChebyshevBlock, "sweep", recording)
+    calls = _count_band_factorisations(monkeypatch)
+    ests = heat_traces(op, (0.5, 1.0, 2.0), seed=3, probes=8)
+    assert sweeps == [([0.25, 0.5, 1.0], True)] and calls == []
+    assert all(est.value > 0 for est in ests)
 
 
 def test_trace_probes_advance_in_slabs(trace_model_op, monkeypatch):
@@ -723,6 +799,41 @@ def test_zero_perturbation_errors_match_baseline():
     base = model_baseline_errors(weight, 0, [1.0], grid)
     for row in report.rows:
         assert abs(row.abs_err - base[1.0]) <= 1e-10
+
+
+def test_converge_builds_the_grid_parts_once(monkeypatch):
+    weight = WeightFunction(1, (1.0,))
+    grid = GridSpec(1, 3.0, 0.5)
+    built = []
+    real = _GridOperators.__init__
+
+    def counting(self, grid):
+        built.append(grid)
+        real(self, grid)
+
+    monkeypatch.setattr(_GridOperators, "__init__", counting)
+    report = converge_in_k(weight, None, 1, [0.5], [4, 16, 64, 256], grid)
+    assert built == [grid] and len(report.rows) == 4
+    monkeypatch.setattr(_GridOperators, "__init__", real)
+    # each k gets the operator a fresh assembly gives, floor included
+    fresh = assemble_scaled(weight, None, 16, grid, 1)
+    shared = assemble_scaled(weight, None, 16, grid, 1, _ops=_GridOperators(grid))
+    assert (fresh.matrix != shared.matrix).nnz == 0 and fresh._floor == shared._floor
+
+
+def test_semigroup_import_leaves_scipy_linalg_unloaded():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    probe = ("import sys, heatlab.semigroup, heatlab.operators; "
+             "print(sorted(m for m in ('scipy.linalg', 'scipy.io') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(root / "src")),
+                          timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_k_list_must_increase():
