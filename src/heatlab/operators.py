@@ -281,14 +281,10 @@ class _GridOperators:
         return (self.dzbar(j) + sp.diags(0.5 * lam * self.z[:, j])).tocsr()
 
     def twist(self, lam, q: int) -> tuple:
-        """The exact twist corrections of ``assemble_scaled`` at degree q.
-
-        Returns the pieces pi_j (x) delta_j, delta_j = lam_j I - [C0_j, C0_j^H]
-        with C0_j the model factor, for each j that some fiber index J
-        contains; the least Gershgorin lower end of sum_{j in J} delta_j
-        over the blocks J, a lower end of the spectrum of the pieces' sum;
-        its absolute row sums; and the most terms in one of them.
-        """
+        """The exact twist corrections of ``assemble_scaled`` at degree q: the
+        pieces pi_j (x) delta_j, delta_j = lam_j I - [C0_j, C0_j^H], and over
+        the fiber blocks J of their sum the least Gershgorin lower end of
+        sum_{j in J} delta_j, its row sums and term count (``_gershgorin``)."""
         key = (tuple(lam), q)
         if key not in self._twists:
             n, sites = self.grid.n, self.grid.sites
@@ -300,7 +296,7 @@ class _GridOperators:
                 c0 = self.model_factor(j, lam[j])
                 comm = (c0 @ c0.getH() - c0.getH() @ c0).tocsr()
                 deltas[j] = (lam[j] * sp.identity(sites) - comm).tocsr()
-                pieces.append(sp.kron(sp.diags(pi_j), deltas[j]))
+                pieces.append(sp.kron(sp.diags(pi_j), deltas[j]).tocsr())
             lower, rows, count = 0.0, np.zeros(fiber.fiber_dim(n, q) * sites), 0
             if deltas:
                 blocks = [_gershgorin(sum(deltas[j] for j in J).tocsr())
