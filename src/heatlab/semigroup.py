@@ -224,12 +224,12 @@ class _Sweep(NamedTuple):
 
 
 class _Propagation(NamedTuple):
-    """e^{-tau A} xi per tau (first axis) and column of xi, with bounds."""
+    """e^{-tau A} xi per tau (first axis) and column of xi, with bounds; a
+    squared norm is off by at most 2 E ||y|| + E^2."""
 
-    ys: np.ndarray           # (len(taus), dim, columns): the vectors y
-    errs: np.ndarray         # (len(taus), columns): bounds E on ||y - e^{-tau A} xi||
-    squares: np.ndarray      # ||y||^2
-    square_errs: np.ndarray  # 2 E ||y|| + E^2, bounds on the errors of the squares
+    ys: np.ndarray       # (len(taus), dim, columns): the vectors y
+    errs: np.ndarray     # (len(taus), columns): bounds E on ||y - e^{-tau A} xi||
+    squares: np.ndarray  # ||y||^2
 
 
 class _ChebyshevBlock:
@@ -375,7 +375,7 @@ class _ChebyshevBlock:
             ys, norms, errs = (np.concatenate(part) for part in zip(*accepted))
         if not np.array_equal(where, np.arange(times.size)):
             ys, norms, errs = ys[where], norms[where], errs[where]
-        return _Propagation(ys, errs, norms ** 2, errs * (2.0 * norms + errs))
+        return _Propagation(ys, errs, norms ** 2)
 
 
 def _squared_norms(x) -> np.ndarray:

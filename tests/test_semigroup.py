@@ -472,7 +472,8 @@ def test_chebyshev_samples_within_a_priori_bound(small_model_op):
     assert block.low == op._floor  # the assembler's floor, min Theta_0 = 1 less rounding
     assert 1.0 - 1e-12 < op._floor < 1.0 and op._psd_certificate == {}
     prop = block.propagate(xi, [t / 2 for t in _TS])
-    samples, bounds = prop.squares.T, prop.square_errs.T
+    samples, errs = prop.squares.T, prop.errs.T
+    bounds = errs * (2.0 * np.sqrt(samples) + errs)
     exact = _exact_half_time_samples(op, xi, _TS)
     assert np.all(bounds > 0)
     # the bound sits below unit roundoff of each sample; the allowance
