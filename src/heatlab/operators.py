@@ -273,7 +273,8 @@ class _GridOperators:
     def fiber_stabilizer(self, d: int) -> sp.csr_matrix:
         """The stabilizer on each of d fiber components, built once."""
         if d not in self._fiber_stabilizers:
-            self._fiber_stabilizers[d] = sp.kron(sp.identity(d), self.stabilizer()).tocsr()
+            stab = self.stabilizer()
+            self._fiber_stabilizers[d] = stab if d == 1 else sp.kron(sp.identity(d), stab).tocsr()
         return self._fiber_stabilizers[d]
 
     def model_factor(self, j: int, lam: float) -> sp.csr_matrix:
