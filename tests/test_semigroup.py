@@ -210,6 +210,37 @@ def test_chebyshev_block_matches_dense(trace_model_op, start, ts):
     np.testing.assert_allclose(got.squares, np.linalg.norm(got.ys, axis=1) ** 2, rtol=1e-14)
 
 
+@pytest.mark.parametrize("start", ["rademacher", "delta"])
+@pytest.mark.parametrize("ts", [
+    (2.0,),  # no sweep is trusted at t = 2: restarts from a halving
+    (0.5, 1.0, 2.0),  # restarts from the furthest trusted time
+])
+def test_chebyshev_block_restarts_match_dense(trace_model_op, monkeypatch, start, ts):
+    # on the Gershgorin interval, whose lower end is far below the floor,
+    # e^{-tau a} swamps the result by t = 1; the restarted block is still
+    # within its a-priori bound of the exact action, and within 1e-8 of it
+    op, _, starts = trace_model_op
+    monkeypatch.setattr(semigroup, "_spectral_interval",
+                        lambda o: semigroup._gershgorin(o.matrix)[:2])
+    sweeps = []
+    real = semigroup._ChebyshevBlock.sweep
+
+    def recording(block, xi, taus):
+        sweeps.append(list(taus))
+        return real(block, xi, taus)
+
+    monkeypatch.setattr(semigroup._ChebyshevBlock, "sweep", recording)
+    block = semigroup._ChebyshevBlock(op)
+    assert block.low < -10.0
+    xi = starts[start][:, None]
+    got = block.propagate(xi, ts)
+    assert sweeps[0] == list(ts) and len(sweeps) > 1
+    exact = _dense_action(op, xi, ts)
+    gap = np.linalg.norm(got.ys - exact, axis=1)
+    assert np.all(gap <= got.errs + 1e-13 * np.linalg.norm(exact, axis=1))
+    assert np.all(gap <= 1e-8 * np.linalg.norm(exact, axis=1))
+
+
 def test_krylov_zero_vector_stays_zero():
     op = _random_hermitian_op()
     out = heat_apply(op, np.zeros(op.dim, dtype=complex), 1.0, SemigroupMethod("krylov"))
