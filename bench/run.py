@@ -1,9 +1,10 @@
 """Time heatlab layers at fixed sizes and write the medians and quartiles
 to a JSON file.
 
-Cases (each repeat is one fresh process: it runs the case's set-up and one
-untimed warm-up call, then times one call of the case's work on a fresh
-set-up):
+Cases (each repeat is one fresh process: it runs the case's set-up and
+one warm-up call, then times 3 calls of the case's work, each on a fresh
+set-up, and reports their median; the warm-up call's time is reported
+apart as the cold time):
 
 - ``n1``: ``assemble_scaled`` with n = 1, lambda = 1, q = 0, k = 16 on the
   grid of radius 6 and spacing 0.1 (14 641 sites), weight perturbation
@@ -28,7 +29,10 @@ set-up):
   model operator of that config (1 089 sites, 64 probes);
 - ``oracle_32_64`` and ``oracle_48_96``: ``validate_landau_levels`` for
   the degree-1 bundle on tau = i at k = 3 with 10 eigenvalues, at
-  resolutions (32, 64) and (48, 96).
+  resolutions (32, 64) and (48, 96);
+- ``converge_scaling``: ``cli.run_experiment`` on
+  ``configs/converge_scaling.json`` into a fresh temporary directory
+  (set-up), end to end from the loaded config to the CSV and manifest.
 
 Usage:
     python bench/run.py --out BENCH_<n>.json [--repeats 7] [--threads 1]
@@ -53,13 +57,17 @@ import glob
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 _THREAD_ENV_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+# Timed calls per worker process, after the warm-up call.
+_CALLS = 3
 
 
 def _git_sha(root):
@@ -113,7 +121,7 @@ def _cases():
     """name -> (set-up, work): work(set-up()) is timed."""
     import numpy as np
 
-    from heatlab import geometry as geo, operators as ops, semigroup, torus
+    from heatlab import cli, geometry as geo, operators as ops, semigroup, torus
     from heatlab.model_kernels import ModelSpec
 
     def r11(y):
@@ -149,6 +157,8 @@ def _cases():
         bundle = torus.EllipticCurveBundle(1j, 1)
         return lambda: None, lambda _: torus.validate_landau_levels(bundle, 3, 10, resolutions)
 
+    converge_cfg = cli.load_config(ROOT / "configs" / "converge_scaling.json")
+
     return {
         "n1": assemble(geo.WeightFunction(1, (1.0,), geo.cubic_re_perturbation(0.1)),
                        ops.PerturbationSpec(r=r11), 16, ops.GridSpec(1, 6.0, 0.1), 0),
@@ -166,26 +176,37 @@ def _cases():
                      traces),
         "oracle_32_64": oracle((32, 64)),
         "oracle_48_96": oracle((48, 96)),
+        "converge_scaling": (tempfile.TemporaryDirectory,
+                             lambda out: cli.run_experiment(converge_cfg, Path(out.name))),
     }
 
 
 def _describe(result):
-    """Size fields of an operator, or the level count of an oracle validation."""
+    """Size fields of an operator, the level count of an oracle validation,
+    or the size of a CSV file."""
     if hasattr(result, "matrix"):
         return {"sites": result.grid.sites, "dim": result.dim, "nnz": int(result.matrix.nnz)}
+    if isinstance(result, Path):
+        return {"csv_bytes": result.stat().st_size}
     return {"levels": len(result.levels), "all_match": result.all_match}
 
 
 def _worker(src, name):
-    """Time one repeat of case ``name`` against the package sources in src and
-    print the seconds and the case's size fields as one JSON line."""
+    """Time one repeat of case ``name`` against the package sources in src:
+    a warm-up call, then ``_CALLS`` calls, each on a fresh set-up.  Print
+    the median of the timed calls, the warm-up call's seconds and the
+    case's size fields as one JSON line."""
     sys.path.insert(0, src)
     setup, work = _cases()[name]
-    info = _describe(work(setup()))
-    arg = setup()
-    start = time.perf_counter()
-    work(arg)
-    print(json.dumps({"s": time.perf_counter() - start, "info": info}))
+    times = []
+    for _ in range(1 + _CALLS):
+        arg = setup()
+        start = time.perf_counter()
+        result = work(arg)
+        times.append(time.perf_counter() - start)
+        info = _describe(result)
+        del arg, result
+    print(json.dumps({"s": statistics.median(times[1:]), "cold_s": times[0], "info": info}))
 
 
 def _repeat(root, name, env):
@@ -197,18 +218,19 @@ def _repeat(root, name, env):
     return json.loads(out.stdout.splitlines()[-1])
 
 
-def _summary(info, samples):
+def _summary(info, samples, cold):
     import numpy as np
 
     q1, med, q3 = np.percentile(samples, [25, 50, 75])
     return {**info, "median_s": med, "iqr_s": q3 - q1, "q1_s": q1, "q3_s": q3,
-            "samples_s": samples}
+            "samples_s": samples, "cold_median_s": float(np.median(cold)), "cold_s": cold}
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", help="JSON file to write (required)")
-    parser.add_argument("--repeats", type=int, default=7, help="timed calls per case (>= 5)")
+    parser.add_argument("--repeats", type=int, default=7,
+                        help=f"worker processes per case and side, each timing {_CALLS} calls (>= 5)")
     parser.add_argument("--threads", type=int, default=1, help="BLAS thread count")
     parser.add_argument("--baseline-root", help="checkout to time alternately with this tree")
     parser.add_argument("--worker", nargs=2, metavar=("SRC", "CASE"), help=argparse.SUPPRESS)
@@ -236,13 +258,15 @@ def main(argv=None):
     results = {side: {} for side in trees}
     for name in _cases():
         samples = {side: [] for side in trees}
+        cold = {side: [] for side in trees}
         for i in range(args.repeats):
             for side in (list(trees) if i % 2 == 0 else list(trees)[::-1]):
                 rep = _repeat(trees[side], name, dict(os.environ))
                 samples[side].append(rep["s"])
+                cold[side].append(rep["cold_s"])
                 info = rep["info"]
         for side in trees:
-            results[side][name] = _summary(info, samples[side])
+            results[side][name] = _summary(info, samples[side], cold[side])
         ours = results["change"][name]
         line = (f"{name}: median {ours['median_s']:.3f} s, IQR {ours['iqr_s']:.3f} s "
                 f"over {args.repeats} repeats {info}")
@@ -263,6 +287,7 @@ def main(argv=None):
         "threads": {"requested": args.threads, "openblas": _openblas_threads(),
                     "os_threads": _os_threads()},
         "repeats": args.repeats,
+        "calls_per_repeat": _CALLS,
         "cases": results["change"],
     }
     line = f"src_lines: {report['src_lines']}"

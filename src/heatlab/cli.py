@@ -306,9 +306,15 @@ def _run_model_kernel(cfg: dict, out: Path):
     _write_csv(out, ["t", "q", "row_J", "col_J", "re_value", "im_value"], rows)
 
 
-def _run_converge(cfg: dict, out: Path):
-    import numpy as np
+def _linear_r11(amplitude: float):
+    """The frame r(y) = [[amplitude * y_1]] of the ``linear_r11`` kind, a
+    whole-grid form."""
+    from .geometry import _on_grid
 
+    return _on_grid(lambda y: (amplitude * y[:, 0]).reshape(-1, 1, 1))
+
+
+def _run_converge(cfg: dict, out: Path):
     from .geometry import WeightFunction, cubic_re_perturbation, quartic_abs_perturbation
     from .operators import GridSpec, PerturbationSpec
     from .semigroup import SemigroupMethod, converge_in_k
@@ -319,8 +325,7 @@ def _run_converge(cfg: dict, out: Path):
         build = {"re_z3": cubic_re_perturbation, "abs_z4": quartic_abs_perturbation}
         weight_pert = build[wp["kind"]](wp["amplitude"])
     if mp["kind"] == "linear_r11" and mp["amplitude"] != 0.0:
-        amp = mp["amplitude"]
-        metric = PerturbationSpec(r=lambda y: np.array([[amp * y[0]]], dtype=complex))
+        metric = PerturbationSpec(r=_linear_r11(mp["amplitude"]))
     weight = WeightFunction(cfg["n"], tuple(cfg["lambda"]), weight_pert)
     grid = GridSpec(cfg["n"], cfg["grid"]["radius"], cfg["grid"]["spacing"])
     report = converge_in_k(weight, metric, cfg["q"], cfg["t_list"], cfg["k_list"], grid,

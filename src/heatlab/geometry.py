@@ -52,10 +52,28 @@ _D1_WEIGHTS = (1.0, -8.0, 8.0, -1.0)
 _D1_OFFSETS = (-2.0, -1.0, 1.0, 2.0)
 
 
+def _on_grid(grid_form: Callable) -> Callable:
+    """The per-point callable of a whole-grid form: ``grid_form`` maps a
+    (points, n) array to one value per row, and the callable's value at a
+    point z is the row of the one-row grid z[None, :].  ``_sample`` calls
+    ``grid_form`` once on the whole array instead, with the same values bit
+    for bit."""
+
+    def at_point(z):
+        return grid_form(np.asarray(z, dtype=complex)[None, :])[0]
+
+    at_point._grid_form = grid_form
+    return at_point
+
+
 def _sample(f: Callable, points: np.ndarray, shape: tuple = (), dtype=None) -> np.ndarray:
     """Values of a per-point callable at every row of ``points`` (shape
-    (points, n)), stacked into an array of shape (points, *shape)."""
-    return np.array([f(p) for p in points], dtype=dtype).reshape((len(points),) + shape)
+    (points, n)), stacked into an array of shape (points, *shape).  A
+    callable made by ``_on_grid`` is called once on the whole array, any
+    other once per row."""
+    grid_form = getattr(f, "_grid_form", None)
+    values = [f(p) for p in points] if grid_form is None else grid_form(points)
+    return np.asarray(values, dtype=dtype).reshape((len(points),) + shape)
 
 
 def _stencil_partials(f: Callable, y: np.ndarray, shape: tuple = (), dtype=None) -> list:
@@ -126,7 +144,11 @@ class Perturbation:
     ``value`` is mandatory.  ``zbar_gradient`` returns the vector of
     d p / dzbar_j; ``hessian`` the matrix d^2 p / dz_i dzbar_j.  Missing
     derivatives fall back to 4th-order central differences with step
-    ``defaults.FD_STEP``.
+    ``defaults.FD_STEP``.  Each callable takes one point of shape (n,).
+    ``assemble_scaled`` calls a user's ``zbar_gradient`` once per grid
+    site, or without one ``value`` 8n times per site (the 4 stencil points
+    of each of the 2n real axes); the ready-made perturbations below are
+    evaluated once per such point set, on the whole grid.
     """
 
     value: Callable[[np.ndarray], float]
@@ -137,11 +159,16 @@ class Perturbation:
         return float(self.value(np.asarray(z, dtype=complex)))
 
     def zbar_gradient_at(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=complex)
+        return self._zbar_gradients(np.asarray(z, dtype=complex)[None, :])[0]
+
+    def _zbar_gradients(self, points: np.ndarray) -> np.ndarray:
+        """d p / dzbar_j at every row of ``points`` (shape (points, n)): the
+        exact gradient sampled by ``_sample``, else one stencil of ``value``
+        over all rows."""
         if self.zbar_gradient is not None:
-            return np.asarray(self.zbar_gradient(z), dtype=complex)
-        d = _stencil_partials(self.value, z[None, :])
-        return 0.5 * (np.concatenate(d[0::2]) + 1j * np.concatenate(d[1::2]))
+            return _sample(self.zbar_gradient, points, (points.shape[1],), complex)
+        d = _stencil_partials(self.value, points)
+        return 0.5 * (np.stack(d[0::2], axis=1) + 1j * np.stack(d[1::2], axis=1))
 
     def hessian_at(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=complex)
@@ -461,36 +488,53 @@ def write_curvature_field(path, field: CurvatureField) -> None:
 
 
 def cubic_re_perturbation(amplitude: float) -> Perturbation:
-    """p(z) = amplitude * Re(z_1^3), with exact derivatives."""
+    """p(z) = amplitude * Re(z_1^3), with exact derivatives, each a
+    whole-grid form (``_on_grid``)."""
 
+    @_on_grid
     def value(z):
-        return amplitude * float(np.real(z[0] ** 3))
+        return amplitude * np.real(z[:, 0] ** 3)
 
+    @_on_grid
     def zbar_grad(z):
-        g = np.zeros(len(z), dtype=complex)
-        g[0] = 1.5 * amplitude * np.conj(z[0]) ** 2
+        # 1.5 a conj(z_1)^2 in real arithmetic, which rounds as a scalar
+        # complex product does (numpy's array product may fuse it)
+        x, y = z[:, 0].real, z[:, 0].imag
+        g = np.zeros(z.shape, dtype=complex)
+        g[:, 0].real = 1.5 * amplitude * (x * x - y * y)
+        g[:, 0].imag = 1.5 * amplitude * -(x * y + y * x)
         return g
 
+    @_on_grid
     def hessian(z):
-        return np.zeros((len(z), len(z)), dtype=complex)
+        return np.zeros(z.shape + z.shape[1:], dtype=complex)
 
     return Perturbation(value, zbar_grad, hessian)
 
 
 def quartic_abs_perturbation(amplitude: float) -> Perturbation:
-    """p(z) = amplitude * |z_1|^4, with exact derivatives."""
+    """p(z) = amplitude * |z_1|^4, with exact derivatives, each a
+    whole-grid form (``_on_grid``)."""
 
+    @_on_grid
     def value(z):
-        return amplitude * float(np.abs(z[0]) ** 4)
+        return amplitude * np.abs(z[:, 0]) ** 4
 
+    @_on_grid
     def zbar_grad(z):
-        g = np.zeros(len(z), dtype=complex)
-        g[0] = 2.0 * amplitude * z[0] ** 2 * np.conj(z[0])
+        # 2 a z_1^2 conj(z_1) in real arithmetic, as in cubic_re_perturbation
+        x, y = z[:, 0].real, z[:, 0].imag
+        c = 2.0 * amplitude
+        sr, si = c * (x * x - y * y), c * (x * y + y * x)
+        g = np.zeros(z.shape, dtype=complex)
+        g[:, 0].real = sr * x + si * y
+        g[:, 0].imag = si * x - sr * y
         return g
 
+    @_on_grid
     def hessian(z):
-        h = np.zeros((len(z), len(z)), dtype=complex)
-        h[0, 0] = 4.0 * amplitude * np.abs(z[0]) ** 2
+        h = np.zeros(z.shape + z.shape[1:], dtype=complex)
+        h[:, 0, 0] = 4.0 * amplitude * np.abs(z[:, 0]) ** 2
         return h
 
     return Perturbation(value, zbar_grad, hessian)

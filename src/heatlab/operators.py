@@ -182,6 +182,11 @@ class PerturbationSpec:
     (must vanish at 0), ``alpha`` to the n-vector of adjoint zero-order
     terms, ``volume_density`` to the positive density m (m(0) = 1).  All
     default to the trivial values.  Each takes one point of shape (n,).
+    ``assemble_scaled`` calls ``r`` and ``alpha`` once per grid site, and
+    ``volume_density`` 8n times per site (the 4 stencil points of each of
+    the 2n real axes); ``r`` also 8n more times per site when the (0,2)
+    frame term is present (n >= 2, q >= 1).  The CLI's ``linear_r11``
+    frame is evaluated once per such point set, on the whole grid.
     """
 
     r: Optional[Callable[[np.ndarray], np.ndarray]] = None
@@ -257,10 +262,12 @@ class _GridOperators:
         stab = (self.d4.T @ self.d4).tocsr()
         self.stab_axes = [_place(stab, a, axes, s) for a in range(axes)]
         self.z = grid.site_coordinates()
+        self._dzbars = [0.5 * (self.first[2 * j] + 1j * self.first[2 * j + 1])
+                        for j in range(grid.n)]
         self._fiber_stabilizers, self._twists = {}, {}
 
     def dzbar(self, j: int) -> sp.csr_matrix:
-        return 0.5 * (self.first[2 * j] + 1j * self.first[2 * j + 1])
+        return self._dzbars[j]
 
     def stabilizer(self) -> sp.csr_matrix:
         """The ghost stabilizer sigma * h^6 * sum_a D4_a^T D4_a."""
@@ -458,12 +465,13 @@ def assemble_scaled(weight: WeightFunction, pert: Optional[PerturbationSpec],
     has_m = pert.volume_density is not None
     has_p = weight.perturbation is not None
 
-    # Every coefficient is sampled once per assembly, one call per point.
+    # Every coefficient is sampled once per assembly: a user callable once
+    # per point, a whole-grid form once (``_sample``).
     if has_r:
         r = _sample(pert.r, y, (n, n), complex)
     grad_phi = (lam * y).astype(complex)        # d phi0 / dzbar at y
     if has_p:
-        grad_phi = grad_phi + _sample(weight.perturbation.zbar_gradient_at, y, (n,))
+        grad_phi = grad_phi + weight.perturbation._zbar_gradients(y)
     if has_m:
         d = _stencil_partials(lambda u: np.log(pert.m_at(u)), y)
         grad_logm = np.stack([0.5 * (d[2 * j] + 1j * d[2 * j + 1]) for j in range(n)], axis=1)
@@ -510,12 +518,13 @@ def assemble_scaled(weight: WeightFunction, pert: Optional[PerturbationSpec],
     # D_q is absent at q = n, D_{q-1} at q = 0.
     d_q = dbar_matrix(q) if q < n else None
     d_qm1 = dbar_matrix(q - 1) if q >= 1 else None
+    d_qm1_h = None if d_qm1 is None else d_qm1.getH().tocsr()
     dq = fiber.fiber_dim(n, q)
     a = 0
     if d_q is not None:
         a = a + d_q.getH() @ d_q
     if d_qm1 is not None:
-        a = a + d_qm1 @ d_qm1.getH()
+        a = a + d_qm1 @ d_qm1_h
 
     # Exact twist correction: replace the discrete factor commutators by the
     # continuum eigenvalues so the unperturbed case reduces to assemble_model.
@@ -546,7 +555,7 @@ def assemble_scaled(weight: WeightFunction, pert: Optional[PerturbationSpec],
         lower, rest, rest_rows = lower + low, rest + sums, rest_rows + count
 
     op = DiscreteOperator(a.tocsr(), q, k, grid)
-    grams = [g for g in (d_q, None if d_qm1 is None else d_qm1.getH().tocsr()) if g is not None]
+    grams = [g for g in (d_q, d_qm1_h) if g is not None]
     pieces = len(grams) + len(twists) + 2  # with the stabilizer and the zero-order part
     op._floor = _floor(ops, dq, lower, grams, rest, pieces + rest_rows)
     return op

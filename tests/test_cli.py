@@ -239,6 +239,19 @@ def test_converge_config_runs(tmp_path):
     assert errs[1] < errs[0]
 
 
+def test_linear_r11_grid_form_matches_per_point_values_bit_for_bit():
+    from heatlab.cli import _linear_r11
+    from heatlab.geometry import _sample
+
+    rng = np.random.default_rng(11)
+    points = 3.0 * (rng.standard_normal((40, 1)) + 1j * rng.standard_normal((40, 1)))
+    r = _linear_r11(0.1)
+    whole = _sample(r, points, (1, 1), complex)
+    per_point = np.array([r(p) for p in points], dtype=complex)
+    assert np.array_equal(whole.view(np.float64), per_point.view(np.float64))
+    np.testing.assert_array_equal(whole[:, 0, 0], 0.1 * points[:, 0])
+
+
 def test_spectrum_and_morse_and_oracle_configs(tmp_path):
     spectrum = {
         "experiment": "spectrum",

@@ -22,6 +22,7 @@ from heatlab.geometry import (
     twist_endomorphism,
     write_curvature_field,
 )
+from heatlab.geometry import _sample
 
 
 # ---------------------------------------------------------------------------
@@ -65,6 +66,30 @@ def test_perturbations_vanish_to_third_order_at_origin():
         )
         fd_hess = Perturbation(pert.value).hessian_at(z0)
         np.testing.assert_allclose(fd_hess, np.zeros((1, 1)), atol=1e-7)
+
+
+def _bits(values):
+    """Float64 view of an array, so that equality compares bits."""
+    return np.ascontiguousarray(values).view(np.float64)
+
+
+@pytest.mark.parametrize("make", [cubic_re_perturbation, quartic_abs_perturbation])
+@pytest.mark.parametrize("n", [1, 3])
+def test_ready_made_grid_forms_match_per_point_values_bit_for_bit(make, n):
+    rng = np.random.default_rng(7)
+    points = 2.0 * (rng.standard_normal((50, n)) + 1j * rng.standard_normal((50, n)))
+    pert = make(0.3)
+    for f, shape, dtype in ((pert.value, (), None), (pert.zbar_gradient, (n,), complex),
+                            (pert.hessian, (n, n), complex)):
+        per_point = np.array([f(p) for p in points], dtype=dtype)
+        assert np.array_equal(_bits(_sample(f, points, shape, dtype)), _bits(per_point))
+    # the real-arithmetic gradients agree with the complex formulas
+    z = points[:, 0]
+    expected = 1.5 * 0.3 * np.conj(z) ** 2 if make is cubic_re_perturbation \
+        else 2.0 * 0.3 * np.abs(z) ** 2 * z
+    grads = np.array([pert.zbar_gradient_at(p) for p in points])
+    np.testing.assert_allclose(grads[:, 0], expected, rtol=1e-14)
+    np.testing.assert_array_equal(grads[:, 1:], 0.0)
 
 
 def test_chart_violation_raises():

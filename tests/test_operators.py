@@ -7,7 +7,7 @@ from scipy.sparse.linalg import eigsh
 
 from heatlab import defaults
 from heatlab.errors import ArgumentError, DomainError, ResourceLimitError
-from heatlab.geometry import WeightFunction, cubic_re_perturbation
+from heatlab.geometry import Perturbation, WeightFunction, _on_grid, cubic_re_perturbation
 from heatlab.model_kernels import ModelSpec
 from heatlab.operators import (
     DiscreteOperator,
@@ -410,16 +410,26 @@ def _full_two_dim_inputs():
     return weight, PerturbationSpec(r=r, alpha=alpha, volume_density=m)
 
 
+def _value_only_weight():
+    """A two-dimensional weight whose perturbation has no exact derivatives,
+    so its zbar gradient is the finite-difference fallback."""
+    def value(z):
+        return 0.1 * float(np.real(z[0] ** 2 * np.conj(z[1]))) + 0.05 * float(np.abs(z[1]) ** 4)
+
+    return WeightFunction(2, (1.0, -0.5), Perturbation(value))
+
+
 @pytest.mark.parametrize("q", [1, 2])
 def test_batched_sampling_matches_per_site_reference(q):
     grid = GridSpec(2, 1.5, 0.5)
     weight, pert = _full_two_dim_inputs()
-    for k in (4, 64):
-        got = assemble_scaled(weight, pert, k, grid, q).matrix
-        ref = _reference_assemble_scaled(weight, pert, k, grid, q)
-        assert np.array_equal(got.indptr, ref.indptr)
-        assert np.array_equal(got.indices, ref.indices)
-        assert np.array_equal(got.data, ref.data)
+    for w in (weight, _value_only_weight()):
+        for k in (4, 64):
+            got = assemble_scaled(w, pert, k, grid, q).matrix
+            ref = _reference_assemble_scaled(w, pert, k, grid, q)
+            assert np.array_equal(got.indptr, ref.indptr)
+            assert np.array_equal(got.indices, ref.indices)
+            assert np.array_equal(got.data, ref.data)
 
 
 @pytest.mark.parametrize("n, q", [(3, 2), (1, 1)])
@@ -437,6 +447,40 @@ def test_frame_sampled_once_per_point_and_stencil_point(n, q):
     assemble_scaled(WeightFunction(n, (1.0,) * n), PerturbationSpec(r=r), 4, grid, q)
     per_site = 1 + 8 * n if n > 1 else 1
     assert len(calls) == grid.sites * per_site + 1  # + validate_origin's call at 0
+
+
+@pytest.mark.parametrize("n, q", [(3, 2), (1, 1)])
+def test_grid_forms_sampled_once_per_point_set(n, q):
+    # a callable with a whole-grid form is called once for the sites and
+    # once per stencil point set, each time on all sites; a user's exact
+    # zbar gradient without one still once per site
+    grid = GridSpec(n, 0.5, 0.5)
+    frame_calls, grad_calls = [], []
+
+    @_on_grid
+    def r(y):
+        frame_calls.append(len(y))
+        return 0.1 * y[:, :, None] * np.ones(n)
+
+    def zbar_gradient(z):
+        grad_calls.append(1)
+        return np.zeros(n, dtype=complex)
+
+    @_on_grid
+    def grid_gradient(z):
+        grad_calls.append(len(z))
+        return np.zeros(z.shape, dtype=complex)
+
+    weight = WeightFunction(n, (1.0,) * n, Perturbation(lambda z: 0.0, zbar_gradient))
+    assemble_scaled(weight, PerturbationSpec(r=r), 4, grid, q)
+    point_sets = 1 + 8 * n if n > 1 else 1
+    assert frame_calls == [1] + [grid.sites] * point_sets  # validate_origin's call at 0 first
+    assert len(grad_calls) == grid.sites
+
+    grad_calls.clear()
+    weight = WeightFunction(n, (1.0,) * n, Perturbation(lambda z: 0.0, grid_gradient))
+    assemble_scaled(weight, None, 4, grid, q)
+    assert grad_calls == [grid.sites]
 
 
 def test_volume_density_checked_at_every_stencil_point():
