@@ -147,8 +147,8 @@ class Perturbation:
     ``defaults.FD_STEP``.  Each callable takes one point of shape (n,).
     ``assemble_scaled`` calls a user's ``zbar_gradient`` once per grid
     site, or without one ``value`` 8n times per site (the 4 stencil points
-    of each of the 2n real axes); the ready-made perturbations below are
-    evaluated once per such point set, on the whole grid.
+    of each of the 2n real axes); the exact gradients of the ready-made
+    perturbations below are evaluated once, on the whole grid.
     """
 
     value: Callable[[np.ndarray], float]
@@ -488,12 +488,11 @@ def write_curvature_field(path, field: CurvatureField) -> None:
 
 
 def cubic_re_perturbation(amplitude: float) -> Perturbation:
-    """p(z) = amplitude * Re(z_1^3), with exact derivatives, each a
-    whole-grid form (``_on_grid``)."""
+    """p(z) = amplitude * Re(z_1^3), with exact derivatives; the zbar
+    gradient is a whole-grid form (``_on_grid``)."""
 
-    @_on_grid
     def value(z):
-        return amplitude * np.real(z[:, 0] ** 3)
+        return amplitude * float(np.real(z[0] ** 3))
 
     @_on_grid
     def zbar_grad(z):
@@ -505,20 +504,18 @@ def cubic_re_perturbation(amplitude: float) -> Perturbation:
         g[:, 0].imag = 1.5 * amplitude * -(x * y + y * x)
         return g
 
-    @_on_grid
     def hessian(z):
-        return np.zeros(z.shape + z.shape[1:], dtype=complex)
+        return np.zeros((len(z), len(z)), dtype=complex)
 
     return Perturbation(value, zbar_grad, hessian)
 
 
 def quartic_abs_perturbation(amplitude: float) -> Perturbation:
-    """p(z) = amplitude * |z_1|^4, with exact derivatives, each a
-    whole-grid form (``_on_grid``)."""
+    """p(z) = amplitude * |z_1|^4, with exact derivatives; the zbar
+    gradient is a whole-grid form (``_on_grid``)."""
 
-    @_on_grid
     def value(z):
-        return amplitude * np.abs(z[:, 0]) ** 4
+        return amplitude * float(np.abs(z[0]) ** 4)
 
     @_on_grid
     def zbar_grad(z):
@@ -531,10 +528,9 @@ def quartic_abs_perturbation(amplitude: float) -> Perturbation:
         g[:, 0].imag = si * x - sr * y
         return g
 
-    @_on_grid
     def hessian(z):
-        h = np.zeros(z.shape + z.shape[1:], dtype=complex)
-        h[:, 0, 0] = 4.0 * amplitude * np.abs(z[:, 0]) ** 2
+        h = np.zeros((len(z), len(z)), dtype=complex)
+        h[0, 0] = 4.0 * amplitude * np.abs(z[0]) ** 2
         return h
 
     return Perturbation(value, zbar_grad, hessian)

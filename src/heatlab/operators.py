@@ -262,12 +262,10 @@ class _GridOperators:
         stab = (self.d4.T @ self.d4).tocsr()
         self.stab_axes = [_place(stab, a, axes, s) for a in range(axes)]
         self.z = grid.site_coordinates()
-        self._dzbars = [0.5 * (self.first[2 * j] + 1j * self.first[2 * j + 1])
-                        for j in range(grid.n)]
         self._fiber_stabilizers, self._twists = {}, {}
 
     def dzbar(self, j: int) -> sp.csr_matrix:
-        return self._dzbars[j]
+        return 0.5 * (self.first[2 * j] + 1j * self.first[2 * j + 1])
 
     def stabilizer(self) -> sp.csr_matrix:
         """The ghost stabilizer sigma * h^6 * sum_a D4_a^T D4_a."""
@@ -480,9 +478,10 @@ def assemble_scaled(weight: WeightFunction, pert: Optional[PerturbationSpec],
         wcoef = _wedge_term_coefficients(r, _stencil_partials(pert.r, y, (n, n), complex))
 
     # Row operators B_j = sum_s (delta_js + rbar_js) d/dzbar_s + g_j.
+    dzbars = [ops.dzbar(s) for s in range(n)]
     rows = []
     for j in range(n):
-        b = ops.dzbar(j)
+        b = dzbars[j]
         g = 0.5 * lam[j] * z[:, j].astype(complex)       # exact model part
         if has_p:
             g = g + 0.5 * sqrtk * (grad_phi[:, j] - lam[j] * y[:, j])
@@ -492,7 +491,7 @@ def assemble_scaled(weight: WeightFunction, pert: Optional[PerturbationSpec],
             for s in range(n):
                 coef = np.conj(r[:, j, s])
                 if np.any(coef != 0):
-                    b = b + sp.diags(coef) @ ops.dzbar(s)
+                    b = b + sp.diags(coef) @ dzbars[s]
                     g = g + 0.5 * sqrtk * coef * grad_phi[:, s]
                     if has_m:
                         g = g - 0.5 / sqrtk * coef * grad_logm[:, s]

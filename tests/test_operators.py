@@ -297,8 +297,15 @@ def _reference_assemble_scaled(weight, pert, k, grid, q):
             rbar[i] = np.conj(pert.r_at(y[i], n))
     grad_phi = (lam * y).astype(complex)
     if has_p:
+        pert_p = weight.perturbation
         for i in range(sites):
-            grad_phi[i] += weight.perturbation.zbar_gradient_at(y[i])
+            if pert_p.zbar_gradient is not None:
+                grad_phi[i] += pert_p.zbar_gradient_at(y[i])
+                continue
+            for j in range(n):
+                gx = _ref_fd_real_partial(pert_p.value, y[i], 2 * j, defaults.FD_STEP)
+                gy = _ref_fd_real_partial(pert_p.value, y[i], 2 * j + 1, defaults.FD_STEP)
+                grad_phi[i, j] += 0.5 * (gx + 1j * gy)
     grad_logm = np.zeros((sites, n), dtype=complex)
     if has_m:
         logm = lambda u: np.log(pert.m_at(u))
