@@ -7,16 +7,21 @@ Usage:
 
 Configs are strict JSON, one experiment per file, checked against that
 experiment's table in ``SCHEMAS`` (type, constraint and default of every
-key): unknown or duplicate keys and malformed values are errors.  Identical configs and seeds produce byte-identical
-CSV bodies; a manifest.json records the config hash, seed, tool version,
-and wall time.  Exit codes: 0 success, 2 config error, 3 numerical
-failure.
+key): unknown or duplicate keys and malformed values are errors.
+``run_experiment`` writes every experiment CSV.  Identical configs and
+seeds produce byte-identical CSV bodies; a manifest.json records the
+config hash, seed, tool version, and wall time.  Exit codes: 0 success,
+2 config error, 3 numerical failure.
+
+Loading this module loads no numpy, so ``--threads`` caps the BLAS pools
+before they start.
 """
 
 import argparse
 import csv
 import hashlib
 import json
+import math
 import operator
 import os
 import sys
@@ -24,6 +29,7 @@ import time
 from pathlib import Path
 from typing import NamedTuple
 
+from . import defaults
 from .errors import ConfigError, HeatlabError
 
 VERSION = "0.1.0"
@@ -62,12 +68,6 @@ def load_config(path) -> dict:
 # ---------------------------------------------------------------------------
 # Schema: one table per experiment, one _Field per key.  Rules that tie
 # fields together follow the tables in ``_check_cross_fields``.
-
-
-class _Library(str):
-    """A default read from ``heatlab.defaults`` when a config is validated:
-    loading the CLI imports no other package module, so that --threads acts
-    before numpy loads."""
 
 
 _REQUIRED = object()
@@ -147,7 +147,7 @@ SCHEMAS = {
         **_MODEL,
         "grid": _GRID,
         "stochastic": _Field("a boolean", None, False),
-        "probes": _Field("an integer", "probes >= 2", _Library("TRACE_PROBES")),
+        "probes": _Field("an integer", "probes >= 2", defaults.TRACE_PROBES),
     },
     "morse": {
         "model": _Field(("elliptic", "product")),
@@ -214,10 +214,6 @@ def _check_table(raw: dict, table: dict, where: str = None) -> dict:
             raise ConfigError(f"missing field {name!r}")
         elif field.default is None:
             continue
-        elif isinstance(field.default, _Library):
-            from . import defaults
-
-            value = getattr(defaults, field.default)
         else:
             value = field.default
         out[key] = _check_value(value, field, name)
@@ -274,36 +270,35 @@ def validate_config(cfg: dict) -> dict:
 # ---------------------------------------------------------------------------
 # Experiment runners (import compute modules lazily so --threads can pin
 # BLAS pools before numpy loads).  Each reads a config as returned by
-# validate_config.
+# validate_config and returns the CSV header and rows, which
+# run_experiment writes.
 
 
 def _fmt(x: float) -> str:
-    from . import defaults
-
     return format(float(x), defaults.CSV_FLOAT_FORMAT)
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _run_model_kernel(cfg: dict, out: Path):
+def _fiber_entries(n: int, q: int) -> list:
+    """(a, b, label of J, label of K) for every entry (J, K) of a fiber
+    matrix, row by row."""
     from . import fiber
+
+    idx = fiber.multi_indices(n, q)
+    return [(a, b, fiber.index_label(J), fiber.index_label(K))
+            for a, J in enumerate(idx) for b, K in enumerate(idx)]
+
+
+def _run_model_kernel(cfg: dict):
     from .model_kernels import ModelSpec, model_diagonal
 
     spec = ModelSpec(cfg["n"], tuple(cfg["lambda"]), cfg["q"])
-    idx = fiber.multi_indices(spec.n, spec.q)
+    entries = _fiber_entries(spec.n, spec.q)
     rows = []
     for t in cfg["t_list"]:
         diag = model_diagonal(spec, t).matrix
-        for a, J in enumerate(idx):
-            for b, K in enumerate(idx):
-                rows.append([_fmt(t), spec.q, fiber.index_label(J), fiber.index_label(K),
-                             _fmt(diag[a, b].real), _fmt(diag[a, b].imag)])
-    _write_csv(out, ["t", "q", "row_J", "col_J", "re_value", "im_value"], rows)
+        rows += [[_fmt(t), spec.q, J, K, _fmt(diag[a, b].real), _fmt(diag[a, b].imag)]
+                 for a, b, J, K in entries]
+    return ["t", "q", "row_J", "col_J", "re_value", "im_value"], rows
 
 
 def _linear_r11(amplitude: float):
@@ -314,7 +309,7 @@ def _linear_r11(amplitude: float):
     return _on_grid(lambda y: (amplitude * y[:, 0]).reshape(-1, 1, 1))
 
 
-def _run_converge(cfg: dict, out: Path):
+def _run_converge(cfg: dict):
     from .geometry import WeightFunction, cubic_re_perturbation, quartic_abs_perturbation
     from .operators import GridSpec, PerturbationSpec
     from .semigroup import SemigroupMethod, converge_in_k
@@ -330,10 +325,19 @@ def _run_converge(cfg: dict, out: Path):
     grid = GridSpec(cfg["n"], cfg["grid"]["radius"], cfg["grid"]["spacing"])
     report = converge_in_k(weight, metric, cfg["q"], cfg["t_list"], cfg["k_list"], grid,
                            SemigroupMethod(**method))
-    report.to_csv(out)
+    entries = _fiber_entries(report.n, report.q)
+    rows = []
+    for row in report.rows:
+        for a, b, J, K in entries:
+            v, mv = row.value[a, b], row.model[a, b]
+            err = abs(v - mv)
+            rows.append([row.k, _fmt(row.t), report.q, J, K, _fmt(v.real), _fmt(v.imag),
+                         _fmt(mv.real), _fmt(mv.imag), _fmt(err), _fmt(err * math.sqrt(row.k))])
+    return ["k", "t", "q", "row_J", "col_J", "re_value", "im_value", "re_model", "im_model",
+            "abs_err", "abs_err_sqrtk"], rows
 
 
-def _run_trace(cfg: dict, out: Path):
+def _run_trace(cfg: dict):
     from .model_kernels import ModelSpec
     from .operators import GridSpec, assemble_model
     from .semigroup import SemigroupMethod, heat_traces
@@ -345,10 +349,10 @@ def _run_trace(cfg: dict, out: Path):
     ests = heat_traces(op, ts, method, seed=cfg["seed"], probes=cfg["probes"])
     rows = [[_fmt(t), _fmt(est.value), _fmt(est.stderr), est.probes, est.method]
             for t, est in zip(ts, ests)]
-    _write_csv(out, ["t", "value", "stderr", "probes", "method"], rows)
+    return ["t", "value", "stderr", "probes", "method"], rows
 
 
-def _run_morse(cfg: dict, out: Path):
+def _run_morse(cfg: dict):
     from .torus import EllipticCurveBundle, morse_trace_inequality, product_torus_morse
 
     tau = complex(0.0, cfg["tau_im"])
@@ -364,20 +368,20 @@ def _run_morse(cfg: dict, out: Path):
                 rec = inequality(*bundles, k, q, t)
                 rows.append([rec.k, rec.q, _fmt(rec.t), rec.lhs, _fmt(rec.rhs),
                              _fmt(rec.gap), rec.holds])
-    _write_csv(out, ["k", "q", "t", "lhs", "rhs", "gap", "holds"], rows)
+    return ["k", "q", "t", "lhs", "rhs", "gap", "holds"], rows
 
 
-def _run_spectrum(cfg: dict, out: Path):
+def _run_spectrum(cfg: dict):
     from .torus import EllipticCurveBundle, landau_spectrum
 
     bundle = EllipticCurveBundle(complex(0.0, cfg["tau_im"]), cfg["degree"])
     table = landau_spectrum(bundle, cfg["k"], cfg["q"], cfg["cutoff"])
     rows = [[m, _fmt(eig), int(mult)]
             for m, (eig, mult) in enumerate(table.rows)]
-    _write_csv(out, ["level", "eigenvalue", "multiplicity"], rows)
+    return ["level", "eigenvalue", "multiplicity"], rows
 
 
-def _run_validate_oracle(cfg: dict, out: Path):
+def _run_validate_oracle(cfg: dict):
     from .torus import EllipticCurveBundle, riemann_roch_dims, validate_landau_levels
 
     bundle = EllipticCurveBundle(complex(0.0, cfg["tau_im"]), cfg["degree"])
@@ -389,9 +393,8 @@ def _run_validate_oracle(cfg: dict, out: Path):
             rows.append([k, int(level), _fmt(val.expected[i]), _fmt(val.extrapolated[i]),
                          _fmt(val.error_estimate[i]), int(val.multiplicities[i]),
                          val.expected_multiplicity, h0, bool(val.matches[i])])
-    _write_csv(out, ["k", "level", "expected", "extrapolated", "error_estimate",
-                     "multiplicity", "expected_multiplicity", "riemann_roch_h0", "match"],
-               rows)
+    return ["k", "level", "expected", "extrapolated", "error_estimate", "multiplicity",
+            "expected_multiplicity", "riemann_roch_h0", "match"], rows
 
 
 _RUNNERS = {
@@ -405,13 +408,17 @@ _RUNNERS = {
 
 
 def run_experiment(cfg: dict, out_dir: Path) -> Path:
-    """Validate and run a loaded config; the manifest hashes it as loaded,
-    before its defaults are filled in."""
+    """Validate and run a loaded config, and write its one CSV; the
+    manifest hashes the config as loaded, before its defaults are filled in."""
     loaded, cfg = cfg, validate_config(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     out = out_dir / cfg["output"]
     started = time.time()
-    _RUNNERS[cfg["experiment"]](cfg, out)
+    header, rows = _RUNNERS[cfg["experiment"]](cfg)
+    with open(out, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
     manifest = {
         "config_sha256": hashlib.sha256(
             json.dumps(loaded, sort_keys=True, separators=(",", ":")).encode()

@@ -49,10 +49,6 @@ TRACE_PROBES = 64
 # per probe within it (6.7 MB for the 64 probes and 3 times at dim 1089).
 TRACE_BLOCK_BYTES = 2**26
 
-# Fixed grid policy for the k-convergence experiment (scaled coordinates).
-CONVERGE_RADIUS = 6.0
-CONVERGE_SPACING = 0.2
-
 # Safety factor applied to Richardson error estimates in the Landau-level
 # oracle validation.
 RICHARDSON_SAFETY = 2.0

@@ -133,11 +133,12 @@ class DiscreteOperator:
         self.matrix = a
         # Spectral caches: the dense eigensystem and eigenvalues (filled only
         # when the dense-eigen reference method is asked for: its propagator
-        # and exact traces), and the banded Cholesky positivity certificates
-        # keyed by tolerance (the one input of spectral_bound_check).
+        # and exact traces), and the verdict of the banded Cholesky
+        # positivity certificate (None until spectral_bound_check or a
+        # Chebyshev sweep without a floor asks for it).
         self._eig = None
         self._eigvals = None
-        self._psd_certificate = {}
+        self._psd_verdict = None
         # A proven lower bound on the spectrum of the stored matrix, set only
         # by assemble_model and assemble_scaled (see ``_floor``); None for
         # every other operator.

@@ -34,14 +34,13 @@ Cholesky factorisation (see ``spectral_bound_check``); a floor never
 decides it.
 """
 
-import csv
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
-from . import defaults, fiber
+from . import defaults
 from .errors import ArgumentError, InvariantViolation, NumericalError, ResourceLimitError
 from .geometry import FiberEndomorphism, WeightFunction
 from .model_kernels import ModelSpec, _check_time, model_diagonal
@@ -164,7 +163,7 @@ class TraceEstimate:
     method: str
 
 
-# The default positivity tolerance, which also gives a sweep its lower end.
+# The positivity tolerance, which also gives a sweep its lower end.
 _PSD_TOL = 1e-8
 # Largest rounding estimate of a sweep that is trusted, relative to its result.
 _ROUNDING_LIMIT = 2.0 ** -36
@@ -187,7 +186,7 @@ def _spectral_interval(op: DiscreteOperator) -> tuple:
         return max(low, op._floor), high
     if low < -_PSD_TOL:
         try:
-            if _certify_positive(op, _PSD_TOL):
+            if _certify_positive(op):
                 low = -_PSD_TOL
         except ResourceLimitError:
             pass
@@ -385,10 +384,7 @@ def _squared_norms(x) -> np.ndarray:
 
 def _rademacher_block(rng, dim: int, width: int) -> np.ndarray:
     """``width`` Rademacher probes as columns, drawn one after another."""
-    block = np.empty((dim, width), dtype=complex)
-    for j in range(width):
-        block[:, j] = rng.choice([-1.0, 1.0], size=dim)
-    return block
+    return np.ascontiguousarray(rng.choice([-1.0, 1.0], size=(width, dim)).T, dtype=complex)
 
 
 def heat_traces(op: DiscreteOperator, ts: Sequence[float],
@@ -452,10 +448,11 @@ class SpectralBoundReport:
     attaining_eigenvalue: float
 
 
-def _certify_positive(op: DiscreteOperator, psd_tol: float) -> bool:
-    """Whether the smallest eigenvalue exceeds -psd_tol, cached per tolerance.
+def _certify_positive(op: DiscreteOperator) -> bool:
+    """Whether the smallest eigenvalue exceeds -_PSD_TOL, cached on the
+    operator.
 
-    By Sylvester's law of inertia, ``A + psd_tol*I`` has a Cholesky factor
+    By Sylvester's law of inertia, ``A + _PSD_TOL*I`` has a Cholesky factor
     exactly when it is positive definite.  The factorisation is banded in
     the natural grid order (Golub & Van Loan, Matrix Computations, 4.3),
     with the half-bandwidth read from the matrix.  The band is stored in
@@ -463,7 +460,7 @@ def _certify_positive(op: DiscreteOperator, psd_tol: float) -> bool:
     that it is factorised in place without a copy.  A band larger than
     ``defaults.BAND_CHOLESKY_MAX_BYTES`` raises ``ResourceLimitError``.
     """
-    if psd_tol not in op._psd_certificate:
+    if op._psd_verdict is None:
         import scipy.linalg as sla
 
         low = sp.tril(op.matrix, format="coo")
@@ -478,34 +475,33 @@ def _certify_positive(op: DiscreteOperator, psd_tol: float) -> bool:
             )
         ab = np.zeros((bands, op.dim), dtype=complex, order="F")
         ab[offset, low.col] = low.data
-        ab[0] += psd_tol
+        ab[0] += _PSD_TOL
         try:
             sla.cholesky_banded(ab, overwrite_ab=True, lower=True, check_finite=False)
-            op._psd_certificate[psd_tol] = True
+            op._psd_verdict = True
         except np.linalg.LinAlgError:
-            op._psd_certificate[psd_tol] = False
-    return op._psd_certificate[psd_tol]
+            op._psd_verdict = False
+    return op._psd_verdict
 
 
-def spectral_bound_check(op: DiscreteOperator, t: float, n_power: int,
-                         psd_tol: float = _PSD_TOL) -> SpectralBoundReport:
+def spectral_bound_check(op: DiscreteOperator, t: float, n_power: int) -> SpectralBoundReport:
     """Check max_s s^N e^{-ts} <= (N/(e t))^N over the operator spectrum.
 
     The bound is the calculus maximum of s^N e^{-ts} over s >= 0 (equal to
     1 for N = 0), so the only falsifiable content is positivity itself.
     Every operator, for any size, n and fiber dimension, is certified by
-    one banded Cholesky factorisation of ``A + psd_tol*I``: it is rejected
-    with ``InvariantViolation`` iff its smallest eigenvalue is <= -psd_tol,
-    whatever spectral caches the operator holds.  A band above
+    one banded Cholesky factorisation of ``A + 1e-8*I`` (``_PSD_TOL``): it
+    is rejected with ``InvariantViolation`` iff its smallest eigenvalue is
+    <= -1e-8, whatever spectral caches the operator holds.  A band above
     ``defaults.BAND_CHOLESKY_MAX_BYTES`` (it grows as d*side^(2n-1) rows)
     raises ``ResourceLimitError``.
     """
     (t,) = _positive_times([t])
     if not 0 <= n_power <= 4:
         raise ArgumentError("N must be between 0 and 4")
-    if not _certify_positive(op, psd_tol):
+    if not _certify_positive(op):
         raise InvariantViolation(
-            f"operator not PSD: smallest eigenvalue <= {-psd_tol:.3e} "
+            f"operator not PSD: smallest eigenvalue <= {-_PSD_TOL:.3e} "
             "(banded Cholesky of A + tol*I failed)"
         )
     bound = 1.0 if n_power == 0 else (n_power / (np.e * t)) ** n_power
@@ -541,37 +537,16 @@ class ConvergenceReport:
     def errors_for(self, t: float) -> list:
         return [r.abs_err for r in self.rows if r.t == t]
 
-    def to_csv(self, path) -> None:
-        fmt = "{:" + defaults.CSV_FLOAT_FORMAT + "}"
-        idx = fiber.multi_indices(self.n, self.q)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["k", "t", "q", "row_J", "col_J", "re_value", "im_value",
-                             "re_model", "im_model", "abs_err", "abs_err_sqrtk"])
-            for row in self.rows:
-                for a, J in enumerate(idx):
-                    for b, K in enumerate(idx):
-                        v, mv = row.value[a, b], row.model[a, b]
-                        err = abs(v - mv)
-                        writer.writerow([
-                            row.k, fmt.format(row.t), self.q,
-                            fiber.index_label(J), fiber.index_label(K),
-                            fmt.format(v.real), fmt.format(v.imag),
-                            fmt.format(mv.real), fmt.format(mv.imag),
-                            fmt.format(err), fmt.format(err * np.sqrt(row.k)),
-                        ])
-
 
 def converge_in_k(weight: WeightFunction, pert: Optional[PerturbationSpec],
                   q: int, ts: Sequence[float], ks: Sequence[int],
-                  grid: Optional[GridSpec] = None,
+                  grid: GridSpec,
                   method: Optional[SemigroupMethod] = None) -> ConvergenceReport:
     """Assemble the scaled operator for each k, read the kernel diagonal at
     the origin, and compare with the continuum model diagonal."""
     ks = list(ks)
     if ks != sorted(ks) or len(set(ks)) != len(ks):
         raise ArgumentError("k list must be strictly increasing")
-    grid = grid or GridSpec(weight.n, defaults.CONVERGE_RADIUS, defaults.CONVERGE_SPACING)
     targets = {t: model_diagonal(ModelSpec(weight.n, weight.lam, q), t).matrix for t in ts}
     rows = []
     ops = _GridOperators(grid)  # the k-invariant parts, shared by every k
@@ -586,10 +561,9 @@ def converge_in_k(weight: WeightFunction, pert: Optional[PerturbationSpec],
 
 
 def model_baseline_errors(weight: WeightFunction, q: int, ts: Sequence[float],
-                          grid: Optional[GridSpec] = None,
+                          grid: GridSpec,
                           method: Optional[SemigroupMethod] = None) -> dict:
     """Pure discretization error of the unperturbed model on the same grid."""
-    grid = grid or GridSpec(weight.n, defaults.CONVERGE_RADIUS, defaults.CONVERGE_SPACING)
     spec = ModelSpec(weight.n, weight.lam, q)
     diags = kernel_diagonals(assemble_model(spec, grid), grid.origin_site(), ts, method)
     return {t: float(np.max(np.abs(diag.matrix - model_diagonal(spec, t).matrix)))

@@ -397,8 +397,8 @@ class LandauLevelValidation:
 
 
 def validate_landau_levels(bundle: EllipticCurveBundle, k: int,
-                           eigen_count: int = 10,
-                           resolutions: Tuple[int, int] = (32, 64)) -> LandauLevelValidation:
+                           eigen_count: int,
+                           resolutions: Tuple[int, int]) -> LandauLevelValidation:
     """Validate spectrum-table eigenvalues and multiplicities against the
     discretized periodic magnetic Laplacian at two resolutions with
     Richardson extrapolation (the discretization error is O(h^2)).  The

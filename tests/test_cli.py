@@ -224,7 +224,7 @@ def test_converge_config_runs(tmp_path):
         "weight_perturbation": {"kind": "re_z3", "amplitude": 0.1},
         "metric_perturbation": {"kind": "linear_r11", "amplitude": 0.1},
         "k_list": [4, 16],
-        "t_list": [1.0],
+        "t_list": [0.5, 1.0],
         "grid": {"radius": 3.0, "spacing": 0.5},
         "method": {"variant": "krylov"},
         "seed": 5,
@@ -234,8 +234,13 @@ def test_converge_config_runs(tmp_path):
     out_dir = tmp_path / "out"
     assert main(["run", str(path), "--out", str(out_dir)]) == 0
     lines = (out_dir / "conv.csv").read_text().splitlines()
-    assert lines[0].startswith("k,t,q,")
-    errs = [float(line.split(",")[9]) for line in lines[1:]]
+    assert lines[0] == "k,t,q,row_J,col_J,re_value,im_value,re_model,im_model,abs_err,abs_err_sqrtk"
+    # one row per k and t, k-major, with empty q = 0 fiber labels
+    assert len(lines) == 5
+    assert lines[1].startswith("4,0.5,0,,,")
+    # at t = 1 the error falls with k (at t = 0.5 this coarse grid's
+    # h-floor dominates it)
+    errs = [float(line.split(",")[9]) for line in lines[2::2]]
     assert errs[1] < errs[0]
 
 
