@@ -14,10 +14,11 @@ apart as the cold time):
   perturbation r = [[0, 0.1 y_1], [0.05 y_2, 0]];
 - ``bound_n1``: 12 ``spectral_bound_check`` calls (N = 0..3 at t = 0.5, 1,
   2) on a fresh model operator (set-up) with n = 1, lambda = 1, q = 0 on
-  the grid of radius 5 and spacing 0.1 (10 201 sites);
+  the grid of radius 5 and spacing 0.1 (10 201 sites); its assembled floor
+  (0 less rounding) decides every check, so nothing is factorised;
 - ``bound_n2``: the same 12 checks on a fresh model operator with n = 2,
   lambda = (1, 0.5), q = 1 on the grid of radius 1.5 and spacing 0.5
-  (2 401 sites, dimension 4 802);
+  (2 401 sites, dimension 4 802), decided by its floor 0.5 less rounding;
 - ``diag_n1``: ``kernel_diagonals`` at the origin for t = 0.5 and 1 on a
   fresh model operator with n = 1, lambda = 1, q = 1 on the grid of
   radius 5 and spacing 0.1 (10 201 sites);

@@ -16,7 +16,7 @@ difference), which is O(h^6) on smooth fields and lifts the checkerboard
 modes to O(1/h^2).  See README, "Discretization".
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -115,34 +115,46 @@ class GridSpec:
 
 @dataclass(eq=False)
 class DiscreteOperator:
-    """Hermitian sparse operator over grid sites x fiber components."""
+    """Hermitian sparse operator over grid sites x fiber components, whose
+    ``matrix`` cannot be rebound.
+
+    ``_floor``, a proven lower bound on the spectrum, is handed over only by
+    assemble_model and assemble_scaled (see ``_floor``).  Their operators
+    are Hermitian by construction and skip the Hermiticity scan; their CSR
+    arrays are read-only, so a floor never outlives its matrix.
+    """
 
     matrix: sp.csr_matrix
     q: int
     k: int            # 0 denotes the unscaled model operator
     grid: GridSpec
+    _floor: Optional[float] = field(default=None, kw_only=True, repr=False)
 
     def __post_init__(self):
         a = self.matrix.tocsr()
-        scale = np.abs(a).max() if a.nnz else 0.0
-        herm = np.abs(a - a.getH()).max() if a.nnz else 0.0
-        if scale > 0 and herm > defaults.OPERATOR_HERMITIAN_RTOL * scale:
-            raise InvariantViolation(
-                f"assembled operator not Hermitian: {herm:.3e} vs scale {scale:.3e}"
-            )
-        self.matrix = a
+        if self._floor is None:
+            scale = np.abs(a).max() if a.nnz else 0.0
+            herm = np.abs(a - a.getH()).max() if a.nnz else 0.0
+            if scale > 0 and herm > defaults.OPERATOR_HERMITIAN_RTOL * scale:
+                raise InvariantViolation(f"assembled operator not Hermitian: {herm:.3e} "
+                                         f"vs scale {scale:.3e}")
+        else:
+            a.sum_duplicates()  # canonical: scipy sorts other matrices in place
+            for part in (a.data, a.indices, a.indptr):
+                part.flags.writeable = False
+        object.__setattr__(self, "matrix", a)
         # Spectral caches: the dense eigensystem and eigenvalues (filled only
-        # when the dense-eigen reference method is asked for: its propagator
-        # and exact traces), and the verdict of the banded Cholesky
-        # positivity certificate (None until spectral_bound_check or a
-        # Chebyshev sweep without a floor asks for it).
+        # for the dense-eigen reference method), and the verdict of the banded
+        # Cholesky positivity certificate (spectral_bound_check asks for it
+        # only without a floor above -1e-8).
         self._eig = None
         self._eigvals = None
         self._psd_verdict = None
-        # A proven lower bound on the spectrum of the stored matrix, set only
-        # by assemble_model and assemble_scaled (see ``_floor``); None for
-        # every other operator.
-        self._floor = None
+
+    def __setattr__(self, name, value):
+        if name in ("matrix", "_floor") and name in self.__dict__:
+            raise AttributeError(f"an operator's {name} cannot be rebound")
+        object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
@@ -289,29 +301,22 @@ class _GridOperators:
 
     def twist(self, lam, q: int) -> tuple:
         """The exact twist corrections of ``assemble_scaled`` at degree q: the
-        pieces pi_j (x) delta_j, delta_j = lam_j I - [C0_j, C0_j^H], and over
-        the fiber blocks J of their sum the least Gershgorin lower end of
-        sum_{j in J} delta_j, its row sums and term count (``_gershgorin``)."""
+        pieces pi_j (x) delta_j, delta_j = lam_j I - [C0_j, C0_j^H], and their
+        sum."""
         key = (tuple(lam), q)
         if key not in self._twists:
             n, sites = self.grid.n, self.grid.sites
-            pieces, deltas = [], {}
+            pieces = []
             for j in range(n):
                 pi_j = np.real(np.diag(fiber.projection_contains(n, q, j)))
                 if not np.any(pi_j != 0):
                     continue
                 c0 = self.model_factor(j, lam[j])
                 comm = (c0 @ c0.getH() - c0.getH() @ c0).tocsr()
-                deltas[j] = (lam[j] * sp.identity(sites) - comm).tocsr()
-                pieces.append(sp.kron(sp.diags(pi_j), deltas[j]).tocsr())
-            lower, rows, count = 0.0, np.zeros(fiber.fiber_dim(n, q) * sites), 0
-            if deltas:
-                blocks = [_gershgorin(sum(deltas[j] for j in J).tocsr())
-                          for J in fiber.multi_indices(n, q)]
-                lower = min(b[0] for b in blocks)
-                rows = np.concatenate([b[2] for b in blocks])
-                count = max(b[3] for b in blocks)
-            self._twists[key] = pieces, lower, rows, count
+                delta = (lam[j] * sp.identity(sites) - comm).tocsr()
+                pieces.append(sp.kron(sp.diags(pi_j), delta).tocsr())
+            dim = fiber.fiber_dim(n, q) * sites
+            self._twists[key] = pieces, sum(pieces, sp.csr_matrix((dim, dim))).tocsr()
         return self._twists[key]
 
 
@@ -332,39 +337,55 @@ def _inner_length(g) -> int:
     return int(np.bincount(g.indices, minlength=g.shape[1]).max(initial=0))
 
 
-def _floor(ops: _GridOperators, d: int, lower: float, grams, rest, roundings: int) -> float:
-    """A lower bound on the spectrum of the stored matrix fl(A), where
-    A = sum_G G^H G + I_d (x) S + R is assembled in floating point from
-    stored Gram factors G, the stabilizer S of ``ops`` and a stored
-    Hermitian remainder R with lambda_min(R) >= lower.
+def _per_block(m, x) -> np.ndarray:
+    """(I (x) m) x: m acting alike on each block of x of its column length."""
+    return (m @ x.reshape(-1, m.shape[1]).T).T.ravel()
 
-    The Gram parts are positive semidefinite, so lambda_min(A) >= lower
-    (Weyl).  Every entry of fl(A) - A is at most gamma_m times the entry of
-    B = sum_G |G|^H |G| + I_d (x) sigma h^6 sum_a |D4_a|^T |D4_a| + |R|
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.1
-    and 3.5), with gamma_m = m u / (1 - m u) and m the number of roundings
-    on the way to one entry: the longest inner product of a Gram part, 3
-    for a complex product (whose error is at most sqrt(2) gamma_2 <=
-    gamma_3, Higham Lemma 3.5), 1 + 2n for the stabilizer's coefficient and
-    axes, and ``roundings`` more (the pieces summed into A, and the row
-    count of R, which bounds the rounding of the Gershgorin sums that gave
-    ``lower``).  B is symmetric and nonnegative, so ||fl(A) - A||_2 <=
-    ||B||_inf = max_i (B 1)_i, which takes two sparse products per factor;
-    ``rest`` is |R| 1.  The result is lower - gamma_m max_i (B 1)_i.
+
+def _floor(ops: _GridOperators, a, grams, stab, rest, pieces: int) -> float:
+    """A lower bound on the spectrum of the stored a = fl(A), A = sum_G G^H G
+    + S + R summed in ``pieces`` sums from stored Gram factors G, the
+    stabilizer S of ``ops`` and a stored Hermitian remainder R (a G or S
+    narrower than a acts on each fiber block).
+
+    lambda_min(A) is at least the Gershgorin lower end of R (Weyl), and
+    |fl(A) - A| <= gamma_m B entrywise, B = sum_G |G|^H |G| + |R| +
+    sigma h^6 sum_a |D4_a|^T |D4_a| (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., 3.1 and 3.5), gamma_m = m u / (1 - m u)
+    for the m roundings of an entry: the longest inner product of a Gram
+    part, 3 for a complex product (Higham Lemma 3.5), 1 + 2n for the
+    stabilizer, the pieces, and the row count of R for its Gershgorin sums.
+    So the floor is that end less gamma_m ||B||_inf = gamma_m max_i (B 1)_i.
+
+    A fixed-seed Rademacher probe x checks that a holds these pieces
+    (Freivalds, 1979): fl(A) and the stored S and R lie within gamma_m B of
+    their exact sums, and as |x| = 1 the products a x, G x, G^H (G x), S x,
+    R x and their sum round by at most 8 gamma_{c+3} B 1, c being their
+    longest inner product.  An entry of a x - (sum_G G^H (G x) + S x + R x)
+    above gamma_p (B 1)_i, p = 3 m + 8 (c + 3), raises InvariantViolation.
     """
-    s, axes = ops.grid.points_per_axis, 2 * ops.grid.n
+    s, axes, dim = ops.grid.points_per_axis, 2 * ops.grid.n, a.shape[0]
     d4 = abs(ops.d4)
     w = d4.T @ (d4 @ np.ones(s))  # |D4|^T |D4| 1 along one axis
-    stab = sum(w.reshape([s if b == a else 1 for b in range(axes)]) for a in range(axes))
-    bound = rest + np.tile(defaults.GHOST_STABILIZER * ops.grid.spacing**6 * stab.ravel(), d)
+    stab_rows = sum(w.reshape([s if b == ax else 1 for b in range(axes)]) for ax in range(axes))
+    lower, _, bound, count = _gershgorin(rest)
+    bound = bound + np.tile(defaults.GHOST_STABILIZER * ops.grid.spacing**6 * stab_rows.ravel(),
+                            dim // ops.grid.sites)
     inner = _inner_length(d4)
     for g in grams:
         g = abs(g)
-        bound += g.T @ (g @ np.ones(g.shape[1]))
+        bound += np.tile(g.T @ (g @ np.ones(g.shape[1])), dim // g.shape[1])
         inner = max(inner, _inner_length(g))
-    m = inner + 3 + 1 + axes + roundings
-    gamma = m * _ROUNDOFF / (1.0 - m * _ROUNDOFF)
-    return lower - gamma * float(bound.max())
+    m = inner + 3 + 1 + axes + pieces + count
+    x = np.random.default_rng(0).choice([-1.0, 1.0], size=dim)
+    residual = np.abs(a @ x - _per_block(stab, x) - rest @ x
+                      - sum(_per_block(g.getH(), _per_block(g, x)) for g in grams))
+    c = max([inner] + [int(np.diff(f.indptr).max(initial=0)) for f in (a, stab, rest, *grams)])
+    p = 3 * m + 8 * (c + 3)
+    if np.any(residual > p * _ROUNDOFF / (1.0 - p * _ROUNDOFF) * bound):
+        raise InvariantViolation(f"assembled matrix differs from its pieces by up to "
+                                 f"{residual.max():.3e} on a probe")
+    return lower - m * _ROUNDOFF / (1.0 - m * _ROUNDOFF) * float(bound.max())
 
 
 def assemble_model(spec: ModelSpec, grid: GridSpec) -> DiscreteOperator:
@@ -377,21 +398,17 @@ def assemble_model(spec: ModelSpec, grid: GridSpec) -> DiscreteOperator:
         raise ArgumentError("model and grid dimensions differ")
     ops = _GridOperators(grid)
     factors = [ops.model_factor(j, lj) for j, lj in enumerate(spec.lam)]
+    stab = ops.stabilizer()
+    scalar = sum((c.getH() @ c for c in factors), stab)
     theta0 = fiber.twist_eigenvalues(spec.lam, spec.q)
-    # Every fiber block holds the same Gram part, so the largest row sum of
-    # B is the largest over the sites plus the largest |Theta_0|; the pieces
-    # summed are the C_j^dag C_j and Theta_0, whose row count is 1.
-    floor = _floor(ops, 1, float(theta0.min()), factors, np.abs(theta0).max(), len(factors) + 2)
-    scalar = ops.stabilizer()
-    for c in factors:
-        scalar = scalar + c.getH() @ c
-    d = fiber.fiber_dim(spec.n, spec.q)
-    a = sp.kron(sp.identity(d), scalar.tocsr())
-    if np.any(theta0 != 0):
-        a = a + sp.kron(sp.diags(theta0), sp.identity(grid.sites))
-    op = DiscreteOperator(a.tocsr(), spec.q, 0, grid)
-    op._floor = floor
-    return op
+    a = sp.kron(sp.identity(theta0.size), scalar.tocsr())
+    # Theta_0 (x) I with every diagonal entry stored: one term per row
+    theta = np.repeat(theta0, grid.sites)
+    twist = sp.csr_matrix((theta, np.arange(theta.size), np.arange(theta.size + 1)))
+    a = (a + twist if np.any(theta0 != 0) else a).tocsr()
+    # the pieces summed are the C_j^dag C_j and Theta_0
+    floor = _floor(ops, a, factors, stab, twist, len(factors) + 1)
+    return DiscreteOperator(a, spec.q, 0, grid, _floor=floor)
 
 
 # ---------------------------------------------------------------------------
@@ -432,9 +449,9 @@ def assemble_scaled(weight: WeightFunction, pert: Optional[PerturbationSpec],
     D_q^dag D_q + D_{q-1} D_{q-1}^dag plus an exact twist correction making
     the unperturbed case reduce identically to ``assemble_model``.
 
-    Its spectral floor is the Gershgorin lower end of the twist correction
-    plus that of the adjoint zero-order part, less the rounding allowance
-    of ``_floor``: D_q, D_{q-1}^dag and the stabilizer are Gram parts.
+    Its spectral floor (``_floor``) takes D_q, D_{q-1}^dag and the
+    stabilizer as Gram parts, and the twist correction plus the adjoint
+    zero-order part as the remainder.
     ``_ops`` carries the k-invariant parts of an earlier call on the same
     grid and weight (``converge_in_k`` passes one for all its k).
     """
@@ -528,12 +545,13 @@ def assemble_scaled(weight: WeightFunction, pert: Optional[PerturbationSpec],
 
     # Exact twist correction: replace the discrete factor commutators by the
     # continuum eigenvalues so the unperturbed case reduces to assemble_model.
-    twists, lower, rest, rest_rows = ops.twist(lam, q)
+    twists, rest = ops.twist(lam, q)
     for piece in twists:
         a = a + piece
 
     # Stabilizer on every fiber component.
-    a = a + ops.fiber_stabilizer(dq)
+    stab = ops.fiber_stabilizer(dq)
+    a = a + stab
 
     # Optional adjoint zero-order terms (Hermitian part; see README): the
     # contractions iota_j alpha_j / sqrt(k) into and out of degree q.
@@ -551,14 +569,12 @@ def assemble_scaled(weight: WeightFunction, pert: Optional[PerturbationSpec],
             x = x + d_qm1 @ contraction(q)
         zero_order = (0.5 * (x + x.getH())).tocsr()
         a = a + zero_order
-        low, _, sums, count = _gershgorin(zero_order)
-        lower, rest, rest_rows = lower + low, rest + sums, rest_rows + count
+        rest = rest + zero_order
 
-    op = DiscreteOperator(a.tocsr(), q, k, grid)
+    a = a.tocsr()
     grams = [g for g in (d_q, d_qm1_h) if g is not None]
     pieces = len(grams) + len(twists) + 2  # with the stabilizer and the zero-order part
-    op._floor = _floor(ops, dq, lower, grams, rest, pieces + rest_rows)
-    return op
+    return DiscreteOperator(a, q, k, grid, _floor=_floor(ops, a, grams, stab, rest, pieces))
 
 
 def to_matrix_market(op: DiscreteOperator, path) -> None:

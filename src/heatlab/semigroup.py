@@ -17,9 +17,9 @@ only when asked for, as the reference.
 b is the Gershgorin upper end.  a is the spectral floor that
 ``assemble_model`` and ``assemble_scaled`` prove for every operator they
 build: its Gram parts are positive semidefinite, the remainder is bounded
-by Gershgorin, and a rounding allowance covers the assembly
-(``operators._floor``).  Any other operator falls back to the banded
-Cholesky positivity certificate, or else to the Gershgorin lower end
+by Gershgorin, a rounding allowance covers the assembly, and a random
+probe checks that the matrix holds those parts (``operators._floor``).
+Any other operator sweeps from its Gershgorin lower end
 (``_spectral_interval``).
 
 Kernel diagonals and trace samples are quadratic forms u^H e^{-tA} u.  As A
@@ -29,9 +29,9 @@ half-time vectors, positive semidefinite by construction (Golub & Meurant,
 Matrices, Moments and Quadrature, 2010).  A bound E on the error of a
 half-time vector y bounds that of its squared norm by 2 E ||y|| + E^2.
 
-The spectral bound check reduces to positivity, certified by one banded
-Cholesky factorisation (see ``spectral_bound_check``); a floor never
-decides it.
+The spectral bound check reduces to positivity.  A floor above -1e-8
+decides it; any other operator is certified by one banded Cholesky
+factorisation (see ``spectral_bound_check``).
 """
 
 from dataclasses import dataclass
@@ -163,7 +163,7 @@ class TraceEstimate:
     method: str
 
 
-# The positivity tolerance, which also gives a sweep its lower end.
+# The positivity tolerance of spectral_bound_check.
 _PSD_TOL = 1e-8
 # Largest rounding estimate of a sweep that is trusted, relative to its result.
 _ROUNDING_LIMIT = 2.0 ** -36
@@ -172,24 +172,13 @@ _MAX_HALVINGS = 64
 
 
 def _spectral_interval(op: DiscreteOperator) -> tuple:
-    """An interval [a, b] holding the spectrum of the Hermitian op.
-
-    b is the Gershgorin upper end.  a is the larger of the Gershgorin lower
-    end min_i (a_ii - sum_{j != i} |a_ij|) and the floor that the assemblers
-    prove.  Without a floor, a is -_PSD_TOL when the Gershgorin lower end is
-    below it and the banded Cholesky certificate passes; otherwise (a failed
-    certificate, or a band that raises ``ResourceLimitError``) it is the
-    Gershgorin lower end.
+    """An interval [a, b] holding the spectrum of the Hermitian op: its
+    Gershgorin ends, a raised to the assemblers' floor.  Without a floor, an
+    a far below lambda_min costs restarts (``_ChebyshevBlock.propagate``).
     """
     low, high, *_ = _gershgorin(op.matrix)
     if op._floor is not None:
-        return max(low, op._floor), high
-    if low < -_PSD_TOL:
-        try:
-            if _certify_positive(op):
-                low = -_PSD_TOL
-        except ResourceLimitError:
-            pass
+        low = max(low, op._floor)
     return low, high
 
 
@@ -437,8 +426,8 @@ def heat_trace(op: DiscreteOperator, t: float,
 
 @dataclass(frozen=True)
 class SpectralBoundReport:
-    """Outcome of ``spectral_bound_check``: ``passed`` is the positivity
-    certificate and ``bound`` is (N/(e t))^N.  No eigenvalue is computed,
+    """Outcome of ``spectral_bound_check``: ``passed`` is its positivity
+    verdict and ``bound`` is (N/(e t))^N.  No eigenvalue is computed,
     so ``max_value`` and ``attaining_eigenvalue`` are always NaN.
     """
 
@@ -450,7 +439,7 @@ class SpectralBoundReport:
 
 def _certify_positive(op: DiscreteOperator) -> bool:
     """Whether the smallest eigenvalue exceeds -_PSD_TOL, cached on the
-    operator.
+    operator (asked only where no floor decides it).
 
     By Sylvester's law of inertia, ``A + _PSD_TOL*I`` has a Cholesky factor
     exactly when it is positive definite.  The factorisation is banded in
@@ -488,18 +477,18 @@ def spectral_bound_check(op: DiscreteOperator, t: float, n_power: int) -> Spectr
     """Check max_s s^N e^{-ts} <= (N/(e t))^N over the operator spectrum.
 
     The bound is the calculus maximum of s^N e^{-ts} over s >= 0 (equal to
-    1 for N = 0), so the only falsifiable content is positivity itself.
-    Every operator, for any size, n and fiber dimension, is certified by
-    one banded Cholesky factorisation of ``A + 1e-8*I`` (``_PSD_TOL``): it
-    is rejected with ``InvariantViolation`` iff its smallest eigenvalue is
-    <= -1e-8, whatever spectral caches the operator holds.  A band above
-    ``defaults.BAND_CHOLESKY_MAX_BYTES`` (it grows as d*side^(2n-1) rows)
-    raises ``ResourceLimitError``.
+    1 for N = 0), so the only falsifiable content is positivity itself.  A
+    floor proven at assembly above -1e-8 (``_PSD_TOL``) passes it.  Any other
+    operator is certified by one banded Cholesky factorisation of
+    ``A + 1e-8*I``: it is rejected with ``InvariantViolation`` iff its
+    smallest eigenvalue is <= -1e-8, whatever spectral caches it holds.  A
+    band above ``defaults.BAND_CHOLESKY_MAX_BYTES`` (it grows as
+    d*side^(2n-1) rows) raises ``ResourceLimitError``.
     """
     (t,) = _positive_times([t])
     if not 0 <= n_power <= 4:
         raise ArgumentError("N must be between 0 and 4")
-    if not _certify_positive(op):
+    if (op._floor is None or op._floor <= -_PSD_TOL) and not _certify_positive(op):
         raise InvariantViolation(
             f"operator not PSD: smallest eigenvalue <= {-_PSD_TOL:.3e} "
             "(banded Cholesky of A + tol*I failed)"
@@ -526,13 +515,6 @@ class ConvergenceReport:
     n: int
     q: int
     rows: tuple
-
-    def __post_init__(self):
-        ks = [r.k for r in self.rows]
-        if ks != sorted(ks):
-            raise InvariantViolation("rows must be sorted by k")
-        if any(r.abs_err < 0 for r in self.rows):
-            raise InvariantViolation("errors must be nonnegative")
 
     def errors_for(self, t: float) -> list:
         return [r.abs_err for r in self.rows if r.t == t]

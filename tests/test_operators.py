@@ -5,8 +5,8 @@ import scipy.sparse as sp
 from scipy.io import mmread
 from scipy.sparse.linalg import eigsh
 
-from heatlab import defaults
-from heatlab.errors import ArgumentError, DomainError, ResourceLimitError
+from heatlab import defaults, operators
+from heatlab.errors import ArgumentError, DomainError, InvariantViolation, ResourceLimitError
 from heatlab.geometry import Perturbation, WeightFunction, _on_grid, cubic_re_perturbation
 from heatlab.model_kernels import ModelSpec
 from heatlab.operators import (
@@ -534,8 +534,6 @@ def test_chart_violation_raises():
 
 
 def test_frame_perturbation_must_vanish_at_origin():
-    from heatlab.errors import InvariantViolation
-
     grid = GridSpec(1, 3.0, 0.5)
     bad = PerturbationSpec(r=lambda y: np.array([[0.1]], dtype=complex))
     with pytest.raises(InvariantViolation):
@@ -599,6 +597,35 @@ def test_floor_is_private_to_the_assemblers():
     assert op._floor is not None and copy._floor is None
     with pytest.raises(TypeError):
         DiscreteOperator(op.matrix, op.q, op.k, op.grid, op._floor)
+
+
+@pytest.mark.parametrize("case", ["model-n1-lam1.0-q0", "scaled-n2-lam1.0,-0.5-q1-r1-a1"])
+def test_assembled_operator_is_frozen(case):
+    # the floor cannot outlive its matrix: the arrays are read-only and the
+    # matrix cannot be rebound
+    op = _FLOOR_CASES[case]()
+    m = op.matrix
+    assert not any(part.flags.writeable for part in (m.data, m.indices, m.indptr))
+    with pytest.raises(ValueError):
+        m.data[0] = 0.0
+    with pytest.raises(AttributeError):
+        op.matrix = m.copy()
+    assert op.matrix is m
+
+
+@pytest.mark.parametrize("case", list(_FLOOR_CASES))
+def test_floor_probe_catches_a_changed_entry(monkeypatch, case):
+    # the probe of the floor's premises passes on the assembled matrix, and
+    # fails on one that differs from its pieces in one entry by 1e-6 ||A||
+    seen = []
+    real = operators._floor
+    monkeypatch.setattr(operators, "_floor", lambda *args: seen.append(args) or real(*args))
+    _FLOOR_CASES[case]()
+    ops, a, *pieces = seen[0]
+    bad = a.copy()
+    bad.data[bad.nnz // 2] += 1e-6 * abs(a).max()
+    with pytest.raises(InvariantViolation, match="differs from its pieces"):
+        real(ops, bad, *pieces)
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,6 @@ from heatlab.operators import (
     assemble_scaled,
 )
 from heatlab.semigroup import (
-    ConvergenceReport,
-    ConvergenceRow,
     SemigroupMethod,
     converge_in_k,
     heat_apply,
@@ -155,16 +153,16 @@ def test_time_must_be_finite_and_positive(entry, t):
 
 
 def test_krylov_nonconvergence_reports_residual(monkeypatch):
-    # no floor and a failed certificate: the Gershgorin lower end (-49.9) is
-    # far below lambda_min (-12.7), so t = 2 needs restarts from halvings;
-    # with none allowed the propagator fails and reports its rounding estimate
+    # no floor: the Gershgorin lower end (-49.9) is far below lambda_min
+    # (-12.7), so t = 2 needs restarts from halvings; with none allowed the
+    # propagator fails and reports its rounding estimate
     from heatlab.errors import NumericalError
 
     op = _random_hermitian_op()
     v = np.random.default_rng(5).normal(size=op.dim) + 0j
     expected = heat_apply(op, v, 2.0, SemigroupMethod("dense-eigen"))
     got = heat_apply(op, v, 2.0)
-    assert op._psd_verdict is False
+    assert op._psd_verdict is None
     assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
     monkeypatch.setattr(semigroup, "_MAX_HALVINGS", 0)
     with pytest.raises(NumericalError) as err:
@@ -556,21 +554,35 @@ def _dense_traces_of_probes(op, ts, seed, probes):
 
 
 def test_chebyshev_trace_with_gershgorin_lower_end():
-    # negative eigenvalues fail the certificate; the interval falls back to
-    # the Gershgorin lower end
+    # without a floor the interval is the Gershgorin one, and no
+    # certificate is asked for
     op = _synthetic_op(np.linspace(-3.0, 40.0, 9))
     assert semigroup._spectral_interval(op) == (-3.0, 40.0)
-    assert op._psd_verdict is False
+    assert op._psd_verdict is None
     ests = heat_traces(op, _TS, seed=5, probes=6)
     for est, value in zip(ests, _dense_traces_of_probes(op, _TS, 5, 6)):
         assert abs(est.value - value) <= 1e-13 * value
 
 
 def test_chebyshev_trace_when_the_band_exceeds_its_cap(small_model_op, monkeypatch):
+    # a sweep never asks for the certificate, so a band above its cap does
+    # not stop the trace of an operator without a floor
     op = _shifted(small_model_op[0], 0.0)
     monkeypatch.setattr(defaults, "BAND_CHOLESKY_MAX_BYTES", 16)
     with pytest.raises(ResourceLimitError):
         semigroup._certify_positive(op)
+    ests = heat_traces(op, _TS, seed=9, probes=4)
+    for est, value in zip(ests, _dense_traces_of_probes(op, _TS, 9, 4)):
+        assert abs(est.value - value) <= 1e-12 * value
+
+
+def test_operator_without_floor_sweeps_from_gershgorin(small_model_op, monkeypatch):
+    # a copy built outside the assemblers has no floor: it sweeps from its
+    # Gershgorin lower end, far below lambda_min = 1, so t = 8 cancels
+    # e^{-4a} and the block restarts; no certificate is asked for
+    op = _shifted(small_model_op[0], 0.0)
+    low = semigroup._gershgorin(op.matrix)[0]
+    assert op._floor is None and low < -10.0
     sweeps = []
     real = semigroup._ChebyshevBlock.sweep
 
@@ -579,22 +591,12 @@ def test_chebyshev_trace_when_the_band_exceeds_its_cap(small_model_op, monkeypat
         return real(block, xi, taus)
 
     monkeypatch.setattr(semigroup._ChebyshevBlock, "sweep", recording)
-    # the Gershgorin lower end of the magnetic stencil is far below
-    # lambda_min = 1, so t = 8 cancels e^{-4a}: the block restarts
-    assert semigroup._ChebyshevBlock(op).low < -10.0
+    assert semigroup._ChebyshevBlock(op).low == low
     ests = heat_traces(op, _TS, seed=9, probes=4)
     assert len(sweeps) > 1 and sweeps[0] == [0.25, 1.0, 4.0]
     for est, value in zip(ests, _dense_traces_of_probes(op, _TS, 9, 4)):
         assert abs(est.value - value) <= 1e-12 * value
-
-
-def test_operator_without_floor_takes_the_certificate(small_model_op):
-    # a copy built outside the assemblers has no floor: its lower end is
-    # -tol once the banded Cholesky certificate passes
-    op = _shifted(small_model_op[0], 0.0)
-    assert op._floor is None and semigroup._gershgorin(op.matrix)[0] < -1e-8
-    assert semigroup._ChebyshevBlock(op).low == -1e-8
-    assert op._psd_verdict is True
+    assert op._psd_verdict is None
 
 
 def test_floor_lets_a_large_operator_sweep_once(monkeypatch):
@@ -827,8 +829,51 @@ def test_bound_n2_certifies_with_one_band(monkeypatch, q):
     for n_power in (2, 0):
         rep = spectral_bound_check(op, 1.0, n_power)
         assert rep.passed and np.isnan(rep.max_value) and np.isnan(rep.attaining_eigenvalue)
-    # half-bandwidth: the stabiliser reaches 4 steps along the slowest axis
-    assert calls == [(4 * 7**3 + 1, op.dim)]
+    # the floor, min Theta_0 less rounding, decides: no band is factorised
+    assert op._floor > -1e-8 and calls == []
+
+
+def _bench_n2_frame(y):
+    return np.array([[0.0, 0.1 * y[0]], [0.05 * y[1], 0.0]], dtype=complex)
+
+
+@pytest.mark.parametrize("lam, q, passes", [((-1.0, -0.7), 2, False), ((1.0, -0.5), 1, True)])
+def test_inconclusive_floor_still_factorises(monkeypatch, lam, q, passes):
+    # floors of -3.4 and -1.0 decide nothing; one band each rejects
+    # lambda_min = -0.246 (dim 625) and passes lambda_min = 0.052 (dim 1250)
+    op = assemble_scaled(WeightFunction(2, lam), PerturbationSpec(r=_bench_n2_frame), 4,
+                         GridSpec(2, 1.0, 0.5), q)
+    assert op._floor <= -1.0 and op.dim == (625, 1250)[passes]
+    calls = _count_band_factorisations(monkeypatch)
+    if passes:
+        assert spectral_bound_check(op, 1.0, 1).passed
+    else:
+        with pytest.raises(InvariantViolation):
+            spectral_bound_check(op, 1.0, 1)
+    assert len(calls) == 1
+
+
+# The operators, kernel diagonals and 24 spectral bound checks of
+# perfbench's model pass, as a script.
+_MODEL_PASS = """
+from heatlab.model_kernels import ModelSpec
+from heatlab.operators import GridSpec, assemble_model
+from heatlab.semigroup import kernel_diagonal, spectral_bound_check
+grid = GridSpec(1, 5.0, 0.1)
+for q in (0, 1):
+    op = assemble_model(ModelSpec(1, (1.0,), q), grid)
+    kernel_diagonal(op, grid.origin_site(), 1.0)
+    for n_power in range(4):
+        for t in (0.5, 1.0, 2.0):
+            assert spectral_bound_check(op, t, n_power).passed
+"""
+
+
+def test_model_pass_never_factorises(monkeypatch):
+    # the floors decide every check
+    calls = _count_band_factorisations(monkeypatch)
+    exec(_MODEL_PASS, {})
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -864,33 +909,34 @@ def test_converge_builds_the_grid_parts_once(monkeypatch):
     assert (fresh.matrix != shared.matrix).nnz == 0 and fresh._floor == shared._floor
 
 
-def test_semigroup_import_leaves_scipy_linalg_unloaded():
+def _loaded_after(code):
+    """The modules among scipy.linalg and scipy.io that a fresh interpreter
+    has loaded after running code."""
     import os
     import subprocess
     import sys
     from pathlib import Path
 
     root = Path(__file__).resolve().parents[1]
-    probe = ("import sys, heatlab.semigroup, heatlab.operators; "
-             "print(sorted(m for m in ('scipy.linalg', 'scipy.io') if m in sys.modules))")
+    probe = code + ("\nimport sys; print(sorted(m for m in ('scipy.linalg', 'scipy.io') "
+                    "if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(root / "src")),
                           timeout=120, check=True)
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_semigroup_import_leaves_scipy_linalg_unloaded():
+    assert _loaded_after("import heatlab.semigroup, heatlab.operators") == "[]"
+
+
+def test_model_pass_leaves_scipy_linalg_unloaded():
+    # the checks never reach the banded Cholesky, whose module is then
+    # never imported
+    assert _loaded_after(_MODEL_PASS) == "[]"
 
 
 def test_k_list_must_increase():
     weight = WeightFunction(1, (1.0,))
     with pytest.raises(ArgumentError):
         converge_in_k(weight, None, 0, [1.0], [16, 4], GridSpec(1, 3.0, 0.5))
-
-
-def test_report_rows_sorted_and_nonnegative():
-    rows = (
-        ConvergenceRow(4, 1.0, np.ones((1, 1)), np.ones((1, 1)), 0.1),
-        ConvergenceRow(2, 1.0, np.ones((1, 1)), np.ones((1, 1)), 0.1),
-    )
-    from heatlab.errors import InvariantViolation
-
-    with pytest.raises(InvariantViolation):
-        ConvergenceReport(1, 0, rows)
