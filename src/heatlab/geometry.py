@@ -76,20 +76,22 @@ def _sample(f: Callable, points: np.ndarray, shape: tuple = (), dtype=None) -> n
     return np.asarray(values, dtype=dtype).reshape((len(points),) + shape)
 
 
-def _stencil_partials(f: Callable, y: np.ndarray, shape: tuple = (), dtype=None) -> list:
-    """4th-order central differences of a per-point callable along each real
-    axis (x_1, y_1, ..., x_n, y_n) at every row of y, with step
-    ``defaults.FD_STEP``: one array of shape (points, *shape) per axis."""
-    h = defaults.FD_STEP
-    out = []
-    for axis in range(2 * y.shape[1]):
-        e = np.zeros(y.shape[1], dtype=complex)
-        e[axis // 2] = 1.0 if axis % 2 == 0 else 1j
-        total = 0
-        for ci, oi in zip(_D1_WEIGHTS, _D1_OFFSETS):
-            total = total + ci * _sample(f, y + oi * h * e, shape, dtype)
-        out.append(total / (12 * h))
-    return out
+def _grid_partials(values: np.ndarray, grid, step: float) -> list:
+    """Partials along each real axis (x_1, y_1, ..., x_n, y_n) of values sampled
+    at every site of ``grid`` (shape (sites, *shape)), ``step`` apart: the
+    derivative of the polynomial through the min(5, s) nearest samples on the
+    axis, s = ``grid.points_per_axis`` (Fornberg, Math. Comp. 51, 1988).  That
+    is ``_D1_WEIGHTS`` inside, 4th-order one-sided on the two outer layers and
+    the quadratic at s = 3; each sum is 0 + w_0 v_0 + ... + w_4 v_4."""
+    s = grid.points_per_axis
+    m = min(5, s)
+    first = np.clip(np.arange(s) - m // 2, 0, s - m)  # each sample's window
+    # 12 times the weights are integers, and rounding makes them exact
+    w = np.rint([12 * np.linalg.solve(np.vander(np.arange(m) + f - i, increasing=True).T,
+                                      np.eye(m)[1]) for i, f in enumerate(first)])
+    cube = values.reshape((s,) * 2 * grid.n + values.shape[1:])
+    return [sum(w[:, k].reshape((s,) + (1,) * (cube.ndim - a - 1)) * np.take(cube, first + k, a)
+                for k in range(m)).reshape(values.shape) / (12 * step) for a in range(2 * grid.n)]
 
 
 def _fd_real_hessian(f: Callable, z: np.ndarray, h: float) -> np.ndarray:
@@ -163,11 +165,17 @@ class Perturbation:
 
     def _zbar_gradients(self, points: np.ndarray) -> np.ndarray:
         """d p / dzbar_j at every row of ``points`` (shape (points, n)): the
-        exact gradient sampled by ``_sample``, else one stencil of ``value``
-        over all rows."""
+        exact gradient sampled by ``_sample``, else the 4th-order central
+        differences of ``value`` along each real axis with step
+        ``defaults.FD_STEP``, one stencil over all rows."""
         if self.zbar_gradient is not None:
             return _sample(self.zbar_gradient, points, (points.shape[1],), complex)
-        d = _stencil_partials(self.value, points)
+        h, d = defaults.FD_STEP, []
+        for axis in range(2 * points.shape[1]):
+            e = np.zeros(points.shape[1], dtype=complex)
+            e[axis // 2] = 1.0 if axis % 2 == 0 else 1j
+            d.append(sum(ci * _sample(self.value, points + oi * h * e)
+                         for ci, oi in zip(_D1_WEIGHTS, _D1_OFFSETS)) / (12 * h))
         return 0.5 * (np.stack(d[0::2], axis=1) + 1j * np.stack(d[1::2], axis=1))
 
     def hessian_at(self, z: np.ndarray) -> np.ndarray:

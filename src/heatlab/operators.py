@@ -24,7 +24,7 @@ import scipy.sparse as sp
 
 from . import defaults, fiber
 from .errors import ArgumentError, DomainError, InvariantViolation, ResourceLimitError
-from .geometry import WeightFunction, _sample, _stencil_partials
+from .geometry import WeightFunction, _grid_partials, _sample
 from .model_kernels import ModelSpec
 
 __all__ = [
@@ -133,7 +133,7 @@ class DiscreteOperator:
     def __post_init__(self):
         a = self.matrix.tocsr()
         if self._floor is None:
-            scale = np.abs(a).max() if a.nnz else 0.0
+            scale = np.abs(a.copy()).max() if a.nnz else 0.0  # abs sorts in place
             herm = np.abs(a - a.getH()).max() if a.nnz else 0.0
             if scale > 0 and herm > defaults.OPERATOR_HERMITIAN_RTOL * scale:
                 raise InvariantViolation(f"assembled operator not Hermitian: {herm:.3e} "
@@ -195,11 +195,10 @@ class PerturbationSpec:
     (must vanish at 0), ``alpha`` to the n-vector of adjoint zero-order
     terms, ``volume_density`` to the positive density m (m(0) = 1).  All
     default to the trivial values.  Each takes one point of shape (n,).
-    ``assemble_scaled`` calls ``r`` and ``alpha`` once per grid site, and
-    ``volume_density`` 8n times per site (the 4 stencil points of each of
-    the 2n real axes); ``r`` also 8n more times per site when the (0,2)
-    frame term is present (n >= 2, q >= 1).  The CLI's ``linear_r11``
-    frame is evaluated once per such point set, on the whole grid.
+    ``assemble_scaled`` calls each once per grid site, and ``r`` and
+    ``volume_density`` once more at 0 (``validate_origin``); the partials of
+    ``r`` and ``log m`` are taken on these samples.  The CLI's
+    ``linear_r11`` frame is evaluated once, on the whole grid.
     """
 
     r: Optional[Callable[[np.ndarray], np.ndarray]] = None
@@ -419,7 +418,7 @@ def _wedge_term_coefficients(r: np.ndarray, dr: list) -> np.ndarray:
     """(0,2)-components w^j_{bc} of dbar of the dual frame, in the scaled frame.
 
     ``r`` holds the frame samples (points, n, n) and ``dr`` their real-axis
-    partials from ``_stencil_partials``.  Returns an array of shape
+    partials (``_grid_partials``).  Returns an array of shape
     (points, n, n, n) with entry [i, j, b, c] (antisymmetric in b, c).
     """
     n = r.shape[1]
@@ -481,19 +480,21 @@ def assemble_scaled(weight: WeightFunction, pert: Optional[PerturbationSpec],
     has_m = pert.volume_density is not None
     has_p = weight.perturbation is not None
 
-    # Every coefficient is sampled once per assembly: a user callable once
-    # per point, a whole-grid form once (``_sample``).
+    # Every coefficient is sampled once per assembly, a user callable once per
+    # point and a whole-grid form once (``_sample``); the partials of r and
+    # log m come from these samples (``_grid_partials``).
     if has_r:
         r = _sample(pert.r, y, (n, n), complex)
     grad_phi = (lam * y).astype(complex)        # d phi0 / dzbar at y
     if has_p:
         grad_phi = grad_phi + weight.perturbation._zbar_gradients(y)
+    step = grid.spacing / sqrtk  # between neighbouring sites y
     if has_m:
-        d = _stencil_partials(lambda u: np.log(pert.m_at(u)), y)
+        d = _grid_partials(np.log(_sample(pert.m_at, y)), grid, step)
         grad_logm = np.stack([0.5 * (d[2 * j] + 1j * d[2 * j + 1]) for j in range(n)], axis=1)
     wcoef = None
     if has_r and n > 1 and q >= 1:
-        wcoef = _wedge_term_coefficients(r, _stencil_partials(pert.r, y, (n, n), complex))
+        wcoef = _wedge_term_coefficients(r, _grid_partials(r, grid, step))
 
     # Row operators B_j = sum_s (delta_js + rbar_js) d/dzbar_s + g_j.
     dzbars = [ops.dzbar(s) for s in range(n)]

@@ -215,26 +215,101 @@ def test_scaled_two_dim_frame_perturbation():
 
 def test_frame_derivative_coefficients_hand_case():
     # r_{1,2}(y) = a*y_2 gives dual-frame derivative dbar w^2 = abar w^1 ^ w^2;
-    # all other components vanish (hand computation)
-    from heatlab.operators import _sample, _stencil_partials, _wedge_term_coefficients
+    # all other components vanish (hand computation), at every site
+    from heatlab.operators import _grid_partials, _sample, _wedge_term_coefficients
 
     a = 0.3 + 0.1j
 
     def r_at(y):
         return np.array([[0.0, a * y[1]], [0.0, 0.0]], dtype=complex)
 
-    y = np.array([[0.4 - 0.2j, 0.1 + 0.5j]])
-    w = _wedge_term_coefficients(_sample(r_at, y, (2, 2)),
-                                 _stencil_partials(r_at, y, (2, 2)))[0]
-    np.testing.assert_allclose(w[1, 0, 1], np.conj(a), rtol=1e-8)
-    np.testing.assert_allclose(w[1, 1, 0], -np.conj(a), rtol=1e-8)
-    np.testing.assert_allclose(w[0], 0.0, atol=1e-10)
+    grid = GridSpec(2, 1.0, 0.5)
+    r = _sample(r_at, 0.7 * grid.site_coordinates(), (2, 2))
+    w = _wedge_term_coefficients(r, _grid_partials(r, grid, 0.7 * grid.spacing))
+    np.testing.assert_allclose(w[:, 1, 0, 1], np.conj(a), rtol=1e-12)
+    np.testing.assert_allclose(w[:, 1, 1, 0], -np.conj(a), rtol=1e-12)
+    np.testing.assert_allclose(w[:, 0], 0.0, atol=1e-12)
+
+
+def _real_axes(y):
+    """The real coordinates (x_1, y_1, ..., x_n, y_n) of complex points."""
+    return np.stack([f(y[:, j]) for j in range(y.shape[1]) for f in (np.real, np.imag)], axis=1)
+
+
+def _polynomial_frame(terms, u, axis=None):
+    """2 x 2 frame with entries r_ij = sum c u^p over terms (i, j, c, p) at
+    the real coordinates u, or its partial along one real axis."""
+    out = np.zeros((len(u), 2, 2), dtype=complex)
+    for i, j, c, p in terms:
+        p = np.array(p)
+        if axis is None:
+            out[:, i, j] += c * np.prod(u ** p, axis=1)
+        elif p[axis]:
+            out[:, i, j] += c * p[axis] * np.prod(u ** (p - np.eye(4, dtype=int)[axis]), axis=1)
+    return out
+
+
+_QUARTIC_TERMS = [
+    (0, 0, 0.1, (4, 0, 0, 0)), (0, 0, -0.2j, (0, 3, 1, 0)), (0, 1, 0.05, (1, 1, 1, 1)),
+    (0, 1, 0.3, (0, 0, 0, 4)), (1, 0, 0.1 + 0.2j, (0, 2, 2, 0)), (1, 1, 0.01, (3, 0, 0, 1)),
+    (1, 1, 0.02j, (0, 0, 0, 1)), (1, 0, -0.4, (1, 0, 1, 0)), (0, 1, 0.2j, (0, 2, 0, 0)),
+]
+
+
+@pytest.mark.parametrize("radius, degree", [(1.5, 4), (0.5, 2)])
+def test_grid_partials_exact_on_polynomials(radius, degree):
+    # the min(5, s)-point rule differentiates polynomials of degree < min(5, s)
+    # exactly at every site: quartics on 7 sites per axis (interior and both
+    # outer layers), quadratics on 3
+    from heatlab.operators import _grid_partials
+
+    grid = GridSpec(2, radius, 0.5)
+    assert grid.points_per_axis == (7 if degree == 4 else 3)
+    terms = [t for t in _QUARTIC_TERMS if sum(t[3]) <= degree]
+    u = _real_axes(0.7 * grid.site_coordinates())
+    got = _grid_partials(_polynomial_frame(terms, u), grid, 0.7 * grid.spacing)
+    for axis in range(4):
+        want = _polynomial_frame(terms, u, axis)
+        assert np.abs(got[axis] - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_grid_partials_fourth_order_inside():
+    # a frame that no polynomial matches: halving h / sqrt(k) cuts the
+    # interior error by at least 12 (16 for a 4th-order rule)
+    from heatlab.operators import _grid_partials
+
+    def frame_and_partials(y):
+        y1, y2 = y[:, 0], y[:, 1]
+        c1, c2 = np.conj(y1), np.conj(y2)
+        r = np.stack([0.05 * np.sin(2 * y2), 0.1 * y1 + 0.2 * (np.exp(c2) - 1),
+                      0.05 * y2 * c1 + 0.1 * np.sin(c1), 0.03 * np.abs(y1) ** 2], axis=1)
+        zero, one = np.zeros_like(y1), np.ones_like(y1)
+        # d/dy_j and d/dybar_j of each entry, j = 1, 2
+        dz = [np.stack([zero, 0.1 * one, zero, 0.03 * c1], axis=1),
+              np.stack([0.1 * np.cos(2 * y2), zero, 0.05 * c1, zero], axis=1)]
+        dzbar = [np.stack([zero, zero, 0.05 * y2 + 0.1 * np.cos(c1), 0.03 * y1], axis=1),
+                 np.stack([zero, 0.2 * np.exp(c2), zero, zero], axis=1)]
+        partials = [f(j) for j in range(2)
+                    for f in (lambda j: dz[j] + dzbar[j], lambda j: 1j * (dz[j] - dzbar[j]))]
+        return r, partials
+
+    grid = GridSpec(2, 2.0, 0.5)
+    s = grid.points_per_axis
+    index = np.indices((s,) * 4).reshape(4, -1)
+    inside = np.all((index >= 2) & (index <= s - 3), axis=0)  # the central rule's sites
+    errors = []
+    for k in (4, 16):
+        y = grid.site_coordinates() / np.sqrt(k)
+        r, want = frame_and_partials(y)
+        got = _grid_partials(r, grid, grid.spacing / np.sqrt(k))
+        errors.append(max(np.abs(g - w)[inside].max() for g, w in zip(got, want)))
+    assert errors[1] * 12 <= errors[0]
 
 
 # Per-site reference for the batched coefficient sampling of assemble_scaled:
-# one call per grid site of the finite-difference helpers, as assembled
-# before the sampling was batched.  The batched assembly must reproduce it
-# bit for bit.
+# one call per grid site of the coefficient callables and, per site, the
+# finite differences that the batched assembly takes over all sites at once.
+# The batched assembly must reproduce it bit for bit.
 
 
 def _ref_fd_real_partial(f, z, axis, h):
@@ -245,28 +320,42 @@ def _ref_fd_real_partial(f, z, axis, h):
     return sum(ci * f(z + oi * step) for ci, oi in zip(c, o)) / (12.0 * h)
 
 
-def _ref_fd_complex_partial(f, y, a, h, shape):
-    c = (1.0, -8.0, 8.0, -1.0)
-    o = (-2.0, -1.0, 1.0, 2.0)
-    ex = np.zeros(y.shape, dtype=complex)
-    ex[a] = 1.0
-    ey = np.zeros(y.shape, dtype=complex)
-    ey[a] = 1j
-    dx = sum(ci * np.asarray(f(y + oi * h * ex), dtype=complex) for ci, oi in zip(c, o)) / (12 * h)
-    dy = sum(ci * np.asarray(f(y + oi * h * ey), dtype=complex) for ci, oi in zip(c, o)) / (12 * h)
-    return (0.5 * (dx - 1j * dy)).reshape(shape)
+# 12 times the weights of the derivative at the c-th sample (row c) of the
+# polynomial through 5 consecutive samples of unit spacing, or through 3 on
+# an axis of 3 sites
+_REF_WINDOW_WEIGHTS = {
+    5: ((-25.0, 48.0, -36.0, 16.0, -3.0), (-3.0, -10.0, 18.0, -6.0, 1.0),
+        (1.0, -8.0, 0.0, 8.0, -1.0), (-1.0, 6.0, -18.0, 10.0, 3.0),
+        (3.0, -16.0, 36.0, -48.0, 25.0)),
+    3: ((-18.0, 24.0, -6.0), (-6.0, 0.0, 6.0), (6.0, -24.0, 18.0)),
+}
 
 
-def _ref_wedge_term_coefficients(pert, y, n):
+def _ref_grid_partial(values, grid, site, axis, step):
+    """The partial along one real axis at one site, from the per-site samples
+    ``values`` at the nearest sites on that axis (``step`` apart)."""
+    s = grid.points_per_axis
+    m = min(5, s)
+    index = list(np.unravel_index(site, (s,) * 2 * grid.n))
+    first = min(max(index[axis] - m // 2, 0), s - m)
+    weights = _REF_WINDOW_WEIGHTS[m][index[axis] - first]
+    total = 0
+    for offset, c in enumerate(weights):
+        index[axis] = first + offset
+        total = total + c * values[np.ravel_multi_index(index, (s,) * 2 * grid.n)]
+    return total / (12 * step)
+
+
+def _ref_wedge_term_coefficients(rs, grid, site, step):
+    n = grid.n
     w = np.zeros((n, n, n), dtype=complex)
-    if pert.r is None or n == 1:
-        return w
-    mbar = np.conj(np.eye(n) + pert.r_at(y, n))
+    mbar = np.conj(np.eye(n) + rs[site])
     p = np.linalg.inv(mbar)
     dn = np.empty((n, n, n), dtype=complex)
-    h = defaults.FD_STEP
     for a in range(n):
-        dm = np.conj(_ref_fd_complex_partial(lambda u: pert.r_at(u, n), y, a, h, (n, n)))
+        dx = _ref_grid_partial(rs, grid, site, 2 * a, step)
+        dy = _ref_grid_partial(rs, grid, site, 2 * a + 1, step)
+        dm = np.conj(0.5 * (dx - 1j * dy))
         dn[a] = -(p @ dm @ p).T
     for j in range(n):
         t = np.einsum("as,ba,cs->bc", dn[:, j, :], mbar, mbar)
@@ -289,10 +378,12 @@ def _reference_assemble_scaled(weight, pert, k, grid, q):
     has_m = pert.volume_density is not None
     has_p = weight.perturbation is not None
 
-    rbar = np.zeros((sites, n, n), dtype=complex)
+    step = grid.spacing / sqrtk
+    rs = np.zeros((sites, n, n), dtype=complex)
     if has_r:
         for i in range(sites):
-            rbar[i] = np.conj(pert.r_at(y[i], n))
+            rs[i] = pert.r_at(y[i], n)
+    rbar = np.conj(rs)
     grad_phi = (lam * y).astype(complex)
     if has_p:
         pert_p = weight.perturbation
@@ -306,11 +397,11 @@ def _reference_assemble_scaled(weight, pert, k, grid, q):
                 grad_phi[i, j] += 0.5 * (gx + 1j * gy)
     grad_logm = np.zeros((sites, n), dtype=complex)
     if has_m:
-        logm = lambda u: np.log(pert.m_at(u))
+        logm = np.array([np.log(pert.m_at(y[i])) for i in range(sites)])
         for i in range(sites):
             for j in range(n):
-                gx = _ref_fd_real_partial(logm, y[i], 2 * j, defaults.FD_STEP)
-                gy = _ref_fd_real_partial(logm, y[i], 2 * j + 1, defaults.FD_STEP)
+                gx = _ref_grid_partial(logm, grid, i, 2 * j, step)
+                gy = _ref_grid_partial(logm, grid, i, 2 * j + 1, step)
                 grad_logm[i, j] = 0.5 * (gx + 1j * gy)
 
     rows = []
@@ -343,7 +434,7 @@ def _reference_assemble_scaled(weight, pert, k, grid, q):
         if has_r and n > 1 and degree >= 1:
             wcoef = np.zeros((sites, n, n, n), dtype=complex)
             for i in range(sites):
-                wcoef[i] = _ref_wedge_term_coefficients(pert, y[i], n)
+                wcoef[i] = _ref_wedge_term_coefficients(rs, grid, i, step)
             blocks = {}
             for j in range(n):
                 for b in range(n):
@@ -398,7 +489,9 @@ def _reference_assemble_scaled(weight, pert, k, grid, q):
                 aop = aop + sp.kron(fiber.contract_matrix(n, q, j), sp.diags(alpha[:, j] / sqrtk))
             x = x + d_qm1 @ aop
         a = a + 0.5 * (x + x.getH())
-    return DiscreteOperator(a.tocsr(), q, k, grid).matrix
+    a = DiscreteOperator(a.tocsr(), q, k, grid).matrix
+    a.sum_duplicates()  # canonical, as assembled matrices are
+    return a
 
 
 def _full_two_dim_inputs():
@@ -439,26 +532,25 @@ def test_batched_sampling_matches_per_site_reference(q):
 
 @pytest.mark.parametrize("n, q", [(3, 2), (1, 1)])
 def test_frame_sampled_once_per_point_and_stencil_point(n, q):
-    # r is read once per site, plus once per point of the 4-point stencil
-    # along each of the 2n real axes when the (0,2) frame term is present
-    # (n >= 2, q >= 1), however many form degrees use that term
+    # r is read once per site, and the (0,2) frame term (n >= 2, q >= 1)
+    # differentiates these samples, however many form degrees use it; no
+    # point off the grid is evaluated
     grid = GridSpec(n, 0.5, 0.5)
     calls = []
 
     def r(y):
-        calls.append(1)
+        calls.append(y)
         return 0.1 * np.outer(y, np.ones(n))
 
     assemble_scaled(WeightFunction(n, (1.0,) * n), PerturbationSpec(r=r), 4, grid, q)
-    per_site = 1 + 8 * n if n > 1 else 1
-    assert len(calls) == grid.sites * per_site + 1  # + validate_origin's call at 0
+    assert len(calls) == grid.sites + 1  # + validate_origin's call at 0
+    np.testing.assert_array_equal(calls[1:], grid.site_coordinates() / 2.0)
 
 
 @pytest.mark.parametrize("n, q", [(3, 2), (1, 1)])
 def test_grid_forms_sampled_once_per_point_set(n, q):
-    # a callable with a whole-grid form is called once for the sites and
-    # once per stencil point set, each time on all sites; a user's exact
-    # zbar gradient without one still once per site
+    # a callable with a whole-grid form is called once, on all sites; a
+    # user's exact zbar gradient without one still once per site
     grid = GridSpec(n, 0.5, 0.5)
     frame_calls, grad_calls = [], []
 
@@ -478,8 +570,7 @@ def test_grid_forms_sampled_once_per_point_set(n, q):
 
     weight = WeightFunction(n, (1.0,) * n, Perturbation(lambda z: 0.0, zbar_gradient))
     assemble_scaled(weight, PerturbationSpec(r=r), 4, grid, q)
-    point_sets = 1 + 8 * n if n > 1 else 1
-    assert frame_calls == [1] + [grid.sites] * point_sets  # validate_origin's call at 0 first
+    assert frame_calls == [1, grid.sites]  # validate_origin's call at 0 first
     assert len(grad_calls) == grid.sites
 
     grad_calls.clear()
@@ -488,17 +579,25 @@ def test_grid_forms_sampled_once_per_point_set(n, q):
     assert grad_calls == [grid.sites]
 
 
-def test_volume_density_checked_at_every_stencil_point():
-    # m is positive at every site y = z / sqrt(k) but not at the stencil
-    # point a step FD_STEP beyond the grid's largest x_1
+def test_volume_density_checked_at_every_site():
+    # m is read once per site y = z / sqrt(k) and at 0, nowhere else, and is
+    # not positive at the site of largest x_1 alone
     grid = GridSpec(1, 1.0, 0.5)
-    edge = grid.effective_radius / 2.0 + 0.5 * defaults.FD_STEP
+    edge = grid.effective_radius / 2.0
+    calls = []
 
     def m(y):
+        calls.append(y)
         return 1.0 if np.real(y[0]) < edge else -1.0
 
-    with pytest.raises(DomainError):
-        assemble_scaled(WeightFunction(1, (1.0,)), PerturbationSpec(volume_density=m), 4, grid, 0)
+    pert = PerturbationSpec(volume_density=m)
+    with pytest.raises(DomainError, match="volume density must be positive"):
+        assemble_scaled(WeightFunction(1, (1.0,)), pert, 4, grid, 0)
+    assert np.real(calls[-1][0]) == edge
+    calls.clear()
+    assemble_scaled(WeightFunction(1, (1.0,)), pert, 5, grid, 0)
+    assert len(calls) == grid.sites + 1
+    np.testing.assert_array_equal(calls[1:], grid.site_coordinates() / np.sqrt(5.0))
 
 
 def test_alpha_term_keeps_hermiticity_and_defaults_to_zero():
@@ -597,6 +696,19 @@ def test_floor_is_private_to_the_assemblers():
     assert op._floor is not None and copy._floor is None
     with pytest.raises(TypeError):
         DiscreteOperator(op.matrix, op.q, op.k, op.grid, op._floor)
+
+
+def test_hermiticity_scan_leaves_the_callers_matrix_as_given():
+    grid = GridSpec(1, 0.5, 0.5)  # 9 sites
+    dense = np.random.default_rng(3).standard_normal((9, 9))
+    a = sp.csr_matrix(dense + dense.T)
+    for i in range(9):  # reverse each row, leaving its indices unsorted
+        row = slice(a.indptr[i], a.indptr[i + 1])
+        a.indices[row], a.data[row] = a.indices[row][::-1].copy(), a.data[row][::-1].copy()
+    a.has_sorted_indices = False
+    indices, data = a.indices.copy(), a.data.copy()
+    DiscreteOperator(a, 0, 0, grid)
+    assert np.array_equal(a.indices, indices) and np.array_equal(a.data, data)
 
 
 @pytest.mark.parametrize("case", ["model-n1-lam1.0-q0", "scaled-n2-lam1.0,-0.5-q1-r1-a1"])

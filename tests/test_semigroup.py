@@ -820,7 +820,7 @@ def test_band_above_cap_raises_resource_limit(sparse_model_op, monkeypatch):
 
 
 @pytest.mark.parametrize("q", [0, 1])
-def test_bound_n2_certifies_with_one_band(monkeypatch, q):
+def test_bound_n2_is_decided_by_its_floor(monkeypatch, q):
     grid = GridSpec(2, 1.5, 0.5)  # 7^4 = 2401 sites
     op = assemble_model(ModelSpec(2, (1.0, 0.5), q), grid)
     assert op.dim == fiber_dim(2, q) * grid.sites == (2401, 4802)[q]
