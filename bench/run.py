@@ -4,7 +4,10 @@ to a JSON file.
 Cases (each repeat is one fresh process: it runs the case's set-up and
 one warm-up call, then times 3 calls of the case's work, each on a fresh
 set-up, and reports their median; the warm-up call's time is reported
-apart as the cold time):
+apart as the cold time.  A last call on a fresh set-up runs under
+tracemalloc, untimed, and reports the peak of the memory traced during
+the work, set-up excluded; the report holds its median over the
+repeats):
 
 - ``n1``: ``assemble_scaled`` with n = 1, lambda = 1, q = 0, k = 16 on the
   grid of radius 6 and spacing 0.1 (14 641 sites), weight perturbation
@@ -63,6 +66,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -194,9 +198,10 @@ def _describe(result):
 
 def _worker(src, name):
     """Time one repeat of case ``name`` against the package sources in src:
-    a warm-up call, then ``_CALLS`` calls, each on a fresh set-up.  Print
-    the median of the timed calls, the warm-up call's seconds and the
-    case's size fields as one JSON line."""
+    a warm-up call, then ``_CALLS`` calls, each on a fresh set-up, then one
+    traced call.  Print the median of the timed calls, the warm-up call's
+    seconds, the traced call's peak and the case's size fields as one JSON
+    line."""
     sys.path.insert(0, src)
     setup, work = _cases()[name]
     times = []
@@ -207,7 +212,13 @@ def _worker(src, name):
         times.append(time.perf_counter() - start)
         info = _describe(result)
         del arg, result
-    print(json.dumps({"s": statistics.median(times[1:]), "cold_s": times[0], "info": info}))
+    arg = setup()
+    tracemalloc.start()
+    work(arg)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    print(json.dumps({"s": statistics.median(times[1:]), "cold_s": times[0],
+                      "peak_mb": peak / 1e6, "info": info}))
 
 
 def _repeat(root, name, env):
@@ -219,12 +230,13 @@ def _repeat(root, name, env):
     return json.loads(out.stdout.splitlines()[-1])
 
 
-def _summary(info, samples, cold):
+def _summary(info, samples, cold, peaks):
     import numpy as np
 
     q1, med, q3 = np.percentile(samples, [25, 50, 75])
     return {**info, "median_s": med, "iqr_s": q3 - q1, "q1_s": q1, "q3_s": q3,
-            "samples_s": samples, "cold_median_s": float(np.median(cold)), "cold_s": cold}
+            "samples_s": samples, "cold_median_s": float(np.median(cold)), "cold_s": cold,
+            "peak_median_mb": float(np.median(peaks)), "peak_mb": peaks}
 
 
 def main(argv=None):
@@ -260,21 +272,24 @@ def main(argv=None):
     for name in _cases():
         samples = {side: [] for side in trees}
         cold = {side: [] for side in trees}
+        peaks = {side: [] for side in trees}
         for i in range(args.repeats):
             for side in (list(trees) if i % 2 == 0 else list(trees)[::-1]):
                 rep = _repeat(trees[side], name, dict(os.environ))
                 samples[side].append(rep["s"])
                 cold[side].append(rep["cold_s"])
+                peaks[side].append(rep["peak_mb"])
                 info = rep["info"]
         for side in trees:
-            results[side][name] = _summary(info, samples[side], cold[side])
+            results[side][name] = _summary(info, samples[side], cold[side], peaks[side])
         ours = results["change"][name]
-        line = (f"{name}: median {ours['median_s']:.3f} s, IQR {ours['iqr_s']:.3f} s "
-                f"over {args.repeats} repeats {info}")
+        line = (f"{name}: median {ours['median_s']:.3f} s, IQR {ours['iqr_s']:.3f} s, "
+                f"peak {ours['peak_median_mb']:.1f} MB over {args.repeats} repeats {info}")
         if "baseline" in trees:
             theirs = results["baseline"][name]
             ours["wins"] = int(np.sum(np.array(samples["change"]) < samples["baseline"]))
-            line += (f"; baseline median {theirs['median_s']:.3f} s, IQR {theirs['iqr_s']:.3f} s;"
+            line += (f"; baseline median {theirs['median_s']:.3f} s, IQR {theirs['iqr_s']:.3f} s,"
+                     f" peak {theirs['peak_median_mb']:.1f} MB;"
                      f" this tree faster in {ours['wins']}/{args.repeats} pairs")
         print(line, flush=True)
     report = {

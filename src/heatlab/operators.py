@@ -6,7 +6,11 @@ length ``sites``; the spatial flattening is C-order over the real axes
 (x_1, y_1, ..., x_n, y_n).  All first derivatives are centred 2nd-order
 differences with Dirichlet truncation, and every operator is assembled
 from factor matrices and their conjugate transposes, so Hermiticity is
-exact by construction.
+exact by construction.  The scaled operator is A = G^dag G + F: G stacks
+D_q on D_{q-1}^dag in CSR, so one CSR product gives both Gram parts, and
+F, the twist correction plus the stabilizer, does not depend on k and is
+summed once per grid, curvature and degree.  No assembly converts a
+matrix to CSC.
 
 The centred first difference has checkerboard null modes; composed as
 C^dag C these would produce spurious low-lying spectrum that pollutes heat
@@ -258,10 +262,10 @@ def _place(op1d: sp.spmatrix, axis: int, axes: int, s: int) -> sp.csr_matrix:
 
 
 class _GridOperators:
-    """Per-grid cache of placed derivative matrices and coordinate arrays,
-    and of the k-invariant parts of ``assemble_scaled``: the stabilizer on
-    the fiber and the twist corrections.  One instance serves every k of
-    one ``converge_in_k`` call."""
+    """Per-grid cache of placed derivative matrices, coordinate arrays and
+    the stabilizer, and of the k-invariant parts of ``assemble_scaled``: the
+    twist correction and its sum with the stabilizer on the fiber.  One
+    instance serves every k of one ``converge_in_k`` call."""
 
     def __init__(self, grid: GridSpec):
         self.grid = grid
@@ -271,51 +275,36 @@ class _GridOperators:
         d1, d2 = _d1(s, h), _d2(s, h)
         self.first = [_place(d1, a, axes, s) for a in range(axes)]
         self.d4 = (d2 @ d2).tocsr()
-        stab = (self.d4.T @ self.d4).tocsr()
-        self.stab_axes = [_place(stab, a, axes, s) for a in range(axes)]
+        # The ghost stabilizer sigma * h^6 * sum_a D4_a^T D4_a.
+        unit = (defaults.GHOST_STABILIZER * h**6 * (self.d4.T @ self.d4)).tocsr()
+        self.stabilizer = sum(_place(unit, a, axes, s) for a in range(axes)).tocsr()
         self.z = grid.site_coordinates()
-        self._fiber_stabilizers, self._twists = {}, {}
+        self._twists = {}
 
     def dzbar(self, j: int) -> sp.csr_matrix:
         return 0.5 * (self.first[2 * j] + 1j * self.first[2 * j + 1])
-
-    def stabilizer(self) -> sp.csr_matrix:
-        """The ghost stabilizer sigma * h^6 * sum_a D4_a^T D4_a."""
-        coeff = defaults.GHOST_STABILIZER * self.grid.spacing**6
-        out = coeff * self.stab_axes[0]
-        for a in range(1, 2 * self.grid.n):
-            out = out + coeff * self.stab_axes[a]
-        return out.tocsr()
-
-    def fiber_stabilizer(self, d: int) -> sp.csr_matrix:
-        """The stabilizer on each of d fiber components, built once."""
-        if d not in self._fiber_stabilizers:
-            stab = self.stabilizer()
-            self._fiber_stabilizers[d] = stab if d == 1 else sp.kron(sp.identity(d), stab).tocsr()
-        return self._fiber_stabilizers[d]
 
     def model_factor(self, j: int, lam: float) -> sp.csr_matrix:
         """C_j = d/dzbar_j + (lam/2) z_j."""
         return (self.dzbar(j) + sp.diags(0.5 * lam * self.z[:, j])).tocsr()
 
     def twist(self, lam, q: int) -> tuple:
-        """The exact twist corrections of ``assemble_scaled`` at degree q: the
-        pieces pi_j (x) delta_j, delta_j = lam_j I - [C0_j, C0_j^H], and their
-        sum."""
+        """The k-invariant parts of ``assemble_scaled`` at degree q: the exact
+        twist correction R = sum_j pi_j (x) delta_j, delta_j = lam_j I -
+        [C0_j, C0_j^H], and F = R + S, S the stabilizer on each fiber
+        component."""
         key = (tuple(lam), q)
         if key not in self._twists:
-            n, sites = self.grid.n, self.grid.sites
-            pieces = []
+            n, sites, d = self.grid.n, self.grid.sites, fiber.fiber_dim(self.grid.n, q)
+            rest = sp.csr_matrix((d * sites, d * sites))
             for j in range(n):
                 pi_j = np.real(np.diag(fiber.projection_contains(n, q, j)))
-                if not np.any(pi_j != 0):
-                    continue
-                c0 = self.model_factor(j, lam[j])
-                comm = (c0 @ c0.getH() - c0.getH() @ c0).tocsr()
-                delta = (lam[j] * sp.identity(sites) - comm).tocsr()
-                pieces.append(sp.kron(sp.diags(pi_j), delta).tocsr())
-            dim = fiber.fiber_dim(n, q) * sites
-            self._twists[key] = pieces, sum(pieces, sp.csr_matrix((dim, dim))).tocsr()
+                if np.any(pi_j != 0):
+                    c0 = self.model_factor(j, lam[j])
+                    c0h = c0.getH().tocsr()
+                    delta = (lam[j] * sp.identity(sites) - (c0 @ c0h - c0h @ c0)).tocsr()
+                    rest = rest + sp.kron(sp.diags(pi_j), delta).tocsr()
+            self._twists[key] = rest, rest + sp.kron(sp.identity(d), self.stabilizer).tocsr()
         return self._twists[key]
 
 
@@ -341,20 +330,23 @@ def _per_block(m, x) -> np.ndarray:
     return (m @ x.reshape(-1, m.shape[1]).T).T.ravel()
 
 
-def _floor(ops: _GridOperators, a, grams, stab, rest, pieces: int) -> float:
+def _floor(ops: _GridOperators, a, grams, rest, sums: int) -> float:
     """A lower bound on the spectrum of the stored a = fl(A), A = sum_G G^H G
-    + S + R summed in ``pieces`` sums from stored Gram factors G, the
-    stabilizer S of ``ops`` and a stored Hermitian remainder R (a G or S
-    narrower than a acts on each fiber block).
+    + S + R, added up in ``sums`` roundings from the products of stored Gram
+    factors G, the stabilizer S of ``ops`` and a stored Hermitian remainder R
+    (a G or S narrower than a acts on each fiber block).
 
     lambda_min(A) is at least the Gershgorin lower end of R (Weyl), and
     |fl(A) - A| <= gamma_m B entrywise, B = sum_G |G|^H |G| + |R| +
     sigma h^6 sum_a |D4_a|^T |D4_a| (Higham, Accuracy and Stability of
     Numerical Algorithms, 2nd ed., 3.1 and 3.5), gamma_m = m u / (1 - m u)
     for the m roundings of an entry: the longest inner product of a Gram
-    part, 3 for a complex product (Higham Lemma 3.5), 1 + 2n for the
-    stabilizer, the pieces, and the row count of R for its Gershgorin sums.
-    So the floor is that end less gamma_m ||B||_inf = gamma_m max_i (B 1)_i.
+    product (the most stored entries in a column of a G or of D4; the
+    blocks of a stacked G sum their products inside that inner product),
+    3 for a complex product (Higham Lemma 3.5), 1 + 2n for the stabilizer's
+    scaling and axis sums, the ``sums``, and the row count of R for its
+    Gershgorin sums.  So the floor is that end less gamma_m ||B||_inf =
+    gamma_m max_i (B 1)_i.
 
     A fixed-seed Rademacher probe x checks that a holds these pieces
     (Freivalds, 1979): fl(A) and the stored S and R lie within gamma_m B of
@@ -363,6 +355,7 @@ def _floor(ops: _GridOperators, a, grams, stab, rest, pieces: int) -> float:
     longest inner product.  An entry of a x - (sum_G G^H (G x) + S x + R x)
     above gamma_p (B 1)_i, p = 3 m + 8 (c + 3), raises InvariantViolation.
     """
+    stab = ops.stabilizer
     s, axes, dim = ops.grid.points_per_axis, 2 * ops.grid.n, a.shape[0]
     d4 = abs(ops.d4)
     w = d4.T @ (d4 @ np.ones(s))  # |D4|^T |D4| 1 along one axis
@@ -375,7 +368,7 @@ def _floor(ops: _GridOperators, a, grams, stab, rest, pieces: int) -> float:
         g = abs(g)
         bound += np.tile(g.T @ (g @ np.ones(g.shape[1])), dim // g.shape[1])
         inner = max(inner, _inner_length(g))
-    m = inner + 3 + 1 + axes + pieces + count
+    m = inner + 3 + 1 + axes + sums + count
     x = np.random.default_rng(0).choice([-1.0, 1.0], size=dim)
     residual = np.abs(a @ x - _per_block(stab, x) - rest @ x
                       - sum(_per_block(g.getH(), _per_block(g, x)) for g in grams))
@@ -397,16 +390,15 @@ def assemble_model(spec: ModelSpec, grid: GridSpec) -> DiscreteOperator:
         raise ArgumentError("model and grid dimensions differ")
     ops = _GridOperators(grid)
     factors = [ops.model_factor(j, lj) for j, lj in enumerate(spec.lam)]
-    stab = ops.stabilizer()
-    scalar = sum((c.getH() @ c for c in factors), stab)
+    scalar = sum((c.getH().tocsr() @ c for c in factors), ops.stabilizer)
     theta0 = fiber.twist_eigenvalues(spec.lam, spec.q)
     a = sp.kron(sp.identity(theta0.size), scalar.tocsr())
     # Theta_0 (x) I with every diagonal entry stored: one term per row
     theta = np.repeat(theta0, grid.sites)
     twist = sp.csr_matrix((theta, np.arange(theta.size), np.arange(theta.size + 1)))
     a = (a + twist if np.any(theta0 != 0) else a).tocsr()
-    # the pieces summed are the C_j^dag C_j and Theta_0
-    floor = _floor(ops, a, factors, stab, twist, len(factors) + 1)
+    # the sums are those of the C_j^dag C_j and of Theta_0
+    floor = _floor(ops, a, factors, twist, len(factors) + 1)
     return DiscreteOperator(a, spec.q, 0, grid, _floor=floor)
 
 
@@ -444,13 +436,14 @@ def assemble_scaled(weight: WeightFunction, pert: Optional[PerturbationSpec],
     y = z / sqrt(k): frame coefficients (delta_js + conj(r_js)(y)) on the
     Wirtinger derivatives, the gauge multiplier from conjugating by
     e^{k phi(y)/2} m(y)^{1/2}, and the (0,2) frame term with its
-    1/sqrt(k) prefactor.  The assembled Laplacian is
-    D_q^dag D_q + D_{q-1} D_{q-1}^dag plus an exact twist correction making
-    the unperturbed case reduce identically to ``assemble_model``.
+    1/sqrt(k) prefactor.  The assembled Laplacian is A = G^dag G + F, G
+    being D_q stacked on D_{q-1}^dag (so G^dag G = D_q^dag D_q +
+    D_{q-1} D_{q-1}^dag), and F = R + S the k-invariant sum of an exact
+    twist correction R, which makes the unperturbed case reduce identically
+    to ``assemble_model``, and the stabilizer S.
 
-    Its spectral floor (``_floor``) takes D_q, D_{q-1}^dag and the
-    stabilizer as Gram parts, and the twist correction plus the adjoint
-    zero-order part as the remainder.
+    Its spectral floor (``_floor``) takes G and the stabilizer as Gram
+    parts, and R plus the adjoint zero-order part as the remainder.
     ``_ops`` carries the k-invariant parts of an earlier call on the same
     grid and weight (``converge_in_k`` passes one for all its k).
     """
@@ -464,10 +457,15 @@ def assemble_scaled(weight: WeightFunction, pert: Optional[PerturbationSpec],
     pert = pert or PerturbationSpec()
     pert.validate_origin(n)
     sqrtk = np.sqrt(float(k))
-    corner = grid.effective_radius * np.sqrt(2.0 * n) / sqrtk
-    if corner >= weight.chart_radius:
+    has_r = pert.r is not None
+    has_m = pert.volume_density is not None
+    has_p = weight.perturbation is not None
+    # The value-only weight gradient samples up to 2 FD_STEP past a site.
+    reach = grid.effective_radius * np.sqrt(2.0 * n) / sqrtk + (
+        2 * defaults.FD_STEP if has_p and weight.perturbation.zbar_gradient is None else 0.0)
+    if reach >= weight.chart_radius:
         raise DomainError(
-            f"scaled grid reaches |y|={corner:.3g}, outside chart radius "
+            f"scaled grid and its stencils reach |y|={reach:.3g}, outside chart radius "
             f"{weight.chart_radius:.3g}"
         )
 
@@ -475,10 +473,6 @@ def assemble_scaled(weight: WeightFunction, pert: Optional[PerturbationSpec],
     z = ops.z
     y = z / sqrtk
     lam = np.asarray(weight.lam)
-
-    has_r = pert.r is not None
-    has_m = pert.volume_density is not None
-    has_p = weight.perturbation is not None
 
     # Every coefficient is sampled once per assembly, a user callable once per
     # point and a whole-grid form once (``_sample``); the partials of r and
@@ -533,26 +527,18 @@ def assemble_scaled(weight: WeightFunction, pert: Optional[PerturbationSpec],
                  if np.any(wcoef[:, j, b, c] != 0)]
         return out + fiber_sum(frame) / sqrtk if frame else out
 
-    # D_q is absent at q = n, D_{q-1} at q = 0.
+    # D_q is absent at q = n, D_{q-1} at q = 0.  G stacks D_q on D_{q-1}^dag,
+    # so G^dag G = D_q^dag D_q + D_{q-1} D_{q-1}^dag is one CSR product.
     d_q = dbar_matrix(q) if q < n else None
     d_qm1 = dbar_matrix(q - 1) if q >= 1 else None
-    d_qm1_h = None if d_qm1 is None else d_qm1.getH().tocsr()
-    dq = fiber.fiber_dim(n, q)
-    a = 0
-    if d_q is not None:
-        a = a + d_q.getH() @ d_q
-    if d_qm1 is not None:
-        a = a + d_qm1 @ d_qm1_h
+    stacked = sp.vstack(([d_q] if q < n else []) + ([d_qm1.getH().tocsr()] if q >= 1 else []),
+                        format="csr")
 
-    # Exact twist correction: replace the discrete factor commutators by the
-    # continuum eigenvalues so the unperturbed case reduces to assemble_model.
-    twists, rest = ops.twist(lam, q)
-    for piece in twists:
-        a = a + piece
-
-    # Stabilizer on every fiber component.
-    stab = ops.fiber_stabilizer(dq)
-    a = a + stab
+    # The exact twist correction R (the continuum eigenvalues in place of the
+    # discrete factor commutators, so the unperturbed case reduces to
+    # assemble_model) and F = R + S with the stabilizer, summed once per q.
+    rest, fixed = ops.twist(lam, q)
+    a = stacked.getH().tocsr() @ stacked + fixed
 
     # Optional adjoint zero-order terms (Hermitian part; see README): the
     # contractions iota_j alpha_j / sqrt(k) into and out of degree q.
@@ -572,10 +558,10 @@ def assemble_scaled(weight: WeightFunction, pert: Optional[PerturbationSpec],
         a = a + zero_order
         rest = rest + zero_order
 
-    a = a.tocsr()
-    grams = [g for g in (d_q, d_qm1_h) if g is not None]
-    pieces = len(grams) + len(twists) + 2  # with the stabilizer and the zero-order part
-    return DiscreteOperator(a, q, k, grid, _floor=_floor(ops, a, grams, stab, rest, pieces))
+    # fl(A) rounds in at most 3 sums (F, G^dag G + F and the zero-order
+    # part), and R in one more with alpha.
+    sums = 3 if pert.alpha is None else 4
+    return DiscreteOperator(a, q, k, grid, _floor=_floor(ops, a, [stacked], rest, sums))
 
 
 def to_matrix_market(op: DiscreteOperator, path) -> None:

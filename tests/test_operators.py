@@ -459,19 +459,19 @@ def _reference_assemble_scaled(weight, pert, k, grid, q):
     d_q = dbar_matrix(q)
     d_qm1 = dbar_matrix(q - 1)
     dq = fiber.fiber_dim(n, q)
-    a = sp.csr_matrix((dq * sites, dq * sites), dtype=complex)
-    if d_q is not None:
-        a = a + d_q.getH() @ d_q
-    if d_qm1 is not None:
-        a = a + d_qm1 @ d_qm1.getH()
+    # A = G^H G + (R + S) in the assembler's order of sums: G stacks D_q on
+    # D_{q-1}^H, R is the twist correction and S the stabilizer
+    g = sp.vstack([f for f in (d_q, None if d_qm1 is None else d_qm1.getH())
+                   if f is not None]).tocsr()
+    twist = sp.csr_matrix((dq * sites, dq * sites))
     for j in range(n):
         pi_j = np.real(np.diag(fiber.projection_contains(n, q, j)))
         if not np.any(pi_j != 0):
             continue
         c0 = ops.model_factor(j, lam[j])
         comm = (c0 @ c0.getH() - c0.getH() @ c0).tocsr()
-        a = a + sp.kron(sp.diags(pi_j), (lam[j] * sp.identity(sites) - comm).tocsr())
-    a = a + sp.kron(sp.identity(dq), ops.stabilizer())
+        twist = twist + sp.kron(sp.diags(pi_j), (lam[j] * sp.identity(sites) - comm).tocsr())
+    a = g.getH().tocsr() @ g + (twist + sp.kron(sp.identity(dq), ops.stabilizer))
     if pert.alpha is not None:
         alpha = np.empty((sites, n), dtype=complex)
         for i in range(sites):
@@ -630,6 +630,55 @@ def test_chart_violation_raises():
     weight = WeightFunction(1, (1.0,), chart_radius=1.0)
     with pytest.raises(DomainError):
         assemble_scaled(weight, None, 4, grid, 0)
+
+
+def test_chart_check_covers_the_value_only_gradient_stencil():
+    # a weight perturbation without an exact zbar gradient samples its value
+    # up to 2 FD_STEP past the corner of the scaled grid, and the chart
+    # check covers that reach; an exact gradient is sampled on the grid
+    grid = GridSpec(1, 1.0, 0.5)
+    corner = grid.effective_radius * np.sqrt(2.0) / 2.0  # |y| at k = 4
+    reached = []
+
+    def value(z):
+        reached.append(abs(z[0]))
+        return 0.1 * float(np.real(z[0] ** 3))
+
+    def zbar_gradient(z):
+        return np.array([0.15 * np.conj(z[0]) ** 2])
+
+    def weight(radius, *grad):
+        return WeightFunction(1, (1.0,), Perturbation(value, *grad), chart_radius=radius)
+
+    with pytest.raises(DomainError, match="chart radius"):
+        assemble_scaled(weight(corner * (1 + 1e-5)), None, 4, grid, 0)
+    assert not reached
+    assemble_scaled(weight(corner * (1 + 1e-5), zbar_gradient), None, 4, grid, 0)
+    radius = corner + 2 * defaults.FD_STEP * (1 + 1e-6)
+    assemble_scaled(weight(radius), None, 4, grid, 0)
+    assert corner < max(reached) < radius
+
+
+def test_warm_scaled_assembly_peak_is_a_few_times_its_matrix():
+    # with the k-invariant sum cached, one n = 2, q = 1 assembly holds little
+    # beside its result: one Gram product and one addition, no CSC copies
+    import tracemalloc
+
+    from heatlab.operators import _GridOperators
+
+    grid = GridSpec(2, 1.5, 0.5)
+    weight = WeightFunction(2, (1.0, -0.5))
+    pert = PerturbationSpec(r=lambda y: np.array([[0.0, 0.1 * y[0]], [0.05 * y[1], 0.0]],
+                                                 dtype=complex))
+    ops = _GridOperators(grid)
+    assemble_scaled(weight, pert, 16, grid, 1, _ops=ops)
+    tracemalloc.start()
+    try:
+        a = assemble_scaled(weight, pert, 16, grid, 1, _ops=ops).matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * (a.data.nbytes + a.indices.nbytes + a.indptr.nbytes)
 
 
 def test_frame_perturbation_must_vanish_at_origin():
