@@ -15,13 +15,6 @@ repeats):
 - ``n2``: ``assemble_scaled`` with n = 2, lambda = (1, -0.5), q = 1,
   k = 16 on the grid of radius 2 and spacing 0.5 (6 561 sites), frame
   perturbation r = [[0, 0.1 y_1], [0.05 y_2, 0]];
-- ``bound_n1``: 12 ``spectral_bound_check`` calls (N = 0..3 at t = 0.5, 1,
-  2) on a fresh model operator (set-up) with n = 1, lambda = 1, q = 0 on
-  the grid of radius 5 and spacing 0.1 (10 201 sites); its assembled floor
-  (0 less rounding) decides every check, so nothing is factorised;
-- ``bound_n2``: the same 12 checks on a fresh model operator with n = 2,
-  lambda = (1, 0.5), q = 1 on the grid of radius 1.5 and spacing 0.5
-  (2 401 sites, dimension 4 802), decided by its floor 0.5 less rounding;
 - ``diag_n1``: ``kernel_diagonals`` at the origin for t = 0.5 and 1 on a
   fresh model operator with n = 1, lambda = 1, q = 1 on the grid of
   radius 5 and spacing 0.1 (10 201 sites);
@@ -141,12 +134,6 @@ def _cases():
     def model(spec, grid):
         return lambda: ops.assemble_model(spec, grid)
 
-    def bound_checks(op):
-        for n_power in range(4):
-            for t in (0.5, 1.0, 2.0):
-                semigroup.spectral_bound_check(op, t, n_power)
-        return op
-
     def diagonals(op, ts=(0.5, 1.0)):
         semigroup.kernel_diagonals(op, op.grid.origin_site(), ts)
         return op
@@ -169,8 +156,6 @@ def _cases():
                        ops.PerturbationSpec(r=r11), 16, ops.GridSpec(1, 6.0, 0.1), 0),
         "n2": assemble(geo.WeightFunction(2, (1.0, -0.5)), ops.PerturbationSpec(r=r_frame), 16,
                        ops.GridSpec(2, 2.0, 0.5), 1),
-        "bound_n1": (model(ModelSpec(1, (1.0,), 0), ops.GridSpec(1, 5.0, 0.1)), bound_checks),
-        "bound_n2": (model(ModelSpec(2, (1.0, 0.5), 1), ops.GridSpec(2, 1.5, 0.5)), bound_checks),
         "diag_n1": (model(ModelSpec(1, (1.0,), 1), ops.GridSpec(1, 5.0, 0.1)), diagonals),
         "diag_n2": (lambda: ops.assemble_scaled(geo.WeightFunction(2, (1.0, -0.5)),
                                                 ops.PerturbationSpec(r=r_frame), 16,

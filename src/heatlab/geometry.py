@@ -14,6 +14,7 @@ is the twist endomorphism acting on the (0,q) fiber.  Values are densities
 against the Hermitian volume element (see README, "Volume conventions").
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import defaults, fiber
 from .errors import ArgumentError, DomainError, InvariantViolation
-from .model_kernels import _check_time
+from .model_kernels import _check_time, _checked_lam
 
 __all__ = [
     "Perturbation",
@@ -198,14 +199,7 @@ class WeightFunction:
     chart_radius: float = np.inf
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ArgumentError("dimension must be positive")
-        lam = tuple(float(v) for v in self.lam)
-        if len(lam) != self.n:
-            raise InvariantViolation(f"expected {self.n} eigenvalues, got {len(lam)}")
-        if not all(np.isfinite(lam)):
-            raise InvariantViolation("curvature eigenvalues must be finite")
-        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "lam", _checked_lam(self.n, self.lam))
 
     def check_chart(self, z) -> None:
         z = np.asarray(z, dtype=complex)
@@ -433,29 +427,20 @@ def morse_bound(field: CurvatureField, q: int, tol: float = defaults.DEGENERACY_
 # row-major order; header mandatory, UTF-8, '.' decimal separator.
 
 
+def _field_columns(m: int, n: int) -> list:
+    """Header of a curvature-field CSV with m parameters and n x n matrices."""
+    return ([f"u{i + 1}" for i in range(m)] + ["vol"]
+            + [f"{p}_{i + 1}{j + 1}" for i in range(n) for j in range(n) for p in ("re", "im")])
+
+
 def read_curvature_field(path) -> CurvatureField:
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        header = fh.readline().strip()
-        if not header:
-            raise ArgumentError(f"{path}: missing header row")
-        names = header.split(",")
-        try:
-            vol_col = names.index("vol")
-        except ValueError:
-            raise ArgumentError(f"{path}: header must contain a 'vol' column") from None
-        for m, name in enumerate(names[:vol_col]):
-            if name != f"u{m + 1}":
-                raise ArgumentError(f"{path}: parameter columns must be u1..um, got {name!r}")
-        pairs = names[vol_col + 1 :]
-        if len(pairs) % 2 != 0:
-            raise ArgumentError(f"{path}: matrix columns must come in re/im pairs")
-        n2 = len(pairs) // 2
-        n = round(np.sqrt(n2))
-        if n * n != n2:
-            raise ArgumentError(f"{path}: got {n2} matrix entries, not a square count")
-        expected = [f"{p}_{i + 1}{j + 1}" for i in range(n) for j in range(n) for p in ("re", "im")]
-        if pairs != expected:
-            raise ArgumentError(f"{path}: matrix columns must be {expected}, got {pairs}")
+        names = fh.readline().strip().split(",")
+        vol_col = names.index("vol") if "vol" in names else 0
+        n = math.isqrt((len(names) - vol_col - 1) // 2)
+        if names != _field_columns(vol_col, n):
+            raise ArgumentError(f"{path}: header must be u1..um,vol,re_11,im_11,... for n x n "
+                                f"matrices, got {names}")
         params, vols, mats = [], [], []
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
@@ -478,10 +463,8 @@ def write_curvature_field(path, field: CurvatureField) -> None:
     n = field.matrices[0].n
     m = field.params.shape[1] if field.params is not None else 0
     fmt = "{:" + defaults.CSV_FLOAT_FORMAT + "}"
-    names = [f"u{i + 1}" for i in range(m)] + ["vol"]
-    names += [f"{p}_{i + 1}{j + 1}" for i in range(n) for j in range(n) for p in ("re", "im")]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(names) + "\n")
+        fh.write(",".join(_field_columns(m, n)) + "\n")
         for row, (curv, vol) in enumerate(zip(field.matrices, field.volumes)):
             vals = list(field.params[row]) if field.params is not None else []
             vals.append(vol)

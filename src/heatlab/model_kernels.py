@@ -50,6 +50,18 @@ QUADRATIC_READINGS = ("full", "half")
 QuadraticReading = Literal["full", "half"]
 
 
+def _checked_lam(n: int, lam) -> tuple:
+    """The n curvature eigenvalues lam as a tuple of finite floats; n >= 1."""
+    if n < 1:
+        raise ArgumentError("dimension must be positive")
+    lam = tuple(float(v) for v in lam)
+    if len(lam) != n:
+        raise InvariantViolation(f"expected {n} eigenvalues, got {len(lam)}")
+    if not all(np.isfinite(lam)):
+        raise InvariantViolation("curvature eigenvalues must be finite")
+    return lam
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Diagonal model data: dimension, curvature eigenvalues, form degree."""
@@ -59,13 +71,7 @@ class ModelSpec:
     q: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ArgumentError("dimension must be positive")
-        lam = tuple(float(v) for v in self.lam)
-        if len(lam) != self.n:
-            raise InvariantViolation(f"expected {self.n} eigenvalues, got {len(lam)}")
-        if not all(np.isfinite(lam)):
-            raise InvariantViolation("eigenvalues must be finite")
+        lam = _checked_lam(self.n, self.lam)
         if not 0 <= self.q <= self.n:
             raise ArgumentError(f"q={self.q} outside [0, {self.n}]")
         object.__setattr__(self, "lam", lam)

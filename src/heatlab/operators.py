@@ -330,49 +330,46 @@ def _per_block(m, x) -> np.ndarray:
     return (m @ x.reshape(-1, m.shape[1]).T).T.ravel()
 
 
-def _floor(ops: _GridOperators, a, grams, rest, sums: int) -> float:
-    """A lower bound on the spectrum of the stored a = fl(A), A = sum_G G^H G
-    + S + R, added up in ``sums`` roundings from the products of stored Gram
-    factors G, the stabilizer S of ``ops`` and a stored Hermitian remainder R
-    (a G or S narrower than a acts on each fiber block).
+def _floor(ops: _GridOperators, a, g, rest, sums: int) -> float:
+    """A lower bound on the spectrum of the stored a = fl(A), A = G^H G + S
+    + R, added up in ``sums`` roundings from the product of the stored Gram
+    factor G, the stabilizer S of ``ops`` and a stored Hermitian remainder
+    R (a G or S narrower than a acts on each fiber block).
 
     lambda_min(A) is at least the Gershgorin lower end of R (Weyl), and
-    |fl(A) - A| <= gamma_m B entrywise, B = sum_G |G|^H |G| + |R| +
-    sigma h^6 sum_a |D4_a|^T |D4_a| (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2nd ed., 3.1 and 3.5), gamma_m = m u / (1 - m u)
-    for the m roundings of an entry: the longest inner product of a Gram
-    product (the most stored entries in a column of a G or of D4; the
-    blocks of a stacked G sum their products inside that inner product),
-    3 for a complex product (Higham Lemma 3.5), 1 + 2n for the stabilizer's
-    scaling and axis sums, the ``sums``, and the row count of R for its
-    Gershgorin sums.  So the floor is that end less gamma_m ||B||_inf =
+    |fl(A) - A| <= gamma_m B entrywise, B = |G|^H |G| + |R| + sigma h^6
+    sum_a |D4_a|^T |D4_a| (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 3.1 and 3.5), gamma_m = m u / (1 - m u) for the m
+    roundings of an entry: the longest inner product of a Gram product (the
+    most stored entries in a column of G or of D4; the blocks of a stacked
+    G sum their products inside that inner product), 3 for a complex
+    product (Higham Lemma 3.5), 1 + 2n for the stabilizer's scaling and
+    axis sums, the ``sums``, and the row count of R for its Gershgorin
+    sums.  So the floor is that end less gamma_m ||B||_inf =
     gamma_m max_i (B 1)_i.
 
     A fixed-seed Rademacher probe x checks that a holds these pieces
     (Freivalds, 1979): fl(A) and the stored S and R lie within gamma_m B of
     their exact sums, and as |x| = 1 the products a x, G x, G^H (G x), S x,
     R x and their sum round by at most 8 gamma_{c+3} B 1, c being their
-    longest inner product.  An entry of a x - (sum_G G^H (G x) + S x + R x)
+    longest inner product.  An entry of a x - (G^H (G x) + S x + R x)
     above gamma_p (B 1)_i, p = 3 m + 8 (c + 3), raises InvariantViolation.
     """
     stab = ops.stabilizer
     s, axes, dim = ops.grid.points_per_axis, 2 * ops.grid.n, a.shape[0]
-    d4 = abs(ops.d4)
+    d4, g_abs = abs(ops.d4), abs(g)
     w = d4.T @ (d4 @ np.ones(s))  # |D4|^T |D4| 1 along one axis
     stab_rows = sum(w.reshape([s if b == ax else 1 for b in range(axes)]) for ax in range(axes))
     lower, _, bound, count = _gershgorin(rest)
     bound = bound + np.tile(defaults.GHOST_STABILIZER * ops.grid.spacing**6 * stab_rows.ravel(),
                             dim // ops.grid.sites)
-    inner = _inner_length(d4)
-    for g in grams:
-        g = abs(g)
-        bound += np.tile(g.T @ (g @ np.ones(g.shape[1])), dim // g.shape[1])
-        inner = max(inner, _inner_length(g))
+    bound += np.tile(g_abs.T @ (g_abs @ np.ones(g.shape[1])), dim // g.shape[1])
+    inner = max(_inner_length(d4), _inner_length(g))
     m = inner + 3 + 1 + axes + sums + count
     x = np.random.default_rng(0).choice([-1.0, 1.0], size=dim)
     residual = np.abs(a @ x - _per_block(stab, x) - rest @ x
-                      - sum(_per_block(g.getH(), _per_block(g, x)) for g in grams))
-    c = max([inner] + [int(np.diff(f.indptr).max(initial=0)) for f in (a, stab, rest, *grams)])
+                      - _per_block(g.getH(), _per_block(g, x)))
+    c = max([inner] + [int(np.diff(f.indptr).max(initial=0)) for f in (a, stab, rest, g)])
     p = 3 * m + 8 * (c + 3)
     if np.any(residual > p * _ROUNDOFF / (1.0 - p * _ROUNDOFF) * bound):
         raise InvariantViolation(f"assembled matrix differs from its pieces by up to "
@@ -383,23 +380,24 @@ def _floor(ops: _GridOperators, a, grams, rest, sums: int) -> float:
 def assemble_model(spec: ModelSpec, grid: GridSpec) -> DiscreteOperator:
     """Model operator sum_j C_j^dag C_j + Theta_0 (plus the ghost stabilizer).
 
-    Its spectral floor is min Theta_0 less the rounding allowance of
-    ``_floor``: the C_j and the stabilizer are Gram parts.
+    G stacks the C_j in CSR, so one product G^dag G gives their sum, as in
+    ``assemble_scaled``.  The spectral floor is min Theta_0 less the
+    rounding allowance of ``_floor``, with G and the stabilizer as Gram
+    parts.
     """
     if spec.n != grid.n:
         raise ArgumentError("model and grid dimensions differ")
     ops = _GridOperators(grid)
-    factors = [ops.model_factor(j, lj) for j, lj in enumerate(spec.lam)]
-    scalar = sum((c.getH().tocsr() @ c for c in factors), ops.stabilizer)
+    stacked = sp.vstack([ops.model_factor(j, lj) for j, lj in enumerate(spec.lam)], format="csr")
+    scalar = stacked.getH().tocsr() @ stacked + ops.stabilizer
     theta0 = fiber.twist_eigenvalues(spec.lam, spec.q)
-    a = sp.kron(sp.identity(theta0.size), scalar.tocsr())
+    a = sp.kron(sp.identity(theta0.size), scalar)
     # Theta_0 (x) I with every diagonal entry stored: one term per row
     theta = np.repeat(theta0, grid.sites)
     twist = sp.csr_matrix((theta, np.arange(theta.size), np.arange(theta.size + 1)))
     a = (a + twist if np.any(theta0 != 0) else a).tocsr()
-    # the sums are those of the C_j^dag C_j and of Theta_0
-    floor = _floor(ops, a, factors, twist, len(factors) + 1)
-    return DiscreteOperator(a, spec.q, 0, grid, _floor=floor)
+    # the sums are those of the stabilizer and of Theta_0
+    return DiscreteOperator(a, spec.q, 0, grid, _floor=_floor(ops, a, stacked, twist, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +559,7 @@ def assemble_scaled(weight: WeightFunction, pert: Optional[PerturbationSpec],
     # fl(A) rounds in at most 3 sums (F, G^dag G + F and the zero-order
     # part), and R in one more with alpha.
     sums = 3 if pert.alpha is None else 4
-    return DiscreteOperator(a, q, k, grid, _floor=_floor(ops, a, [stacked], rest, sums))
+    return DiscreteOperator(a, q, k, grid, _floor=_floor(ops, a, stacked, rest, sums))
 
 
 def to_matrix_market(op: DiscreteOperator, path) -> None:

@@ -18,7 +18,7 @@ eigenvalues between two exact mid-gaps, checked against an inertia count
 below the top one.  Only the oracle imports scipy.sparse.
 """
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Tuple
 
 import numpy as np
@@ -101,8 +101,6 @@ def _check_kq(bundle: EllipticCurveBundle, k: int, q: int) -> None:
         raise ArgumentError("k must be a positive integer")
     if q not in (0, 1):
         raise ArgumentError("q must be 0 or 1 on a curve")
-    if k * abs(bundle.degree) < 1:
-        raise ArgumentError("need k*|d| >= 1")
 
 
 def landau_spectrum(bundle: EllipticCurveBundle, k: int, q: int, cutoff: int) -> SpectrumTable:
@@ -179,6 +177,22 @@ class MorseTraceRecord:
         return self.rhs - self.lhs
 
 
+@dataclass(frozen=True)
+class ProductMorseRecord(MorseTraceRecord):
+    morse_integral: float
+    normalized_lhs: float
+
+
+def _alternating(k: int, q: int, t: float, dims, traces) -> MorseTraceRecord:
+    """lhs = sum_{j<=q} (-1)^{q-j} dims[j] against rhs, the same sum of the
+    heat traces; the inequality lhs <= rhs and equality are read to within
+    1e-10 max(1, |rhs|)."""
+    lhs = int(sum((-1) ** (q - j) * dims[j] for j in range(q + 1)))
+    rhs = float(sum((-1) ** (q - j) * traces[j] for j in range(q + 1)))
+    tol = 1e-10 * max(1.0, abs(rhs))
+    return MorseTraceRecord(k, q, float(t), lhs, rhs, lhs <= rhs + tol, abs(lhs - rhs) <= tol)
+
+
 def morse_trace_inequality(bundle: EllipticCurveBundle, k: int, q: int, t: float) -> MorseTraceRecord:
     """Alternating cohomology sum versus alternating heat-trace sum.
 
@@ -187,39 +201,8 @@ def morse_trace_inequality(bundle: EllipticCurveBundle, k: int, q: int, t: float
     """
     _check_kq(bundle, k, q)
     _check_time(t)
-    dims = riemann_roch_dims(k, bundle.degree)
-    lhs = sum((-1) ** (q - j) * dims[j] for j in range(q + 1))
-    rhs = sum((-1) ** (q - j) * heat_trace_exact(bundle, k, j, t) for j in range(q + 1))
-    equality = bool(abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs)))
-    holds = bool(lhs <= rhs + 1e-10 * max(1.0, abs(rhs)))
-    return MorseTraceRecord(k, q, float(t), int(lhs), float(rhs), holds, equality)
-
-
-@dataclass(frozen=True)
-class ProductMorseRecord:
-    k: int
-    q: int
-    t: float
-    lhs: int
-    rhs: float
-    holds: bool
-    equality: bool
-    morse_integral: float
-    normalized_lhs: float
-
-    @property
-    def gap(self) -> float:
-        return self.rhs - self.lhs
-
-
-def _kunneth_dims(b1: EllipticCurveBundle, b2: EllipticCurveBundle, k: int) -> tuple:
-    h1 = riemann_roch_dims(k, b1.degree)
-    h2 = riemann_roch_dims(k, b2.degree)
-    return (
-        h1[0] * h2[0],
-        h1[0] * h2[1] + h1[1] * h2[0],
-        h1[1] * h2[1],
-    )
+    traces = [heat_trace_exact(bundle, k, j, t) for j in range(q + 1)]
+    return _alternating(k, q, t, riemann_roch_dims(k, bundle.degree), traces)
 
 
 def product_torus_morse(b1: EllipticCurveBundle, b2: EllipticCurveBundle,
@@ -229,8 +212,9 @@ def product_torus_morse(b1: EllipticCurveBundle, b2: EllipticCurveBundle,
     (d1 > 0, d2 < 0): exact Kunneth dimensions against combined traces,
     plus the curvature integral from ``geometry.morse_bound``.
 
-    Product spectra combine additively with multiplicities multiplying,
-    so the degree-j product trace is sum_{a+b=j} trace_a(E1) trace_b(E2).
+    Product spectra combine additively with multiplicities multiplying, so
+    the degree-j dimension and trace are sum_{a+b=j} of the curves'
+    products: the convolutions of their (degree 0, degree 1) sequences.
     """
     if not (b1.degree > 0 and b2.degree < 0):
         raise ArgumentError("expected degree signs (d1 > 0, d2 < 0)")
@@ -239,64 +223,47 @@ def product_torus_morse(b1: EllipticCurveBundle, b2: EllipticCurveBundle,
     if k < 1:
         raise ArgumentError("k must be a positive integer")
     _check_time(t)
-    dims = _kunneth_dims(b1, b2, k)
-    lhs = sum((-1) ** (q - j) * dims[j] for j in range(q + 1))
-
-    def product_trace(j: int) -> float:
-        return sum(
-            heat_trace_exact(b1, k, a, t) * heat_trace_exact(b2, k, j - a, t)
-            for a in range(j + 1)
-            if 0 <= j - a <= 1 and a <= 1
-        )
-
-    rhs = sum((-1) ** (q - j) * product_trace(j) for j in range(q + 1))
-    holds = bool(lhs <= rhs + 1e-9 * max(1.0, abs(rhs)))
-    equality = bool(abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs)))
+    dims = np.convolve(riemann_roch_dims(k, b1.degree), riemann_roch_dims(k, b2.degree))
+    traces = np.convolve(*([heat_trace_exact(b, k, j, t) for j in (0, 1)] for b in (b1, b2)))
+    rec = _alternating(k, q, t, dims, traces)
 
     curv = CurvatureEndomorphism.diagonal([b1.lambda_scalar, b2.lambda_scalar])
     field = CurvatureField.constant(curv, b1.area * b2.area, cells=quadrature_cells)
     integral = morse_bound(field, q).value
-    return ProductMorseRecord(k, q, float(t), int(lhs), float(rhs), holds, equality,
-                              float(integral), lhs / float(k) ** 2)
+    return ProductMorseRecord(*astuple(rec), float(integral), rec.lhs / float(k) ** 2)
 
 
 # ---------------------------------------------------------------------------
 # Discretized periodic magnetic Laplacian oracle
 
 
+def _check_torus_grid(flux_quanta: int, n_points: int, side: float) -> None:
+    if flux_quanta < 1 or n_points < 4 or side <= 0:
+        raise ArgumentError("need flux_quanta >= 1, n_points >= 4, side > 0")
+
+
 def magnetic_torus_operator(flux_quanta: int, n_points: int, side: float):
     """Peierls-phase discretization of the uniform-field magnetic Laplacian
     (-i grad - A)^2 on a square torus of the given side, with the stated
-    number of flux quanta; magnetic periodic boundary conditions.  Returns
-    a scipy.sparse CSR matrix."""
+    number of flux quanta; magnetic periodic boundary conditions.  Site
+    (i, j) is row i N + j.  Returns a scipy.sparse CSR matrix."""
     import scipy.sparse as sp
 
-    if flux_quanta < 1 or n_points < 4 or side <= 0:
-        raise ArgumentError("need flux_quanta >= 1, n_points >= 4, side > 0")
+    _check_torus_grid(flux_quanta, n_points, side)
     N, Q = n_points, flux_quanta
     h = side / N
-    alpha = Q / N**2
-    rows, cols, vals = [], [], []
-
-    def idx(i, j):
-        return (i % N) * N + (j % N)
-
-    for i in range(N):
-        for j in range(N):
-            a = idx(i, j)
-            rows.append(a), cols.append(a), vals.append(4.0 / h**2)
-            # x-hop; the wrap link carries the magnetic twist
-            ph = -2.0 * np.pi * Q * j / N if i == N - 1 else 0.0
-            b = idx(i + 1, j)
-            rows += [a, b]
-            cols += [b, a]
-            vals += [-np.exp(1j * ph) / h**2, -np.exp(-1j * ph) / h**2]
-            # y-hop in Landau gauge
-            ph = 2.0 * np.pi * alpha * i
-            b = idx(i, j + 1)
-            rows += [a, b]
-            cols += [b, a]
-            vals += [-np.exp(1j * ph) / h**2, -np.exp(-1j * ph) / h**2]
+    site = np.arange(N * N)
+    i, j = np.divmod(site, N)
+    # x-hop to (i + 1, j); the wrap link carries the magnetic twist
+    x_phase = np.where(i == N - 1, -2.0 * np.pi * Q * j / N, 0.0)
+    # y-hop to (i, j + 1) in Landau gauge
+    y_phase = 2.0 * np.pi * (Q / N**2) * i
+    x_next, y_next = (i + 1) % N * N + j, i * N + (j + 1) % N
+    rows = np.concatenate([site, site, x_next, site, y_next])
+    cols = np.concatenate([site, x_next, site, y_next, site])
+    vals = np.concatenate([np.full(N * N, 4.0 / h**2),
+                           -np.exp(1j * x_phase) / h**2, -np.exp(-1j * x_phase) / h**2,
+                           -np.exp(1j * y_phase) / h**2, -np.exp(-1j * y_phase) / h**2])
     return sp.coo_matrix((vals, (rows, cols)), shape=(N * N, N * N)).tocsr()
 
 
@@ -312,8 +279,7 @@ def _harper_rings(flux_quanta: int, n_points: int, side: float):
     scipy.sparse CSR matrix with 3 entries per row."""
     import scipy.sparse as sp
 
-    if flux_quanta < 1 or n_points < 4 or side <= 0:
-        raise ArgumentError("need flux_quanta >= 1, n_points >= 4, side > 0")
+    _check_torus_grid(flux_quanta, n_points, side)
     N, Q = n_points, flux_quanta
     h = side / N
     L = N * N // np.gcd(N, Q)

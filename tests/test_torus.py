@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -207,6 +209,32 @@ def test_product_rejects_wrong_sign_pattern():
         product_torus_morse(b1, b1, 1, 1, 1.0)
 
 
+@pytest.mark.parametrize("d1, d2", [(1, -1), (2, -3), (3, -2)])
+def test_product_sums_are_kunneth_products_of_the_curves(d1, d2):
+    # lhs and rhs are, to the bit, the alternating sums over j <= q of
+    # sum_{a+b=j} of the products of the curves' dimensions and traces
+    b1, b2 = EllipticCurveBundle(1j, d1), EllipticCurveBundle(0.2 + 1.5j, d2)
+
+    def kunneth(pair, j):
+        return sum(pair[0][a] * pair[1][j - a] for a in range(2) if 0 <= j - a <= 1)
+
+    for k, q, t in itertools.product((1, 2, 5), (0, 1, 2), (0.05, 1.0, 4.0)):
+        dims = [riemann_roch_dims(k, b.degree) for b in (b1, b2)]
+        traces = [[heat_trace_exact(b, k, j, t) for j in (0, 1)] for b in (b1, b2)]
+        rec = product_torus_morse(b1, b2, k, q, t)
+        assert rec.lhs == sum((-1) ** (q - j) * kunneth(dims, j) for j in range(q + 1))
+        assert rec.rhs == sum((-1) ** (q - j) * kunneth(traces, j) for j in range(q + 1))
+
+
+def test_curve_and_product_read_equality_to_one_tolerance():
+    # both rhs are about 9 e^{-8 pi} = 1.09e-10 against lhs = 0, just above
+    # the tolerance 1e-10 max(1, |rhs|)
+    b1, b2 = EllipticCurveBundle(1j, 1), EllipticCurveBundle(1j, -1)
+    for rec in (morse_trace_inequality(b2, 9, 0, 4.0), product_torus_morse(b1, b2, 3, 0, 4.0)):
+        assert rec.lhs == 0 and 1e-10 < rec.rhs < 1.1e-10
+        assert rec.holds and not rec.equality
+
+
 # ---------------------------------------------------------------------------
 # discretized magnetic oracle
 
@@ -214,6 +242,46 @@ def test_product_rejects_wrong_sign_pattern():
 def test_magnetic_operator_is_hermitian_with_uniform_flux():
     h = magnetic_torus_operator(3, 12, 1.0)
     assert np.abs(h - h.getH()).max() < 1e-12 * np.abs(h).max()
+
+
+def test_magnetic_operator_entries_in_landau_gauge():
+    # N = 4, Q = 1, side 1 (h^2 = 1/16); site (i, j) is row 4 i + j.  The
+    # spectrum is gauge invariant, so the links are pinned one by one.
+    n, q, h2 = 4, 1, 1.0 / 16
+    m = magnetic_torus_operator(q, n, 1.0)
+    assert m.nnz == 5 * n * n
+    for i, j in itertools.product(range(n), range(n)):
+        a = i * n + j
+        x_link = np.exp(-2j * np.pi * q * j / n) if i == n - 1 else 1.0  # twisted wrap
+        y_link = np.exp(2j * np.pi * q * i / n**2)
+        assert m[a, a] == 4.0 / h2
+        np.testing.assert_allclose(m[a, (i + 1) % n * n + j], -x_link / h2, rtol=1e-15)
+        np.testing.assert_allclose(m[a, i * n + (j + 1) % n], -y_link / h2, rtol=1e-15)
+
+
+def _peierls_reference(flux_quanta, n_points, side):
+    """The Peierls matrix link by link, as a site loop."""
+    import scipy.sparse as sp
+
+    N, Q, h = n_points, flux_quanta, side / n_points
+    rows, cols, vals = [], [], []
+    for i, j in itertools.product(range(N), range(N)):
+        a = i * N + j
+        rows.append(a), cols.append(a), vals.append(4.0 / h**2)
+        for b, ph in (((i + 1) % N * N + j, -2.0 * np.pi * Q * j / N if i == N - 1 else 0.0),
+                      (i * N + (j + 1) % N, 2.0 * np.pi * (Q / N**2) * i)):
+            rows += [a, b]
+            cols += [b, a]
+            vals += [-np.exp(1j * ph) / h**2, -np.exp(-1j * ph) / h**2]
+    return sp.coo_matrix((vals, (rows, cols)), shape=(N * N, N * N)).tocsr()
+
+
+@pytest.mark.parametrize("n_points, flux_quanta", [(4, 1), (12, 3), (6, 8), (5, 25)])
+def test_magnetic_operator_matches_the_site_loop_to_the_bit(n_points, flux_quanta):
+    got = magnetic_torus_operator(flux_quanta, n_points, 0.7)
+    ref = _peierls_reference(flux_quanta, n_points, 0.7)
+    for part in ("indptr", "indices", "data"):
+        assert getattr(got, part).tobytes() == getattr(ref, part).tobytes()
 
 
 def test_landau_validation_small():
