@@ -232,7 +232,7 @@ def _check_cross_fields(cfg: dict) -> None:
             raise ConfigError("field 'q' must satisfy 0 <= q <= n")
     if kind == "converge":
         if cfg["n"] != 1:
-            raise ConfigError("converge experiments support n = 1")
+            raise ConfigError("field 'n' must be 1 in converge experiments")
         if cfg["k_list"] != sorted(set(cfg["k_list"])):
             raise ConfigError("field 'k_list' must be strictly increasing")
     elif kind == "morse":

@@ -3,7 +3,8 @@
 Basis forms are indexed by strictly increasing multi-indices J of
 {0, ..., n-1} (0-based internally, 1-based in labels), ordered
 lexicographically.  All operators are dense complex matrices acting on
-coefficient vectors in that basis.
+coefficient vectors in that basis.  The basis is orthonormal, so iota_j is
+the adjoint of e^j wedge (one sign rule); cached matrices are read-only.
 """
 
 from functools import lru_cache
@@ -46,17 +47,9 @@ def wedge_sign(i: int, J: tuple):
     return (-1) ** k, tuple(sorted(J + (i,)))
 
 
-def contract_sign(j: int, J: tuple):
-    """Sign and resulting index of the interior product iota_j e^J, or (0, None)."""
-    if j not in J:
-        return 0, None
-    k = J.index(j)
-    return (-1) ** k, tuple(x for x in J if x != j)
-
-
 @lru_cache(maxsize=None)
 def wedge_matrix(n: int, q: int, i: int) -> np.ndarray:
-    """Matrix of e^i wedge . : Lambda^q -> Lambda^{q+1}."""
+    """Matrix of e^i wedge . : Lambda^q -> Lambda^{q+1} (read-only)."""
     rows, cols = multi_indices(n, q + 1), multi_indices(n, q)
     pos = index_position(n, q + 1)
     W = np.zeros((len(rows), len(cols)), dtype=complex)
@@ -64,28 +57,22 @@ def wedge_matrix(n: int, q: int, i: int) -> np.ndarray:
         s, K = wedge_sign(i, J)
         if s:
             W[pos[K], a] = s
+    W.flags.writeable = False
     return W
 
 
-@lru_cache(maxsize=None)
 def contract_matrix(n: int, q: int, j: int) -> np.ndarray:
-    """Matrix of the interior product iota_j : Lambda^q -> Lambda^{q-1}."""
-    cols = multi_indices(n, q)
-    pos = index_position(n, q - 1) if q >= 1 else {}
-    C = np.zeros((fiber_dim(n, q - 1) if q >= 1 else 0, len(cols)), dtype=complex)
-    for a, J in enumerate(cols):
-        s, K = contract_sign(j, J)
-        if s:
-            C[pos[K], a] = s
-    return C
+    """Matrix of the interior product iota_j : Lambda^q -> Lambda^{q-1}: the
+    transpose (adjoint) of e^j wedge, a read-only view."""
+    return wedge_matrix(n, q - 1, j).T if q else np.zeros((0, 1), dtype=complex)
 
 
 @lru_cache(maxsize=None)
 def wedge_contract(n: int, q: int, i: int, j: int) -> np.ndarray:
     """Matrix of e^i wedge iota_j on Lambda^q (the curvature action building block)."""
-    if q == 0:
-        return np.zeros((1, 1), dtype=complex)
-    return wedge_matrix(n, q - 1, i) @ contract_matrix(n, q, j)
+    m = wedge_matrix(n, q - 1, i) @ contract_matrix(n, q, j) if q else np.zeros((1, 1), complex)
+    m.flags.writeable = False
+    return m
 
 
 def projection_contains(n: int, q: int, j: int) -> np.ndarray:

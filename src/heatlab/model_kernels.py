@@ -148,7 +148,7 @@ def mehler_scalar(spec: ModelSpec, t: float, z, w,
 
     with a degenerate factor replaced by its expansion to first order in lam,
     (2 pi t)^{-1} exp(t lam - |z_j - w_j|^2 / (2 t) + i lam Im(z_j wbar_j)).
-    Factors accumulate in log space when n > 8.
+    The factors accumulate in log space and are exponentiated once.
     """
     _check_time(t)
     if quadratic_reading not in QUADRATIC_READINGS:
@@ -163,9 +163,7 @@ def mehler_scalar(spec: ModelSpec, t: float, z, w,
         lp, ex = _mehler_factor_log(spec.lam[j], t, z[j], w[j], quadratic_reading)
         logpref += lp
         expo += ex
-    if spec.n > 8:
-        return complex(np.exp(logpref + expo))
-    return complex(np.exp(logpref) * np.exp(expo))
+    return complex(np.exp(logpref + expo))
 
 
 def model_kernel(spec: ModelSpec, t: float, z, w,
@@ -195,22 +193,15 @@ def weighted_kernel(spec: ModelSpec, t: float, z, w,
 
 
 def model_diagonal(spec: ModelSpec, t: float) -> "FiberEndomorphism":
-    """Diagonal exp(-t box_q)(0, 0) by the entrywise product formula.
+    """Diagonal exp(-t box_q)(0, 0) by the product formula
 
-    prod_j  lam_j (1 + (e^{-t lam_j} - 1) Pi_j) / (2 pi (1 - e^{-t lam_j})),
+    prod_j lam_j / (2 pi (1 - e^{-t lam_j})) * exp(-t Theta_0),
 
-    where Pi_j projects onto multi-indices containing j; the scalar factor
-    is ``geometry.heat_factor`` (1/(2 pi t) at lam_j = 0).
+    each scalar factor being ``geometry.heat_factor`` (1/(2 pi t) at lam_j = 0).
     """
     from .geometry import FiberEndomorphism, heat_factor
 
     _check_time(t)
-    n, q = spec.n, spec.q
-    dims = fiber.fiber_dim(n, q)
-    diag = np.ones(dims)
-    idx = fiber.multi_indices(n, q)
-    for j, lam in enumerate(spec.lam):
-        decay = np.exp(-t * lam)
-        factor = np.array([decay if j in J else 1.0 for J in idx])
-        diag = diag * heat_factor(lam, t) * factor
-    return FiberEndomorphism(n, q, np.diag(diag))
+    scalar = np.prod([heat_factor(lam, t) for lam in spec.lam])
+    diag = scalar * np.exp(-t * fiber.twist_eigenvalues(spec.lam, spec.q))
+    return FiberEndomorphism(spec.n, spec.q, np.diag(diag))

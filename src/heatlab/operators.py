@@ -59,8 +59,8 @@ class GridSpec:
     def __post_init__(self):
         if self.n < 1:
             raise ArgumentError("dimension must be positive")
-        if self.radius <= 0 or self.spacing <= 0:
-            raise ArgumentError("radius and spacing must be positive")
+        if not (0 < self.radius < np.inf and 0 < self.spacing < np.inf):
+            raise ArgumentError("radius and spacing must be finite and positive")
         if self.sites > defaults.SITE_CAP:
             raise ResourceLimitError(
                 f"grid has {self.sites} sites, cap is {defaults.SITE_CAP}"
@@ -434,11 +434,13 @@ def assemble_scaled(weight: WeightFunction, pert: Optional[PerturbationSpec],
     y = z / sqrt(k): frame coefficients (delta_js + conj(r_js)(y)) on the
     Wirtinger derivatives, the gauge multiplier from conjugating by
     e^{k phi(y)/2} m(y)^{1/2}, and the (0,2) frame term with its
-    1/sqrt(k) prefactor.  The assembled Laplacian is A = G^dag G + F, G
-    being D_q stacked on D_{q-1}^dag (so G^dag G = D_q^dag D_q +
-    D_{q-1} D_{q-1}^dag), and F = R + S the k-invariant sum of an exact
-    twist correction R, which makes the unperturbed case reduce identically
-    to ``assemble_model``, and the stabilizer S.
+    1/sqrt(k) prefactor.  An absent weight perturbation or volume density
+    contributes exact zeros (grad phi - lam y, grad log m).  The assembled
+    Laplacian is A = G^dag G + F, G being D_q stacked on D_{q-1}^dag (so
+    G^dag G = D_q^dag D_q + D_{q-1} D_{q-1}^dag), and F = R + S the
+    k-invariant sum of an exact twist correction R, which makes the
+    unperturbed case reduce identically to ``assemble_model``, and the
+    stabilizer S.
 
     Its spectral floor (``_floor``) takes G and the stabilizer as Gram
     parts, and R plus the adjoint zero-order part as the remainder.
@@ -456,11 +458,10 @@ def assemble_scaled(weight: WeightFunction, pert: Optional[PerturbationSpec],
     pert.validate_origin(n)
     sqrtk = np.sqrt(float(k))
     has_r = pert.r is not None
-    has_m = pert.volume_density is not None
-    has_p = weight.perturbation is not None
+    perturbation = weight.perturbation
     # The value-only weight gradient samples up to 2 FD_STEP past a site.
-    reach = grid.effective_radius * np.sqrt(2.0 * n) / sqrtk + (
-        2 * defaults.FD_STEP if has_p and weight.perturbation.zbar_gradient is None else 0.0)
+    value_only = perturbation is not None and perturbation.zbar_gradient is None
+    reach = grid.effective_radius * np.sqrt(2.0 * n) / sqrtk + 2 * defaults.FD_STEP * value_only
     if reach >= weight.chart_radius:
         raise DomainError(
             f"scaled grid and its stencils reach |y|={reach:.3g}, outside chart radius "
@@ -478,10 +479,11 @@ def assemble_scaled(weight: WeightFunction, pert: Optional[PerturbationSpec],
     if has_r:
         r = _sample(pert.r, y, (n, n), complex)
     grad_phi = (lam * y).astype(complex)        # d phi0 / dzbar at y
-    if has_p:
-        grad_phi = grad_phi + weight.perturbation._zbar_gradients(y)
+    if perturbation is not None:
+        grad_phi = grad_phi + perturbation._zbar_gradients(y)
     step = grid.spacing / sqrtk  # between neighbouring sites y
-    if has_m:
+    grad_logm = np.zeros((grid.sites, n), dtype=complex)
+    if pert.volume_density is not None:
         d = _grid_partials(np.log(_sample(pert.m_at, y)), grid, step)
         grad_logm = np.stack([0.5 * (d[2 * j] + 1j * d[2 * j + 1]) for j in range(n)], axis=1)
     wcoef = None
@@ -493,19 +495,16 @@ def assemble_scaled(weight: WeightFunction, pert: Optional[PerturbationSpec],
     rows = []
     for j in range(n):
         b = dzbars[j]
-        g = 0.5 * lam[j] * z[:, j].astype(complex)       # exact model part
-        if has_p:
-            g = g + 0.5 * sqrtk * (grad_phi[:, j] - lam[j] * y[:, j])
-        if has_m:
-            g = g - 0.5 / sqrtk * grad_logm[:, j]
+        # the exact model part, then the weight and density perturbations
+        g = (0.5 * lam[j] * z[:, j] + 0.5 * sqrtk * (grad_phi[:, j] - lam[j] * y[:, j])
+             - 0.5 / sqrtk * grad_logm[:, j])
         if has_r:
             for s in range(n):
                 coef = np.conj(r[:, j, s])
                 if np.any(coef != 0):
                     b = b + sp.diags(coef) @ dzbars[s]
-                    g = g + 0.5 * sqrtk * coef * grad_phi[:, s]
-                    if has_m:
-                        g = g - 0.5 / sqrtk * coef * grad_logm[:, s]
+                    g = (g + 0.5 * sqrtk * coef * grad_phi[:, s]
+                         - 0.5 / sqrtk * coef * grad_logm[:, s])
         rows.append((b + sp.diags(g)).tocsr())
 
     def fiber_sum(terms) -> sp.csr_matrix:

@@ -328,6 +328,9 @@ class _ChebyshevBlock:
         """
         times, where = np.unique(np.asarray(taus, dtype=float), return_inverse=True)
         xi = np.asarray(xi, dtype=complex)
+        if times.size == 0:
+            empty = np.zeros((0, xi.shape[1]))
+            return _Propagation(np.zeros((0,) + xi.shape, dtype=complex), empty, empty)
         accepted = []  # (ys, norms, errs) of the times each trusted sweep passed
         state, start, state_err, done = xi, 0.0, np.zeros(xi.shape[1]), 0
         longest = np.inf  # the longest step trusted after a halving

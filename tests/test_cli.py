@@ -107,6 +107,10 @@ ORACLE_CFG = {
 }
 
 
+def _without(cfg, key):
+    return {k: v for k, v in cfg.items() if k != key}
+
+
 @pytest.mark.parametrize("base, change, field", [
     (MODEL_KERNEL_CFG, {"lambda": ["a"]}, "'lambda'"),
     (MODEL_KERNEL_CFG, {"lambda": [True]}, "'lambda'"),
@@ -122,9 +126,26 @@ ORACLE_CFG = {
     (MODEL_KERNEL_CFG, {"output": "../escaped.csv"}, "'output'"),
     (MODEL_KERNEL_CFG, {"output": ".."}, "'output'"),
     (CONVERGE_CFG, {"method": {"variant": "auto"}}, "'method.variant'"),
+    (CONVERGE_CFG, {"grid": 1}, "'grid'"),
+    (MODEL_KERNEL_CFG, {"lambda": [1.0, 2.0]}, "'lambda'"),
+    (MODEL_KERNEL_CFG, {"q": 2}, "'q'"),
+    (CONVERGE_CFG, {"n": 2, "lambda": [1.0, 1.0]}, "'n'"),
+    (CONVERGE_CFG, {"k_list": [4, 4]}, "'k_list'"),
+    (CONVERGE_CFG, {"k_list": [16, 4]}, "'k_list'"),
+    (MORSE_PRODUCT_CFG, {"model": "elliptic"}, "'degree'"),
+    (_without(MORSE_PRODUCT_CFG, "degrees"), {}, "'degrees'"),
+    (MORSE_PRODUCT_CFG, {"degrees": [2, 3]}, "'degrees'"),
+    (MORSE_PRODUCT_CFG, {"degrees": [2]}, "'degrees'"),
+    (MORSE_PRODUCT_CFG, {"q_list": [3]}, "'q_list'"),
+    (ORACLE_CFG, {"resolutions": [12, 25]}, "'resolutions'"),
+    (ORACLE_CFG, {"resolutions": [2, 4]}, "'resolutions'"),
+    (_without(MODEL_KERNEL_CFG, "experiment"), {}, "'experiment'"),
+    (None, '{"experiment": ', "invalid JSON"),
+    (None, "[1]", "config root"),
 ])
 def test_malformed_value_exits_2_naming_field(tmp_path, capsys, base, change, field):
-    path = _write(tmp_path, "bad.json", {**base, **change})
+    path = tmp_path / "bad.json"
+    path.write_text(change if base is None else json.dumps({**base, **change}), encoding="utf-8")
     assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
     assert field in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]

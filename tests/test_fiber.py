@@ -81,3 +81,25 @@ def test_exterior_power_multiplicative(n, data):
 def test_index_label():
     assert fiber.index_label(()) == ""
     assert fiber.index_label((0, 2)) == "1-3"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_contract_matrix_is_the_interior_product(n):
+    # iota_j e^J = (-1)^(position of j in J) e^{J \ j}, zero when j is not in J
+    for q in range(n + 1):
+        for j in range(n):
+            c = fiber.contract_matrix(n, q, j)
+            expect = np.zeros((fiber.fiber_dim(n, q - 1) if q else 0, fiber.fiber_dim(n, q)))
+            for a, J in enumerate(fiber.multi_indices(n, q)):
+                if j in J:
+                    rest = tuple(x for x in J if x != j)
+                    expect[fiber.index_position(n, q - 1)[rest], a] = (-1) ** J.index(j)
+            assert c.shape == expect.shape and np.array_equal(c, expect)
+
+
+def test_cached_fiber_matrices_reject_writes():
+    for m in (fiber.wedge_matrix(2, 0, 0), fiber.contract_matrix(2, 1, 0),
+              fiber.wedge_contract(2, 1, 0, 0), fiber.wedge_contract(2, 0, 0, 1)):
+        with pytest.raises(ValueError):
+            m[0, 0] = 5
+    assert fiber.wedge_matrix(2, 0, 0)[0, 0] == 1

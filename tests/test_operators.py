@@ -51,6 +51,9 @@ def test_grid_rejects_bad_parameters():
         GridSpec(1, 1.0, 0.0)
     with pytest.raises(ArgumentError):
         GridSpec(0, 1.0, 0.1)
+    for radius, spacing in ((np.inf, 0.5), (np.nan, 0.5), (1.0, np.nan)):
+        with pytest.raises(ArgumentError):
+            GridSpec(1, radius, spacing)
 
 
 def test_site_coordinates_layout():
@@ -745,6 +748,13 @@ def test_floor_is_private_to_the_assemblers():
     assert op._floor is not None and copy._floor is None
     with pytest.raises(TypeError):
         DiscreteOperator(op.matrix, op.q, op.k, op.grid, op._floor)
+
+
+def test_floorless_non_hermitian_matrix_is_rejected():
+    grid = GridSpec(1, 0.5, 0.5)  # 9 sites
+    a = sp.csr_matrix(np.triu(np.ones((9, 9))))
+    with pytest.raises(InvariantViolation, match="not Hermitian"):
+        DiscreteOperator(a, 0, 0, grid)
 
 
 def test_hermiticity_scan_leaves_the_callers_matrix_as_given():

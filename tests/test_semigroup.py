@@ -331,6 +331,15 @@ def test_kernel_diagonal_dense_and_krylov_agree():
 
 
 @pytest.mark.parametrize("variant", ["dense-eigen", "krylov"])
+def test_empty_time_list_gives_empty_results(variant):
+    grid = GridSpec(1, 2.0, 0.5)
+    op = assemble_model(ModelSpec(1, (1.0,), 0), grid)
+    method = SemigroupMethod(variant)
+    assert kernel_diagonals(op, grid.origin_site(), [], method) == []
+    assert heat_traces(op, [], method, seed=1) == []
+
+
+@pytest.mark.parametrize("variant", ["dense-eigen", "krylov"])
 def test_kernel_diagonals_follow_caller_order(variant):
     grid = GridSpec(1, 4.0, 0.4)
     op = assemble_model(ModelSpec(1, (1.0,), 1), grid)
