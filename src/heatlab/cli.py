@@ -29,10 +29,8 @@ import time
 from pathlib import Path
 from typing import NamedTuple
 
-from . import defaults
+from . import __version__, defaults
 from .errors import ConfigError, HeatlabError
-
-VERSION = "0.1.0"
 
 _THREAD_ENV_VARS = (
     "OMP_NUM_THREADS",
@@ -424,7 +422,7 @@ def run_experiment(cfg: dict, out_dir: Path) -> Path:
             json.dumps(loaded, sort_keys=True, separators=(",", ":")).encode()
         ).hexdigest(),
         "seed": cfg["seed"],
-        "tool_version": VERSION,
+        "tool_version": __version__,
         "wall_time_s": time.time() - started,
         "outputs": [cfg["output"]],
     }

@@ -4,12 +4,13 @@ Basis forms are indexed by strictly increasing multi-indices J of
 {0, ..., n-1} (0-based internally, 1-based in labels), ordered
 lexicographically.  All operators are dense complex matrices acting on
 coefficient vectors in that basis.  The basis is orthonormal, so iota_j is
-the adjoint of e^j wedge (one sign rule); cached matrices are read-only.
+the adjoint of e^j wedge (one sign rule); every cached result is read-only.
 """
 
 from functools import lru_cache
 from itertools import combinations
 from math import comb
+from types import MappingProxyType
 
 import numpy as np
 
@@ -25,9 +26,9 @@ def multi_indices(n: int, q: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def index_position(n: int, q: int) -> dict:
-    """Inverse of multi_indices: multi-index tuple -> basis position."""
-    return {J: a for a, J in enumerate(multi_indices(n, q))}
+def index_position(n: int, q: int) -> MappingProxyType:
+    """Inverse of multi_indices: multi-index tuple -> basis position (read-only)."""
+    return MappingProxyType({J: a for a, J in enumerate(multi_indices(n, q))})
 
 
 def fiber_dim(n: int, q: int) -> int:

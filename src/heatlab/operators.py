@@ -42,6 +42,8 @@ __all__ = [
 
 # Unit roundoff of float64.
 _ROUNDOFF = 2.0 ** -53
+# The positivity tolerance of DiscreteOperator._positive.
+_PSD_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -117,10 +119,11 @@ class GridSpec:
         return 2.0 ** self.n * self.lebesgue_cell
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class DiscreteOperator:
-    """Hermitian sparse operator over grid sites x fiber components, whose
-    ``matrix`` cannot be rebound.
+    """Hermitian sparse operator over grid sites x fiber components: an
+    immutable value that memoizes its spectral facts in ``_memo`` when first
+    asked for (``eigensystem``, ``eigenvalues``, ``_positive``).
 
     ``_floor``, a proven lower bound on the spectrum, is handed over only by
     assemble_model and assemble_scaled (see ``_floor``).  Their operators
@@ -133,6 +136,7 @@ class DiscreteOperator:
     k: int            # 0 denotes the unscaled model operator
     grid: GridSpec
     _floor: Optional[float] = field(default=None, kw_only=True, repr=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         a = self.matrix.tocsr()
@@ -147,18 +151,6 @@ class DiscreteOperator:
             for part in (a.data, a.indices, a.indptr):
                 part.flags.writeable = False
         object.__setattr__(self, "matrix", a)
-        # Spectral caches: the dense eigensystem and eigenvalues (filled only
-        # for the dense-eigen reference method), and the verdict of the banded
-        # Cholesky positivity certificate (spectral_bound_check asks for it
-        # only without a floor above -1e-8).
-        self._eig = None
-        self._eigvals = None
-        self._psd_verdict = None
-
-    def __setattr__(self, name, value):
-        if name in ("matrix", "_floor") and name in self.__dict__:
-            raise AttributeError(f"an operator's {name} cannot be rebound")
-        object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
@@ -177,18 +169,55 @@ class DiscreteOperator:
         return self.matrix.toarray()
 
     def eigensystem(self):
-        """Dense eigendecomposition (w, v), cached."""
-        if self._eig is None:
-            self._eig = tuple(np.linalg.eigh(self._dense()))
-        return self._eig
+        """Dense eigendecomposition (w, v), memoized."""
+        if "eig" not in self._memo:
+            self._memo["eig"] = tuple(np.linalg.eigh(self._dense()))
+        return self._memo["eig"]
 
     def eigenvalues(self):
-        """Dense eigenvalues only (cheaper than the full eigensystem), cached."""
-        if self._eig is not None:
-            return self._eig[0]
-        if self._eigvals is None:
-            self._eigvals = np.linalg.eigvalsh(self._dense())
-        return self._eigvals
+        """Dense eigenvalues only (cheaper than the full eigensystem), memoized."""
+        if "eig" in self._memo:
+            return self._memo["eig"][0]
+        if "eigvals" not in self._memo:
+            self._memo["eigvals"] = np.linalg.eigvalsh(self._dense())
+        return self._memo["eigvals"]
+
+    def _positive(self) -> bool:
+        """Whether the smallest eigenvalue exceeds -_PSD_TOL: a floor above
+        -_PSD_TOL decides it, else a memoized banded Cholesky verdict that no
+        memoized eigensystem enters.
+
+        By Sylvester's law of inertia, ``A + _PSD_TOL*I`` has a Cholesky factor
+        exactly when it is positive definite.  It is factorised banded in the
+        natural grid order (Golub & Van Loan, Matrix Computations, 4.3), in
+        place, from LAPACK's lower layout (``ab[d, j] = A[j+d, j]``) in
+        Fortran order.  A band larger than ``defaults.BAND_CHOLESKY_MAX_BYTES``
+        raises ``ResourceLimitError``.
+        """
+        if self._floor is not None and self._floor > -_PSD_TOL:
+            return True
+        if "psd" not in self._memo:
+            import scipy.linalg as sla
+
+            low = sp.tril(self.matrix, format="coo")
+            low.sum_duplicates()
+            offset = low.row - low.col
+            bands = int(offset.max(initial=0)) + 1
+            nbytes = 16 * bands * self.dim
+            if nbytes > defaults.BAND_CHOLESKY_MAX_BYTES:
+                raise ResourceLimitError(
+                    f"positivity band of {nbytes} bytes ({bands} x {self.dim}) exceeds "
+                    f"cap {defaults.BAND_CHOLESKY_MAX_BYTES}"
+                )
+            ab = np.zeros((bands, self.dim), dtype=complex, order="F")
+            ab[offset, low.col] = low.data
+            ab[0] += _PSD_TOL
+            try:
+                sla.cholesky_banded(ab, overwrite_ab=True, lower=True, check_finite=False)
+                self._memo["psd"] = True
+            except np.linalg.LinAlgError:
+                self._memo["psd"] = False
+        return self._memo["psd"]
 
 
 @dataclass(frozen=True)

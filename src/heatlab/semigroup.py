@@ -11,8 +11,9 @@ requested time at one sparse product per degree, with no
 orthogonalisation and no small eigenproblem.  Each result carries an
 a-priori error bound, and a sweep stops once that bound is below unit
 roundoff relative to every result (see ``_ChebyshevBlock``).  A dense
-eigendecomposition (exact up to rounding, cached on the operator) runs
-only when asked for, as the reference.
+eigendecomposition (exact up to rounding, memoized by the operator) runs
+only when asked for, as the reference.  This module reads operators and
+writes no state into them.
 
 b is the Gershgorin upper end.  a is the spectral floor that
 ``assemble_model`` and ``assemble_scaled`` prove for every operator they
@@ -29,22 +30,21 @@ half-time vectors, positive semidefinite by construction (Golub & Meurant,
 Matrices, Moments and Quadrature, 2010).  A bound E on the error of a
 half-time vector y bounds that of its squared norm by 2 E ||y|| + E^2.
 
-The spectral bound check reduces to positivity.  A floor above -1e-8
-decides it; any other operator is certified by one banded Cholesky
-factorisation (see ``spectral_bound_check``).
+The spectral bound check reduces to positivity, which the operator
+certifies and memoizes (``DiscreteOperator._positive``).
 """
 
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import defaults
-from .errors import ArgumentError, InvariantViolation, NumericalError, ResourceLimitError
+from .errors import ArgumentError, InvariantViolation, NumericalError
 from .geometry import FiberEndomorphism, WeightFunction
 from .model_kernels import ModelSpec, _check_time, model_diagonal
 from .operators import (
+    _PSD_TOL,
     _ROUNDOFF,
     DiscreteOperator,
     GridSpec,
@@ -163,8 +163,6 @@ class TraceEstimate:
     method: str
 
 
-# The positivity tolerance of spectral_bound_check.
-_PSD_TOL = 1e-8
 # Largest rounding estimate of a sweep that is trusted, relative to its result.
 _ROUNDING_LIMIT = 2.0 ** -36
 # Halvings of an untrusted first step tried before giving up.
@@ -440,58 +438,23 @@ class SpectralBoundReport:
     attaining_eigenvalue: float
 
 
-def _certify_positive(op: DiscreteOperator) -> bool:
-    """Whether the smallest eigenvalue exceeds -_PSD_TOL, cached on the
-    operator (asked only where no floor decides it).
-
-    By Sylvester's law of inertia, ``A + _PSD_TOL*I`` has a Cholesky factor
-    exactly when it is positive definite.  The factorisation is banded in
-    the natural grid order (Golub & Van Loan, Matrix Computations, 4.3),
-    with the half-bandwidth read from the matrix.  The band is stored in
-    LAPACK's lower layout (``ab[d, j] = A[j+d, j]``) in Fortran order, so
-    that it is factorised in place without a copy.  A band larger than
-    ``defaults.BAND_CHOLESKY_MAX_BYTES`` raises ``ResourceLimitError``.
-    """
-    if op._psd_verdict is None:
-        import scipy.linalg as sla
-
-        low = sp.tril(op.matrix, format="coo")
-        low.sum_duplicates()
-        offset = low.row - low.col
-        bands = int(offset.max(initial=0)) + 1
-        nbytes = 16 * bands * op.dim
-        if nbytes > defaults.BAND_CHOLESKY_MAX_BYTES:
-            raise ResourceLimitError(
-                f"positivity band of {nbytes} bytes ({bands} x {op.dim}) exceeds "
-                f"cap {defaults.BAND_CHOLESKY_MAX_BYTES}"
-            )
-        ab = np.zeros((bands, op.dim), dtype=complex, order="F")
-        ab[offset, low.col] = low.data
-        ab[0] += _PSD_TOL
-        try:
-            sla.cholesky_banded(ab, overwrite_ab=True, lower=True, check_finite=False)
-            op._psd_verdict = True
-        except np.linalg.LinAlgError:
-            op._psd_verdict = False
-    return op._psd_verdict
-
-
 def spectral_bound_check(op: DiscreteOperator, t: float, n_power: int) -> SpectralBoundReport:
     """Check max_s s^N e^{-ts} <= (N/(e t))^N over the operator spectrum.
 
     The bound is the calculus maximum of s^N e^{-ts} over s >= 0 (equal to
-    1 for N = 0), so the only falsifiable content is positivity itself.  A
-    floor proven at assembly above -1e-8 (``_PSD_TOL``) passes it.  Any other
-    operator is certified by one banded Cholesky factorisation of
-    ``A + 1e-8*I``: it is rejected with ``InvariantViolation`` iff its
-    smallest eigenvalue is <= -1e-8, whatever spectral caches it holds.  A
-    band above ``defaults.BAND_CHOLESKY_MAX_BYTES`` (it grows as
-    d*side^(2n-1) rows) raises ``ResourceLimitError``.
+    1 for N = 0), so the only falsifiable content is positivity itself.  An
+    operator is rejected with ``InvariantViolation`` iff its smallest
+    eigenvalue is <= -1e-8 (``_PSD_TOL``): a floor proven at assembly above
+    that passes it, and any other operator is certified by one banded
+    Cholesky factorisation of ``A + 1e-8*I`` (``DiscreteOperator._positive``),
+    whatever eigensystem it has memoized.  A band above
+    ``defaults.BAND_CHOLESKY_MAX_BYTES`` (it grows as d*side^(2n-1) rows)
+    raises ``ResourceLimitError``.
     """
     (t,) = _positive_times([t])
     if not 0 <= n_power <= 4:
         raise ArgumentError("N must be between 0 and 4")
-    if (op._floor is None or op._floor <= -_PSD_TOL) and not _certify_positive(op):
+    if not op._positive():
         raise InvariantViolation(
             f"operator not PSD: smallest eigenvalue <= {-_PSD_TOL:.3e} "
             "(banded Cholesky of A + tol*I failed)"

@@ -206,8 +206,7 @@ def morse_trace_inequality(bundle: EllipticCurveBundle, k: int, q: int, t: float
 
 
 def product_torus_morse(b1: EllipticCurveBundle, b2: EllipticCurveBundle,
-                        k: int, q: int, t: float,
-                        quadrature_cells: int = 16) -> ProductMorseRecord:
+                        k: int, q: int, t: float) -> ProductMorseRecord:
     """Morse-inequality comparison on a product of curves with degrees
     (d1 > 0, d2 < 0): exact Kunneth dimensions against combined traces,
     plus the curvature integral from ``geometry.morse_bound``.
@@ -228,7 +227,7 @@ def product_torus_morse(b1: EllipticCurveBundle, b2: EllipticCurveBundle,
     rec = _alternating(k, q, t, dims, traces)
 
     curv = CurvatureEndomorphism.diagonal([b1.lambda_scalar, b2.lambda_scalar])
-    field = CurvatureField.constant(curv, b1.area * b2.area, cells=quadrature_cells)
+    field = CurvatureField.constant(curv, b1.area * b2.area)  # constant, so one cell is exact
     integral = morse_bound(field, q).value
     return ProductMorseRecord(*astuple(rec), float(integral), rec.lhs / float(k) ** 2)
 

@@ -248,7 +248,7 @@ def test_criterion_11_morse_integrals(criterion):
     started = time.time()
     b1 = EllipticCurveBundle(1j, 2)
     b2 = EllipticCurveBundle(1.5j, -3)
-    rec = product_torus_morse(b1, b2, 4, 1, 1.0, quadrature_cells=64)
+    rec = product_torus_morse(b1, b2, 4, 1, 1.0)
     slope = rec.normalized_lhs
     ok = abs(rec.morse_integral - 6.0) <= 0.005 * 6.0 and abs(slope - 6.0) <= 0.005 * 6.0
     # all-index-1 field gives a vanishing q=0 bound

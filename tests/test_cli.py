@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +38,13 @@ def test_duplicate_key_rejected(tmp_path, capsys):
     path.write_text('{"experiment": "model-kernel", "experiment": "trace"}', encoding="utf-8")
     assert main(["validate", str(path)]) == 2
     assert "experiment" in capsys.readouterr().err
+
+
+def test_unreadable_config_exits_2(tmp_path, capsys):
+    for path in (tmp_path / "absent.json", tmp_path):
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "cannot read config" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_missing_field_names_it(tmp_path, capsys):
@@ -170,6 +178,20 @@ def test_model_kernel_run_value(tmp_path):
     np.testing.assert_allclose(value, 1.0 / (4 * np.pi), rtol=1e-15)
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["seed"] == 1 and manifest["outputs"] == ["mk.csv"]
+
+
+def test_one_version_string(tmp_path):
+    # pyproject.toml, the package and every manifest name one version
+    import heatlab
+
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as fh:
+        version = tomllib.load(fh)["project"]["version"]
+    path = _write(tmp_path, "cfg.json", MODEL_KERNEL_CFG)
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 0
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert version == heatlab.__version__ == manifest["tool_version"]
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys):
@@ -333,6 +355,7 @@ def test_threads_env_fallback(tmp_path, monkeypatch):
     path = _write(tmp_path, "cfg.json", MODEL_KERNEL_CFG)
     assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
     monkeypatch.setenv("HEATLAB_THREADS", "1")
+    assert main(["run", str(path), "--threads", "0", "--out", str(tmp_path / "o0")]) == 2
     assert main(["run", str(path), "--out", str(tmp_path / "o2")]) == 0
 
 

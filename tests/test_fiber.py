@@ -103,3 +103,12 @@ def test_cached_fiber_matrices_reject_writes():
         with pytest.raises(ValueError):
             m[0, 0] = 5
     assert fiber.wedge_matrix(2, 0, 0)[0, 0] == 1
+
+
+def test_cached_index_position_rejects_writes():
+    # a write once moved e^1 wedge e^0 to row 2 of every later wedge matrix
+    expected = fiber.wedge_matrix(3, 1, 1).copy()
+    with pytest.raises(TypeError):
+        fiber.index_position(3, 2)[(0, 1)] = 2
+    fiber.wedge_matrix.cache_clear()
+    assert np.array_equal(fiber.wedge_matrix(3, 1, 1), expected)

@@ -283,6 +283,15 @@ def test_morse_alternating_sum_telescopes():
 def test_empty_field_rejected():
     with pytest.raises(ArgumentError):
         CurvatureField((), np.array([]))
+    curv = CurvatureEndomorphism.diagonal([1.0])
+    with pytest.raises(ArgumentError, match="one volume per cell"):
+        CurvatureField((curv, curv), np.array([1.0]))
+    for vol in (0.0, -1.0):
+        with pytest.raises(ArgumentError, match="volumes must be positive"):
+            CurvatureField((curv,), np.array([vol]))
+    for tol in (0.0, -1e-8):
+        with pytest.raises(ArgumentError, match="tol must be positive"):
+            morse_index(curv, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -316,4 +325,7 @@ def test_curvature_field_csv_rejects_bad_header(tmp_path):
         read_curvature_field(path)
     path.write_text("u1,vol,re_11\n0,1,1\n", encoding="utf-8")
     with pytest.raises(ArgumentError):
+        read_curvature_field(path)
+    path.write_text("u1,vol,re_11,im_11\n0,1,1,0\n0,1,1\n", encoding="utf-8")
+    with pytest.raises(ArgumentError, match=":3: expected 4 fields"):
         read_curvature_field(path)

@@ -69,6 +69,9 @@ def test_mehler_rejects_bad_time_and_reading():
         mehler_scalar(spec, -1.0, [0.0], [0.0])
     with pytest.raises(ArgumentError):
         mehler_scalar(spec, 1.0, [0.0], [0.0], quadratic_reading="bogus")
+    for z, w in (([0.0, 0.0], [0.0]), ([0.0], [[0.0]])):
+        with pytest.raises(ArgumentError, match="points must have shape"):
+            mehler_scalar(spec, 1.0, z, w)
 
 
 def test_mehler_log_space_accumulation_consistent():

@@ -54,6 +54,25 @@ def test_grid_rejects_bad_parameters():
     for radius, spacing in ((np.inf, 0.5), (np.nan, 0.5), (1.0, np.nan)):
         with pytest.raises(ArgumentError):
             GridSpec(1, radius, spacing)
+    grid = GridSpec(1, 1.0, 0.5)  # 5 points per axis
+    with pytest.raises(ArgumentError, match="2 indices"):
+        grid.flat_index((2,))
+    for site in ((5, 0), (0, -1)):
+        with pytest.raises(ArgumentError, match="outside grid"):
+            grid.flat_index(site)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda g: assemble_model(ModelSpec(2, (1.0, 1.0), 0), g), "dimensions differ"),
+    (lambda g: assemble_scaled(WeightFunction(2, (1.0, 1.0)), None, 1, g, 0),
+     "dimensions differ"),
+    (lambda g: assemble_scaled(WeightFunction(1, (1.0,)), None, 1, g, 2), "q=2 outside"),
+    (lambda g: assemble_scaled(WeightFunction(1, (1.0,)), None, 1, g, -1), "q=-1 outside"),
+    (lambda g: assemble_scaled(WeightFunction(1, (1.0,)), None, 0, g, 0), "k must be"),
+])
+def test_assemblers_reject_bad_arguments(build, message):
+    with pytest.raises(ArgumentError, match=message):
+        build(GridSpec(1, 1.0, 0.5))
 
 
 def test_site_coordinates_layout():
@@ -782,6 +801,23 @@ def test_assembled_operator_is_frozen(case):
     with pytest.raises(AttributeError):
         op.matrix = m.copy()
     assert op.matrix is m
+
+
+@pytest.mark.parametrize("built", ["assembled", "user-built"])
+def test_no_operator_field_can_be_rebound(built):
+    # a rebound grid once made kernel_diagonal read the wrong sites, and
+    # nothing raised; every field of every operator is now fixed
+    grid = GridSpec(1, 2.0, 0.25)
+    op = assemble_model(ModelSpec(1, (1.0,), 0), grid)
+    if built == "user-built":
+        op = DiscreteOperator(op.matrix, op.q, op.k, op.grid)
+    before = {name: getattr(op, name) for name in ("matrix", "q", "k", "grid", "_floor")}
+    others = {"matrix": op.matrix.copy(), "q": 1, "k": 4, "grid": GridSpec(1, 2.0, 0.5),
+              "_floor": -1.0}
+    for name, value in others.items():
+        with pytest.raises(AttributeError):
+            setattr(op, name, value)
+        assert getattr(op, name) is before[name]
 
 
 @pytest.mark.parametrize("case", list(_FLOOR_CASES))

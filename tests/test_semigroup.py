@@ -114,11 +114,11 @@ def test_default_method_never_diagonalises(monkeypatch):
     op = assemble_model(ModelSpec(1, (1.0,), 1), grid)
     assert op.dim == 441
 
-    def boom():
+    def boom(self):
         raise AssertionError("dense eigensolve without a dense-eigen method")
 
-    monkeypatch.setattr(op, "eigensystem", boom)
-    monkeypatch.setattr(op, "eigenvalues", boom)
+    monkeypatch.setattr(DiscreteOperator, "eigensystem", boom)
+    monkeypatch.setattr(DiscreteOperator, "eigenvalues", boom)
     v = np.ones(op.dim, dtype=complex)
     krylov = SemigroupMethod("krylov")
     np.testing.assert_array_equal(heat_apply(op, v, 0.8), heat_apply(op, v, 0.8, krylov))
@@ -162,7 +162,7 @@ def test_krylov_nonconvergence_reports_residual(monkeypatch):
     v = np.random.default_rng(5).normal(size=op.dim) + 0j
     expected = heat_apply(op, v, 2.0, SemigroupMethod("dense-eigen"))
     got = heat_apply(op, v, 2.0)
-    assert op._psd_verdict is None
+    assert "psd" not in op._memo
     assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
     monkeypatch.setattr(semigroup, "_MAX_HALVINGS", 0)
     with pytest.raises(NumericalError) as err:
@@ -508,7 +508,7 @@ def test_chebyshev_samples_within_a_priori_bound(small_model_op):
     op, xi = small_model_op
     block = semigroup._ChebyshevBlock(op)
     assert block.low == op._floor  # the assembler's floor, min Theta_0 = 1 less rounding
-    assert 1.0 - 1e-12 < op._floor < 1.0 and op._psd_verdict is None
+    assert 1.0 - 1e-12 < op._floor < 1.0 and "psd" not in op._memo
     prop = block.propagate(xi, [t / 2 for t in _TS])
     samples, errs = prop.squares.T, prop.errs.T
     bounds = errs * (2.0 * np.sqrt(samples) + errs)
@@ -567,7 +567,7 @@ def test_chebyshev_trace_with_gershgorin_lower_end():
     # certificate is asked for
     op = _synthetic_op(np.linspace(-3.0, 40.0, 9))
     assert semigroup._spectral_interval(op) == (-3.0, 40.0)
-    assert op._psd_verdict is None
+    assert "psd" not in op._memo
     ests = heat_traces(op, _TS, seed=5, probes=6)
     for est, value in zip(ests, _dense_traces_of_probes(op, _TS, 5, 6)):
         assert abs(est.value - value) <= 1e-13 * value
@@ -579,7 +579,7 @@ def test_chebyshev_trace_when_the_band_exceeds_its_cap(small_model_op, monkeypat
     op = _shifted(small_model_op[0], 0.0)
     monkeypatch.setattr(defaults, "BAND_CHOLESKY_MAX_BYTES", 16)
     with pytest.raises(ResourceLimitError):
-        semigroup._certify_positive(op)
+        op._positive()
     ests = heat_traces(op, _TS, seed=9, probes=4)
     for est, value in zip(ests, _dense_traces_of_probes(op, _TS, 9, 4)):
         assert abs(est.value - value) <= 1e-12 * value
@@ -605,7 +605,7 @@ def test_operator_without_floor_sweeps_from_gershgorin(small_model_op, monkeypat
     assert len(sweeps) > 1 and sweeps[0] == [0.25, 1.0, 4.0]
     for est, value in zip(ests, _dense_traces_of_probes(op, _TS, 9, 4)):
         assert abs(est.value - value) <= 1e-12 * value
-    assert op._psd_verdict is None
+    assert "psd" not in op._memo
 
 
 def test_floor_lets_a_large_operator_sweep_once(monkeypatch):
@@ -705,6 +705,19 @@ def test_bound_rejects_indefinite():
     op = _synthetic_op(np.array([-1.0] + [1.0] * 8))
     with pytest.raises(InvariantViolation):
         spectral_bound_check(op, 1.0, 1)
+    for n_power in (-1, 5):
+        with pytest.raises(ArgumentError, match="N must be between 0 and 4"):
+            spectral_bound_check(_synthetic_op(np.ones(9)), 1.0, n_power)
+
+
+def test_heat_apply_copies_at_zero_and_checks_shape():
+    op = _synthetic_op(np.linspace(0.0, 4.0, 9))
+    v = np.arange(9, dtype=complex)
+    out = heat_apply(op, v, 0.0)
+    assert np.array_equal(out, v) and out is not v and not np.shares_memory(out, v)
+    for bad in (np.ones(8), np.ones((9, 1))):
+        with pytest.raises(ArgumentError, match=r"shape \(9,\)"):
+            heat_apply(op, bad, 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -823,7 +836,7 @@ def test_band_above_cap_raises_resource_limit(sparse_model_op, monkeypatch):
     monkeypatch.setattr(defaults, "BAND_CHOLESKY_MAX_BYTES", band_bytes - 1)
     with pytest.raises(ResourceLimitError, match=f"{band_bytes} bytes.*cap {band_bytes - 1}"):
         spectral_bound_check(op, 1.0, 0)
-    assert op._psd_verdict is None
+    assert "psd" not in op._memo
     monkeypatch.setattr(defaults, "BAND_CHOLESKY_MAX_BYTES", band_bytes)
     assert spectral_bound_check(op, 1.0, 0).passed
 

@@ -46,6 +46,15 @@ def test_closed_forms_reject_bad_time(entry, t):
         _CLOSED_FORMS[entry](t)
 
 
+@pytest.mark.parametrize("k, q, cutoff, message", [
+    (0, 0, 2, "k must be"), (1, 2, 2, "q must be 0 or 1"), (1, -1, 2, "q must be 0 or 1"),
+    (1, 0, -1, "cutoff must be nonnegative"),
+])
+def test_landau_spectrum_rejects_bad_arguments(k, q, cutoff, message):
+    with pytest.raises(ArgumentError, match=message):
+        landau_spectrum(_B1, k, q, cutoff)
+
+
 # ---------------------------------------------------------------------------
 # landau_spectrum
 
@@ -207,6 +216,12 @@ def test_product_rejects_wrong_sign_pattern():
     b1 = EllipticCurveBundle(1j, 1)
     with pytest.raises(ArgumentError):
         product_torus_morse(b1, b1, 1, 1, 1.0)
+    b2 = EllipticCurveBundle(1j, -1)
+    for q in (-1, 3):
+        with pytest.raises(ArgumentError, match="q must be in"):
+            product_torus_morse(b1, b2, 1, q, 1.0)
+    with pytest.raises(ArgumentError, match="k must be"):
+        product_torus_morse(b1, b2, 0, 1, 1.0)
 
 
 @pytest.mark.parametrize("d1, d2", [(1, -1), (2, -3), (3, -2)])
@@ -375,3 +390,9 @@ def test_too_coarse_resolution_rejected():
     with pytest.raises(ArgumentError, match="n_points >= 4"):
         validate_landau_levels(EllipticCurveBundle(1j, 1), 1, eigen_count=2,
                                resolutions=(3, 6))
+    with pytest.raises(ArgumentError, match="factor of 2"):
+        validate_landau_levels(EllipticCurveBundle(1j, 1), 1, eigen_count=2,
+                               resolutions=(16, 24))
+    with pytest.raises(ArgumentError, match="positive degree"):
+        validate_landau_levels(EllipticCurveBundle(1j, -1), 1, eigen_count=2,
+                               resolutions=(16, 32))
