@@ -848,3 +848,30 @@ def test_matrix_market_export_roundtrip(tmp_path):
     assert "complex" in header and "general" in header
     back = mmread(str(path)).tocsr()
     assert np.abs(back - op.matrix).max() < 1e-15
+
+
+# ---------------------------------------------------------------------------
+# refactor oracle
+
+
+def test_assembled_operators_match_the_committed_digests():
+    """Every case of ``tests/reference/operators_digest.py`` assembles to the
+    CSR arrays and floor whose SHA-256 digests ``operators.json`` holds.
+    The digests hold only on the toolchain that wrote them (numpy 2.4,
+    scipy 1.17 and their BLAS); a change that moves rounding on purpose
+    regenerates them with that script and names the moved cases."""
+    import importlib.util
+    import json
+    from pathlib import Path
+
+    here = Path(__file__).with_name("reference")
+    spec = importlib.util.spec_from_file_location("operators_digest",
+                                                  here / "operators_digest.py")
+    oracle = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracle)
+    expected = json.loads((here / "operators.json").read_text(encoding="utf-8"))
+    got = oracle.digests()
+    assert sorted(got) == sorted(expected)
+    moved = [f"{label}: {', '.join(part for part in got[label] if got[label][part] != want[part])}"
+             for label, want in sorted(expected.items()) if got[label] != want]
+    assert not moved, "moved cases:\n" + "\n".join(moved)
