@@ -52,7 +52,7 @@ def _reject_duplicates(pairs):
 def load_config(path) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     try:
         cfg = json.loads(text, object_pairs_hook=_reject_duplicates)

@@ -41,7 +41,9 @@ def test_duplicate_key_rejected(tmp_path, capsys):
 
 
 def test_unreadable_config_exits_2(tmp_path, capsys):
-    for path in (tmp_path / "absent.json", tmp_path):
+    not_utf8 = tmp_path / "utf16.json"
+    not_utf8.write_bytes(b"\xff\xfe{\x00}\x00")
+    for path in (tmp_path / "absent.json", tmp_path, not_utf8):
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "cannot read config" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
