@@ -291,10 +291,12 @@ def _place(op1d: sp.spmatrix, axis: int, axes: int, s: int) -> sp.csr_matrix:
 
 
 class _GridOperators:
-    """Per-grid cache of placed derivative matrices, coordinate arrays and
-    the stabilizer, and of the k-invariant parts of ``assemble_scaled``: the
-    twist correction and its sum with the stabilizer on the fiber.  One
-    instance serves every k of one ``converge_in_k`` call."""
+    """Per-grid cache of placed derivative matrices, coordinate arrays, the
+    stabilizer and the stencil of the row operators, and of the k-invariant
+    parts of ``assemble_scaled``: the twist correction, its sum with the
+    stabilizer on the fiber, and the terms of ``_floor`` that neither k nor
+    the Gram factor changes.  One instance serves every k of one
+    ``converge_in_k`` call."""
 
     def __init__(self, grid: GridSpec):
         self.grid = grid
@@ -308,7 +310,7 @@ class _GridOperators:
         unit = (defaults.GHOST_STABILIZER * h**6 * (self.d4.T @ self.d4)).tocsr()
         self.stabilizer = sum(_place(unit, a, axes, s) for a in range(axes)).tocsr()
         self.z = grid.site_coordinates()
-        self._twists = {}
+        self._memo = {}
 
     def dzbar(self, j: int) -> sp.csr_matrix:
         return 0.5 * (self.first[2 * j] + 1j * self.first[2 * j + 1])
@@ -317,13 +319,32 @@ class _GridOperators:
         """C_j = d/dzbar_j + (lam/2) z_j."""
         return (self.dzbar(j) + sp.diags(0.5 * lam * self.z[:, j])).tocsr()
 
+    def stencil(self, coords: tuple) -> tuple:
+        """The pattern of I + sum_{s in coords} d/dzbar_s as site triplets
+        sorted by row and column: (rows, cols, the coordinate s of each entry
+        (-1 on the diagonal), its d/dzbar_s value (0 on the diagonal), the
+        positions of the diagonal)."""
+        key = ("stencil", coords)
+        if key not in self._memo:
+            sites = self.grid.sites
+            parts = [self.dzbar(s).tocoo() for s in coords]
+            diag = np.arange(sites, dtype=np.int32)
+            rows = np.concatenate([p.row for p in parts] + [diag])
+            cols = np.concatenate([p.col for p in parts] + [diag])
+            order = np.lexsort((cols, rows))
+            coord = np.concatenate([np.full(p.nnz, s) for s, p in zip(coords, parts)]
+                                   + [np.full(sites, -1)])[order]
+            value = np.concatenate([p.data for p in parts] + [np.zeros(sites, complex)])[order]
+            self._memo[key] = rows[order], cols[order], coord, value, np.flatnonzero(coord < 0)
+        return self._memo[key]
+
     def twist(self, lam, q: int) -> tuple:
         """The k-invariant parts of ``assemble_scaled`` at degree q: the exact
         twist correction R = sum_j pi_j (x) delta_j, delta_j = lam_j I -
         [C0_j, C0_j^H], and F = R + S, S the stabilizer on each fiber
         component."""
-        key = (tuple(lam), q)
-        if key not in self._twists:
+        key = ("twist", tuple(lam), q)
+        if key not in self._memo:
             n, sites, d = self.grid.n, self.grid.sites, fiber.fiber_dim(self.grid.n, q)
             rest = sp.csr_matrix((d * sites, d * sites))
             for j in range(n):
@@ -333,8 +354,38 @@ class _GridOperators:
                     c0h = c0.getH().tocsr()
                     delta = (lam[j] * sp.identity(sites) - (c0 @ c0h - c0h @ c0)).tocsr()
                     rest = rest + sp.kron(sp.diags(pi_j), delta).tocsr()
-            self._twists[key] = rest, rest + sp.kron(sp.identity(d), self.stabilizer).tocsr()
-        return self._twists[key]
+            self._memo[key] = rest, rest + sp.kron(sp.identity(d), self.stabilizer).tocsr()
+        return self._memo[key]
+
+    def probe(self, dim: int) -> tuple:
+        """The k-invariant stabilizer terms of ``_floor`` at dimension dim:
+        its Rademacher probe x, (I (x) S) x, the row bound sigma h^6
+        sum_a |D4_a|^T |D4_a| 1 on each fiber block, the longest row of S
+        and the longest inner product of D4^T D4."""
+        key = ("probe", dim)
+        if key not in self._memo:
+            s, axes = self.grid.points_per_axis, 2 * self.grid.n
+            d4 = abs(self.d4)
+            w = d4.T @ (d4 @ np.ones(s))  # |D4|^T |D4| 1 along one axis
+            rows = sum(w.reshape([s if b == ax else 1 for b in range(axes)])
+                       for ax in range(axes))
+            x = np.random.default_rng(0).choice([-1.0, 1.0], size=dim)
+            self._memo[key] = (
+                x, _per_block(self.stabilizer, x),
+                np.tile(defaults.GHOST_STABILIZER * self.grid.spacing**6 * rows.ravel(),
+                        dim // self.grid.sites),
+                int(np.diff(self.stabilizer.indptr).max(initial=0)), _inner_length(d4))
+        return self._memo[key]
+
+    def remainder(self, rest, x, key) -> tuple:
+        """``_gershgorin`` of the remainder ``rest`` and rest @ x, memoized
+        under ``key`` (None: afresh, for a remainder that changes with k)."""
+        if key is None:
+            return _gershgorin(rest) + (rest @ x,)
+        key = ("remainder", key)
+        if key not in self._memo:
+            self._memo[key] = _gershgorin(rest) + (rest @ x,)
+        return self._memo[key]
 
 
 def _gershgorin(m) -> tuple:
@@ -359,11 +410,12 @@ def _per_block(m, x) -> np.ndarray:
     return (m @ x.reshape(-1, m.shape[1]).T).T.ravel()
 
 
-def _floor(ops: _GridOperators, a, g, rest, sums: int) -> float:
+def _floor(ops: _GridOperators, a, g, rest, sums: int, key=None) -> float:
     """A lower bound on the spectrum of the stored a = fl(A), A = G^H G + S
     + R, added up in ``sums`` roundings from the product of the stored Gram
     factor G, the stabilizer S of ``ops`` and a stored Hermitian remainder
-    R (a G or S narrower than a acts on each fiber block).
+    R (a G or S narrower than a acts on each fiber block).  The terms of
+    S, and those of R under ``key``, are memoized in ``ops``.
 
     lambda_min(A) is at least the Gershgorin lower end of R (Weyl), and
     |fl(A) - A| <= gamma_m B entrywise, B = |G|^H |G| + |R| + sigma h^6
@@ -384,21 +436,16 @@ def _floor(ops: _GridOperators, a, g, rest, sums: int) -> float:
     longest inner product.  An entry of a x - (G^H (G x) + S x + R x)
     above gamma_p (B 1)_i, p = 3 m + 8 (c + 3), raises InvariantViolation.
     """
-    stab = ops.stabilizer
-    s, axes, dim = ops.grid.points_per_axis, 2 * ops.grid.n, a.shape[0]
-    d4, g_abs = abs(ops.d4), abs(g)
-    w = d4.T @ (d4 @ np.ones(s))  # |D4|^T |D4| 1 along one axis
-    stab_rows = sum(w.reshape([s if b == ax else 1 for b in range(axes)]) for ax in range(axes))
-    lower, _, bound, count = _gershgorin(rest)
-    bound = bound + np.tile(defaults.GHOST_STABILIZER * ops.grid.spacing**6 * stab_rows.ravel(),
-                            dim // ops.grid.sites)
+    dim = a.shape[0]
+    x, stab_x, stab_bound, stab_count, d4_inner = ops.probe(dim)
+    lower, _, bound, count, rest_x = ops.remainder(rest, x, key)
+    g_abs = abs(g)
+    bound = bound + stab_bound
     bound += np.tile(g_abs.T @ (g_abs @ np.ones(g.shape[1])), dim // g.shape[1])
-    inner = max(_inner_length(d4), _inner_length(g))
-    m = inner + 3 + 1 + axes + sums + count
-    x = np.random.default_rng(0).choice([-1.0, 1.0], size=dim)
-    residual = np.abs(a @ x - _per_block(stab, x) - rest @ x
-                      - _per_block(g.getH(), _per_block(g, x)))
-    c = max([inner] + [int(np.diff(f.indptr).max(initial=0)) for f in (a, stab, rest, g)])
+    inner = max(d4_inner, _inner_length(g))
+    m = inner + 3 + 1 + 2 * ops.grid.n + sums + count
+    residual = np.abs(a @ x - stab_x - rest_x - _per_block(g.getH(), _per_block(g, x)))
+    c = max([inner, stab_count, count] + [int(np.diff(f.indptr).max(initial=0)) for f in (a, g)])
     p = 3 * m + 8 * (c + 3)
     if np.any(residual > p * _ROUNDOFF / (1.0 - p * _ROUNDOFF) * bound):
         raise InvariantViolation(f"assembled matrix differs from its pieces by up to "
@@ -406,19 +453,52 @@ def _floor(ops: _GridOperators, a, g, rest, sums: int) -> float:
     return lower - m * _ROUNDOFF / (1.0 - m * _ROUNDOFF) * float(bound.max())
 
 
+def _gram_factor(sites: int, blocks: dict, shape: tuple) -> tuple:
+    """A Gram factor G and G^H in CSR, both from one COO triplet list.
+
+    ``blocks`` maps the (row, column) of each nonzero sites x sites block of
+    G to its site triplets (rows, cols, values), sorted by row and column or
+    by column and row; so the rows of G and of G^H come out sorted, with no
+    sort.  Exact zeros are dropped, as sparse sums and products drop them.
+    """
+    keys = sorted(blocks)
+    rows = np.concatenate([blocks[b][0] + int(b[0]) * sites for b in keys])
+    cols = np.concatenate([blocks[b][1] + int(b[1]) * sites for b in keys])
+    data = np.concatenate([blocks[b][2] for b in keys])
+    keep = data != 0
+    if not keep.all():
+        rows, cols, data = rows[keep], cols[keep], data[keep]
+    return (sp.csr_matrix((data, (rows, cols)), shape=shape),
+            sp.csr_matrix((np.conj(data), (cols, rows)), shape=shape[::-1]))
+
+
+def _sorted_gram(g, gh, fixed) -> sp.csr_matrix:
+    """G^H G + fixed, the product sorted first so that the sum is a merge of
+    two sorted matrices and needs no sort of its own."""
+    gram = gh @ g
+    gram.sort_indices()
+    return gram + fixed
+
+
 def assemble_model(spec: ModelSpec, grid: GridSpec) -> DiscreteOperator:
     """Model operator sum_j C_j^dag C_j + Theta_0 (plus the ghost stabilizer).
 
-    G stacks the C_j in CSR, so one product G^dag G gives their sum, as in
-    ``assemble_scaled``.  The spectral floor is min Theta_0 less the
-    rounding allowance of ``_floor``, with G and the stabilizer as Gram
-    parts.
+    G stacks the C_j, built from the stencil as in ``assemble_scaled``, so
+    one product G^dag G gives their sum.  The spectral floor is min Theta_0
+    less the rounding allowance of ``_floor``, with G and the stabilizer as
+    Gram parts.
     """
     if spec.n != grid.n:
         raise ArgumentError("model and grid dimensions differ")
     ops = _GridOperators(grid)
-    stacked = sp.vstack([ops.model_factor(j, lj) for j, lj in enumerate(spec.lam)], format="csr")
-    scalar = stacked.getH().tocsr() @ stacked + ops.stabilizer
+    blocks = {}
+    for j, lj in enumerate(spec.lam):
+        rows, cols, _, value, diag = ops.stencil((j,))
+        value = value.copy()
+        value[diag] = 0.5 * lj * ops.z[:, j]
+        blocks[j, 0] = rows, cols, value
+    stacked, stacked_h = _gram_factor(grid.sites, blocks, (grid.n * grid.sites, grid.sites))
+    scalar = _sorted_gram(stacked, stacked_h, ops.stabilizer)
     theta0 = fiber.twist_eigenvalues(spec.lam, spec.q)
     a = sp.kron(sp.identity(theta0.size), scalar)
     # Theta_0 (x) I with every diagonal entry stored: one term per row
@@ -438,20 +518,27 @@ def _wedge_term_coefficients(r: np.ndarray, dr: list) -> np.ndarray:
 
     ``r`` holds the frame samples (points, n, n) and ``dr`` their real-axis
     partials (``_grid_partials``).  Returns an array of shape
-    (points, n, n, n) with entry [i, j, b, c] (antisymmetric in b, c).
+    (n, n, n, points) with entry [j, b, c, i] (antisymmetric in b, c).
+    Every product sums over its inner index in order, point by point.
     """
     n = r.shape[1]
+
+    def mul(x, y):  # x y of two (n, n, points) matrix fields
+        return sum(x[:, u, None] * y[None, u] for u in range(n))
+
+    def last(x):  # a (points, n, n) field as a contiguous (n, n, points) one
+        return np.ascontiguousarray(np.moveaxis(x, 0, -1))
+
     mbar = np.conj(np.eye(n) + r)
-    p = np.linalg.inv(mbar)
-    dn = np.empty(r.shape[:1] + (n, n, n), dtype=complex)  # dn[:, a] = d/dzbar_a of Nbar
-    for a in range(n):
-        dm = np.conj(0.5 * (dr[2 * a] - 1j * dr[2 * a + 1]))
-        dn[:, a] = -np.swapaxes(p @ dm @ p, 1, 2)
-    w = np.empty_like(dn)
-    for j in range(n):
-        t = np.einsum("pas,pba,pcs->pbc", dn[:, :, j, :], mbar, mbar)
-        w[:, j] = t - np.swapaxes(t, 1, 2)
-    return w
+    p = last(np.linalg.inv(mbar))
+    mbar = last(mbar)
+    # dn[a][j, s] = d/dzbar_a of Nbar, -(P dM_a P)^T
+    dn = [-mul(mul(p, last(np.conj(0.5 * (dr[2 * a] - 1j * dr[2 * a + 1])))), p).swapaxes(0, 1)
+          for a in range(n)]
+    # t[j][b, c] = sum_a mbar[b, a] sum_s dn[a][j, s] mbar[c, s]
+    u = [mul(d, mbar.swapaxes(0, 1)) for d in dn]
+    t = sum(mbar[None, :, a, None] * u[a][:, None] for a in range(n))
+    return t - t.swapaxes(1, 2)
 
 
 def assemble_scaled(weight: WeightFunction, pert: Optional[PerturbationSpec],
@@ -501,17 +588,19 @@ def assemble_scaled(weight: WeightFunction, pert: Optional[PerturbationSpec],
     z = ops.z
     y = z / sqrtk
     lam = np.asarray(weight.lam)
+    sites = grid.sites
 
     # Every coefficient is sampled once per assembly, a user callable once per
     # point and a whole-grid form once (``_sample``); the partials of r and
     # log m come from these samples (``_grid_partials``).
     if has_r:
         r = _sample(pert.r, y, (n, n), complex)
+        rbar = np.conj(r)
     grad_phi = (lam * y).astype(complex)        # d phi0 / dzbar at y
     if perturbation is not None:
         grad_phi = grad_phi + perturbation._zbar_gradients(y)
     step = grid.spacing / sqrtk  # between neighbouring sites y
-    grad_logm = np.zeros((grid.sites, n), dtype=complex)
+    grad_logm = np.zeros((sites, n), dtype=complex)
     if pert.volume_density is not None:
         d = _grid_partials(np.log(_sample(pert.m_at, y)), grid, step)
         grad_logm = np.stack([0.5 * (d[2 * j] + 1j * d[2 * j + 1]) for j in range(n)], axis=1)
@@ -519,52 +608,76 @@ def assemble_scaled(weight: WeightFunction, pert: Optional[PerturbationSpec],
     if has_r and n > 1 and q >= 1:
         wcoef = _wedge_term_coefficients(r, _grid_partials(r, grid, step))
 
-    # Row operators B_j = sum_s (delta_js + rbar_js) d/dzbar_s + g_j.
-    dzbars = [ops.dzbar(s) for s in range(n)]
+    # Row operators B_j = sum_s (delta_js + rbar_js) d/dzbar_s + g_j as values
+    # on the cached stencil of every coordinate (of coordinate j without r).
     rows = []
     for j in range(n):
-        b = dzbars[j]
         # the exact model part, then the weight and density perturbations
         g = (0.5 * lam[j] * z[:, j] + 0.5 * sqrtk * (grad_phi[:, j] - lam[j] * y[:, j])
              - 0.5 / sqrtk * grad_logm[:, j])
+        stencil = ops.stencil(tuple(range(n)) if has_r else (j,))
+        site_rows, _, coord, value, diag = stencil
+        b = np.where(coord == j, value, 0)
         if has_r:
+            b = b + rbar[site_rows, j, coord] * value
             for s in range(n):
-                coef = np.conj(r[:, j, s])
+                coef = rbar[:, j, s]
                 if np.any(coef != 0):
-                    b = b + sp.diags(coef) @ dzbars[s]
                     g = (g + 0.5 * sqrtk * coef * grad_phi[:, s]
                          - 0.5 / sqrtk * coef * grad_logm[:, s])
-        rows.append((b + sp.diags(g)).tocsr())
+        b[diag] = g
+        rows.append((stencil, b))
 
-    def fiber_sum(terms) -> sp.csr_matrix:
-        """sum of F (x) S over pairs of a fiber matrix F and a site matrix S."""
-        return sum(sp.kron(f, s) for f, s in terms).tocsr()
-
-    def dbar_matrix(degree: int) -> sp.csr_matrix:
-        """The scaled dbar from (0,degree) to (0,degree+1) forms."""
-        out = fiber_sum((fiber.wedge_matrix(n, degree, j), rows[j]) for j in range(n))
+    def dbar_blocks(degree: int) -> dict:
+        """The nonzero sites x sites blocks (rows, cols, values, diagonal) of
+        the scaled dbar from (0,degree) to (0,degree+1) forms."""
+        blocks = {}
+        for j, ((site_rows, site_cols, _, _, diag), b) in enumerate(rows):
+            wedge = fiber.wedge_matrix(n, degree, j)
+            for key in zip(*np.nonzero(wedge)):
+                blocks[key] = site_rows, site_cols, wedge[key] * b, diag
         if wcoef is None or degree < 1:
-            return out
-        # The (0,2) frame term: wedge_b wedge_c iota_j (x) w^j_bc, divided by
-        # sqrt(k) after the sum over (j, b, c).
-        frame = [(fiber.wedge_matrix(n, degree, b) @ fiber.wedge_matrix(n, degree - 1, c)
-                  @ fiber.contract_matrix(n, degree, j), sp.diags(wcoef[:, j, b, c]))
-                 for j in range(n) for b in range(n) for c in range(b + 1, n)
-                 if np.any(wcoef[:, j, b, c] != 0)]
-        return out + fiber_sum(frame) / sqrtk if frame else out
+            return blocks
+        # The (0,2) frame term: wedge_b wedge_c iota_j (x) w^j_bc on the site
+        # diagonal, divided by sqrt(k) after the sum over (j, b, c).
+        frame = {}
+        for j in range(n):
+            for b in range(n):
+                for c in range(b + 1, n):
+                    if not np.any(wcoef[j, b, c] != 0):
+                        continue
+                    f = (fiber.wedge_matrix(n, degree, b) @ fiber.wedge_matrix(n, degree - 1, c)
+                         @ fiber.contract_matrix(n, degree, j))
+                    for key in zip(*np.nonzero(f)):
+                        term = f[key] * wcoef[j, b, c]
+                        frame[key] = frame[key] + term if key in frame else term
+        every = np.arange(sites, dtype=np.int32)
+        for key, term in frame.items():
+            term = term * (1 / sqrtk)
+            if key in blocks:
+                blocks[key][2][blocks[key][3]] += term
+            else:
+                blocks[key] = every, every, term, every
+        return blocks
 
     # D_q is absent at q = n, D_{q-1} at q = 0.  G stacks D_q on D_{q-1}^dag,
     # so G^dag G = D_q^dag D_q + D_{q-1} D_{q-1}^dag is one CSR product.
-    d_q = dbar_matrix(q) if q < n else None
-    d_qm1 = dbar_matrix(q - 1) if q >= 1 else None
-    stacked = sp.vstack(([d_q] if q < n else []) + ([d_qm1.getH().tocsr()] if q >= 1 else []),
-                        format="csr")
+    above = fiber.fiber_dim(n, q + 1) if q < n else 0
+    below = fiber.fiber_dim(n, q - 1) if q >= 1 else 0
+    blocks = {}
+    if q < n:
+        blocks.update({key: part[:3] for key, part in dbar_blocks(q).items()})
+    if q >= 1:
+        blocks.update({(above + key[1], key[0]): (c, r_, np.conj(v))
+                       for key, (r_, c, v, _) in dbar_blocks(q - 1).items()})
+    stacked, stacked_h = _gram_factor(
+        sites, blocks, ((above + below) * sites, fiber.fiber_dim(n, q) * sites))
 
     # The exact twist correction R (the continuum eigenvalues in place of the
     # discrete factor commutators, so the unperturbed case reduces to
     # assemble_model) and F = R + S with the stabilizer, summed once per q.
     rest, fixed = ops.twist(lam, q)
-    a = stacked.getH().tocsr() @ stacked + fixed
+    a = _sorted_gram(stacked, stacked_h, fixed)
 
     # Optional adjoint zero-order terms (Hermitian part; see README): the
     # contractions iota_j alpha_j / sqrt(k) into and out of degree q.
@@ -572,22 +685,25 @@ def assemble_scaled(weight: WeightFunction, pert: Optional[PerturbationSpec],
         alpha = _sample(lambda u: pert.alpha_at(u, n), y, (n,))
 
         def contraction(degree: int) -> sp.csr_matrix:
-            return fiber_sum((fiber.contract_matrix(n, degree, j), sp.diags(alpha[:, j] / sqrtk))
-                             for j in range(n))
+            return sum(sp.kron(fiber.contract_matrix(n, degree, j), sp.diags(alpha[:, j] / sqrtk))
+                       for j in range(n)).tocsr()
 
         x = 0
-        if d_q is not None:
-            x = x + contraction(q + 1) @ d_q
-        if d_qm1 is not None:
-            x = x + d_qm1 @ contraction(q)
+        if q < n:
+            x = x + contraction(q + 1) @ stacked[:above * sites]
+        if q >= 1:
+            x = x + stacked[above * sites:].getH().tocsr() @ contraction(q)
         zero_order = (0.5 * (x + x.getH())).tocsr()
         a = a + zero_order
         rest = rest + zero_order
 
     # fl(A) rounds in at most 3 sums (F, G^dag G + F and the zero-order
-    # part), and R in one more with alpha.
-    sums = 3 if pert.alpha is None else 4
-    return DiscreteOperator(a, q, k, grid, _floor=_floor(ops, a, stacked, rest, sums))
+    # part), and R in one more with alpha.  R's floor terms are k-invariant
+    # without alpha.
+    if pert.alpha is None:
+        return DiscreteOperator(a, q, k, grid,
+                                _floor=_floor(ops, a, stacked, rest, 3, (tuple(lam), q)))
+    return DiscreteOperator(a, q, k, grid, _floor=_floor(ops, a, stacked, rest, 4))
 
 
 def to_matrix_market(op: DiscreteOperator, path) -> None:
