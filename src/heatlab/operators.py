@@ -326,16 +326,18 @@ class _GridOperators:
         positions of the diagonal)."""
         key = ("stencil", coords)
         if key not in self._memo:
-            sites = self.grid.sites
-            parts = [self.dzbar(s).tocoo() for s in coords]
-            diag = np.arange(sites, dtype=np.int32)
-            rows = np.concatenate([p.row for p in parts] + [diag])
-            cols = np.concatenate([p.col for p in parts] + [diag])
-            order = np.lexsort((cols, rows))
-            coord = np.concatenate([np.full(p.nnz, s) for s, p in zip(coords, parts)]
-                                   + [np.full(sites, -1)])[order]
-            value = np.concatenate([p.data for p in parts] + [np.zeros(sites, complex)])[order]
-            self._memo[key] = rows[order], cols[order], coord, value, np.flatnonzero(coord < 0)
+            sites, s = self.grid.sites, self.grid.points_per_axis
+            pattern = sum((self.dzbar(c) for c in coords), sp.identity(sites, complex, "csr"))
+            rows = np.repeat(np.arange(sites, dtype=np.int32), np.diff(pattern.indptr))
+            # a neighbour along real axis a lies s^(2n - 1 - a) sites away
+            offset = np.abs(pattern.indices - rows)
+            coord = np.full(pattern.nnz, -1)
+            for c in coords:
+                coord[(offset == s ** (2 * self.grid.n - 1 - 2 * c))
+                      | (offset == s ** (2 * self.grid.n - 2 - 2 * c))] = c
+            value = pattern.data
+            value[coord < 0] = 0
+            self._memo[key] = rows, pattern.indices, coord, value, np.flatnonzero(coord < 0)
         return self._memo[key]
 
     def twist(self, lam, q: int) -> tuple:
@@ -465,11 +467,11 @@ def _gram_factor(sites: int, blocks: dict, shape: tuple) -> tuple:
     rows = np.concatenate([blocks[b][0] + int(b[0]) * sites for b in keys])
     cols = np.concatenate([blocks[b][1] + int(b[1]) * sites for b in keys])
     data = np.concatenate([blocks[b][2] for b in keys])
-    keep = data != 0
-    if not keep.all():
-        rows, cols, data = rows[keep], cols[keep], data[keep]
-    return (sp.csr_matrix((data, (rows, cols)), shape=shape),
-            sp.csr_matrix((np.conj(data), (cols, rows)), shape=shape[::-1]))
+    g = sp.csr_matrix((data, (rows, cols)), shape=shape)
+    gh = sp.csr_matrix((np.conj(data), (cols, rows)), shape=shape[::-1])
+    g.eliminate_zeros()
+    gh.eliminate_zeros()
+    return g, gh
 
 
 def _sorted_gram(g, gh, fixed) -> sp.csr_matrix:
@@ -500,7 +502,7 @@ def assemble_model(spec: ModelSpec, grid: GridSpec) -> DiscreteOperator:
     stacked, stacked_h = _gram_factor(grid.sites, blocks, (grid.n * grid.sites, grid.sites))
     scalar = _sorted_gram(stacked, stacked_h, ops.stabilizer)
     theta0 = fiber.twist_eigenvalues(spec.lam, spec.q)
-    a = sp.kron(sp.identity(theta0.size), scalar)
+    a = sp.kron(sp.identity(theta0.size), scalar) if theta0.size > 1 else scalar
     # Theta_0 (x) I with every diagonal entry stored: one term per row
     theta = np.repeat(theta0, grid.sites)
     twist = sp.csr_matrix((theta, np.arange(theta.size), np.arange(theta.size + 1)))
