@@ -9,8 +9,11 @@ from factor matrices and their conjugate transposes, so Hermiticity is
 exact by construction.  The scaled operator is A = G^dag G + F: G stacks
 D_q on D_{q-1}^dag in CSR, so one CSR product gives both Gram parts, and
 F, the twist correction plus the stabilizer, does not depend on k and is
-summed once per grid, curvature and degree.  No assembly converts a
-matrix to CSC.
+summed once per grid, curvature and degree.  G and G^dag are built from
+one COO triplet list: the values of each block of G on the stencil of
+the row operators, which each grid computes once (``_gram_factor``).
+Their rows come out sorted; the Gram product is sorted once, before F is
+added, and nothing else is sorted.  No assembly converts a matrix to CSC.
 
 The centred first difference has checkerboard null modes; composed as
 C^dag C these would produce spurious low-lying spectrum that pollutes heat
@@ -670,8 +673,8 @@ def assemble_scaled(weight: WeightFunction, pert: Optional[PerturbationSpec],
     if q < n:
         blocks.update({key: part[:3] for key, part in dbar_blocks(q).items()})
     if q >= 1:
-        blocks.update({(above + key[1], key[0]): (c, r_, np.conj(v))
-                       for key, (r_, c, v, _) in dbar_blocks(q - 1).items()})
+        blocks.update({(above + key[1], key[0]): (site_cols, site_rows, np.conj(v))
+                       for key, (site_rows, site_cols, v, _) in dbar_blocks(q - 1).items()})
     stacked, stacked_h = _gram_factor(
         sites, blocks, ((above + below) * sites, fiber.fiber_dim(n, q) * sites))
 
@@ -700,12 +703,10 @@ def assemble_scaled(weight: WeightFunction, pert: Optional[PerturbationSpec],
         rest = rest + zero_order
 
     # fl(A) rounds in at most 3 sums (F, G^dag G + F and the zero-order
-    # part), and R in one more with alpha.  R's floor terms are k-invariant
-    # without alpha.
-    if pert.alpha is None:
-        return DiscreteOperator(a, q, k, grid,
-                                _floor=_floor(ops, a, stacked, rest, 3, (tuple(lam), q)))
-    return DiscreteOperator(a, q, k, grid, _floor=_floor(ops, a, stacked, rest, 4))
+    # part), and R in one more with alpha.  Without alpha R is the cached
+    # twist, so its terms in the floor are k-invariant too.
+    sums, key = (3, (tuple(lam), q)) if pert.alpha is None else (4, None)
+    return DiscreteOperator(a, q, k, grid, _floor=_floor(ops, a, stacked, rest, sums, key))
 
 
 def to_matrix_market(op: DiscreteOperator, path) -> None:
