@@ -11,7 +11,7 @@ D_q on D_{q-1}^dag in CSR, so one CSR product gives both Gram parts, and
 F, the twist correction plus the stabilizer, does not depend on k and is
 summed once per grid, curvature and degree.  G and G^dag are built from
 one COO triplet list: the values of each block of G on the stencil of
-the row operators, which each grid computes once (``_gram_factor``).
+the row operators, which each grid computes once (``_gram``).
 Their rows come out sorted; the Gram product is sorted once, before F is
 added, and nothing else is sorted.  No assembly converts a matrix to CSC.
 
@@ -458,13 +458,16 @@ def _floor(ops: _GridOperators, a, g, rest, sums: int, key=None) -> float:
     return lower - m * _ROUNDOFF / (1.0 - m * _ROUNDOFF) * float(bound.max())
 
 
-def _gram_factor(sites: int, blocks: dict, shape: tuple) -> tuple:
-    """A Gram factor G and G^H in CSR, both from one COO triplet list.
+def _gram(sites: int, blocks: dict, shape: tuple, fixed) -> tuple:
+    """A Gram factor G in CSR and G^H G + fixed, G and G^H both from one COO
+    triplet list.
 
     ``blocks`` maps the (row, column) of each nonzero sites x sites block of
     G to its site triplets (rows, cols, values), sorted by row and column or
     by column and row; so the rows of G and of G^H come out sorted, with no
     sort.  Exact zeros are dropped, as sparse sums and products drop them.
+    The product is sorted once, so that adding ``fixed`` merges two sorted
+    matrices and the sum needs no sort of its own.
     """
     keys = sorted(blocks)
     rows = np.concatenate([blocks[b][0] + int(b[0]) * sites for b in keys])
@@ -474,15 +477,9 @@ def _gram_factor(sites: int, blocks: dict, shape: tuple) -> tuple:
     gh = sp.csr_matrix((np.conj(data), (cols, rows)), shape=shape[::-1])
     g.eliminate_zeros()
     gh.eliminate_zeros()
-    return g, gh
-
-
-def _sorted_gram(g, gh, fixed) -> sp.csr_matrix:
-    """G^H G + fixed, the product sorted first so that the sum is a merge of
-    two sorted matrices and needs no sort of its own."""
     gram = gh @ g
     gram.sort_indices()
-    return gram + fixed
+    return g, gram + fixed
 
 
 def assemble_model(spec: ModelSpec, grid: GridSpec) -> DiscreteOperator:
@@ -502,8 +499,7 @@ def assemble_model(spec: ModelSpec, grid: GridSpec) -> DiscreteOperator:
         value = value.copy()
         value[diag] = 0.5 * lj * ops.z[:, j]
         blocks[j, 0] = rows, cols, value
-    stacked, stacked_h = _gram_factor(grid.sites, blocks, (grid.n * grid.sites, grid.sites))
-    scalar = _sorted_gram(stacked, stacked_h, ops.stabilizer)
+    stacked, scalar = _gram(grid.sites, blocks, (grid.n * grid.sites, grid.sites), ops.stabilizer)
     theta0 = fiber.twist_eigenvalues(spec.lam, spec.q)
     a = sp.kron(sp.identity(theta0.size), scalar) if theta0.size > 1 else scalar
     # Theta_0 (x) I with every diagonal entry stored: one term per row
@@ -675,14 +671,12 @@ def assemble_scaled(weight: WeightFunction, pert: Optional[PerturbationSpec],
     if q >= 1:
         blocks.update({(above + key[1], key[0]): (site_cols, site_rows, np.conj(v))
                        for key, (site_rows, site_cols, v, _) in dbar_blocks(q - 1).items()})
-    stacked, stacked_h = _gram_factor(
-        sites, blocks, ((above + below) * sites, fiber.fiber_dim(n, q) * sites))
-
     # The exact twist correction R (the continuum eigenvalues in place of the
     # discrete factor commutators, so the unperturbed case reduces to
     # assemble_model) and F = R + S with the stabilizer, summed once per q.
     rest, fixed = ops.twist(lam, q)
-    a = _sorted_gram(stacked, stacked_h, fixed)
+    stacked, a = _gram(sites, blocks, ((above + below) * sites, fiber.fiber_dim(n, q) * sites),
+                       fixed)
 
     # Optional adjoint zero-order terms (Hermitian part; see README): the
     # contractions iota_j alpha_j / sqrt(k) into and out of degree q.
