@@ -334,7 +334,7 @@ class _GridOperators:
             rows = np.repeat(np.arange(sites, dtype=np.int32), np.diff(pattern.indptr))
             # a neighbour along real axis a lies s^(2n - 1 - a) sites away
             offset = np.abs(pattern.indices - rows)
-            coord = np.full(pattern.nnz, -1)
+            coord = np.full(pattern.nnz, -1, dtype=np.int8)
             for c in coords:
                 coord[(offset == s ** (2 * self.grid.n - 1 - 2 * c))
                       | (offset == s ** (2 * self.grid.n - 2 - 2 * c))] = c
@@ -473,11 +473,17 @@ def _gram(sites: int, blocks: dict, shape: tuple, fixed) -> tuple:
     rows = np.concatenate([blocks[b][0] + int(b[0]) * sites for b in keys])
     cols = np.concatenate([blocks[b][1] + int(b[1]) * sites for b in keys])
     data = np.concatenate([blocks[b][2] for b in keys])
+    # The blocks (whose only reference the callers hand over), the triplets
+    # and G^H are released before the product and the sum, which set the
+    # peak of an assembly's memory.
+    del blocks
     g = sp.csr_matrix((data, (rows, cols)), shape=shape)
     gh = sp.csr_matrix((np.conj(data), (cols, rows)), shape=shape[::-1])
+    del rows, cols, data
     g.eliminate_zeros()
     gh.eliminate_zeros()
     gram = gh @ g
+    del gh
     gram.sort_indices()
     return g, gram + fixed
 
@@ -493,13 +499,15 @@ def assemble_model(spec: ModelSpec, grid: GridSpec) -> DiscreteOperator:
     if spec.n != grid.n:
         raise ArgumentError("model and grid dimensions differ")
     ops = _GridOperators(grid)
-    blocks = {}
-    for j, lj in enumerate(spec.lam):
+
+    def factor(j: int) -> tuple:  # C_j on its stencil
         rows, cols, _, value, diag = ops.stencil((j,))
         value = value.copy()
-        value[diag] = 0.5 * lj * ops.z[:, j]
-        blocks[j, 0] = rows, cols, value
-    stacked, scalar = _gram(grid.sites, blocks, (grid.n * grid.sites, grid.sites), ops.stabilizer)
+        value[diag] = 0.5 * spec.lam[j] * ops.z[:, j]
+        return rows, cols, value
+
+    stacked, scalar = _gram(grid.sites, {(j, 0): factor(j) for j in range(grid.n)},
+                            (grid.n * grid.sites, grid.sites), ops.stabilizer)
     theta0 = fiber.twist_eigenvalues(spec.lam, spec.q)
     a = sp.kron(sp.identity(theta0.size), scalar) if theta0.size > 1 else scalar
     # Theta_0 (x) I with every diagonal entry stored: one term per row
@@ -609,10 +617,9 @@ def assemble_scaled(weight: WeightFunction, pert: Optional[PerturbationSpec],
     if has_r and n > 1 and q >= 1:
         wcoef = _wedge_term_coefficients(r, _grid_partials(r, grid, step))
 
-    # Row operators B_j = sum_s (delta_js + rbar_js) d/dzbar_s + g_j as values
-    # on the cached stencil of every coordinate (of coordinate j without r).
-    rows = []
-    for j in range(n):
+    def row(j: int) -> tuple:
+        """B_j = sum_s (delta_js + rbar_js) d/dzbar_s + g_j as values on the
+        cached stencil of every coordinate (of coordinate j without r)."""
         # the exact model part, then the weight and density perturbations
         g = (0.5 * lam[j] * z[:, j] + 0.5 * sqrtk * (grad_phi[:, j] - lam[j] * y[:, j])
              - 0.5 / sqrtk * grad_logm[:, j])
@@ -627,9 +634,9 @@ def assemble_scaled(weight: WeightFunction, pert: Optional[PerturbationSpec],
                     g = (g + 0.5 * sqrtk * coef * grad_phi[:, s]
                          - 0.5 / sqrtk * coef * grad_logm[:, s])
         b[diag] = g
-        rows.append((stencil, b))
+        return stencil, b
 
-    def dbar_blocks(degree: int) -> dict:
+    def dbar_blocks(degree: int, rows: list) -> dict:
         """The nonzero sites x sites blocks (rows, cols, values, diagonal) of
         the scaled dbar from (0,degree) to (0,degree+1) forms."""
         blocks = {}
@@ -665,18 +672,23 @@ def assemble_scaled(weight: WeightFunction, pert: Optional[PerturbationSpec],
     # so G^dag G = D_q^dag D_q + D_{q-1} D_{q-1}^dag is one CSR product.
     above = fiber.fiber_dim(n, q + 1) if q < n else 0
     below = fiber.fiber_dim(n, q - 1) if q >= 1 else 0
-    blocks = {}
-    if q < n:
-        blocks.update({key: part[:3] for key, part in dbar_blocks(q).items()})
-    if q >= 1:
-        blocks.update({(above + key[1], key[0]): (site_cols, site_rows, np.conj(v))
-                       for key, (site_rows, site_cols, v, _) in dbar_blocks(q - 1).items()})
+
+    def factor_blocks() -> dict:
+        rows = [row(j) for j in range(n)]
+        blocks = {}
+        if q < n:
+            blocks.update({key: part[:3] for key, part in dbar_blocks(q, rows).items()})
+        if q >= 1:
+            blocks.update({(above + key[1], key[0]): (site_cols, site_rows, np.conj(v))
+                           for key, (site_rows, site_cols, v, _) in dbar_blocks(q - 1, rows).items()})
+        return blocks
+
     # The exact twist correction R (the continuum eigenvalues in place of the
     # discrete factor commutators, so the unperturbed case reduces to
     # assemble_model) and F = R + S with the stabilizer, summed once per q.
     rest, fixed = ops.twist(lam, q)
-    stacked, a = _gram(sites, blocks, ((above + below) * sites, fiber.fiber_dim(n, q) * sites),
-                       fixed)
+    stacked, a = _gram(sites, factor_blocks(),
+                       ((above + below) * sites, fiber.fiber_dim(n, q) * sites), fixed)
 
     # Optional adjoint zero-order terms (Hermitian part; see README): the
     # contractions iota_j alpha_j / sqrt(k) into and out of degree q.
