@@ -341,6 +341,8 @@ class _GridOperators:
             value = pattern.data
             value[coord < 0] = 0
             self._memo[key] = rows, pattern.indices, coord, value, np.flatnonzero(coord < 0)
+            for part in self._memo[key]:  # shared by every k: read-only
+                part.flags.writeable = False
         return self._memo[key]
 
     def twist(self, lam, q: int) -> tuple:
