@@ -11,7 +11,9 @@ repeats):
 
 - ``n1``: ``assemble_scaled`` with n = 1, lambda = 1, q = 0, k = 16 on the
   grid of radius 6 and spacing 0.1 (14 641 sites), weight perturbation
-  0.1 Re(z^3) and frame perturbation r_11(y) = 0.1 y_1;
+  0.1 Re(z^3) and frame perturbation r_11(y) = 0.1 y_1, the whole-grid
+  form of the CLI's ``linear_r11`` frame (``cli._linear_r11``), as
+  perfbench's ``converge`` workload uses it;
 - ``n2``: ``assemble_scaled`` with n = 2, lambda = (1, -0.5), q = 1,
   k = 16 on the grid of radius 2 and spacing 0.5 (6 561 sites), frame
   perturbation r = [[0, 0.1 y_1], [0.05 y_2, 0]];
@@ -122,9 +124,6 @@ def _cases():
     from heatlab import cli, geometry as geo, operators as ops, semigroup, torus
     from heatlab.model_kernels import ModelSpec
 
-    def r11(y):
-        return np.array([[0.1 * y[0]]], dtype=complex)
-
     def r_frame(y):
         return np.array([[0.0, 0.1 * y[0]], [0.05 * y[1], 0.0]], dtype=complex)
 
@@ -153,7 +152,8 @@ def _cases():
 
     return {
         "n1": assemble(geo.WeightFunction(1, (1.0,), geo.cubic_re_perturbation(0.1)),
-                       ops.PerturbationSpec(r=r11), 16, ops.GridSpec(1, 6.0, 0.1), 0),
+                       ops.PerturbationSpec(r=cli._linear_r11(0.1)), 16,
+                       ops.GridSpec(1, 6.0, 0.1), 0),
         "n2": assemble(geo.WeightFunction(2, (1.0, -0.5)), ops.PerturbationSpec(r=r_frame), 16,
                        ops.GridSpec(2, 2.0, 0.5), 1),
         "diag_n1": (model(ModelSpec(1, (1.0,), 1), ops.GridSpec(1, 5.0, 0.1)), diagonals),

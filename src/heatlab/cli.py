@@ -238,6 +238,9 @@ def _check_cross_fields(cfg: dict) -> None:
         needed = "degree" if elliptic else "degrees"
         if needed not in cfg:
             raise ConfigError(f"missing field {needed!r} (model {cfg['model']!r})")
+        other = "degrees" if elliptic else "degree"
+        if other in cfg:
+            raise ConfigError(f"field {other!r} does not belong to model {cfg['model']!r}")
         degs = cfg.get("degrees")
         if not elliptic and (len(degs) != 2 or not degs[0] > 0 > degs[1]):
             raise ConfigError("field 'degrees' must be two integers with signs (+, -)")

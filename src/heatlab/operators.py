@@ -8,12 +8,15 @@ differences with Dirichlet truncation, and every operator is assembled
 from factor matrices and their conjugate transposes, so Hermiticity is
 exact by construction.  The scaled operator is A = G^dag G + F: G stacks
 D_q on D_{q-1}^dag in CSR, so one CSR product gives both Gram parts, and
-F, the twist correction plus the stabilizer, does not depend on k and is
-summed once per grid, curvature and degree.  G and G^dag are built from
-one COO triplet list: the values of each block of G on the stencil of
-the row operators, which each grid computes once (``_gram``).
-Their rows come out sorted; the Gram product is sorted once, before F is
-added, and nothing else is sorted.  No assembly converts a matrix to CSC.
+F, the twist correction plus the stabilizer, does not depend on k.
+``_scaled`` builds the parts that k does not change once, as locals of the
+``assemble(k)`` it returns: the grid's operators, the stencil of the row
+operators (index arithmetic; the model factors C_j are values on it), F
+and the floor's terms of it.  Nothing outlives that function.  G and G^dag
+are built from one COO triplet list: the values of each block of G on the
+stencil (``_gram``).  Their rows come out sorted; the Gram product is
+sorted once, before F is added, and nothing else is sorted.  No assembly
+converts a matrix to CSC.
 
 The centred first difference has checkerboard null modes; composed as
 C^dag C these would produce spurious low-lying spectrum that pollutes heat
@@ -232,9 +235,11 @@ class PerturbationSpec:
     terms, ``volume_density`` to the positive density m (m(0) = 1).  All
     default to the trivial values.  Each takes one point of shape (n,).
     ``assemble_scaled`` calls each once per grid site, and ``r`` and
-    ``volume_density`` once more at 0 (``validate_origin``); the partials of
-    ``r`` and ``log m`` are taken on these samples.  The CLI's
-    ``linear_r11`` frame is evaluated once, on the whole grid.
+    ``volume_density`` once more at 0 (``validate_origin``, which
+    ``converge_in_k`` runs once for all its k); the partials of ``r`` and
+    ``log m`` are taken on these samples.  A sample that is not finite
+    raises DomainError.  The CLI's ``linear_r11`` frame is evaluated once,
+    on the whole grid.
     """
 
     r: Optional[Callable[[np.ndarray], np.ndarray]] = None
@@ -255,8 +260,8 @@ class PerturbationSpec:
         if self.volume_density is None:
             return 1.0
         m = float(self.volume_density(y))
-        if m <= 0:
-            raise DomainError("volume density must be positive")
+        if not 0 < m < np.inf:
+            raise DomainError("volume density must be positive and finite")
         return m
 
     def validate_origin(self, n: int) -> None:
@@ -268,18 +273,7 @@ class PerturbationSpec:
 
 
 # ---------------------------------------------------------------------------
-# 1D blocks and kron placement
-
-
-def _d1(s: int, h: float) -> sp.csr_matrix:
-    e = np.ones(s - 1)
-    return (sp.diags([-e, e], [-1, 1]) / (2.0 * h)).tocsr()
-
-
-def _d2(s: int, h: float) -> sp.csr_matrix:
-    return (
-        sp.diags([np.ones(s - 1), -2.0 * np.ones(s), np.ones(s - 1)], [-1, 0, 1]) / h**2
-    ).tocsr()
+# Grid operators
 
 
 def _place(op1d: sp.spmatrix, axis: int, axes: int, s: int) -> sp.csr_matrix:
@@ -294,105 +288,90 @@ def _place(op1d: sp.spmatrix, axis: int, axes: int, s: int) -> sp.csr_matrix:
 
 
 class _GridOperators:
-    """Per-grid cache of placed derivative matrices, coordinate arrays, the
-    stabilizer and the stencil of the row operators, and of the k-invariant
-    parts of ``assemble_scaled``: the twist correction, its sum with the
-    stabilizer on the fiber, and the terms of ``_floor`` that neither k nor
-    the Gram factor changes.  One instance serves every k of one
-    ``converge_in_k`` call."""
+    """The parts of one grid that no coefficient changes: its site
+    coordinates, the squared second difference D4 and the stabilizer, the
+    stencil of the row operators, the model factors C_j on it and the
+    stabilizer terms of ``_floor``."""
 
     def __init__(self, grid: GridSpec):
         self.grid = grid
-        s = grid.points_per_axis
-        h = grid.spacing
-        axes = 2 * grid.n
-        d1, d2 = _d1(s, h), _d2(s, h)
-        self.first = [_place(d1, a, axes, s) for a in range(axes)]
+        s, h, axes = grid.points_per_axis, grid.spacing, 2 * grid.n
+        e = np.ones(s)
+        d2 = (sp.diags([e[1:], -2.0 * e, e[1:]], [-1, 0, 1]) / h**2).tocsr()
         self.d4 = (d2 @ d2).tocsr()
         # The ghost stabilizer sigma * h^6 * sum_a D4_a^T D4_a.
         unit = (defaults.GHOST_STABILIZER * h**6 * (self.d4.T @ self.d4)).tocsr()
         self.stabilizer = sum(_place(unit, a, axes, s) for a in range(axes)).tocsr()
         self.z = grid.site_coordinates()
-        self._memo = {}
-
-    def dzbar(self, j: int) -> sp.csr_matrix:
-        return 0.5 * (self.first[2 * j] + 1j * self.first[2 * j + 1])
-
-    def model_factor(self, j: int, lam: float) -> sp.csr_matrix:
-        """C_j = d/dzbar_j + (lam/2) z_j."""
-        return (self.dzbar(j) + sp.diags(0.5 * lam * self.z[:, j])).tocsr()
 
     def stencil(self, coords: tuple) -> tuple:
-        """The pattern of I + sum_{s in coords} d/dzbar_s as site triplets
-        sorted by row and column: (rows, cols, the coordinate s of each entry
-        (-1 on the diagonal), its d/dzbar_s value (0 on the diagonal), the
-        positions of the diagonal)."""
-        key = ("stencil", coords)
-        if key not in self._memo:
-            sites, s = self.grid.sites, self.grid.points_per_axis
-            pattern = sum((self.dzbar(c) for c in coords), sp.identity(sites, complex, "csr"))
-            rows = np.repeat(np.arange(sites, dtype=np.int32), np.diff(pattern.indptr))
-            # a neighbour along real axis a lies s^(2n - 1 - a) sites away
-            offset = np.abs(pattern.indices - rows)
-            coord = np.full(pattern.nnz, -1, dtype=np.int8)
-            for c in coords:
-                coord[(offset == s ** (2 * self.grid.n - 1 - 2 * c))
-                      | (offset == s ** (2 * self.grid.n - 2 - 2 * c))] = c
-            value = pattern.data
-            value[coord < 0] = 0
-            self._memo[key] = rows, pattern.indices, coord, value, np.flatnonzero(coord < 0)
-            for part in self._memo[key]:  # shared by every k: read-only
-                part.flags.writeable = False
-        return self._memo[key]
+        """The pattern of I + sum_{c in coords} d/dzbar_c as site triplets
+        sorted by row and column: (rows, cols, the coordinate c of each entry
+        (-1 on the diagonal), its d/dzbar_c value (0 on the diagonal), the
+        positions of the diagonal), all read-only."""
+        s, axes = self.grid.points_per_axis, 2 * self.grid.n
+        quarter = 0.25 / self.grid.spacing  # d/dzbar = (d/dx + i d/dy) / 2, centred
+        # (offset, coordinate, value) of each entry in increasing offset: a
+        # step along real axis a is s^(axes - 1 - a) sites, and x_c, y_c are
+        # the axes 2c, 2c + 1
+        entries = [(0, -1, 0j)]
+        for c in coords:
+            for sign in (-1, 1):
+                entries += [(sign * s ** (axes - 1 - 2 * c), c, complex(sign * quarter, 0.0)),
+                            (sign * s ** (axes - 2 - 2 * c), c, complex(0.0, sign * quarter))]
+        entries.sort(key=lambda entry: entry[0])
+        site = np.arange(self.grid.sites)
+        # a neighbour off the grid is dropped (Dirichlet truncation)
+        inside = np.stack([site // abs(offset) % s != (s - 1 if offset > 0 else 0) if offset
+                           else np.full(site.size, True) for offset, _, _ in entries], axis=1)
+        rows, entry = np.nonzero(inside)
+        offset, coord, value = (np.array(part)[entry] for part in zip(*entries))
+        out = (rows.astype(np.int32), (rows + offset).astype(np.int32), coord.astype(np.int8),
+               value, np.flatnonzero(coord < 0))
+        for part in out:  # shared by every k
+            part.flags.writeable = False
+        return out
 
-    def twist(self, lam, q: int) -> tuple:
-        """The k-invariant parts of ``assemble_scaled`` at degree q: the exact
-        twist correction R = sum_j pi_j (x) delta_j, delta_j = lam_j I -
-        [C0_j, C0_j^H], and F = R + S, S the stabilizer on each fiber
-        component."""
-        key = ("twist", tuple(lam), q)
-        if key not in self._memo:
-            n, sites, d = self.grid.n, self.grid.sites, fiber.fiber_dim(self.grid.n, q)
-            rest = sp.csr_matrix((d * sites, d * sites))
-            for j in range(n):
-                pi_j = np.real(np.diag(fiber.projection_contains(n, q, j)))
-                if np.any(pi_j != 0):
-                    c0 = self.model_factor(j, lam[j])
-                    c0h = c0.getH().tocsr()
-                    delta = (lam[j] * sp.identity(sites) - (c0 @ c0h - c0h @ c0)).tocsr()
-                    rest = rest + sp.kron(sp.diags(pi_j), delta).tocsr()
-            self._memo[key] = rest, rest + sp.kron(sp.identity(d), self.stabilizer).tocsr()
-        return self._memo[key]
+    def factor(self, j: int, lam: float) -> tuple:
+        """C_j = d/dzbar_j + (lam/2) z_j as site triplets (rows, cols,
+        values) sorted by row and column."""
+        rows, cols, _, value, diag = self.stencil((j,))
+        value = value.copy()
+        value[diag] = 0.5 * lam * self.z[:, j]
+        return rows, cols, value
 
     def probe(self, dim: int) -> tuple:
-        """The k-invariant stabilizer terms of ``_floor`` at dimension dim:
-        its Rademacher probe x, (I (x) S) x, the row bound sigma h^6
+        """The stabilizer terms of ``_floor`` at dimension dim: its
+        Rademacher probe x, (I (x) S) x, the row bound sigma h^6
         sum_a |D4_a|^T |D4_a| 1 on each fiber block, the longest row of S
         and the longest inner product of D4^T D4."""
-        key = ("probe", dim)
-        if key not in self._memo:
-            s, axes = self.grid.points_per_axis, 2 * self.grid.n
-            d4 = abs(self.d4)
-            w = d4.T @ (d4 @ np.ones(s))  # |D4|^T |D4| 1 along one axis
-            rows = sum(w.reshape([s if b == ax else 1 for b in range(axes)])
-                       for ax in range(axes))
-            x = np.random.default_rng(0).choice([-1.0, 1.0], size=dim)
-            self._memo[key] = (
-                x, _per_block(self.stabilizer, x),
+        s, axes = self.grid.points_per_axis, 2 * self.grid.n
+        d4 = abs(self.d4)
+        w = d4.T @ (d4 @ np.ones(s))  # |D4|^T |D4| 1 along one axis
+        rows = sum(w.reshape([s if b == ax else 1 for b in range(axes)]) for ax in range(axes))
+        x = np.random.default_rng(0).choice([-1.0, 1.0], size=dim)
+        return (x, _per_block(self.stabilizer, x),
                 np.tile(defaults.GHOST_STABILIZER * self.grid.spacing**6 * rows.ravel(),
                         dim // self.grid.sites),
                 int(np.diff(self.stabilizer.indptr).max(initial=0)), _inner_length(d4))
-        return self._memo[key]
 
-    def remainder(self, rest, x, key) -> tuple:
-        """``_gershgorin`` of the remainder ``rest`` and rest @ x, memoized
-        under ``key`` (None: afresh, for a remainder that changes with k)."""
-        if key is None:
-            return _gershgorin(rest) + (rest @ x,)
-        key = ("remainder", key)
-        if key not in self._memo:
-            self._memo[key] = _gershgorin(rest) + (rest @ x,)
-        return self._memo[key]
+
+def _twist(ops: _GridOperators, lam, q: int) -> tuple:
+    """The exact twist correction R = sum_j pi_j (x) delta_j at degree q,
+    delta_j = lam_j I - [C_j, C_j^H], and F = R + S, S the stabilizer on
+    each fiber component."""
+    n, sites, d = ops.grid.n, ops.grid.sites, fiber.fiber_dim(ops.grid.n, q)
+    rest = sp.csr_matrix((d * sites, d * sites))
+    for j in range(n):
+        pi_j = np.real(np.diag(fiber.projection_contains(n, q, j)))
+        if np.any(pi_j != 0):
+            rows, cols, value = ops.factor(j, lam[j])
+            c0 = sp.csr_matrix((value, (rows, cols)), shape=(sites, sites))
+            c0.eliminate_zeros()
+            c0h = c0.getH().tocsr()
+            delta = (lam[j] * sp.identity(sites) - (c0 @ c0h - c0h @ c0)).tocsr()
+            rest = rest + sp.kron(sp.diags(pi_j), delta).tocsr()
+    return rest, rest + sp.kron(sp.identity(d), ops.stabilizer).tocsr()
 
 
 def _gershgorin(m) -> tuple:
@@ -406,6 +385,11 @@ def _gershgorin(m) -> tuple:
     return float(np.min(diag - radius)), float(np.max(diag + radius)), rows, count
 
 
+def _remainder(rest, x) -> tuple:
+    """The remainder terms of ``_floor``: ``_gershgorin(rest)`` and rest @ x."""
+    return _gershgorin(rest) + (rest @ x,)
+
+
 def _inner_length(g) -> int:
     """The longest inner product in an entry of G^H G: the largest number of
     stored entries in a column of the CSR matrix G."""
@@ -417,12 +401,13 @@ def _per_block(m, x) -> np.ndarray:
     return (m @ x.reshape(-1, m.shape[1]).T).T.ravel()
 
 
-def _floor(ops: _GridOperators, a, g, rest, sums: int, key=None) -> float:
+def _floor(probe: tuple, remainder: tuple, a, g, sums: int, n: int) -> float:
     """A lower bound on the spectrum of the stored a = fl(A), A = G^H G + S
-    + R, added up in ``sums`` roundings from the product of the stored Gram
-    factor G, the stabilizer S of ``ops`` and a stored Hermitian remainder
-    R (a G or S narrower than a acts on each fiber block).  The terms of
-    S, and those of R under ``key``, are memoized in ``ops``.
+    + R on a grid in C^n, added up in ``sums`` roundings from the product
+    of the stored Gram factor G, the stabilizer S and a stored Hermitian
+    remainder R (a G or S narrower than a acts on each fiber block).
+    ``probe`` holds the terms of S (``_GridOperators.probe``), and
+    ``remainder`` those of R (``_remainder``).
 
     lambda_min(A) is at least the Gershgorin lower end of R (Weyl), and
     |fl(A) - A| <= gamma_m B entrywise, B = |G|^H |G| + |R| + sigma h^6
@@ -443,14 +428,13 @@ def _floor(ops: _GridOperators, a, g, rest, sums: int, key=None) -> float:
     longest inner product.  An entry of a x - (G^H (G x) + S x + R x)
     above gamma_p (B 1)_i, p = 3 m + 8 (c + 3), raises InvariantViolation.
     """
-    dim = a.shape[0]
-    x, stab_x, stab_bound, stab_count, d4_inner = ops.probe(dim)
-    lower, _, bound, count, rest_x = ops.remainder(rest, x, key)
+    x, stab_x, stab_bound, stab_count, d4_inner = probe
+    lower, _, bound, count, rest_x = remainder
     g_abs = abs(g)
     bound = bound + stab_bound
-    bound += np.tile(g_abs.T @ (g_abs @ np.ones(g.shape[1])), dim // g.shape[1])
+    bound += np.tile(g_abs.T @ (g_abs @ np.ones(g.shape[1])), a.shape[0] // g.shape[1])
     inner = max(d4_inner, _inner_length(g))
-    m = inner + 3 + 1 + 2 * ops.grid.n + sums + count
+    m = inner + 3 + 1 + 2 * n + sums + count
     residual = np.abs(a @ x - stab_x - rest_x - _per_block(g.getH(), _per_block(g, x)))
     c = max([inner, stab_count, count] + [int(np.diff(f.indptr).max(initial=0)) for f in (a, g)])
     p = 3 * m + 8 * (c + 3)
@@ -493,22 +477,14 @@ def _gram(sites: int, blocks: dict, shape: tuple, fixed) -> tuple:
 def assemble_model(spec: ModelSpec, grid: GridSpec) -> DiscreteOperator:
     """Model operator sum_j C_j^dag C_j + Theta_0 (plus the ghost stabilizer).
 
-    G stacks the C_j, built from the stencil as in ``assemble_scaled``, so
-    one product G^dag G gives their sum.  The spectral floor is min Theta_0
-    less the rounding allowance of ``_floor``, with G and the stabilizer as
-    Gram parts.
+    G stacks the C_j of ``_GridOperators.factor``, so one product G^dag G
+    gives their sum.  The spectral floor is min Theta_0 less the rounding
+    allowance of ``_floor``, with G and the stabilizer as Gram parts.
     """
     if spec.n != grid.n:
         raise ArgumentError("model and grid dimensions differ")
     ops = _GridOperators(grid)
-
-    def factor(j: int) -> tuple:  # C_j on its stencil
-        rows, cols, _, value, diag = ops.stencil((j,))
-        value = value.copy()
-        value[diag] = 0.5 * spec.lam[j] * ops.z[:, j]
-        return rows, cols, value
-
-    stacked, scalar = _gram(grid.sites, {(j, 0): factor(j) for j in range(grid.n)},
+    stacked, scalar = _gram(grid.sites, {(j, 0): ops.factor(j, spec.lam[j]) for j in range(grid.n)},
                             (grid.n * grid.sites, grid.sites), ops.stabilizer)
     theta0 = fiber.twist_eigenvalues(spec.lam, spec.q)
     a = sp.kron(sp.identity(theta0.size), scalar) if theta0.size > 1 else scalar
@@ -516,8 +492,10 @@ def assemble_model(spec: ModelSpec, grid: GridSpec) -> DiscreteOperator:
     theta = np.repeat(theta0, grid.sites)
     twist = sp.csr_matrix((theta, np.arange(theta.size), np.arange(theta.size + 1)))
     a = (a + twist if np.any(theta0 != 0) else a).tocsr()
+    probe = ops.probe(theta.size)
     # the sums are those of the stabilizer and of Theta_0
-    return DiscreteOperator(a, spec.q, 0, grid, _floor=_floor(ops, a, stacked, twist, 2))
+    return DiscreteOperator(a, spec.q, 0, grid, _floor=_floor(
+        probe, _remainder(twist, probe[0]), a, stacked, 2, grid.n))
 
 
 # ---------------------------------------------------------------------------
@@ -552,9 +530,167 @@ def _wedge_term_coefficients(r: np.ndarray, dr: list) -> np.ndarray:
     return t - t.swapaxes(1, 2)
 
 
+def _finite(values: np.ndarray, what: str) -> np.ndarray:
+    """values, if every one is finite; else DomainError naming ``what``."""
+    if not np.all(np.isfinite(values)):
+        raise DomainError(f"{what} is not finite at every site of the scaled grid")
+    return values
+
+
+def _scaled(weight: WeightFunction, pert: Optional[PerturbationSpec], grid: GridSpec,
+            q: int) -> Callable[[int], DiscreteOperator]:
+    """``assemble(k)``, the ``assemble_scaled`` operator at each k.  The
+    checks of n, q and the origin, and the parts that k does not change
+    (stencils, R, F = R + S, the floor's terms of S and, without alpha, of
+    R) are built once, here; ``assemble(k)`` builds the rest."""
+    n = weight.n
+    if n != grid.n:
+        raise ArgumentError("weight and grid dimensions differ")
+    if not 0 <= q <= n:
+        raise ArgumentError(f"q={q} outside [0, {n}]")
+    pert = pert or PerturbationSpec()
+    pert.validate_origin(n)
+    has_r = pert.r is not None
+    perturbation = weight.perturbation
+    # The value-only weight gradient samples up to 2 FD_STEP past a site.
+    value_only = perturbation is not None and perturbation.zbar_gradient is None
+    ops = _GridOperators(grid)
+    z, lam, sites = ops.z, np.asarray(weight.lam), grid.sites
+    # row j's stencil: that of every coordinate, of coordinate j without r
+    stencils = ([ops.stencil(tuple(range(n)))] * n if has_r
+                else [ops.stencil((j,)) for j in range(n)])
+    # D_q is absent at q = n, D_{q-1} at q = 0.  G stacks D_q on D_{q-1}^dag,
+    # so G^dag G = D_q^dag D_q + D_{q-1} D_{q-1}^dag is one CSR product.
+    above = fiber.fiber_dim(n, q + 1) if q < n else 0
+    below = fiber.fiber_dim(n, q - 1) if q >= 1 else 0
+    shape = ((above + below) * sites, fiber.fiber_dim(n, q) * sites)
+    # The exact twist correction R (the continuum eigenvalues in place of the
+    # discrete factor commutators, so the unperturbed case reduces to
+    # assemble_model) and F = R + S with the stabilizer.
+    twist, fixed = _twist(ops, lam, q)
+    probe = ops.probe(shape[1])
+    # Without alpha R is the twist, so its terms in the floor are k-invariant.
+    twist_terms = _remainder(twist, probe[0]) if pert.alpha is None else None
+
+    def assemble(k: int) -> DiscreteOperator:
+        if k < 1:
+            raise ArgumentError("k must be a positive integer")
+        sqrtk = np.sqrt(float(k))
+        reach = (grid.effective_radius * np.sqrt(2.0 * n) / sqrtk
+                 + 2 * defaults.FD_STEP * value_only)
+        if reach >= weight.chart_radius:
+            raise DomainError(f"scaled grid and its stencils reach |y|={reach:.3g}, outside "
+                              f"chart radius {weight.chart_radius:.3g}")
+        y = z / sqrtk
+
+        # Every coefficient is sampled once per assembly, a user callable once
+        # per point and a whole-grid form once (``_sample``); the partials of r
+        # and log m come from these samples (``_grid_partials``).
+        if has_r:
+            r = _finite(_sample(pert.r, y, (n, n), complex), "frame r")
+            rbar = np.conj(r)
+        grad_phi = (lam * y).astype(complex)        # d phi0 / dzbar at y
+        if perturbation is not None:
+            grad_phi = grad_phi + _finite(perturbation._zbar_gradients(y), "weight gradient")
+        step = grid.spacing / sqrtk  # between neighbouring sites y
+        grad_logm = np.zeros((sites, n), dtype=complex)
+        if pert.volume_density is not None:
+            d = _grid_partials(np.log(_sample(pert.m_at, y)), grid, step)
+            grad_logm = np.stack([0.5 * (d[2 * j] + 1j * d[2 * j + 1]) for j in range(n)], axis=1)
+        if pert.alpha is not None:
+            alpha = _finite(_sample(lambda u: pert.alpha_at(u, n), y, (n,)), "alpha")
+        wcoef = None
+        if has_r and n > 1 and q >= 1:
+            wcoef = _wedge_term_coefficients(r, _grid_partials(r, grid, step))
+
+        def row(j: int) -> tuple:
+            """B_j = sum_s (delta_js + rbar_js) d/dzbar_s + g_j on its stencil."""
+            # the exact model part, then the weight and density perturbations
+            g = (0.5 * lam[j] * z[:, j] + 0.5 * sqrtk * (grad_phi[:, j] - lam[j] * y[:, j])
+                 - 0.5 / sqrtk * grad_logm[:, j])
+            site_rows, _, coord, value, diag = stencils[j]
+            b = np.where(coord == j, value, 0)
+            if has_r:
+                b = b + rbar[site_rows, j, coord] * value
+                for s in range(n):
+                    coef = rbar[:, j, s]
+                    if np.any(coef != 0):
+                        g = (g + 0.5 * sqrtk * coef * grad_phi[:, s]
+                             - 0.5 / sqrtk * coef * grad_logm[:, s])
+            b[diag] = g
+            return stencils[j], b
+
+        def dbar_blocks(degree: int, rows: list) -> dict:
+            """The nonzero sites x sites blocks (rows, cols, values, diagonal)
+            of the scaled dbar from (0,degree) to (0,degree+1) forms."""
+            blocks = {}
+            for j, ((site_rows, site_cols, _, _, diag), b) in enumerate(rows):
+                wedge = fiber.wedge_matrix(n, degree, j)
+                for key in zip(*np.nonzero(wedge)):
+                    blocks[key] = site_rows, site_cols, wedge[key] * b, diag
+            if wcoef is None or degree < 1:
+                return blocks
+            # The (0,2) frame term: wedge_b wedge_c iota_j (x) w^j_bc on the
+            # site diagonal, divided by sqrt(k) after the sum over (j, b, c).
+            frame = {}
+            for j in range(n):
+                for b in range(n):
+                    for c in range(b + 1, n):
+                        if not np.any(wcoef[j, b, c] != 0):
+                            continue
+                        f = (fiber.wedge_matrix(n, degree, b)
+                             @ fiber.wedge_matrix(n, degree - 1, c)
+                             @ fiber.contract_matrix(n, degree, j))
+                        for key in zip(*np.nonzero(f)):
+                            term = f[key] * wcoef[j, b, c]
+                            frame[key] = frame[key] + term if key in frame else term
+            every = np.arange(sites, dtype=np.int32)
+            for key, term in frame.items():
+                term = term * (1 / sqrtk)
+                if key in blocks:
+                    blocks[key][2][blocks[key][3]] += term
+                else:
+                    blocks[key] = every, every, term, every
+            return blocks
+
+        def factor_blocks() -> dict:
+            rows = [row(j) for j in range(n)]
+            blocks = {}
+            if q < n:
+                blocks.update({key: part[:3] for key, part in dbar_blocks(q, rows).items()})
+            if q >= 1:
+                blocks.update({(above + key[1], key[0]): (site_cols, site_rows, np.conj(v))
+                               for key, (site_rows, site_cols, v, _)
+                               in dbar_blocks(q - 1, rows).items()})
+            return blocks
+
+        stacked, a = _gram(sites, factor_blocks(), shape, fixed)
+        terms = twist_terms
+        # Optional adjoint zero-order terms (Hermitian part; see README): the
+        # contractions iota_j alpha_j / sqrt(k) into and out of degree q.
+        if pert.alpha is not None:
+            def contraction(degree: int) -> sp.csr_matrix:
+                return sum(sp.kron(fiber.contract_matrix(n, degree, j),
+                                   sp.diags(alpha[:, j] / sqrtk)) for j in range(n)).tocsr()
+
+            x = 0
+            if q < n:
+                x = x + contraction(q + 1) @ stacked[:above * sites]
+            if q >= 1:
+                x = x + stacked[above * sites:].getH().tocsr() @ contraction(q)
+            zero_order = (0.5 * (x + x.getH())).tocsr()
+            a = a + zero_order
+            terms = _remainder(twist + zero_order, probe[0])
+        # fl(A) rounds in at most 3 sums (F, G^dag G + F and the zero-order
+        # part), and R in one more with alpha.
+        sums = 3 if pert.alpha is None else 4
+        return DiscreteOperator(a, q, k, grid, _floor=_floor(probe, terms, a, stacked, sums, n))
+
+    return assemble
+
+
 def assemble_scaled(weight: WeightFunction, pert: Optional[PerturbationSpec],
-                    k: int, grid: GridSpec, q: int, *,
-                    _ops: Optional[_GridOperators] = None) -> DiscreteOperator:
+                    k: int, grid: GridSpec, q: int) -> DiscreteOperator:
     """Scaled operator at tensor power k on the fixed grid, symmetric gauge.
 
     Rows of the scaled dbar are assembled per coefficient sampling at
@@ -567,154 +703,13 @@ def assemble_scaled(weight: WeightFunction, pert: Optional[PerturbationSpec],
     G^dag G = D_q^dag D_q + D_{q-1} D_{q-1}^dag), and F = R + S the
     k-invariant sum of an exact twist correction R, which makes the
     unperturbed case reduce identically to ``assemble_model``, and the
-    stabilizer S.
+    stabilizer S.  A sample of r, alpha, m or the weight gradient that is
+    not finite raises DomainError.
 
     Its spectral floor (``_floor``) takes G and the stabilizer as Gram
     parts, and R plus the adjoint zero-order part as the remainder.
-    ``_ops`` carries the k-invariant parts of an earlier call on the same
-    grid and weight (``converge_in_k`` passes one for all its k).
     """
-    n = weight.n
-    if n != grid.n:
-        raise ArgumentError("weight and grid dimensions differ")
-    if not 0 <= q <= n:
-        raise ArgumentError(f"q={q} outside [0, {n}]")
-    if k < 1:
-        raise ArgumentError("k must be a positive integer")
-    pert = pert or PerturbationSpec()
-    pert.validate_origin(n)
-    sqrtk = np.sqrt(float(k))
-    has_r = pert.r is not None
-    perturbation = weight.perturbation
-    # The value-only weight gradient samples up to 2 FD_STEP past a site.
-    value_only = perturbation is not None and perturbation.zbar_gradient is None
-    reach = grid.effective_radius * np.sqrt(2.0 * n) / sqrtk + 2 * defaults.FD_STEP * value_only
-    if reach >= weight.chart_radius:
-        raise DomainError(
-            f"scaled grid and its stencils reach |y|={reach:.3g}, outside chart radius "
-            f"{weight.chart_radius:.3g}"
-        )
-
-    ops = _ops or _GridOperators(grid)
-    z = ops.z
-    y = z / sqrtk
-    lam = np.asarray(weight.lam)
-    sites = grid.sites
-
-    # Every coefficient is sampled once per assembly, a user callable once per
-    # point and a whole-grid form once (``_sample``); the partials of r and
-    # log m come from these samples (``_grid_partials``).
-    if has_r:
-        r = _sample(pert.r, y, (n, n), complex)
-        rbar = np.conj(r)
-    grad_phi = (lam * y).astype(complex)        # d phi0 / dzbar at y
-    if perturbation is not None:
-        grad_phi = grad_phi + perturbation._zbar_gradients(y)
-    step = grid.spacing / sqrtk  # between neighbouring sites y
-    grad_logm = np.zeros((sites, n), dtype=complex)
-    if pert.volume_density is not None:
-        d = _grid_partials(np.log(_sample(pert.m_at, y)), grid, step)
-        grad_logm = np.stack([0.5 * (d[2 * j] + 1j * d[2 * j + 1]) for j in range(n)], axis=1)
-    wcoef = None
-    if has_r and n > 1 and q >= 1:
-        wcoef = _wedge_term_coefficients(r, _grid_partials(r, grid, step))
-
-    def row(j: int) -> tuple:
-        """B_j = sum_s (delta_js + rbar_js) d/dzbar_s + g_j as values on the
-        cached stencil of every coordinate (of coordinate j without r)."""
-        # the exact model part, then the weight and density perturbations
-        g = (0.5 * lam[j] * z[:, j] + 0.5 * sqrtk * (grad_phi[:, j] - lam[j] * y[:, j])
-             - 0.5 / sqrtk * grad_logm[:, j])
-        stencil = ops.stencil(tuple(range(n)) if has_r else (j,))
-        site_rows, _, coord, value, diag = stencil
-        b = np.where(coord == j, value, 0)
-        if has_r:
-            b = b + rbar[site_rows, j, coord] * value
-            for s in range(n):
-                coef = rbar[:, j, s]
-                if np.any(coef != 0):
-                    g = (g + 0.5 * sqrtk * coef * grad_phi[:, s]
-                         - 0.5 / sqrtk * coef * grad_logm[:, s])
-        b[diag] = g
-        return stencil, b
-
-    def dbar_blocks(degree: int, rows: list) -> dict:
-        """The nonzero sites x sites blocks (rows, cols, values, diagonal) of
-        the scaled dbar from (0,degree) to (0,degree+1) forms."""
-        blocks = {}
-        for j, ((site_rows, site_cols, _, _, diag), b) in enumerate(rows):
-            wedge = fiber.wedge_matrix(n, degree, j)
-            for key in zip(*np.nonzero(wedge)):
-                blocks[key] = site_rows, site_cols, wedge[key] * b, diag
-        if wcoef is None or degree < 1:
-            return blocks
-        # The (0,2) frame term: wedge_b wedge_c iota_j (x) w^j_bc on the site
-        # diagonal, divided by sqrt(k) after the sum over (j, b, c).
-        frame = {}
-        for j in range(n):
-            for b in range(n):
-                for c in range(b + 1, n):
-                    if not np.any(wcoef[j, b, c] != 0):
-                        continue
-                    f = (fiber.wedge_matrix(n, degree, b) @ fiber.wedge_matrix(n, degree - 1, c)
-                         @ fiber.contract_matrix(n, degree, j))
-                    for key in zip(*np.nonzero(f)):
-                        term = f[key] * wcoef[j, b, c]
-                        frame[key] = frame[key] + term if key in frame else term
-        every = np.arange(sites, dtype=np.int32)
-        for key, term in frame.items():
-            term = term * (1 / sqrtk)
-            if key in blocks:
-                blocks[key][2][blocks[key][3]] += term
-            else:
-                blocks[key] = every, every, term, every
-        return blocks
-
-    # D_q is absent at q = n, D_{q-1} at q = 0.  G stacks D_q on D_{q-1}^dag,
-    # so G^dag G = D_q^dag D_q + D_{q-1} D_{q-1}^dag is one CSR product.
-    above = fiber.fiber_dim(n, q + 1) if q < n else 0
-    below = fiber.fiber_dim(n, q - 1) if q >= 1 else 0
-
-    def factor_blocks() -> dict:
-        rows = [row(j) for j in range(n)]
-        blocks = {}
-        if q < n:
-            blocks.update({key: part[:3] for key, part in dbar_blocks(q, rows).items()})
-        if q >= 1:
-            blocks.update({(above + key[1], key[0]): (site_cols, site_rows, np.conj(v))
-                           for key, (site_rows, site_cols, v, _) in dbar_blocks(q - 1, rows).items()})
-        return blocks
-
-    # The exact twist correction R (the continuum eigenvalues in place of the
-    # discrete factor commutators, so the unperturbed case reduces to
-    # assemble_model) and F = R + S with the stabilizer, summed once per q.
-    rest, fixed = ops.twist(lam, q)
-    stacked, a = _gram(sites, factor_blocks(),
-                       ((above + below) * sites, fiber.fiber_dim(n, q) * sites), fixed)
-
-    # Optional adjoint zero-order terms (Hermitian part; see README): the
-    # contractions iota_j alpha_j / sqrt(k) into and out of degree q.
-    if pert.alpha is not None:
-        alpha = _sample(lambda u: pert.alpha_at(u, n), y, (n,))
-
-        def contraction(degree: int) -> sp.csr_matrix:
-            return sum(sp.kron(fiber.contract_matrix(n, degree, j), sp.diags(alpha[:, j] / sqrtk))
-                       for j in range(n)).tocsr()
-
-        x = 0
-        if q < n:
-            x = x + contraction(q + 1) @ stacked[:above * sites]
-        if q >= 1:
-            x = x + stacked[above * sites:].getH().tocsr() @ contraction(q)
-        zero_order = (0.5 * (x + x.getH())).tocsr()
-        a = a + zero_order
-        rest = rest + zero_order
-
-    # fl(A) rounds in at most 3 sums (F, G^dag G + F and the zero-order
-    # part), and R in one more with alpha.  Without alpha R is the cached
-    # twist, so its terms in the floor are k-invariant too.
-    sums, key = (3, (tuple(lam), q)) if pert.alpha is None else (4, None)
-    return DiscreteOperator(a, q, k, grid, _floor=_floor(ops, a, stacked, rest, sums, key))
+    return _scaled(weight, pert, grid, q)(k)
 
 
 def to_matrix_market(op: DiscreteOperator, path) -> None:

@@ -50,9 +50,8 @@ from .operators import (
     GridSpec,
     PerturbationSpec,
     _gershgorin,
-    _GridOperators,
+    _scaled,
     assemble_model,
-    assemble_scaled,
 )
 
 __all__ = [
@@ -497,11 +496,10 @@ def converge_in_k(weight: WeightFunction, pert: Optional[PerturbationSpec],
         raise ArgumentError("k list must be strictly increasing")
     targets = {t: model_diagonal(ModelSpec(weight.n, weight.lam, q), t).matrix for t in ts}
     rows = []
-    ops = _GridOperators(grid)  # the k-invariant parts, shared by every k
+    assemble = _scaled(weight, pert, grid, q)  # the k-invariant parts, built once
     for k in ks:
         # the operator is not kept, so the next assembly does not run beside it
-        diags = kernel_diagonals(assemble_scaled(weight, pert, k, grid, q, _ops=ops),
-                                 grid.origin_site(), ts, method)
+        diags = kernel_diagonals(assemble(k), grid.origin_site(), ts, method)
         for t, diag in zip(ts, diags):
             err = float(np.max(np.abs(diag.matrix - targets[t])))
             rows.append(ConvergenceRow(k, float(t), diag.matrix, targets[t], err))

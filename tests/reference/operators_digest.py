@@ -6,8 +6,9 @@ n in {1, 2, 3} and every q; weights none, cubic (exact gradient) and
 value-only (finite-difference gradient); perturbations none, ``r``,
 ``r + alpha + m`` and ``m``; and k = 9.  k = 1 is kept only for the
 ``r + alpha + m`` cases at n <= 2, where every k-dependent branch is
-taken: k = 9 covers the same branches elsewhere.  The scaled cases of one
-grid share one ``_GridOperators``, as ``converge_in_k`` does.
+taken: k = 9 covers the same branches elsewhere.  The two k of such a case
+come from one ``operators._scaled`` closure, as the k of ``converge_in_k``
+do; every other scaled case is one ``assemble_scaled`` call.
 
 A digest records the CSR ``data``, ``indices`` and ``indptr`` bytes and
 ``repr(_floor)``, so it holds only on one toolchain (numpy, scipy and the
@@ -30,7 +31,7 @@ from heatlab.model_kernels import ModelSpec
 from heatlab.operators import (
     GridSpec,
     PerturbationSpec,
-    _GridOperators,
+    _scaled,
     assemble_model,
     assemble_scaled,
 )
@@ -67,20 +68,22 @@ PERTURBATIONS = {"none": PerturbationSpec(), "r": PerturbationSpec(r=_r),
 
 
 def cases():
-    """(label, build) for every case; build(ops) assembles it on the grid
-    operators ``ops`` shared by the cases of one n."""
+    """(label, operator) for every case, each operator assembled when the
+    caller reaches it."""
     for n, grid in GRIDS.items():
         lam = LAMBDAS[n]
         for q in range(n + 1):
-            yield f"model-n{n}-q{q}", lambda ops, n=n, lam=lam, q=q, grid=grid: \
-                assemble_model(ModelSpec(n, lam, q), grid)
+            yield f"model-n{n}-q{q}", assemble_model(ModelSpec(n, lam, q), grid)
             for wname, perturbation in WEIGHTS.items():
                 weight = WeightFunction(n, lam, perturbation)
                 for pname, pert in PERTURBATIONS.items():
-                    for k in ((1, 9) if pname == "ram" and n <= 2 else (9,)):
-                        yield (f"scaled-n{n}-q{q}-{wname}-{pname}-k{k}",
-                               lambda ops, weight=weight, pert=pert, k=k, grid=grid, q=q:
-                               assemble_scaled(weight, pert, k, grid, q, _ops=ops))
+                    label = f"scaled-n{n}-q{q}-{wname}-{pname}-k"
+                    if pname == "ram" and n <= 2:
+                        assemble = _scaled(weight, pert, grid, q)
+                        for k in (1, 9):
+                            yield f"{label}{k}", assemble(k)
+                    else:
+                        yield f"{label}9", assemble_scaled(weight, pert, 9, grid, q)
 
 
 def digest(op) -> dict:
@@ -91,8 +94,7 @@ def digest(op) -> dict:
 
 
 def digests() -> dict:
-    ops = {n: _GridOperators(grid) for n, grid in GRIDS.items()}
-    return {label: digest(build(ops[int(label.split("-n")[1][0])])) for label, build in cases()}
+    return {label: digest(op) for label, op in cases()}
 
 
 def main() -> int:

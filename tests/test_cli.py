@@ -150,6 +150,8 @@ def _without(cfg, key):
     (ORACLE_CFG, {"resolutions": [12, 25]}, "'resolutions'"),
     (ORACLE_CFG, {"resolutions": [2, 4]}, "'resolutions'"),
     (_without(MODEL_KERNEL_CFG, "experiment"), {}, "'experiment'"),
+    (MORSE_PRODUCT_CFG, {"model": "elliptic", "degree": 1}, "'degrees'"),
+    (MORSE_PRODUCT_CFG, {"degree": 5}, "'degree'"),
     (None, '{"experiment": ', "invalid JSON"),
     (None, "[1]", "config root"),
 ])

@@ -395,15 +395,39 @@ def _ref_wedge_term_coefficients(rs, grid, site, step):
     return w
 
 
+def _ref_placed(op1d, grid, axis):
+    """A one-axis operator acting on real axis ``axis`` of the grid."""
+    s, axes = grid.points_per_axis, 2 * grid.n
+    left, right = sp.identity(s**axis), sp.identity(s ** (axes - axis - 1))
+    return sp.kron(sp.kron(left, op1d), right).tocsr()
+
+
+def _ref_dzbar(grid, j):
+    """d/dzbar_j = (d/dx_j + i d/dy_j) / 2 with centred first differences."""
+    e = np.ones(grid.points_per_axis - 1)
+    d1 = sp.diags([-e, e], [-1, 1]) / (2.0 * grid.spacing)
+    return 0.5 * (_ref_placed(d1, grid, 2 * j) + 1j * _ref_placed(d1, grid, 2 * j + 1))
+
+
+def _ref_stabilizer(grid):
+    """sigma h^6 sum_a D4_a^T D4_a, D4 the squared second difference."""
+    s, h = grid.points_per_axis, grid.spacing
+    d2 = sp.diags([np.ones(s - 1), -2.0 * np.ones(s), np.ones(s - 1)], [-1, 0, 1]) / h**2
+    d4 = (d2 @ d2).tocsr()
+    unit = (defaults.GHOST_STABILIZER * h**6 * (d4.T @ d4)).tocsr()
+    return sum(_ref_placed(unit, grid, a) for a in range(2 * grid.n)).tocsr()
+
+
 def _reference_assemble_scaled(weight, pert, k, grid, q):
+    """The scaled operator from sparse sums of placed difference matrices,
+    with every coefficient sampled point by point: no code of the assembler
+    beyond the fiber tables."""
     from heatlab import fiber
-    from heatlab.operators import _GridOperators
 
     n = weight.n
     sqrtk = np.sqrt(float(k))
-    ops = _GridOperators(grid)
     sites = grid.sites
-    z = ops.z
+    z = grid.site_coordinates()
     y = z / sqrtk
     lam = np.asarray(weight.lam)
     has_r = pert.r is not None
@@ -438,7 +462,7 @@ def _reference_assemble_scaled(weight, pert, k, grid, q):
 
     rows = []
     for j in range(n):
-        b = ops.dzbar(j)
+        b = _ref_dzbar(grid, j)
         g = 0.5 * lam[j] * z[:, j].astype(complex)
         if has_p:
             g = g + 0.5 * sqrtk * (grad_phi[:, j] - lam[j] * y[:, j])
@@ -448,7 +472,7 @@ def _reference_assemble_scaled(weight, pert, k, grid, q):
             for s in range(n):
                 coef = rbar[:, j, s]
                 if np.any(coef != 0):
-                    b = b + sp.diags(coef) @ ops.dzbar(s)
+                    b = b + sp.diags(coef) @ _ref_dzbar(grid, s)
                     g = g + 0.5 * sqrtk * coef * grad_phi[:, s]
                     if has_m:
                         g = g - 0.5 / sqrtk * coef * grad_logm[:, s]
@@ -500,10 +524,10 @@ def _reference_assemble_scaled(weight, pert, k, grid, q):
         pi_j = np.real(np.diag(fiber.projection_contains(n, q, j)))
         if not np.any(pi_j != 0):
             continue
-        c0 = ops.model_factor(j, lam[j])
+        c0 = (_ref_dzbar(grid, j) + sp.diags(0.5 * lam[j] * z[:, j])).tocsr()
         comm = (c0 @ c0.getH() - c0.getH() @ c0).tocsr()
         twist = twist + sp.kron(sp.diags(pi_j), (lam[j] * sp.identity(sites) - comm).tocsr())
-    a = g.getH().tocsr() @ g + (twist + sp.kron(sp.identity(dq), ops.stabilizer))
+    a = g.getH().tocsr() @ g + (twist + sp.kron(sp.identity(dq), _ref_stabilizer(grid)))
     if pert.alpha is not None:
         alpha = np.empty((sites, n), dtype=complex)
         for i in range(sites):
@@ -632,6 +656,34 @@ def test_volume_density_checked_at_every_site():
     np.testing.assert_array_equal(calls[1:], grid.site_coordinates() / np.sqrt(5.0))
 
 
+def _bad_at_edge(value, shape=()):
+    """A coefficient equal to its trivial value at 0 and to ``value`` at the
+    sites y with Re y_1 > 0.5."""
+    def f(y):
+        return np.full(shape, value if np.real(y[0]) > 0.5 else 0.0, dtype=complex)
+
+    return f
+
+
+@pytest.mark.parametrize("bad, what", [
+    (PerturbationSpec(r=_bad_at_edge(np.nan, (1, 1))), "frame r"),
+    (PerturbationSpec(r=_bad_at_edge(np.inf, (1, 1))), "frame r"),
+    (PerturbationSpec(alpha=_bad_at_edge(np.nan, (1,))), "alpha"),
+    (PerturbationSpec(volume_density=lambda y: 1.0 + _bad_at_edge(np.nan)(y).real),
+     "volume density"),
+    (Perturbation(lambda z: float(_bad_at_edge(np.nan)(z).real)), "weight gradient"),
+])
+def test_non_finite_coefficients_are_rejected(bad, what):
+    # a NaN or inf sample would leave NaN entries and a NaN "proven" floor
+    grid = GridSpec(1, 2.0, 0.5)
+    if isinstance(bad, Perturbation):
+        weight, pert = WeightFunction(1, (1.0,), bad), None
+    else:
+        weight, pert = WeightFunction(1, (1.0,)), bad
+    with pytest.raises(DomainError, match=what):
+        assemble_scaled(weight, pert, 1, grid, 0)
+
+
 def test_alpha_term_keeps_hermiticity_and_defaults_to_zero():
     grid = GridSpec(1, 3.0, 0.5)
     weight = WeightFunction(1, (1.0,))
@@ -692,21 +744,19 @@ def test_chart_check_covers_the_value_only_gradient_stencil():
 
 
 def test_warm_scaled_assembly_peak_is_a_few_times_its_matrix():
-    # with the k-invariant sum cached, one n = 2, q = 1 assembly holds little
+    # with the k-invariant sum built, one n = 2, q = 1 assembly holds little
     # beside its result: one Gram product and one addition, no CSC copies
     import tracemalloc
-
-    from heatlab.operators import _GridOperators
 
     grid = GridSpec(2, 1.5, 0.5)
     weight = WeightFunction(2, (1.0, -0.5))
     pert = PerturbationSpec(r=lambda y: np.array([[0.0, 0.1 * y[0]], [0.05 * y[1], 0.0]],
                                                  dtype=complex))
-    ops = _GridOperators(grid)
-    assemble_scaled(weight, pert, 16, grid, 1, _ops=ops)
+    assemble = operators._scaled(weight, pert, grid, 1)
+    assemble(16)
     tracemalloc.start()
     try:
-        a = assemble_scaled(weight, pert, 16, grid, 1, _ops=ops).matrix
+        a = assemble(16).matrix
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -714,20 +764,18 @@ def test_warm_scaled_assembly_peak_is_a_few_times_its_matrix():
 
 
 def test_shared_grid_operators_serve_only_k_invariant_terms():
-    # one _GridOperators across k, q and perturbations gives, bit for bit,
-    # the matrix and floor of a fresh single call: the twist, the stencils
-    # and the floor's stabilizer and twist terms are cached, while the
-    # wedge terms and, with alpha, the remainder are rebuilt for every k
-    from heatlab.operators import _GridOperators
-
+    # one _scaled closure across k gives, bit for bit, the matrix and floor
+    # of a fresh single call: the twist, the stencils and the floor's
+    # stabilizer and twist terms are built once, while the wedge terms and,
+    # with alpha, the remainder are rebuilt for every k
     grid = GridSpec(2, 1.0, 0.5)
     weight, full = _full_two_dim_inputs()
     no_alpha = PerturbationSpec(r=full.r, volume_density=full.volume_density)
-    shared = _GridOperators(grid)
     for q in range(3):
         for w, pert in ((weight, full), (_value_only_weight(), no_alpha)):
+            assemble = operators._scaled(w, pert, grid, q)
             for k in (1, 4, 64):
-                got = assemble_scaled(w, pert, k, grid, q, _ops=shared)
+                got = assemble(k)
                 fresh = assemble_scaled(w, pert, k, grid, q)
                 assert repr(got._floor) == repr(fresh._floor)
                 for part in ("indptr", "indices", "data"):
@@ -859,11 +907,11 @@ def test_floor_probe_catches_a_changed_entry(monkeypatch, case):
     real = operators._floor
     monkeypatch.setattr(operators, "_floor", lambda *args: seen.append(args) or real(*args))
     _FLOOR_CASES[case]()
-    ops, a, *pieces = seen[0]
+    probe, remainder, a, *pieces = seen[0]
     bad = a.copy()
     bad.data[bad.nnz // 2] += 1e-6 * abs(a).max()
     with pytest.raises(InvariantViolation, match="differs from its pieces"):
-        real(ops, bad, *pieces)
+        real(probe, remainder, bad, *pieces)
 
 
 # ---------------------------------------------------------------------------

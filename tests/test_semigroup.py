@@ -16,6 +16,7 @@ from heatlab.operators import (
     GridSpec,
     PerturbationSpec,
     _GridOperators,
+    _scaled,
     assemble_model,
     assemble_scaled,
 )
@@ -927,7 +928,9 @@ def test_converge_builds_the_grid_parts_once(monkeypatch):
     monkeypatch.setattr(_GridOperators, "__init__", real)
     # each k gets the operator a fresh assembly gives, floor included
     fresh = assemble_scaled(weight, None, 16, grid, 1)
-    shared = assemble_scaled(weight, None, 16, grid, 1, _ops=_GridOperators(grid))
+    assemble = _scaled(weight, None, grid, 1)
+    assemble(4)
+    shared = assemble(16)
     assert (fresh.matrix != shared.matrix).nnz == 0 and fresh._floor == shared._floor
 
 
