@@ -13,9 +13,13 @@ against a discretized periodic magnetic Laplacian with Peierls link
 phases; see ``validate_landau_levels``.  In Landau gauge a partial
 Fourier transform in y turns that operator into Harper's equation: real
 cyclic tridiagonal rings with the same spectrum, which the oracle solves
-instead of the 2-D Peierls matrix.  A level is the set of ARPACK
-eigenvalues between two exact mid-gaps, checked against an inertia count
-below the top one.  Only the oracle imports scipy.sparse.
+instead of the 2-D Peierls matrix.  Without one closing site each ring is
+a path, so the rings are a tridiagonal bordered by one row per ring, and
+LAPACK's tridiagonal kernels factor them: ``dpttrf`` for ARPACK's
+shift-invert and a Sturm count (``dstebz``) with the closing sites' Schur
+complement for the inertia.  A level is the set of ARPACK eigenvalues
+between two exact mid-gaps, checked against the inertia count below the
+top one.  Only the oracle imports scipy, inside its functions.
 """
 
 from dataclasses import astuple, dataclass
@@ -274,45 +278,124 @@ def _harper_rings(flux_quanta: int, n_points: int, side: float):
     (4 - 2 cos 2 pi (m / N + Q i / N^2)) / h^2, and the twisted x wrap link
     joins x-site N-1 at momentum m to x-site 0 at m + Q.  With g = gcd(N, Q)
     this leaves g real rings of L = N^2 / g sites; site ring * L + p carries
-    x-index p mod N and momentum ring + Q floor(p / N).  Returns a real
-    scipy.sparse CSR matrix with 3 entries per row."""
-    import scipy.sparse as sp
-
+    x-index p mod N and momentum ring + Q floor(p / N), so its phase is
+    (ring N + Q p) / N^2, and every link of a ring carries the hop -1/h^2.
+    Returns (diag, hop): the (g, L) array of ring diagonals and the hop."""
     _check_torus_grid(flux_quanta, n_points, side)
     N, Q = n_points, flux_quanta
     h = side / N
-    L = N * N // np.gcd(N, Q)
-    site = np.arange(N * N)
-    ring, p = np.divmod(site, L)
-    i = p % N
-    m = ring + Q * (p // N)
-    # the phase m / N + Q i / N^2 reduced exactly in integers
-    phase = (m * N + Q * i) % (N * N) / (N * N)
-    diag = (4.0 - 2.0 * np.cos(2.0 * np.pi * phase)) / h**2
-    hop = np.full(N * N, -1.0 / h**2)
-    start = ring * L
-    cols = np.stack([start + (p - 1) % L, site, start + (p + 1) % L], axis=1)
-    vals = np.stack([hop, diag, hop], axis=1)
-    rings = sp.csr_matrix((vals.ravel(), cols.ravel(), np.arange(0, 3 * N * N + 1, 3)),
-                          shape=(N * N, N * N))
-    rings.sort_indices()
-    return rings
+    g = np.gcd(N, Q)
+    ring, p = np.arange(g)[:, None], np.arange(N * N // g)
+    # the phase reduced exactly in integers
+    phase = (ring * N + Q * p) % (N * N) / (N * N)
+    return (4.0 - 2.0 * np.cos(2.0 * np.pi * phase)) / h**2, -1.0 / h**2
 
 
-def _count_below(h, shift: float) -> int:
-    """Number of eigenvalues of the Hermitian sparse matrix h below shift:
-    the negative pivots of an LDL^H factorisation of h - shift*I (Sylvester's
-    law of inertia; Parlett, The Symmetric Eigenvalue Problem, 3.3), which
-    SuperLU gives as U = D L^H when it keeps to the diagonal."""
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
+def _ring_apply(diag, hop, x):
+    """The rings H applied to a vector x in site order ring * L + p."""
+    x = x.reshape(diag.shape)
+    return (diag * x + hop * (np.roll(x, 1, axis=1) + np.roll(x, -1, axis=1))).ravel()
 
-    a = (h - shift * sp.identity(h.shape[0], dtype=h.dtype, format="csr")).tocsc()
-    lu = spla.splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                   options={"SymmetricMode": True})
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        raise AccuracyError(f"inertia count at shift {shift:.6g} needed off-diagonal pivots")
-    return int(np.count_nonzero(lu.U.diagonal().real < 0))
+
+# Bordering (Haynsworth, Linear Algebra Appl. 1, 1968).  Without its
+# closing site p = L - 1 each ring is a path of L - 1 sites; the g paths
+# form one tridiagonal T with no link between rings.  The closing sites
+# are the border B: each couples, by the hop, only to the first and last
+# site of its own path.  As T is block diagonal, Y = T^{-1} B is supported
+# ring by ring and the Schur complement S = C - B^T Y is diagonal,
+# s_r = c_r - hop (y_r[0] + y_r[-1]), with c_r the closing diagonal.
+
+
+def _path(diag, hop):
+    """The tridiagonal T of the rings without their closing sites, as
+    LAPACK's diagonal and off-diagonal (d, e)."""
+    d = diag[:, :-1].ravel()
+    e = np.full(d.size - 1, hop)
+    e[diag.shape[1] - 2::diag.shape[1] - 1] = 0.0
+    return d, e
+
+
+def _border(diag, hop):
+    """B as a (g, L - 1) array: column r of B is row r, the hop at the
+    first and last site of path r."""
+    b = np.zeros((diag.shape[0], diag.shape[1] - 1))
+    b[:, [0, -1]] = hop
+    return b
+
+
+def _closing_pivots(diag, hop, shift, y):
+    """The Schur complement s_r = c_r - shift - hop (y_r[0] + y_r[-1]) of
+    the closing sites, given Y = (T - shift)^{-1} B as a (g, L - 1) array,
+    and a first-order bound on its rounding error, 64 eps ||H - shift||
+    (1 + ||y_r||)^2, which grows as shift nears an eigenvalue of T."""
+    schur = diag[:, -1] - shift - hop * (y[:, 0] + y[:, -1])
+    scale = np.abs(diag).max() + 2.0 * abs(hop) + abs(shift)
+    return schur, 64.0 * np.finfo(float).eps * scale * (1.0 + np.linalg.norm(y, axis=1)) ** 2
+
+
+def _ring_inverse(diag, hop):
+    """x -> H^{-1} x for the positive definite rings H, by bordering.
+
+    T, a principal submatrix of H, is factored once with LAPACK ``dpttrf``
+    (L D L^T), and Y = T^{-1} B and the Schur complements s_r once.  Each
+    application is then one ``dpttrs`` and O(N^2) vector work: with
+    t = T^{-1} x_T, the closing values are v_r = (x_r - hop (t_r[0] +
+    t_r[-1])) / s_r and the path values t - Y v.  Raises ``AccuracyError``
+    when H is not numerically positive definite: ``dpttrf`` fails on T, or
+    an s_r is not above its rounding bound."""
+    from scipy.linalg import lapack
+
+    d, e, info = lapack.dpttrf(*_path(diag, hop))
+    if info != 0:
+        raise AccuracyError(f"the Harper paths are not positive definite (dpttrf info {info})")
+
+    def path_solve(b):
+        return lapack.dpttrs(d, e, b.reshape(-1, 1))[0].reshape(b.shape)
+
+    y = path_solve(_border(diag, hop))
+    schur, bound = _closing_pivots(diag, hop, 0.0, y)
+    if np.any(schur <= bound):
+        raise AccuracyError("the Harper rings are not positive definite: a closing pivot "
+                            f"is {schur.min():.3g}", bound=float(bound.max()))
+
+    def solve(x):
+        x = x.reshape(diag.shape)
+        t = path_solve(x[:, :-1])
+        v = (x[:, -1] - hop * (t[:, 0] + t[:, -1])) / schur
+        return np.concatenate([t - y * v[:, None], v[:, None]], axis=1).ravel()
+
+    return solve
+
+
+def _count_below(diag, hop, shift: float) -> int:
+    """Number of eigenvalues of the rings H strictly below shift.
+
+    By Sylvester's law of inertia and Haynsworth's additivity,
+    In(H - shift) = In(T - shift) + In(S(shift)) with the diagonal Schur
+    complement S(shift) = C - shift - B^T (T - shift)^{-1} B.  A Sturm
+    count of T (LAPACK ``dstebz``; Parlett, The Symmetric Eigenvalue
+    Problem, 3.3) gives the first term, and one pivoted tridiagonal solve
+    (``dgtsv``) of T - shift against B the g signs of S.  When shift lies
+    within rounding of an eigenvalue of T the two terms may disagree; then
+    an s_r is within its rounding bound (``_closing_pivots``) and the count
+    raises ``AccuracyError`` rather than return a number.  An eigenvalue
+    of H within rounding of shift may be counted on either side."""
+    from scipy.linalg import lapack
+
+    d, e = _path(diag, hop)
+    lo = min(d.min(), shift) - 3.0 * abs(hop)   # below every eigenvalue of T
+    # only the count m is used, so the bisection may stop at once
+    m, *_, info = lapack.dstebz(d, e, 1, lo, shift, 0, 0, shift - lo, "B")
+    if info != 0:
+        raise AccuracyError(f"Sturm count at shift {shift:.6g} failed (dstebz info {info})")
+    *_, y, info = lapack.dgtsv(e, d - shift, e, _border(diag, hop).reshape(-1, 1))
+    if info != 0:
+        raise AccuracyError(f"shift {shift:.6g} is an eigenvalue of the Harper paths")
+    schur, bound = _closing_pivots(diag, hop, shift, y.reshape(diag.shape[0], -1))
+    if np.any(np.abs(schur) <= bound):
+        raise AccuracyError(f"shift {shift:.6g} lies within rounding of an eigenvalue of "
+                            "the Harper paths or rings", bound=float(bound.max()))
+    return int(m) + int(np.count_nonzero(schur < 0))
 
 
 def _discrete_landau_levels(bundle: EllipticCurveBundle, k: int, n_points: int,
@@ -320,24 +403,29 @@ def _discrete_landau_levels(bundle: EllipticCurveBundle, k: int, n_points: int,
     """The ``count`` smallest eigenvalues of the discretized Laplacian on
     sections, normalized to the Landau convention (level m at k lambda m),
     split into ``count // (k d)`` levels at the mid-gaps k lambda (m -+ 1/2).
-    The eigenvalues come from the Harper rings (``_harper_rings``), the real
-    tridiagonal y-Fourier transform of the Peierls matrix.  Raises
-    ``AccuracyError`` when they miss one below the top mid-gap."""
+    The eigenvalues come from shift-inverted ARPACK on the Harper rings
+    (``_harper_rings``), the real tridiagonal y-Fourier transform of the
+    Peierls matrix, each inverse applied by bordering (``_ring_inverse``).
+    Raises ``AccuracyError`` when they miss one below the top mid-gap, as
+    counted by ``_count_below``."""
     import scipy.sparse.linalg as spla
 
     quanta = k * bundle.degree
     side = np.sqrt(bundle.area / 2.0)   # Lebesgue side; dv area = 2 * side^2
     field = 2.0 * np.pi * quanta / side**2
-    h = _harper_rings(quanta, n_points, side)
+    diag, hop = _harper_rings(quanta, n_points, side)
+    n = diag.size
+    rings = spla.LinearOperator((n, n), matvec=lambda x: _ring_apply(diag, hop, x), dtype=float)
+    inverse = spla.LinearOperator((n, n), matvec=_ring_inverse(diag, hop), dtype=float)
     # A fixed-seed random start vector keeps reruns byte-identical
     # without missing any symmetry class of the spectrum.
-    v0 = np.random.default_rng(0).standard_normal(h.shape[0])
-    eigs = np.sort(spla.eigsh(h, k=count, sigma=0.0, which="LM", v0=v0,
+    v0 = np.random.default_rng(0).standard_normal(n)
+    eigs = np.sort(spla.eigsh(rings, k=count, sigma=0.0, which="LM", v0=v0, OPinv=inverse,
                               return_eigenvectors=False, maxiter=10000))
     eigs = (eigs - field) / 4.0
     gaps = k * bundle.lambda_scalar * (np.arange(count // quanta + 1) - 0.5)
     cuts = np.searchsorted(eigs, gaps)
-    below = _count_below(h, field + 4.0 * gaps[-1])
+    below = _count_below(diag, hop, field + 4.0 * gaps[-1])
     if below != cuts[-1]:
         raise AccuracyError(f"{below} eigenvalues lie below the top mid-gap at N={n_points}, "
                             f"but only {cuts[-1]} of the {count} computed")

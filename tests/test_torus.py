@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import heatlab.torus as torus
 from heatlab.errors import AccuracyError, ArgumentError
 from heatlab.geometry import CurvatureEndomorphism, asymptotic_diagonal, heat_factor
 from heatlab.torus import (
@@ -307,38 +308,130 @@ def test_landau_validation_small():
     np.testing.assert_allclose(val.expected[1], b.lambda_scalar)
 
 
+def _dense_rings(diag, hop):
+    """The Harper rings as a dense matrix: site ring * L + p is linked by
+    hop to p -+ 1 mod L of its own ring."""
+    g, L = diag.shape
+    site = np.arange(g * L)
+    ring, p = np.divmod(site, L)
+    h = np.diag(diag.ravel())
+    h[site, ring * L + (p + 1) % L] = hop
+    h[site, ring * L + (p - 1) % L] = hop
+    return h
+
+
+def _dense_paths(diag, hop):
+    """The dense rings without their closing sites p = L - 1."""
+    g, L = diag.shape
+    closing = np.arange(g) * L + L - 1
+    return np.delete(np.delete(_dense_rings(diag, hop), closing, 0), closing, 1)
+
+
 # gcd(N, Q) = 1, > 1 and Q > N; (5, 25) has odd rings of 5 sites, on which
 # the sign of the hop is not a gauge choice
-@pytest.mark.parametrize("n_points, flux_quanta", [(16, 1), (16, 4), (12, 3), (6, 8), (5, 25)])
+_RING_CASES = [(16, 1), (16, 4), (12, 3), (6, 8), (5, 25)]
+
+
+@pytest.mark.parametrize("n_points, flux_quanta", _RING_CASES)
 @pytest.mark.parametrize("side", [1.0, np.sqrt(0.5)])
 def test_harper_rings_have_the_peierls_spectrum(n_points, flux_quanta, side):
     from heatlab.torus import _harper_rings
 
-    rings = _harper_rings(flux_quanta, n_points, side)
-    assert rings.dtype == np.float64
-    assert np.diff(rings.indptr).tolist() == [3] * n_points**2
-    w = np.linalg.eigvalsh(rings.toarray())
+    diag, hop = _harper_rings(flux_quanta, n_points, side)
+    g = np.gcd(n_points, flux_quanta)
+    assert diag.dtype == np.float64 and diag.shape == (g, n_points**2 // g)
+    assert hop == pytest.approx(-(n_points / side) ** 2, rel=1e-15)
+    w = np.linalg.eigvalsh(_dense_rings(diag, hop))
     ref = np.linalg.eigvalsh(magnetic_torus_operator(flux_quanta, n_points, side).toarray())
     np.testing.assert_allclose(w, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("n_points, flux_quanta", _RING_CASES)
+@pytest.mark.parametrize("side", [1.0, np.sqrt(0.5)])
+def test_bordered_solve_matches_dense(n_points, flux_quanta, side):
+    from heatlab.torus import _harper_rings, _ring_apply, _ring_inverse
+
+    diag, hop = _harper_rings(flux_quanta, n_points, side)
+    # shifted by |hop|: at (5, 25) the flux per plaquette is 1, so the
+    # unshifted rings have the zero-field kernel
+    dense = _dense_rings(diag, hop) + abs(hop) * np.eye(diag.size)
+    x = np.random.default_rng(3).standard_normal(diag.size)
+    np.testing.assert_allclose(_ring_apply(diag + abs(hop), hop, x), dense @ x,
+                               rtol=0, atol=1e-14 * np.abs(dense @ x).max())
+    ref = np.linalg.solve(dense, x)
+    np.testing.assert_allclose(_ring_inverse(diag + abs(hop), hop)(x), ref,
+                               rtol=0, atol=1e-12 * np.abs(ref).max())
+
+
+def test_bordered_solve_rejects_rings_that_are_not_positive_definite():
+    from heatlab.torus import _harper_rings, _ring_inverse
+
+    diag, hop = _harper_rings(4, 16, 1.0)
+    with pytest.raises(AccuracyError, match="dpttrf info"):
+        _ring_inverse(diag - diag.max(), hop)
+    # one flux quantum per plaquette: the rings are singular, T is not
+    diag, hop = _harper_rings(25, 5, 1.0)
+    with pytest.raises(AccuracyError, match="closing pivot"):
+        _ring_inverse(diag, hop)
+
+
+def test_shift_inverted_levels_match_dense():
+    from heatlab.torus import _discrete_landau_levels, _harper_rings
+
+    # k d = 4 flux quanta on N = 16: g = 4 rings of 64 sites
+    b = EllipticCurveBundle(1j, 1)
+    side = np.sqrt(b.area / 2.0)
+    levels = _discrete_landau_levels(b, 4, 16, 12)
+    assert [lv.size for lv in levels] == [4, 4, 4]
+    w = np.linalg.eigvalsh(_dense_rings(*_harper_rings(4, 16, side)))[:12]
+    ref = (w - 2.0 * np.pi * 4 / side**2) / 4.0
+    np.testing.assert_allclose(np.concatenate(levels), ref, rtol=0, atol=1e-12 * w.max())
+
+
+_DENSE_REFERENCES = {
+    "magnetic_torus_operator": lambda q, n, side: magnetic_torus_operator(q, n, side).toarray(),
+    "_harper_rings": lambda q, n, side: _dense_rings(*torus._harper_rings(q, n, side)),
+}
 
 
 @pytest.mark.parametrize("k", [1, 2, 4])
 @pytest.mark.parametrize("builder", ["magnetic_torus_operator", "_harper_rings"])
 def test_inertia_count_matches_dense_at_every_mid_gap(builder, k):
-    import heatlab.torus as torus
-
+    # the count runs on the rings; the builder names the dense reference
     b = EllipticCurveBundle(1j, 1)
     side = np.sqrt(b.area / 2.0)
     field = 2.0 * np.pi * k / side**2
-    h = getattr(torus, builder)(k, 16, side)
-    w = np.linalg.eigvalsh(h.toarray())
+    w = np.linalg.eigvalsh(_DENSE_REFERENCES[builder](k, 16, side))
     # raw mid-gaps field + 4 k lambda (m + 1/2), up to past half the spectrum
     gaps = field + 4.0 * k * b.lambda_scalar * (np.arange(40) + 0.5)
     gaps = gaps[gaps < np.median(w)]
     assert gaps.size >= 5
-    counts = [torus._count_below(h, s) for s in gaps]
+    diag, hop = torus._harper_rings(k, 16, side)
+    counts = [torus._count_below(diag, hop, s) for s in gaps]
     assert counts == [int(np.count_nonzero(w < s)) for s in gaps]
     assert counts[:3] == [k, 2 * k, 3 * k]
+
+
+@pytest.mark.parametrize("n_points, flux_quanta", [(16, 1), (16, 4), (12, 3)])
+def test_count_at_an_eigenvalue_of_the_paths_is_right_or_raises(n_points, flux_quanta):
+    # The shifts are the eigenvalues of T, computed densely.  Where T and
+    # H share an eigenvalue (a degenerate level of H, or an eigenvector
+    # that vanishes on the closing sites) the shift lies within rounding
+    # of H's spectrum, and a count on either side of that eigenvalue is
+    # right; so the count must lie between the dense counts at shift -+
+    # delta, or raise.
+    diag, hop = torus._harper_rings(flux_quanta, n_points, np.sqrt(0.5))
+    w = np.linalg.eigvalsh(_dense_rings(diag, hop))
+    delta = 1e-12 * np.abs(w).max()
+    raised = 0
+    for s in np.linalg.eigvalsh(_dense_paths(diag, hop)):
+        try:
+            count = torus._count_below(diag, hop, s)
+        except AccuracyError:
+            raised += 1
+            continue
+        assert np.count_nonzero(w < s - delta) <= count <= np.count_nonzero(w < s + delta)
+    assert raised > 0
 
 
 def test_missed_degenerate_copy_raises(monkeypatch):
