@@ -302,8 +302,7 @@ def _ring_apply(diag, hop, x):
 # form one tridiagonal T with no link between rings.  The closing sites
 # are the border B: each couples, by the hop, only to the first and last
 # site of its own path.  As T is block diagonal, Y = T^{-1} B is supported
-# ring by ring and the Schur complement S = C - B^T Y is diagonal,
-# s_r = c_r - hop (y_r[0] + y_r[-1]), with c_r the closing diagonal.
+# ring by ring and the Schur complement S = C - B^T Y is diagonal.
 
 
 def _path(diag, hop):
@@ -316,8 +315,8 @@ def _path(diag, hop):
 
 
 def _border(diag, hop):
-    """B as a (g, L - 1) array: column r of B is row r, the hop at the
-    first and last site of path r."""
+    """B as a (g, L - 1) array whose row r is column r of B: the hop at
+    the first and last site of path r."""
     b = np.zeros((diag.shape[0], diag.shape[1] - 1))
     b[:, [0, -1]] = hop
     return b
