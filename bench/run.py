@@ -28,7 +28,10 @@ repeats):
   model operator of that config (1 089 sites, 64 probes);
 - ``oracle_32_64`` and ``oracle_48_96``: ``validate_landau_levels`` for
   the degree-1 bundle on tau = i at k = 3 with 10 eigenvalues, at
-  resolutions (32, 64) and (48, 96);
+  resolutions (32, 64) and (48, 96).  At (32, 64) there is g = gcd(N, 3)
+  = 1 Harper ring, so a change to how the shift classes of the rings are
+  solved leaves its ARPACK call as it was: it is the control.  At
+  (48, 96) the g = 3 rings are copies of one, which ARPACK solves alone;
 - ``converge_scaling``: ``cli.run_experiment`` on
   ``configs/converge_scaling.json`` into a fresh temporary directory
   (set-up), end to end from the loaded config to the CSV and manifest.

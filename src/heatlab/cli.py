@@ -251,10 +251,12 @@ def _check_cross_fields(cfg: dict) -> None:
         res = cfg["resolutions"]
         if len(res) != 2 or res[0] < 4 or res[1] != 2 * res[0]:
             raise ConfigError("field 'resolutions' must be [N, 2N] with N >= 4")
-        low, high = max(cfg["k_list"]) * cfg["degree"], res[0] ** 2 - 2
+        low = max(cfg["k_list"]) * cfg["degree"]
+        high = min(defaults.max_eigen_count(k * cfg["degree"], res[0]) for k in cfg["k_list"])
         if not low <= cfg["eigen_count"] <= high:
-            raise ConfigError("field 'eigen_count' must satisfy "
-                              f"max(k_list) * degree <= eigen_count <= N^2 - 2 = {high}")
+            raise ConfigError("field 'eigen_count' must satisfy max(k_list) * degree <= "
+                              "eigen_count <= N^2 - max(2, copies of a Harper ring) "
+                              f"for each k in k_list, at most {high}")
 
 
 def validate_config(cfg: dict) -> dict:

@@ -13,6 +13,8 @@ this normalization (see README, "Volume conventions"), so a discrete delta
 carries weight 1/(2^n h^{2n}).
 """
 
+import math
+
 # Eigenvalues with |lambda| below this are treated as degenerate: the
 # asymptotic-diagonal factor switches to its Taylor series and the Morse
 # index is reported as degenerate.  Units of curvature.
@@ -52,6 +54,25 @@ TRACE_BLOCK_BYTES = 2**26
 # Safety factor applied to Richardson error estimates in the Landau-level
 # oracle validation.
 RICHARDSON_SAFETY = 2.0
+
+
+def harper_copies(flux_quanta: int, n_points: int) -> int:
+    """How many of the g = gcd(N, Q) Harper rings of the Landau-level
+    oracle (``torus._harper_rings``) are cyclic shifts of each one: ring r
+    is a shift of ring r mod s, for s = gcd(Q / g, g) shift classes, so
+    each class holds g / s rings with one spectrum."""
+    g = math.gcd(n_points, flux_quanta)
+    return g // math.gcd(flux_quanta // g, g)
+
+
+def max_eigen_count(flux_quanta: int, n_points: int) -> int:
+    """Largest eigen_count of the Landau-level oracle at resolution N.
+    ARPACK solves one ring per shift class, N^2 / c rows for the c =
+    ``harper_copies`` copies, for ceil(eigen_count / c) eigenvalues, which
+    must number fewer than the rows: eigen_count <= N^2 - max(2, c).  Pure
+    Python, so the CLI checks configs without loading numpy."""
+    return n_points**2 - max(2, harper_copies(flux_quanta, n_points))
+
 
 # CSV float formatting: 17 significant digits round-trips float64 exactly.
 CSV_FLOAT_FORMAT = ".17g"

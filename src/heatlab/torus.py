@@ -17,9 +17,12 @@ instead of the 2-D Peierls matrix.  Without one closing site each ring is
 a path, so the rings are a tridiagonal bordered by one row per ring, and
 LAPACK's tridiagonal kernels factor them: ``dpttrf`` for ARPACK's
 shift-invert and a Sturm count (``dstebz``) with the closing sites' Schur
-complement for the inertia.  A level is the set of ARPACK eigenvalues
-between two exact mid-gaps, checked against the inertia count below the
-top one.  Only the oracle imports scipy, inside its functions.
+complement for the inertia.  The rings fall into shift classes of
+bit-identical copies, so ARPACK solves one ring per class and repeats
+each eigenvalue once per copy; the inertia count covers every ring.  A
+level is the set of those eigenvalues between two exact mid-gaps,
+checked against the inertia count below the top one.  Only the oracle
+imports scipy, inside its functions.
 """
 
 from dataclasses import astuple, dataclass
@@ -280,6 +283,10 @@ def _harper_rings(flux_quanta: int, n_points: int, side: float):
     this leaves g real rings of L = N^2 / g sites; site ring * L + p carries
     x-index p mod N and momentum ring + Q floor(p / N), so its phase is
     (ring N + Q p) / N^2, and every link of a ring carries the hop -1/h^2.
+    As the phase index ring N + Q p is reduced in integers, ring r is an
+    exact cyclic shift (``np.roll``) of ring r mod s, s = gcd(Q / g, g):
+    the rings fall into s shift classes of g / s copies with one spectrum
+    (Zak's magnetic translations, Phys. Rev. 134, A1602, 1964).
     Returns (diag, hop): the (g, L) array of ring diagonals and the hop."""
     _check_torus_grid(flux_quanta, n_points, side)
     N, Q = n_points, flux_quanta
@@ -405,29 +412,35 @@ def _discrete_landau_levels(bundle: EllipticCurveBundle, k: int, n_points: int,
     The eigenvalues come from shift-inverted ARPACK on the Harper rings
     (``_harper_rings``), the real tridiagonal y-Fourier transform of the
     Peierls matrix, each inverse applied by bordering (``_ring_inverse``).
-    Raises ``AccuracyError`` when they miss one below the top mid-gap, as
-    counted by ``_count_below``."""
+    The rings fall into s shift classes of c = g / s bit-identical copies
+    (``defaults.harper_copies``), so ARPACK solves the s representatives,
+    rings 0 .. s - 1, for ceil(count / c) eigenvalues and each is repeated
+    c times.  Raises ``AccuracyError`` when they miss one below the top
+    mid-gap, as counted by ``_count_below`` on all g rings."""
     import scipy.sparse.linalg as spla
 
     quanta = k * bundle.degree
     side = np.sqrt(bundle.area / 2.0)   # Lebesgue side; dv area = 2 * side^2
     field = 2.0 * np.pi * quanta / side**2
     diag, hop = _harper_rings(quanta, n_points, side)
-    n = diag.size
-    rings = spla.LinearOperator((n, n), matvec=lambda x: _ring_apply(diag, hop, x), dtype=float)
-    inverse = spla.LinearOperator((n, n), matvec=_ring_inverse(diag, hop), dtype=float)
+    copies = defaults.harper_copies(quanta, n_points)
+    reps = diag[:diag.shape[0] // copies]   # ring r is a shift of ring r mod s
+    n = reps.size
+    rings = spla.LinearOperator((n, n), matvec=lambda x: _ring_apply(reps, hop, x), dtype=float)
+    inverse = spla.LinearOperator((n, n), matvec=_ring_inverse(reps, hop), dtype=float)
     # A fixed-seed random start vector keeps reruns byte-identical
     # without missing any symmetry class of the spectrum.
     v0 = np.random.default_rng(0).standard_normal(n)
-    eigs = np.sort(spla.eigsh(rings, k=count, sigma=0.0, which="LM", v0=v0, OPinv=inverse,
-                              return_eigenvectors=False, maxiter=10000))
-    eigs = (eigs - field) / 4.0
+    eigs = np.sort(spla.eigsh(rings, k=-(-count // copies), sigma=0.0, which="LM", v0=v0,
+                              OPinv=inverse, return_eigenvectors=False, maxiter=10000))
+    eigs = (np.repeat(eigs, copies) - field) / 4.0
     gaps = k * bundle.lambda_scalar * (np.arange(count // quanta + 1) - 0.5)
     cuts = np.searchsorted(eigs, gaps)
+    # the count runs on all g rings, so it would also catch a wrong class rule
     below = _count_below(diag, hop, field + 4.0 * gaps[-1])
     if below != cuts[-1]:
         raise AccuracyError(f"{below} eigenvalues lie below the top mid-gap at N={n_points}, "
-                            f"but only {cuts[-1]} of the {count} computed")
+                            f"but only {cuts[-1]} of the {eigs.size} computed")
     return [eigs[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
 
 
@@ -454,18 +467,25 @@ def validate_landau_levels(bundle: EllipticCurveBundle, k: int,
     """Validate spectrum-table eigenvalues and multiplicities against the
     discretized periodic magnetic Laplacian at two resolutions with
     Richardson extrapolation (the discretization error is O(h^2)).  The
-    ``eigen_count`` smallest eigenvalues (k d <= eigen_count <= N^2 - 2)
-    give ``eigen_count // (k d)`` levels; a level matches when its
-    multiplicity is k d at both resolutions and its extrapolation is within
-    the error estimate."""
+    ``eigen_count`` smallest eigenvalues give ``eigen_count // (k d)``
+    levels; a level matches when its multiplicity is k d at both
+    resolutions and its extrapolation is within the error estimate.
+    eigen_count lies in [k d, ``defaults.max_eigen_count``] at the coarse
+    N, which is at most N^2 - 2."""
     if bundle.degree < 1:
         raise ArgumentError("oracle validation requires positive degree")
+    if k < 1:
+        raise ArgumentError("k must be a positive integer")
+    if not all(isinstance(n, (int, np.integer)) for n in resolutions):
+        raise ArgumentError(f"resolutions must be integers, not {resolutions!r}")
     n1, n2 = resolutions
     if n2 != 2 * n1:
         raise ArgumentError("resolutions must differ by a factor of 2")
     kd = k * bundle.degree
-    if not kd <= eigen_count <= n1**2 - 2:
-        raise ArgumentError(f"eigen_count must lie in [k*degree, N^2 - 2] = [{kd}, {n1**2 - 2}]")
+    high = defaults.max_eigen_count(kd, n1)
+    if not kd <= eigen_count <= high:
+        raise ArgumentError("eigen_count must lie in [k*degree, N^2 - max(2, copies of a "
+                            f"Harper ring)] = [{kd}, {high}]")
     lam = k * bundle.lambda_scalar
     coarse = _discrete_landau_levels(bundle, k, n1, eigen_count)
     fine = _discrete_landau_levels(bundle, k, n2, eigen_count)

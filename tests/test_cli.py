@@ -104,7 +104,8 @@ MORSE_PRODUCT_CFG = {
     "output": "morse.csv",
 }
 
-# eigen_count must lie in [max(k_list) * degree, N^2 - 2] = [3, 142]
+# eigen_count must lie in [max(k_list) * degree, N^2 - 3] = [3, 141]: at
+# k = 3 the 3 Harper rings on N = 12 are copies of one
 ORACLE_CFG = {
     "experiment": "validate-oracle",
     "tau_im": 1.0,
@@ -154,6 +155,7 @@ def _without(cfg, key):
     (MORSE_PRODUCT_CFG, {"degree": 5}, "'degree'"),
     (None, '{"experiment": ', "invalid JSON"),
     (None, "[1]", "config root"),
+    (ORACLE_CFG, {"eigen_count": 12**2 - 2}, "'eigen_count'"),
 ])
 def test_malformed_value_exits_2_naming_field(tmp_path, capsys, base, change, field):
     path = tmp_path / "bad.json"

@@ -375,17 +375,68 @@ def test_bordered_solve_rejects_rings_that_are_not_positive_definite():
         _ring_inverse(diag, hop)
 
 
+# (N, Q) with s = gcd(Q / g, g) > 1 shift classes, g = gcd(N, Q): (6, 4)
+# and (10, 4) have g = s = 2, (12, 8) g = 4 and s = 2, (34, 4) g = s = 2
+_CLASS_CASES = [(6, 4), (10, 4), (12, 8), (34, 4), (16, 4), (12, 3), (6, 8), (5, 25)]
+
+
+@pytest.mark.parametrize("n_points, flux_quanta", _CLASS_CASES)
+def test_every_ring_is_a_shift_of_its_class_representative(n_points, flux_quanta):
+    from heatlab.defaults import harper_copies
+    from heatlab.torus import _harper_rings
+
+    diag, hop = _harper_rings(flux_quanta, n_points, 1.0)
+    classes = diag.shape[0] // harper_copies(flux_quanta, n_points)
+    assert classes * harper_copies(flux_quanta, n_points) == diag.shape[0]
+    for r, ring in enumerate(diag):
+        rep = diag[r % classes]
+        assert any(np.array_equal(ring, np.roll(rep, t)) for t in range(diag.shape[1])), r
+
+
+@pytest.mark.parametrize("n_points, flux_quanta", [(6, 4), (10, 4), (12, 8), (16, 4), (6, 8)])
+def test_representative_rings_repeated_have_the_peierls_spectrum(n_points, flux_quanta):
+    from heatlab.defaults import harper_copies
+    from heatlab.torus import _harper_rings
+
+    side = np.sqrt(0.5)
+    diag, hop = _harper_rings(flux_quanta, n_points, side)
+    copies = harper_copies(flux_quanta, n_points)
+    w = np.linalg.eigvalsh(_dense_rings(diag[:diag.shape[0] // copies], hop))
+    ref = np.linalg.eigvalsh(magnetic_torus_operator(flux_quanta, n_points, side).toarray())
+    np.testing.assert_allclose(np.repeat(w, copies), ref, rtol=0,
+                               atol=1e-12 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("k, n_points, count, rows, values", [(4, 16, 12, 64, 3),
+                                                               (8, 12, 10, 72, 5)])
+def test_arpack_solves_one_ring_per_shift_class(monkeypatch, k, n_points, count, rows, values):
+    import scipy.sparse.linalg as spla
+
+    real = spla.eigsh
+    calls = []
+
+    def spy(h, k, **kwargs):
+        calls.append((h.shape[0], k))
+        return real(h, k=k, **kwargs)
+
+    monkeypatch.setattr(spla, "eigsh", spy)
+    torus._discrete_landau_levels(EllipticCurveBundle(1j, 1), k, n_points, count)
+    assert calls == [(rows, values)]
+
+
 def test_shift_inverted_levels_match_dense():
     from heatlab.torus import _discrete_landau_levels, _harper_rings
 
-    # k d = 4 flux quanta on N = 16: g = 4 rings of 64 sites
+    # k d = 4 flux quanta on N = 16: g = 4 rings of 64 sites in one class;
+    # k d = 8 on N = 12: g = 4 rings of 36 sites in two classes
     b = EllipticCurveBundle(1j, 1)
     side = np.sqrt(b.area / 2.0)
-    levels = _discrete_landau_levels(b, 4, 16, 12)
-    assert [lv.size for lv in levels] == [4, 4, 4]
-    w = np.linalg.eigvalsh(_dense_rings(*_harper_rings(4, 16, side)))[:12]
-    ref = (w - 2.0 * np.pi * 4 / side**2) / 4.0
-    np.testing.assert_allclose(np.concatenate(levels), ref, rtol=0, atol=1e-12 * w.max())
+    for k, n_points, count, sizes in [(4, 16, 12, [4, 4, 4]), (8, 12, 10, [8])]:
+        levels = _discrete_landau_levels(b, k, n_points, count)
+        assert [lv.size for lv in levels] == sizes
+        w = np.linalg.eigvalsh(_dense_rings(*_harper_rings(k, n_points, side)))[:sum(sizes)]
+        ref = (w - 2.0 * np.pi * k / side**2) / 4.0
+        np.testing.assert_allclose(np.concatenate(levels), ref, rtol=0, atol=1e-12 * w.max())
 
 
 _DENSE_REFERENCES = {
@@ -434,18 +485,19 @@ def test_count_at_an_eigenvalue_of_the_paths_is_right_or_raises(n_points, flux_q
     assert raised > 0
 
 
-def test_missed_degenerate_copy_raises(monkeypatch):
+def test_missed_ring_eigenvalue_raises(monkeypatch):
     import scipy.sparse.linalg as spla
 
     real = spla.eigsh
 
-    def drop_one_copy(h, k, **kwargs):
-        # the k smallest eigenvalues, except one copy of the doubly
+    def drop_ground(h, k, **kwargs):
+        # the k smallest eigenvalues of the one representative ring, except
+        # its ground eigenvalue, which stands for both copies of the doubly
         # degenerate ground level, replaced by the next eigenvalue
         w = np.sort(real(h, k=k + 1, **kwargs))
         return np.delete(w, 0)
 
-    monkeypatch.setattr(spla, "eigsh", drop_one_copy)
+    monkeypatch.setattr(spla, "eigsh", drop_ground)
     with pytest.raises(AccuracyError, match="below the top mid-gap"):
         validate_landau_levels(EllipticCurveBundle(1j, 1), 2, eigen_count=6,
                                resolutions=(16, 32))
@@ -456,22 +508,26 @@ def test_multiplicity_checked_at_both_resolutions(monkeypatch):
 
     real = spla.eigsh
 
-    def move_one_copy(h, k, **kwargs):
-        # at the coarse resolution only, one ground copy is read as a
-        # first-level eigenvalue; the count below the top mid-gap is intact
+    def move_one_ring_eigenvalue(h, k, **kwargs):
+        # at the coarse resolution only, where one representative of
+        # 16^2 / 2 sites stands for both rings, the ground eigenvalue is
+        # read as a first-level one: coarse multiplicities [0, 4, 2], and
+        # the count below the top mid-gap is intact
         w = np.sort(real(h, k=k, **kwargs))
-        if h.shape[0] == 16**2:
-            w[1] = w[2]
+        if h.shape[0] == 16**2 // 2:
+            w[0] = w[1]
         return w
 
-    monkeypatch.setattr(spla, "eigsh", move_one_copy)
+    monkeypatch.setattr(spla, "eigsh", move_one_ring_eigenvalue)
     val = validate_landau_levels(EllipticCurveBundle(1j, 1), 2, eigen_count=6,
                                  resolutions=(16, 32))
     assert val.multiplicities.tolist() == [2, 2, 2]
     assert val.matches.tolist() == [False, False, True]
 
 
-@pytest.mark.parametrize("k, eigen_count", [(2, 1), (1, 16**2 - 1)])
+# at k = 4 on N = 16 the 4 rings are copies of one of 64 sites, which
+# has fewer than 254 / 4 eigenvalues to spare
+@pytest.mark.parametrize("k, eigen_count", [(2, 1), (1, 16**2 - 1), (4, 16**2 - 2)])
 def test_eigen_count_out_of_range_rejected(k, eigen_count):
     with pytest.raises(ArgumentError, match="eigen_count"):
         validate_landau_levels(EllipticCurveBundle(1j, 1), k, eigen_count=eigen_count,
@@ -489,3 +545,12 @@ def test_too_coarse_resolution_rejected():
     with pytest.raises(ArgumentError, match="positive degree"):
         validate_landau_levels(EllipticCurveBundle(1j, -1), 1, eigen_count=2,
                                resolutions=(16, 32))
+
+
+def test_nonpositive_k_and_non_integer_resolutions_rejected():
+    with pytest.raises(ArgumentError, match="k must be a positive integer"):
+        validate_landau_levels(EllipticCurveBundle(1j, 1), 0, eigen_count=2,
+                               resolutions=(16, 32))
+    with pytest.raises(ArgumentError, match="resolutions must be integers"):
+        validate_landau_levels(EllipticCurveBundle(1j, 1), 1, eigen_count=2,
+                               resolutions=(32.0, 64.0))
