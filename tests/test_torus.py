@@ -330,7 +330,8 @@ def _dense_paths(diag, hop):
 # gcd(N, Q) = 1, > 1 and Q > N; (5, 25) has odd rings of 5 sites, on which
 # the sign of the hop is not a gauge choice.  The g = gcd(N, Q) rings fall
 # into s = gcd(Q / g, g) shift classes: s = 1 at (16, 4) and (12, 3), where
-# all rings are copies of one, and s = 2 at (6, 8), (6, 4) and (12, 8)
+# all rings are copies of one, s = 2 at (6, 8), (6, 4) and (12, 8), and
+# s = g = 5 at (5, 25)
 _RING_CASES = [(16, 1), (16, 4), (12, 3), (6, 8), (5, 25), (6, 4), (12, 8)]
 
 
@@ -514,8 +515,8 @@ def test_multiplicity_checked_at_both_resolutions(monkeypatch):
     assert val.matches.tolist() == [False, False, True]
 
 
-# at k = 4 on N = 16 the 4 rings are copies of one of 64 sites, which
-# has fewer than 254 / 4 eigenvalues to spare
+# at k = 4 on N = 16 the 4 rings are copies of one ring of 64 sites, and
+# ARPACK cannot be asked for ceil(254 / 4) = 64 of its 64 eigenvalues
 @pytest.mark.parametrize("k, eigen_count", [(2, 1), (1, 16**2 - 1), (4, 16**2 - 2)])
 def test_eigen_count_out_of_range_rejected(k, eigen_count):
     with pytest.raises(ArgumentError, match="eigen_count"):
