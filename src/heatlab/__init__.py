@@ -17,7 +17,7 @@ _EXPORTS = {
     "geometry": (
         "CurvatureEndomorphism", "CurvatureField", "FiberEndomorphism", "Perturbation",
         "WeightFunction", "asymptotic_diagonal", "curvature_at", "morse_bound",
-        "morse_index", "read_curvature_field", "twist_endomorphism",
+        "morse_index", "twist_endomorphism",
     ),
     "model_kernels": (
         "KernelValue", "ModelSpec", "mehler_scalar", "model_diagonal", "model_kernel",

@@ -14,7 +14,6 @@ is the twist endomorphism acting on the (0,q) fiber.  Values are densities
 against the Hermitian volume element (see README, "Volume conventions").
 """
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -38,8 +37,6 @@ __all__ = [
     "morse_index",
     "morse_index_integrals",
     "morse_bound",
-    "read_curvature_field",
-    "write_curvature_field",
     "cubic_re_perturbation",
     "quartic_abs_perturbation",
 ]
@@ -358,11 +355,10 @@ def morse_index(curv: CurvatureEndomorphism, tol: float = defaults.DEGENERACY_TH
 
 @dataclass(frozen=True)
 class CurvatureField:
-    """Curvature sampled on a parameter grid with cell volumes."""
+    """Curvature sampled on quadrature cells with their volumes."""
 
     matrices: tuple
     volumes: np.ndarray
-    params: Optional[np.ndarray] = None
 
     def __post_init__(self):
         vols = np.asarray(self.volumes, dtype=float)
@@ -418,60 +414,6 @@ def morse_bound(field: CurvatureField, q: int, tol: float = defaults.DEGENERACY_
         raise ArgumentError(f"q={q} outside [0, {n}]")
     integrals, degenerate = morse_index_integrals(field, tol)
     return MorseBoundResult(float(np.sum(integrals[: q + 1])), degenerate)
-
-
-# ---------------------------------------------------------------------------
-# CSV ingestion of curvature fields
-#
-# Columns: u1,...,um (parameters), vol, then n^2 pairs re_ij,im_ij in
-# row-major order; header mandatory, UTF-8, '.' decimal separator.
-
-
-def _field_columns(m: int, n: int) -> list:
-    """Header of a curvature-field CSV with m parameters and n x n matrices."""
-    return ([f"u{i + 1}" for i in range(m)] + ["vol"]
-            + [f"{p}_{i + 1}{j + 1}" for i in range(n) for j in range(n) for p in ("re", "im")])
-
-
-def read_curvature_field(path) -> CurvatureField:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        names = fh.readline().strip().split(",")
-        vol_col = names.index("vol") if "vol" in names else 0
-        n = math.isqrt((len(names) - vol_col - 1) // 2)
-        if names != _field_columns(vol_col, n):
-            raise ArgumentError(f"{path}: header must be u1..um,vol,re_11,im_11,... for n x n "
-                                f"matrices, got {names}")
-        params, vols, mats = [], [], []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            values = [float(v) for v in line.split(",")]
-            if len(values) != len(names):
-                raise ArgumentError(f"{path}:{lineno}: expected {len(names)} fields")
-            params.append(values[:vol_col])
-            vols.append(values[vol_col])
-            flat = values[vol_col + 1 :]
-            m = np.array(flat[0::2]) + 1j * np.array(flat[1::2])
-            mats.append(CurvatureEndomorphism(n, m.reshape(n, n)))
-    return CurvatureField(
-        tuple(mats), np.asarray(vols), np.asarray(params) if params and params[0] else None
-    )
-
-
-def write_curvature_field(path, field: CurvatureField) -> None:
-    n = field.matrices[0].n
-    m = field.params.shape[1] if field.params is not None else 0
-    fmt = "{:" + defaults.CSV_FLOAT_FORMAT + "}"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(_field_columns(m, n)) + "\n")
-        for row, (curv, vol) in enumerate(zip(field.matrices, field.volumes)):
-            vals = list(field.params[row]) if field.params is not None else []
-            vals.append(vol)
-            for i in range(n):
-                for j in range(n):
-                    vals += [curv.matrix[i, j].real, curv.matrix[i, j].imag]
-            fh.write(",".join(fmt.format(v) for v in vals) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ D_q on D_{q-1}^dag in CSR, so one CSR product gives both Gram parts, and
 F, the twist correction plus the stabilizer, does not depend on k.
 ``_scaled`` builds the parts that k does not change once, as locals of the
 ``assemble(k)`` it returns: the grid's operators, the stencil of the row
-operators (index arithmetic; the model factors C_j are values on it), F
-and the floor's terms of it.  Nothing outlives that function.  G and G^dag
+operators (index arithmetic; the model factors C_j and the twist
+correction's 5-point blocks, in closed form, are values on it), F and the
+floor's terms of it.  Nothing outlives that function.  G and G^dag
 are built from one COO triplet list: the values of each block of G on the
 stencil (``_gram``).  Their rows come out sorted; the Gram product is
 sorted once, before F is added, and nothing else is sorted.  No assembly
@@ -359,17 +360,21 @@ class _GridOperators:
 def _twist(ops: _GridOperators, lam, q: int) -> tuple:
     """The exact twist correction R = sum_j pi_j (x) delta_j at degree q,
     delta_j = lam_j I - [C_j, C_j^H], and F = R + S, S the stabilizer on
-    each fiber component."""
+    each fiber component.
+
+    On the grid [C_j, C_j^H] = lam_j (A_x + A_y) / 2, A_a the Dirichlet
+    neighbour average along the axes x_j, y_j of plane j, so delta_j is
+    the 5-point stencil of ``stencil((j,))``: lam_j on the diagonal and
+    -lam_j / 4 on the four neighbours."""
     n, sites, d = ops.grid.n, ops.grid.sites, fiber.fiber_dim(ops.grid.n, q)
     rest = sp.csr_matrix((d * sites, d * sites))
     for j in range(n):
         pi_j = np.real(np.diag(fiber.projection_contains(n, q, j)))
         if np.any(pi_j != 0):
-            rows, cols, value = ops.factor(j, lam[j])
-            c0 = sp.csr_matrix((value, (rows, cols)), shape=(sites, sites))
-            c0.eliminate_zeros()
-            c0h = c0.getH().tocsr()
-            delta = (lam[j] * sp.identity(sites) - (c0 @ c0h - c0h @ c0)).tocsr()
+            rows, cols, _, _, diag = ops.stencil((j,))
+            value = np.full(rows.size, -0.25 * lam[j], dtype=complex)
+            value[diag] = lam[j]
+            delta = sp.csr_matrix((value, (rows, cols)), shape=(sites, sites))
             rest = rest + sp.kron(sp.diags(pi_j), delta).tocsr()
     return rest, rest + sp.kron(sp.identity(d), ops.stabilizer).tocsr()
 

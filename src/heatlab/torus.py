@@ -490,7 +490,8 @@ def validate_landau_levels(bundle: EllipticCurveBundle, k: int,
     coarse = _discrete_landau_levels(bundle, k, n1, eigen_count)
     fine = _discrete_landau_levels(bundle, k, n2, eigen_count)
     expected = lam * np.arange(len(fine))
-    e1, e2 = (np.array([c.mean() for c in lv]) for lv in (coarse, fine))
+    # an empty level has no mean; ``complete`` fails it
+    e1, e2 = (np.array([c.mean() if c.size else np.nan for c in lv]) for lv in (coarse, fine))
     extrap = (4.0 * e2 - e1) / 3.0
     err = defaults.RICHARDSON_SAFETY * np.abs(e2 - e1) / 3.0 + 1e-9 * lam
     mults = np.array([c.size for c in fine], dtype=int)

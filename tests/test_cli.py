@@ -366,13 +366,14 @@ def test_threads_env_fallback(tmp_path, monkeypatch):
 
 
 # Every name the package namespace exported when it imported its submodules
-# eagerly; the lazy namespace must still resolve each of them.
+# eagerly, less the deleted curvature-field CSV reader; the lazy namespace
+# must still resolve each of them.
 PACKAGE_EXPORTS = (
     "AccuracyError", "ArgumentError", "ConfigError", "DomainError", "HeatlabError",
     "InvariantViolation", "NumericalError", "ResourceLimitError",
     "CurvatureEndomorphism", "CurvatureField", "FiberEndomorphism", "Perturbation",
     "WeightFunction", "asymptotic_diagonal", "curvature_at", "morse_bound", "morse_index",
-    "read_curvature_field", "twist_endomorphism",
+    "twist_endomorphism",
     "KernelValue", "ModelSpec", "mehler_scalar", "model_diagonal", "model_kernel",
     "weighted_kernel",
     "DiscreteOperator", "GridSpec", "PerturbationSpec", "assemble_model", "assemble_scaled",

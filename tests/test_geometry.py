@@ -18,9 +18,7 @@ from heatlab.geometry import (
     morse_index,
     morse_index_integrals,
     quartic_abs_perturbation,
-    read_curvature_field,
     twist_endomorphism,
-    write_curvature_field,
 )
 from heatlab.geometry import _sample
 
@@ -292,40 +290,3 @@ def test_empty_field_rejected():
     for tol in (0.0, -1e-8):
         with pytest.raises(ArgumentError, match="tol must be positive"):
             morse_index(curv, tol)
-
-
-# ---------------------------------------------------------------------------
-# CSV interface
-
-
-def test_curvature_field_csv_roundtrip(tmp_path):
-    rng = np.random.default_rng(3)
-    mats = []
-    for _ in range(5):
-        m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        mats.append(CurvatureEndomorphism(2, m + m.conj().T))
-    field = CurvatureField(tuple(mats), rng.uniform(0.5, 1.0, size=5),
-                           rng.normal(size=(5, 3)))
-    path = tmp_path / "field.csv"
-    write_curvature_field(path, field)
-    back = read_curvature_field(path)
-    assert back.params.shape == (5, 3)
-    np.testing.assert_allclose(back.volumes, field.volumes, rtol=1e-15)
-    for a, b in zip(back.matrices, field.matrices):
-        np.testing.assert_allclose(a.matrix, b.matrix, atol=1e-15)
-    np.testing.assert_allclose(
-        morse_bound(back, 1).value, morse_bound(field, 1).value, rtol=1e-14
-    )
-
-
-def test_curvature_field_csv_rejects_bad_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("u1,volume,re_11,im_11\n0,1,1,0\n", encoding="utf-8")
-    with pytest.raises(ArgumentError):
-        read_curvature_field(path)
-    path.write_text("u1,vol,re_11\n0,1,1\n", encoding="utf-8")
-    with pytest.raises(ArgumentError):
-        read_curvature_field(path)
-    path.write_text("u1,vol,re_11,im_11\n0,1,1,0\n0,1,1\n", encoding="utf-8")
-    with pytest.raises(ArgumentError, match=":3: expected 4 fields"):
-        read_curvature_field(path)

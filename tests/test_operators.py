@@ -170,10 +170,25 @@ def test_scaled_reduces_to_model_without_perturbation():
     for k in (1, 16, 256):
         scaled = assemble_scaled(weight, None, k, grid, 0)
         assert np.abs(scaled.matrix - model.matrix).max() <= 1e-12
-    for q in (0, 1):
-        scaled = assemble_scaled(WeightFunction(1, (0.5,)), None, 7, grid, q)
-        target = assemble_model(ModelSpec(1, (0.5,), q), grid)
-        assert np.abs(scaled.matrix - target.matrix).max() <= 1e-12
+    # the twist correction R makes every degree q reduce, at n = 1, 2 and 3
+    for lam, grid in (((0.5,), grid), ((1.0, -0.5), GridSpec(2, 1.0, 0.5)),
+                      ((1.0, -0.5, 0.7), GridSpec(3, 0.5, 0.5))):
+        n = len(lam)
+        for q in range(n + 1):
+            scaled = assemble_scaled(WeightFunction(n, lam), None, 7, grid, q)
+            target = assemble_model(ModelSpec(n, lam, q), grid)
+            assert np.abs(scaled.matrix - target.matrix).max() <= 1e-12
+
+
+def test_twist_correction_has_the_closed_form_spectrum():
+    # at n = 1, q = 1, R = lam (I - (A_x + A_y) / 2), A_a the Dirichlet
+    # neighbour average, whose eigenvalues are cos(pi a / (s + 1)), a = 1..s
+    grid, lam = GridSpec(1, 1.5, 0.5), 1.5
+    twist, _ = operators._twist(operators._GridOperators(grid), np.array([lam]), 1)
+    s = grid.points_per_axis
+    c = np.cos(np.pi * np.arange(1, s + 1) / (s + 1))
+    expected = np.sort(lam * (1 - (c[:, None] + c[None, :]) / 2).ravel())
+    np.testing.assert_allclose(np.linalg.eigvalsh(twist.toarray()), expected, rtol=0, atol=1e-13)
 
 
 def test_cubic_weight_deviation_scales_with_inverse_sqrt_k():
