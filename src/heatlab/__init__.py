@@ -14,14 +14,14 @@ _EXPORTS = {
         "AccuracyError", "ArgumentError", "ConfigError", "DomainError", "HeatlabError",
         "InvariantViolation", "NumericalError", "ResourceLimitError",
     ),
+    "fiber": ("FiberEndomorphism",),
     "geometry": (
-        "CurvatureEndomorphism", "CurvatureField", "FiberEndomorphism", "Perturbation",
-        "WeightFunction", "asymptotic_diagonal", "curvature_at", "morse_bound",
-        "morse_index", "twist_endomorphism",
+        "CurvatureEndomorphism", "CurvatureField", "Perturbation", "WeightFunction",
+        "asymptotic_diagonal", "curvature_at", "morse_bound", "morse_index",
+        "twist_endomorphism",
     ),
     "model_kernels": (
-        "KernelValue", "ModelSpec", "mehler_scalar", "model_diagonal", "model_kernel",
-        "weighted_kernel",
+        "ModelSpec", "mehler_scalar", "model_diagonal", "model_kernel", "weighted_kernel",
     ),
     "operators": (
         "DiscreteOperator", "GridSpec", "PerturbationSpec", "assemble_model",

@@ -51,6 +51,9 @@ TRACE_PROBES = 64
 # per probe within it (6.7 MB for the 64 probes and 3 times at dim 1089).
 TRACE_BLOCK_BYTES = 2**26
 
+# Largest geometric tail of torus.heat_trace_truncated, relative to the trace.
+TRUNCATED_TRACE_RTOL = 1e-12
+
 # Safety factor applied to Richardson error estimates in the Landau-level
 # oracle validation.
 RICHARDSON_SAFETY = 2.0

@@ -5,8 +5,10 @@ Basis forms are indexed by strictly increasing multi-indices J of
 lexicographically.  All operators are dense complex matrices acting on
 coefficient vectors in that basis.  The basis is orthonormal, so iota_j is
 the adjoint of e^j wedge (one sign rule); every cached result is read-only.
+``FiberEndomorphism`` is a matrix on that basis.
 """
 
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -14,7 +16,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import ArgumentError
+from .errors import ArgumentError, InvariantViolation
 
 
 @lru_cache(maxsize=None)
@@ -96,3 +98,28 @@ def exterior_power_matrix(V: np.ndarray, q: int) -> np.ndarray:
         for b, K in enumerate(idx):
             M[a, b] = np.linalg.det(V[np.ix_(J, K)]) if q > 0 else 1.0
     return M
+
+
+@dataclass(frozen=True)
+class FiberEndomorphism:
+    """Complex matrix on the (0,q) fiber, indexed by increasing multi-indices."""
+
+    n: int
+    q: int
+    matrix: np.ndarray
+
+    def __post_init__(self):
+        if not 0 <= self.q <= self.n:
+            raise ArgumentError(f"q={self.q} outside [0, {self.n}]")
+        d = fiber_dim(self.n, self.q)
+        m = np.array(self.matrix, dtype=complex)
+        if m.shape != (d, d):
+            raise InvariantViolation(f"expected {d}x{d} fiber matrix, got {m.shape}")
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
+
+    @property
+    def scalar(self) -> complex:
+        if self.matrix.shape != (1, 1):
+            raise ArgumentError("scalar access on a fiber of dimension > 1")
+        return complex(self.matrix[0, 0])

@@ -14,14 +14,15 @@ is the twist endomorphism acting on the (0,q) fiber.  Values are densities
 against the Hermitian volume element (see README, "Volume conventions").
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import defaults, fiber
 from .errors import ArgumentError, DomainError, InvariantViolation
-from .model_kernels import _check_time, _checked_lam
+from .fiber import FiberEndomorphism
+from .model_kernels import _check_time, _checked_lam, heat_factor
 
 __all__ = [
     "Perturbation",
@@ -242,38 +243,6 @@ class CurvatureEndomorphism:
         return CurvatureEndomorphism(lam.size, np.diag(lam).astype(complex))
 
 
-@dataclass(frozen=True)
-class FiberEndomorphism:
-    """Complex matrix on the (0,q) fiber, indexed by increasing multi-indices."""
-
-    n: int
-    q: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        if not 0 <= self.q <= self.n:
-            raise ArgumentError(f"q={self.q} outside [0, {self.n}]")
-        d = fiber.fiber_dim(self.n, self.q)
-        m = np.array(self.matrix, dtype=complex)
-        if m.shape != (d, d):
-            raise InvariantViolation(f"expected {d}x{d} fiber matrix, got {m.shape}")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def basis(self) -> tuple:
-        return fiber.multi_indices(self.n, self.q)
-
-    @property
-    def scalar(self) -> complex:
-        if self.dim != 1:
-            raise ArgumentError("scalar access on a fiber of dimension > 1")
-        return complex(self.matrix[0, 0])
-
-
 # ---------------------------------------------------------------------------
 # Operations
 
@@ -313,20 +282,6 @@ def twist_endomorphism(curv: CurvatureEndomorphism, q: int) -> FiberEndomorphism
     return FiberEndomorphism(n, q, out)
 
 
-def heat_factor(lam: float, t: float) -> float:
-    """Scalar factor lambda / (2 pi (1 - e^{-t lambda})) with degenerate branch.
-
-    Below the degeneracy threshold the 4-term Taylor series of
-    x / (1 - e^{-x}) at x = t*lambda is used; at lambda = 0 this is 1/(2 pi t).
-    """
-    _check_time(t)
-    x = t * lam
-    if abs(lam) < defaults.DEGENERACY_THRESHOLD:
-        series = 1.0 + x / 2.0 + x**2 / 12.0 - x**4 / 720.0
-        return series / (2.0 * np.pi * t)
-    return lam / (2.0 * np.pi * (-np.expm1(-x)))
-
-
 def _expm_hermitian(m: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(m)
     return (v * np.exp(w)) @ v.conj().T
@@ -343,10 +298,9 @@ def asymptotic_diagonal(curv: CurvatureEndomorphism, q: int, t: float) -> FiberE
     return FiberEndomorphism(curv.n, q, pref * _expm_hermitian(t * theta.matrix))
 
 
-def morse_index(curv: CurvatureEndomorphism, tol: float = defaults.DEGENERACY_THRESHOLD):
-    """Count of eigenvalues < -tol, or None when any eigenvalue lies in [-tol, tol]."""
-    if tol <= 0:
-        raise ArgumentError("tol must be positive")
+def morse_index(curv: CurvatureEndomorphism):
+    """Count of eigenvalues < -tol, or None when any lies in [-tol, tol]."""
+    tol = defaults.DEGENERACY_THRESHOLD
     mu = curv.eigenvalues()
     if np.any(np.abs(mu) <= tol):
         return None
@@ -386,13 +340,13 @@ class MorseBoundResult:
     degenerate_volume: float
 
 
-def morse_index_integrals(field: CurvatureField, tol: float = defaults.DEGENERACY_THRESHOLD):
+def morse_index_integrals(field: CurvatureField):
     """Per-index integrals I_j = sum_{index(cell)=j} |det(R/2pi)| vol, plus skipped volume."""
     n = field.matrices[0].n
     integrals = np.zeros(n + 1)
     degenerate = 0.0
     for curv, vol in zip(field.matrices, field.volumes):
-        j = morse_index(curv, tol)
+        j = morse_index(curv)
         if j is None:
             degenerate += vol
             continue
@@ -401,7 +355,7 @@ def morse_index_integrals(field: CurvatureField, tol: float = defaults.DEGENERAC
     return integrals, degenerate
 
 
-def morse_bound(field: CurvatureField, q: int, tol: float = defaults.DEGENERACY_THRESHOLD) -> MorseBoundResult:
+def morse_bound(field: CurvatureField, q: int) -> MorseBoundResult:
     """Signed curvature integral over cells of Morse index <= q.
 
     Each non-degenerate cell of index j <= q contributes
@@ -412,7 +366,7 @@ def morse_bound(field: CurvatureField, q: int, tol: float = defaults.DEGENERACY_
     n = field.matrices[0].n
     if not 0 <= q <= n:
         raise ArgumentError(f"q={q} outside [0, {n}]")
-    integrals, degenerate = morse_index_integrals(field, tol)
+    integrals, degenerate = morse_index_integrals(field)
     return MorseBoundResult(float(np.sum(integrals[: q + 1])), degenerate)
 
 

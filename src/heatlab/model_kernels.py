@@ -17,15 +17,18 @@ Hermitian volume element i^n dz dzbar = 2^n Lebesgue; the factor 2^{-n}
 in ``model_kernel`` converts between the two.  See README, "Volume
 conventions".
 
-The quadratic term of the Mehler exponent admits two plausible readings,
-coth(t lambda / 2) versus coth(t lambda); only the latter satisfies the
-heat equation (both are Hermitian-symmetric), and it is the default.  The
-rejected reading is kept behind the ``quadratic_reading`` switch for the
-residual diagnostic.
+Each Mehler exponent is -(lambda/2) coth(t lambda) |z - w|^2 + i lambda
+Im(z wbar): no terms cancel, so at z = w the kernel is the product formula.
+Of the two plausible quadratic readings, coth(t lambda) and
+coth(t lambda / 2), only the former satisfies the heat equation (both are
+Hermitian-symmetric); it is the default.  The rejected reading adds
+-lambda/(2 sinh(t lambda)) (|z|^2 + |w|^2), kept behind the
+``quadratic_reading`` switch for the residual diagnostic.
 
-Degeneracy follows ``geometry.heat_factor``: |lambda| below
+Degeneracy follows ``heat_factor``: |lambda| below
 ``defaults.DEGENERACY_THRESHOLD`` takes the Euclidean branch plus its terms
-linear in lambda, so tiny eigenvalues never reach the 1/(1 - e^{-t lambda}) forms.
+linear in lambda, so tiny eigenvalues never reach the 1/(1 - e^{-t lambda})
+forms.  This module imports nothing from ``geometry``, which imports it.
 """
 
 from dataclasses import dataclass
@@ -35,11 +38,12 @@ import numpy as np
 
 from . import defaults, fiber
 from .errors import ArgumentError, InvariantViolation
+from .fiber import FiberEndomorphism
 
 __all__ = [
     "ModelSpec",
-    "KernelValue",
     "QUADRATIC_READINGS",
+    "heat_factor",
     "mehler_scalar",
     "model_kernel",
     "weighted_kernel",
@@ -81,58 +85,36 @@ class ModelSpec:
         return float(np.dot(self.lam, np.abs(z) ** 2))
 
 
-@dataclass(frozen=True)
-class KernelValue:
-    """A kernel evaluation: fiber matrix, the point pair, and the time."""
-
-    value: np.ndarray
-    at: Tuple[np.ndarray, np.ndarray]
-    time: float
-    n: int
-    q: int
-
-    def __post_init__(self):
-        m = np.array(self.value, dtype=complex)
-        d = fiber.fiber_dim(self.n, self.q)
-        if m.shape != (d, d):
-            raise InvariantViolation(f"expected {d}x{d} kernel value")
-        if not np.all(np.isfinite(m)):
-            raise InvariantViolation("kernel value has non-finite entries")
-        z, w = self.at
-        if np.allclose(z, w, rtol=0.0, atol=0.0):
-            if np.max(np.abs(m - m.conj().T)) > 1e-10 * max(np.max(np.abs(m)), 1e-300):
-                raise InvariantViolation("kernel at coincident points must be Hermitian")
-        m.setflags(write=False)
-        object.__setattr__(self, "value", m)
-
-    @property
-    def scalar(self) -> complex:
-        if self.value.shape != (1, 1):
-            raise ArgumentError("scalar access on a fiber of dimension > 1")
-        return complex(self.value[0, 0])
-
-
 def _check_time(t: float) -> None:
     if not np.isfinite(t) or t <= 0:
         raise ArgumentError(f"t must be finite and positive, got {t!r}")
 
 
+def heat_factor(lam: float, t: float) -> float:
+    """Scalar factor lambda / (2 pi (1 - e^{-t lambda})) with degenerate branch.
+
+    Below the degeneracy threshold the 4-term Taylor series of
+    x / (1 - e^{-x}) at x = t*lambda is used; at lambda = 0 this is 1/(2 pi t).
+    """
+    _check_time(t)
+    x = t * lam
+    if abs(lam) < defaults.DEGENERACY_THRESHOLD:
+        series = 1.0 + x / 2.0 + x**2 / 12.0 - x**4 / 720.0
+        return series / (2.0 * np.pi * t)
+    return lam / (2.0 * np.pi * (-np.expm1(-x)))
+
+
 def _mehler_factor_log(lam: float, t: float, zj: complex, wj: complex,
                        reading: QuadraticReading) -> Tuple[float, complex]:
     """(log prefactor, exponent) of one Lebesgue-normalized Mehler factor."""
+    logpref = np.log(2.0 * heat_factor(lam, 2.0 * t))
+    phase = 1j * lam * (zj.imag * wj.real - zj.real * wj.imag)  # i lam Im(z wbar)
     if abs(lam) < defaults.DEGENERACY_THRESHOLD:
-        return (t * lam - np.log(2.0 * np.pi * t),
-                -abs(zj - wj) ** 2 / (2.0 * t) + 1j * lam * (zj * np.conj(wj)).imag)
+        return logpref, -abs(zj - wj) ** 2 / (2.0 * t) + phase
     x = t * lam
-    # lam / (pi (1 - e^{-2x})) > 0 for either sign of lam
-    logpref = np.log(lam / (np.pi * (-np.expm1(-2.0 * x))))
-    arg = 0.5 * x if reading == "half" else x
-    alpha = 0.5 * lam / np.tanh(arg)
-    beta_plus = lam / (-np.expm1(-2.0 * x))      # lam e^{x} / (2 sinh x)
-    beta_minus = lam / np.expm1(2.0 * x)         # lam e^{-x} / (2 sinh x)
-    expo = (-alpha * (abs(zj) ** 2 + abs(wj) ** 2)
-            + beta_plus * zj * np.conj(wj)
-            + beta_minus * np.conj(zj) * wj)
+    expo = -0.5 * lam / np.tanh(x) * abs(zj - wj) ** 2 + phase
+    if reading == "half":
+        expo -= 0.5 * lam / np.sinh(x) * (abs(zj) ** 2 + abs(wj) ** 2)
     return logpref, expo
 
 
@@ -142,13 +124,13 @@ def mehler_scalar(spec: ModelSpec, t: float, z, w,
 
     Product of one-dimensional factors
 
-        lam / (pi (1 - e^{-2 t lam})) *
-        exp(-(lam/2) coth(t lam) (|z_j|^2 + |w_j|^2)
-            + lam (e^{t lam} z_j wbar_j + e^{-t lam} zbar_j w_j) / (2 sinh(t lam)))
+        2 heat_factor(lam, 2t) *
+        exp(-(lam/2) coth(t lam) |z_j - w_j|^2 + i lam Im(z_j wbar_j)),
 
-    with a degenerate factor replaced by its expansion to first order in lam,
-    (2 pi t)^{-1} exp(t lam - |z_j - w_j|^2 / (2 t) + i lam Im(z_j wbar_j)).
-    The factors accumulate in log space and are exponentiated once.
+    2 heat_factor(lam, 2t) = lam / (pi (1 - e^{-2 t lam})), with a
+    degenerate factor's coefficient (lam/2) coth(t lam) replaced by its
+    limit 1/(2t).  The factors accumulate in log space and are
+    exponentiated once.
     """
     _check_time(t)
     if quadratic_reading not in QUADRATIC_READINGS:
@@ -166,8 +148,17 @@ def mehler_scalar(spec: ModelSpec, t: float, z, w,
     return complex(np.exp(logpref + expo))
 
 
+def _finite(spec: ModelSpec, value: np.ndarray) -> FiberEndomorphism:
+    """``value`` as a fiber matrix, or InvariantViolation when it is not
+    finite: e^{-t Theta_0} overflows for lambda < 0, q >= 1 and large t,
+    and the gauge factor of ``weighted_kernel`` far from the origin."""
+    if not np.all(np.isfinite(value)):
+        raise InvariantViolation("kernel value has non-finite entries")
+    return FiberEndomorphism(spec.n, spec.q, value)
+
+
 def model_kernel(spec: ModelSpec, t: float, z, w,
-                 quadratic_reading: QuadraticReading = "full") -> KernelValue:
+                 quadratic_reading: QuadraticReading = "full") -> FiberEndomorphism:
     """Heat kernel of the model Laplacian on (0,q)-forms, as a fiber matrix.
 
     exp(-t box_q)(z, w) = exp(-t Theta_0) * exp(-(t/2) H)(z, w), reported
@@ -176,32 +167,25 @@ def model_kernel(spec: ModelSpec, t: float, z, w,
     """
     _check_time(t)
     scalar = mehler_scalar(spec, 0.5 * t, z, w, quadratic_reading) * 0.5 ** spec.n
-    theta0 = fiber.twist_eigenvalues(spec.lam, spec.q)
-    value = np.diag(np.exp(-t * theta0)) * scalar
-    z = np.asarray(z, dtype=complex)
-    w = np.asarray(w, dtype=complex)
-    return KernelValue(value, (z, w), t, spec.n, spec.q)
+    return _finite(spec, np.diag(np.exp(-t * fiber.twist_eigenvalues(spec.lam, spec.q))) * scalar)
 
 
 def weighted_kernel(spec: ModelSpec, t: float, z, w,
-                    quadratic_reading: QuadraticReading = "full") -> KernelValue:
+                    quadratic_reading: QuadraticReading = "full") -> FiberEndomorphism:
     """Kernel of the weighted-gauge model Laplacian:
     e^{phi0(z)/2} exp(-t box_q)(z, w) e^{-phi0(w)/2}."""
     base = model_kernel(spec, t, z, w, quadratic_reading)
     gauge = np.exp(0.5 * (spec.weight_value(z) - spec.weight_value(w)))
-    return KernelValue(base.value * gauge, base.at, t, spec.n, spec.q)
+    return _finite(spec, base.matrix * gauge)
 
 
-def model_diagonal(spec: ModelSpec, t: float) -> "FiberEndomorphism":
+def model_diagonal(spec: ModelSpec, t: float) -> FiberEndomorphism:
     """Diagonal exp(-t box_q)(0, 0) by the product formula
 
     prod_j lam_j / (2 pi (1 - e^{-t lam_j})) * exp(-t Theta_0),
 
-    each scalar factor being ``geometry.heat_factor`` (1/(2 pi t) at lam_j = 0).
+    each scalar factor being ``heat_factor`` (1/(2 pi t) at lam_j = 0).
     """
-    from .geometry import FiberEndomorphism, heat_factor
-
-    _check_time(t)
     scalar = np.prod([heat_factor(lam, t) for lam in spec.lam])
     diag = scalar * np.exp(-t * fiber.twist_eigenvalues(spec.lam, spec.q))
     return FiberEndomorphism(spec.n, spec.q, np.diag(diag))

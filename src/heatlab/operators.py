@@ -140,7 +140,6 @@ class DiscreteOperator:
 
     matrix: sp.csr_matrix
     q: int
-    k: int            # 0 denotes the unscaled model operator
     grid: GridSpec
     _floor: Optional[float] = field(default=None, kw_only=True, repr=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False)
@@ -499,7 +498,7 @@ def assemble_model(spec: ModelSpec, grid: GridSpec) -> DiscreteOperator:
     a = (a + twist if np.any(theta0 != 0) else a).tocsr()
     probe = ops.probe(theta.size)
     # the sums are those of the stabilizer and of Theta_0
-    return DiscreteOperator(a, spec.q, 0, grid, _floor=_floor(
+    return DiscreteOperator(a, spec.q, grid, _floor=_floor(
         probe, _remainder(twist, probe[0]), a, stacked, 2, grid.n))
 
 
@@ -689,7 +688,7 @@ def _scaled(weight: WeightFunction, pert: Optional[PerturbationSpec], grid: Grid
         # fl(A) rounds in at most 3 sums (F, G^dag G + F and the zero-order
         # part), and R in one more with alpha.
         sums = 3 if pert.alpha is None else 4
-        return DiscreteOperator(a, q, k, grid, _floor=_floor(probe, terms, a, stacked, sums, n))
+        return DiscreteOperator(a, q, grid, _floor=_floor(probe, terms, a, stacked, sums, n))
 
     return assemble
 

@@ -84,10 +84,10 @@ class EllipticCurveBundle:
 
 @dataclass(frozen=True)
 class SpectrumTable:
-    """Eigenvalue/multiplicity rows, strictly increasing, with cutoff level."""
+    """Eigenvalue/multiplicity rows, strictly increasing; the last row is
+    the cutoff level."""
 
     rows: tuple
-    cutoff: int
 
     def __post_init__(self):
         eigs = [r[0] for r in self.rows]
@@ -124,7 +124,7 @@ def landau_spectrum(bundle: EllipticCurveBundle, k: int, q: int, cutoff: int) ->
     lam = k * bundle.lambda_scalar
     mult = k * bundle.degree
     rows = tuple((lam * (m + q), mult) for m in range(cutoff + 1))
-    return SpectrumTable(rows, cutoff)
+    return SpectrumTable(rows)
 
 
 def heat_trace_exact(bundle: EllipticCurveBundle, k: int, q: int, t: float) -> float:
@@ -141,15 +141,16 @@ def heat_trace_exact(bundle: EllipticCurveBundle, k: int, q: int, t: float) -> f
 
 
 def heat_trace_truncated(bundle: EllipticCurveBundle, k: int, q: int, t: float,
-                         cutoff: int, rtol: float = 1e-12) -> float:
+                         cutoff: int) -> float:
     """Trace from the truncated spectrum table; errors out when the geometric
-    tail exceeds the requested relative accuracy."""
+    tail exceeds ``defaults.TRUNCATED_TRACE_RTOL`` of the trace."""
     _check_time(t)
     table = landau_spectrum(bundle, k, q, cutoff)
     # t * lambda of the dual (positive-degree) model governs the tail
     x = t * 2.0 * np.pi * abs(bundle.degree) / bundle.area
     total = float(np.dot(table.multiplicities(), np.exp(-t * table.eigenvalues() / k)))
     tail = table.multiplicities()[-1] * np.exp(-t * table.eigenvalues()[-1] / k) / (-np.expm1(-x))
+    rtol = defaults.TRUNCATED_TRACE_RTOL
     if tail > rtol * max(total, 1e-300):
         needed = int(np.ceil(50.0 / x))
         raise AccuracyError(

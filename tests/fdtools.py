@@ -80,10 +80,10 @@ def heat_residual_model(spec, t, z, w, reading="full", h=1e-2, tau=None):
     d = fiber.fiber_dim(spec.n, spec.q)
     worst = 0.0
     for col in range(d):
-        dt = dt4(lambda s: model_kernel(spec, s, z, w, reading).value[:, col], t, tau)
+        dt = dt4(lambda s: model_kernel(spec, s, z, w, reading).matrix[:, col], t, tau)
         box = apply_box(
             spec.lam, spec.q,
-            lambda u: model_kernel(spec, t, u, w, reading).value[:, col], z, h,
+            lambda u: model_kernel(spec, t, u, w, reading).matrix[:, col], z, h,
         )
         num = np.max(np.abs(dt + box))
         den = max(np.max(np.abs(dt)), np.max(np.abs(box)), 1e-300)

@@ -366,16 +366,16 @@ def test_threads_env_fallback(tmp_path, monkeypatch):
 
 
 # Every name the package namespace exported when it imported its submodules
-# eagerly, less the deleted curvature-field CSV reader; the lazy namespace
-# must still resolve each of them.
+# eagerly, less the deleted curvature-field CSV reader and ``KernelValue``
+# (the kernels return ``FiberEndomorphism``); the lazy namespace must still
+# resolve each of them.
 PACKAGE_EXPORTS = (
     "AccuracyError", "ArgumentError", "ConfigError", "DomainError", "HeatlabError",
     "InvariantViolation", "NumericalError", "ResourceLimitError",
     "CurvatureEndomorphism", "CurvatureField", "FiberEndomorphism", "Perturbation",
     "WeightFunction", "asymptotic_diagonal", "curvature_at", "morse_bound", "morse_index",
     "twist_endomorphism",
-    "KernelValue", "ModelSpec", "mehler_scalar", "model_diagonal", "model_kernel",
-    "weighted_kernel",
+    "ModelSpec", "mehler_scalar", "model_diagonal", "model_kernel", "weighted_kernel",
     "DiscreteOperator", "GridSpec", "PerturbationSpec", "assemble_model", "assemble_scaled",
     "to_matrix_market",
     "ConvergenceReport", "SemigroupMethod", "converge_in_k", "heat_apply", "heat_trace",

@@ -194,24 +194,21 @@ def test_unitary_frame_covariance(n, data):
 
 
 def test_morse_index_examples():
-    assert morse_index(CurvatureEndomorphism.diagonal([1.0, 2.0]), 1e-8) == 0
-    assert morse_index(CurvatureEndomorphism.diagonal([-3.0, 5.0]), 1e-8) == 1
-    assert morse_index(CurvatureEndomorphism.diagonal([1e-12, 1.0]), 1e-8) is None
+    assert morse_index(CurvatureEndomorphism.diagonal([1.0, 2.0])) == 0
+    assert morse_index(CurvatureEndomorphism.diagonal([-3.0, 5.0])) == 1
+    assert morse_index(CurvatureEndomorphism.diagonal([1e-12, 1.0])) is None
 
 
 @given(st.integers(1, 4), st.data())
 @settings(max_examples=25, deadline=None)
-def test_morse_index_unitary_and_tol_invariance(n, data):
+def test_morse_index_unitary_invariance(n, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 10**6)))
     lam = rng.uniform(0.5, 3.0, size=n) * rng.choice([-1.0, 1.0], size=n)
     curv = CurvatureEndomorphism.diagonal(lam)
     u, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
     conj = CurvatureEndomorphism(n, u @ curv.matrix @ u.conj().T)
-    idx = morse_index(curv, 1e-8)
-    assert morse_index(conj, 1e-8) == idx
-    # tol scaling within the spectral gap
-    assert morse_index(curv, 1e-4) == idx
-    assert morse_index(curv, 1e-10) == idx
+    idx = morse_index(curv)
+    assert morse_index(conj) == idx
 
 
 def test_morse_bound_constant_positive():
@@ -264,12 +261,12 @@ def test_morse_alternating_sum_telescopes():
         mats.append(CurvatureEndomorphism(2, m + m.conj().T))
         vols.append(rng.uniform(0.1, 1.0))
     field = CurvatureField(tuple(mats), np.array(vols))
-    integrals, degenerate = morse_index_integrals(field, 1e-8)
+    integrals, degenerate = morse_index_integrals(field)
     alternating = sum((-1) ** q * integrals[q] for q in range(3))
     direct = sum(
         np.real(np.linalg.det(c.matrix)) / (2 * np.pi) ** 2 * v
         for c, v in zip(field.matrices, field.volumes)
-        if morse_index(c, 1e-8) is not None
+        if morse_index(c) is not None
     )
     np.testing.assert_allclose(alternating, direct, rtol=1e-12)
     # cumulative bound at q = n is the unsigned total
@@ -287,6 +284,3 @@ def test_empty_field_rejected():
     for vol in (0.0, -1.0):
         with pytest.raises(ArgumentError, match="volumes must be positive"):
             CurvatureField((curv,), np.array([vol]))
-    for tol in (0.0, -1e-8):
-        with pytest.raises(ArgumentError, match="tol must be positive"):
-            morse_index(curv, tol)

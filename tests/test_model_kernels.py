@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from fdtools import heat_residual_mehler, heat_residual_model
 from heatlab.errors import ArgumentError, InvariantViolation
+from heatlab.fiber import FiberEndomorphism
 from heatlab.geometry import CurvatureEndomorphism, asymptotic_diagonal
 from heatlab.model_kernels import (
     ModelSpec,
@@ -50,7 +51,7 @@ def test_mehler_matches_discretized_semigroup_column():
     spec = ModelSpec(1, (lam,), 0)
     grid = GridSpec(1, 5.0, 0.2)
     box = assemble_model(spec, grid)
-    osc = DiscreteOperator(2.0 * box.matrix, 0, 0, grid)
+    osc = DiscreteOperator(2.0 * box.matrix, 0, grid)
     i0 = grid.flat_index(grid.origin_site())
     delta = np.zeros(osc.dim, dtype=complex)
     delta[i0] = 1.0 / grid.lebesgue_cell
@@ -138,10 +139,22 @@ def test_model_kernel_q1_twist_factor():
     np.testing.assert_allclose(v1, np.exp(-t * lam) * v0, rtol=1e-14)
 
 
+@pytest.mark.parametrize("z", [40 + 30j, 48 + 14j, 35 + 35j])
+@pytest.mark.parametrize("t", [0.002, 0.003, 0.005])
+def test_model_kernel_far_coincident_points_match_model_diagonal(z, t):
+    # the diagonal is translation invariant; an exponent written as
+    # -alpha (|z|^2 + |w|^2) + beta+ z wbar + beta- zbar w cancels terms of
+    # size |z|^2 / t here, which broke Hermiticity or drifted by 3.5e-10
+    spec = ModelSpec(1, (0.5,), 0)
+    got = model_kernel(spec, t, [z], [z]).scalar
+    expect = model_diagonal(spec, t).scalar
+    assert abs(got - expect) <= 1e-14 * abs(expect)
+
+
 def test_model_kernel_origin_matches_model_diagonal():
     for spec in (ModelSpec(1, (1.0,), 0), ModelSpec(2, (0.5, -1.5), 1), ModelSpec(2, (0.0, 2.0), 2)):
         z = np.zeros(spec.n, dtype=complex)
-        k = model_kernel(spec, 0.8, z, z).value
+        k = model_kernel(spec, 0.8, z, z).matrix
         d = model_diagonal(spec, 0.8).matrix
         scale = np.abs(d).max()
         np.testing.assert_allclose(k, d, atol=1e-12 * scale)
@@ -158,8 +171,8 @@ def test_model_kernel_hermitian_symmetry(data):
     z = rng.normal(scale=0.7, size=n) + 1j * rng.normal(scale=0.7, size=n)
     w = rng.normal(scale=0.7, size=n) + 1j * rng.normal(scale=0.7, size=n)
     spec = ModelSpec(n, lam, q)
-    a = model_kernel(spec, t, z, w).value
-    b = model_kernel(spec, t, w, z).value
+    a = model_kernel(spec, t, z, w).matrix
+    b = model_kernel(spec, t, w, z).matrix
     scale = max(np.abs(a).max(), 1e-300)
     np.testing.assert_allclose(a, b.conj().T, atol=1e-12 * scale)
 
@@ -194,7 +207,7 @@ def test_tiny_curvature_takes_the_flat_branch(lam, t):
     z, w = np.array([0.3 - 0.2j]), np.array([-0.1 + 0.4j])
     for q in (0, 1):
         tiny, flat = ModelSpec(1, (lam,), q), ModelSpec(1, (0.0,), q)
-        for got, ref in ((model_kernel(tiny, t, z, w).value, model_kernel(flat, t, z, w).value),
+        for got, ref in ((model_kernel(tiny, t, z, w).matrix, model_kernel(flat, t, z, w).matrix),
                          (model_diagonal(tiny, t).matrix, model_diagonal(flat, t).matrix)):
             assert np.all(np.isfinite(got))
             np.testing.assert_allclose(got, ref, rtol=1e-6, atol=0)
@@ -303,8 +316,34 @@ def test_initial_condition_delta_limit():
 def test_kernel_value_invariants():
     spec = ModelSpec(1, (1.0,), 0)
     kv = model_kernel(spec, 1.0, [0.2], [0.2])
-    assert kv.time == 1.0
+    assert isinstance(kv, FiberEndomorphism)
+    # e^{-t Theta_0} and the gauge factor overflow (the kernel values are
+    # finite, the factors are not): an error, not a NaN
+    with np.errstate(all="ignore"):
+        with pytest.raises(InvariantViolation, match="non-finite"):
+            model_kernel(ModelSpec(1, (-1.0,), 1), 800.0, [0.1], [0.2])
+        with pytest.raises(InvariantViolation, match="non-finite"):
+            weighted_kernel(spec, 1.0, [50.0], [0.0])
     with pytest.raises(ArgumentError):
         ModelSpec(1, (1.0,), 2)
     with pytest.raises(InvariantViolation):
         ModelSpec(2, (1.0,), 0)
+
+
+def test_model_kernels_does_not_load_geometry():
+    # geometry imports model_kernels, so the reverse import, even one
+    # deferred to call time, would be a cycle
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = ("import sys\n"
+             "from heatlab.model_kernels import ModelSpec, model_diagonal, model_kernel\n"
+             "model_diagonal(ModelSpec(1, (1.0,), 1), 1.0)\n"
+             "model_kernel(ModelSpec(1, (1.0,), 1), 1.0, [0.0], [0.5])\n"
+             "print('heatlab.geometry' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "False"

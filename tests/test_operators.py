@@ -560,7 +560,7 @@ def _reference_assemble_scaled(weight, pert, k, grid, q):
                 aop = aop + sp.kron(fiber.contract_matrix(n, q, j), sp.diags(alpha[:, j] / sqrtk))
             x = x + d_qm1 @ aop
         a = a + 0.5 * (x + x.getH())
-    a = DiscreteOperator(a.tocsr(), q, k, grid).matrix
+    a = DiscreteOperator(a.tocsr(), q, grid).matrix
     a.sum_duplicates()  # canonical, as assembled matrices are
     return a
 
@@ -857,17 +857,17 @@ def test_model_floor_is_min_theta0_less_rounding(q, floor):
 
 def test_floor_is_private_to_the_assemblers():
     op = assemble_model(ModelSpec(1, (1.0,), 0), GridSpec(1, 2.0, 0.5))
-    copy = DiscreteOperator(op.matrix, op.q, op.k, op.grid)
+    copy = DiscreteOperator(op.matrix, op.q, op.grid)
     assert op._floor is not None and copy._floor is None
     with pytest.raises(TypeError):
-        DiscreteOperator(op.matrix, op.q, op.k, op.grid, op._floor)
+        DiscreteOperator(op.matrix, op.q, op.grid, op._floor)
 
 
 def test_floorless_non_hermitian_matrix_is_rejected():
     grid = GridSpec(1, 0.5, 0.5)  # 9 sites
     a = sp.csr_matrix(np.triu(np.ones((9, 9))))
     with pytest.raises(InvariantViolation, match="not Hermitian"):
-        DiscreteOperator(a, 0, 0, grid)
+        DiscreteOperator(a, 0, grid)
 
 
 def test_hermiticity_scan_leaves_the_callers_matrix_as_given():
@@ -879,7 +879,7 @@ def test_hermiticity_scan_leaves_the_callers_matrix_as_given():
         a.indices[row], a.data[row] = a.indices[row][::-1].copy(), a.data[row][::-1].copy()
     a.has_sorted_indices = False
     indices, data = a.indices.copy(), a.data.copy()
-    DiscreteOperator(a, 0, 0, grid)
+    DiscreteOperator(a, 0, grid)
     assert np.array_equal(a.indices, indices) and np.array_equal(a.data, data)
 
 
@@ -904,10 +904,9 @@ def test_no_operator_field_can_be_rebound(built):
     grid = GridSpec(1, 2.0, 0.25)
     op = assemble_model(ModelSpec(1, (1.0,), 0), grid)
     if built == "user-built":
-        op = DiscreteOperator(op.matrix, op.q, op.k, op.grid)
-    before = {name: getattr(op, name) for name in ("matrix", "q", "k", "grid", "_floor")}
-    others = {"matrix": op.matrix.copy(), "q": 1, "k": 4, "grid": GridSpec(1, 2.0, 0.5),
-              "_floor": -1.0}
+        op = DiscreteOperator(op.matrix, op.q, op.grid)
+    before = {name: getattr(op, name) for name in ("matrix", "q", "grid", "_floor")}
+    others = {"matrix": op.matrix.copy(), "q": 1, "grid": GridSpec(1, 2.0, 0.5), "_floor": -1.0}
     for name, value in others.items():
         with pytest.raises(AttributeError):
             setattr(op, name, value)

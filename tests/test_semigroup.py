@@ -37,7 +37,7 @@ def _synthetic_op(diag_values, grid=None):
     grid = grid or GridSpec(1, 1.0, 1.0)
     vals = np.asarray(diag_values, dtype=float)
     assert vals.size == grid.sites
-    return DiscreteOperator(sp.diags(vals).tocsr().astype(complex), 0, 0, grid)
+    return DiscreteOperator(sp.diags(vals).tocsr().astype(complex), 0, grid)
 
 
 def _random_hermitian_op(dim_grid_radius=3.0):
@@ -45,7 +45,7 @@ def _random_hermitian_op(dim_grid_radius=3.0):
     rng = np.random.default_rng(42)
     b = rng.normal(size=(grid.sites, grid.sites)) + 1j * rng.normal(size=(grid.sites, grid.sites))
     h = 0.5 * (b + b.conj().T)
-    return DiscreteOperator(sp.csr_matrix(h), 0, 0, grid)
+    return DiscreteOperator(sp.csr_matrix(h), 0, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -758,8 +758,7 @@ def sparse_model_op_n2():
 
 def _shifted(op, shift):
     """A new operator (with empty caches) for op + shift*I."""
-    return DiscreteOperator((op.matrix + shift * sp.identity(op.dim)).tocsr(), op.q, op.k,
-                            op.grid)
+    return DiscreteOperator((op.matrix + shift * sp.identity(op.dim)).tocsr(), op.q, op.grid)
 
 
 def _forbid_arpack(monkeypatch):
