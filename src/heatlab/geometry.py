@@ -255,10 +255,7 @@ def curvature_at(weight: WeightFunction, point) -> CurvatureEndomorphism:
     weight.check_chart(z)
     m = np.diag(np.asarray(weight.lam, dtype=complex))
     if weight.perturbation is not None:
-        h = weight.perturbation.hessian_at(z)
-        if not np.all(np.isfinite(h)):
-            raise DomainError("perturbation Hessian has non-finite entries")
-        m = m + h
+        m = m + weight.perturbation.hessian_at(z)
     m = _validated_hermitian(m, defaults.HESSIAN_ASYMMETRY_TOL, "curvature matrix")
     return CurvatureEndomorphism(weight.n, m)
 

@@ -7,28 +7,27 @@ The model machinery factors through a scalar oscillator operator
 whose heat kernel is a product of one-dimensional Mehler factors.  The
 form-valued model Laplacian splits as box_q = H/2 + Theta_0 with
 Theta_0 = sum_j lambda_j e^j wedge iota_j acting on the fiber, so
-
-    exp(-t box_q)(z, w) = exp(-t Theta_0) * exp(-(t/2) H)(z, w).
+exp(-t box_q)(z, w) = exp(-t Theta_0) * exp(-(t/2) H)(z, w).  On the form
+indexed by J, heat_factor(lambda, t) e^{-t lambda} = heat_factor(-lambda, t)
+pairs each twisted direction's factors (``_paired_factors``), so no factor
+overflows while another underflows; the Mehler exponents at time t/2
+(``_exponent``) are summed and exponentiated once.
 
 Normalization: ``mehler_scalar`` is a density against the Lebesgue measure
-of the real coordinates, while the box kernels (``model_kernel``,
-``weighted_kernel``, ``model_diagonal``) are densities against the
-Hermitian volume element i^n dz dzbar = 2^n Lebesgue; the factor 2^{-n}
-in ``model_kernel`` converts between the two.  See README, "Volume
-conventions".
+of the real coordinates, the box kernels (``model_kernel``,
+``weighted_kernel``, ``model_diagonal``) against the Hermitian volume
+element i^n dz dzbar = 2^n Lebesgue.  See README, "Volume conventions".
 
 Each Mehler exponent is -(lambda/2) coth(t lambda) |z - w|^2 + i lambda
 Im(z wbar): no terms cancel, so at z = w the kernel is the product formula.
 Of the two plausible quadratic readings, coth(t lambda) and
 coth(t lambda / 2), only the former satisfies the heat equation (both are
-Hermitian-symmetric); it is the default.  The rejected reading adds
--lambda/(2 sinh(t lambda)) (|z|^2 + |w|^2), kept behind the
-``quadratic_reading`` switch for the residual diagnostic.
-
-Degeneracy follows ``heat_factor``: |lambda| below
-``defaults.DEGENERACY_THRESHOLD`` takes the Euclidean branch plus its terms
-linear in lambda, so tiny eigenvalues never reach the 1/(1 - e^{-t lambda})
-forms.  This module imports nothing from ``geometry``, which imports it.
+Hermitian-symmetric).  The rejected one adds -lambda/(2 sinh(t lambda))
+(|z|^2 + |w|^2); only ``mehler_scalar`` offers it, for the residual
+diagnostic.  Below ``defaults.DEGENERACY_THRESHOLD`` both coefficients
+take their limit 1/(2t) and ``heat_factor`` its series, so tiny
+eigenvalues never reach 1/(1 - e^{-t lambda}), coth or 1/sinh.  This module
+imports nothing from ``geometry``, which imports it.
 """
 
 from dataclasses import dataclass
@@ -95,88 +94,89 @@ def heat_factor(lam: float, t: float) -> float:
 
     Below the degeneracy threshold the 4-term Taylor series of
     x / (1 - e^{-x}) at x = t*lambda is used; at lambda = 0 this is 1/(2 pi t).
+    For lambda < 0 it is |lambda| e^{x} / (2 pi (1 - e^{x})), which
+    underflows quietly where e^{-x} would overflow.
     """
     _check_time(t)
     x = t * lam
     if abs(lam) < defaults.DEGENERACY_THRESHOLD:
         series = 1.0 + x / 2.0 + x**2 / 12.0 - x**4 / 720.0
         return series / (2.0 * np.pi * t)
-    return lam / (2.0 * np.pi * (-np.expm1(-x)))
+    return abs(lam) * np.exp(min(x, 0.0)) / (2.0 * np.pi * -np.expm1(-abs(x)))
 
 
-def _mehler_factor_log(lam: float, t: float, zj: complex, wj: complex,
-                       reading: QuadraticReading) -> Tuple[float, complex]:
-    """(log prefactor, exponent) of one Lebesgue-normalized Mehler factor."""
-    logpref = np.log(2.0 * heat_factor(lam, 2.0 * t))
-    phase = 1j * lam * (zj.imag * wj.real - zj.real * wj.imag)  # i lam Im(z wbar)
-    if abs(lam) < defaults.DEGENERACY_THRESHOLD:
-        return logpref, -abs(zj - wj) ** 2 / (2.0 * t) + phase
-    x = t * lam
-    expo = -0.5 * lam / np.tanh(x) * abs(zj - wj) ** 2 + phase
-    if reading == "half":
-        expo -= 0.5 * lam / np.sinh(x) * (abs(zj) ** 2 + abs(wj) ** 2)
-    return logpref, expo
+def _paired_factors(lam, q: int, t: float) -> np.ndarray:
+    """For each (0,q) fiber index J, the product of heat_factor(lam_j, t)
+    over j not in J and of heat_factor(-lam_j, t) over j in J."""
+    return np.array([np.prod([heat_factor(-l if j in J else l, t) for j, l in enumerate(lam)])
+                     for J in fiber.multi_indices(len(lam), q)])
 
 
-def mehler_scalar(spec: ModelSpec, t: float, z, w,
-                  quadratic_reading: QuadraticReading = "full") -> complex:
-    """Oscillator heat kernel exp(-t H)(z, w), Lebesgue-normalized.
+def _exponent(lam, t: float, z: np.ndarray, w: np.ndarray,
+              reading: QuadraticReading = "full") -> complex:
+    """Sum over j of the Mehler exponent at time t,
+    -c_j |z_j - w_j|^2 + i lam_j Im(z_j wbar_j), minus s_j (|z_j|^2 + |w_j|^2)
+    under the "half" reading: c_j = (lam_j/2) coth(t lam_j) and
+    s_j = lam_j / (2 sinh(t lam_j)), both 1/(2t) below the degeneracy
+    threshold; Im(z wbar) = y_z x_w - x_z y_w."""
+    expo = 0.0 + 0.0j
+    for lj, zj, wj in zip(lam, z, w):
+        flat = abs(lj) < defaults.DEGENERACY_THRESHOLD
+        c = 0.5 / t if flat else 0.5 * lj / np.tanh(t * lj)
+        expo += -c * abs(zj - wj) ** 2 + 1j * lj * (zj.imag * wj.real - zj.real * wj.imag)
+        if reading == "half":
+            s = 0.5 / t if flat else 0.5 * lj / np.sinh(t * lj)
+            expo -= s * (abs(zj) ** 2 + abs(wj) ** 2)
+    return expo
 
-    Product of one-dimensional factors
 
-        2 heat_factor(lam, 2t) *
-        exp(-(lam/2) coth(t lam) |z_j - w_j|^2 + i lam Im(z_j wbar_j)),
-
-    2 heat_factor(lam, 2t) = lam / (pi (1 - e^{-2 t lam})), with a
-    degenerate factor's coefficient (lam/2) coth(t lam) replaced by its
-    limit 1/(2t).  The factors accumulate in log space and are
-    exponentiated once.
-    """
+def _points(spec: ModelSpec, t: float, z, w) -> Tuple[np.ndarray, np.ndarray]:
+    """z and w as complex arrays of shape (n,), after the check of t."""
     _check_time(t)
-    if quadratic_reading not in QUADRATIC_READINGS:
-        raise ArgumentError(f"unknown quadratic reading {quadratic_reading!r}")
     z = np.asarray(z, dtype=complex)
     w = np.asarray(w, dtype=complex)
     if z.shape != (spec.n,) or w.shape != (spec.n,):
         raise ArgumentError(f"points must have shape ({spec.n},)")
-    logpref = 0.0
-    expo = 0.0 + 0.0j
-    for j in range(spec.n):
-        lp, ex = _mehler_factor_log(spec.lam[j], t, z[j], w[j], quadratic_reading)
-        logpref += lp
-        expo += ex
-    return complex(np.exp(logpref + expo))
+    return z, w
 
 
-def _finite(spec: ModelSpec, value: np.ndarray) -> FiberEndomorphism:
-    """``value`` as a fiber matrix, or InvariantViolation when it is not
-    finite: e^{-t Theta_0} overflows for lambda < 0, q >= 1 and large t,
-    and the gauge factor of ``weighted_kernel`` far from the origin."""
+def mehler_scalar(spec: ModelSpec, t: float, z, w,
+                  quadratic_reading: QuadraticReading = "full") -> complex:
+    """Oscillator heat kernel exp(-t H)(z, w), Lebesgue-normalized: the
+    product over j of 2 heat_factor(lam_j, 2t) = lam_j / (pi (1 - e^{-2 t lam_j}))
+    times e^{-(lam_j/2) coth(t lam_j) |z_j - w_j|^2 + i lam_j Im(z_j wbar_j)}."""
+    z, w = _points(spec, t, z, w)
+    if quadratic_reading not in QUADRATIC_READINGS:
+        raise ArgumentError(f"unknown quadratic reading {quadratic_reading!r}")
+    pref = 2.0 ** spec.n * _paired_factors(spec.lam, 0, 2.0 * t)[0]
+    return complex(pref * np.exp(_exponent(spec.lam, t, z, w, quadratic_reading)))
+
+
+def _kernel(spec: ModelSpec, t: float, z, w, weighted: bool) -> FiberEndomorphism:
+    """exp(-t box_q)(z, w) against the Hermitian volume element: the paired
+    factors times one exp of the Mehler exponents at time t/2, to which the
+    gauge (phi0(z) - phi0(w))/2 is added when ``weighted``.  A value that
+    overflows (the gauge far from the origin) raises InvariantViolation."""
+    z, w = _points(spec, t, z, w)
+    expo = _exponent(spec.lam, 0.5 * t, z, w)
+    if weighted:
+        expo += 0.5 * (spec.weight_value(z) - spec.weight_value(w))
+    value = np.diag(_paired_factors(spec.lam, spec.q, t)) * np.exp(expo)
     if not np.all(np.isfinite(value)):
         raise InvariantViolation("kernel value has non-finite entries")
     return FiberEndomorphism(spec.n, spec.q, value)
 
 
-def model_kernel(spec: ModelSpec, t: float, z, w,
-                 quadratic_reading: QuadraticReading = "full") -> FiberEndomorphism:
-    """Heat kernel of the model Laplacian on (0,q)-forms, as a fiber matrix.
-
-    exp(-t box_q)(z, w) = exp(-t Theta_0) * exp(-(t/2) H)(z, w), reported
-    against the Hermitian volume element (hence the 2^{-n} conversion from
-    the Lebesgue-normalized scalar factor).
-    """
-    _check_time(t)
-    scalar = mehler_scalar(spec, 0.5 * t, z, w, quadratic_reading) * 0.5 ** spec.n
-    return _finite(spec, np.diag(np.exp(-t * fiber.twist_eigenvalues(spec.lam, spec.q))) * scalar)
+def model_kernel(spec: ModelSpec, t: float, z, w) -> FiberEndomorphism:
+    """Heat kernel exp(-t box_q)(z, w) of the model Laplacian on
+    (0,q)-forms, as a fiber matrix against the Hermitian volume element."""
+    return _kernel(spec, t, z, w, weighted=False)
 
 
-def weighted_kernel(spec: ModelSpec, t: float, z, w,
-                    quadratic_reading: QuadraticReading = "full") -> FiberEndomorphism:
+def weighted_kernel(spec: ModelSpec, t: float, z, w) -> FiberEndomorphism:
     """Kernel of the weighted-gauge model Laplacian:
     e^{phi0(z)/2} exp(-t box_q)(z, w) e^{-phi0(w)/2}."""
-    base = model_kernel(spec, t, z, w, quadratic_reading)
-    gauge = np.exp(0.5 * (spec.weight_value(z) - spec.weight_value(w)))
-    return _finite(spec, base.matrix * gauge)
+    return _kernel(spec, t, z, w, weighted=True)
 
 
 def model_diagonal(spec: ModelSpec, t: float) -> FiberEndomorphism:
@@ -184,8 +184,6 @@ def model_diagonal(spec: ModelSpec, t: float) -> FiberEndomorphism:
 
     prod_j lam_j / (2 pi (1 - e^{-t lam_j})) * exp(-t Theta_0),
 
-    each scalar factor being ``heat_factor`` (1/(2 pi t) at lam_j = 0).
+    evaluated as ``_paired_factors`` (1/(2 pi t) at lam_j = 0).
     """
-    scalar = np.prod([heat_factor(lam, t) for lam in spec.lam])
-    diag = scalar * np.exp(-t * fiber.twist_eigenvalues(spec.lam, spec.q))
-    return FiberEndomorphism(spec.n, spec.q, np.diag(diag))
+    return FiberEndomorphism(spec.n, spec.q, np.diag(_paired_factors(spec.lam, spec.q, t)))

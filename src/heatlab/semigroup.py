@@ -428,13 +428,12 @@ def heat_trace(op: DiscreteOperator, t: float,
 class SpectralBoundReport:
     """Outcome of ``spectral_bound_check``: ``passed`` is its positivity
     verdict and ``bound`` is (N/(e t))^N.  No eigenvalue is computed,
-    so ``max_value`` and ``attaining_eigenvalue`` are always NaN.
+    so ``max_value`` is always NaN.
     """
 
     passed: bool
     max_value: float
     bound: float
-    attaining_eigenvalue: float
 
 
 def spectral_bound_check(op: DiscreteOperator, t: float, n_power: int) -> SpectralBoundReport:
@@ -459,7 +458,7 @@ def spectral_bound_check(op: DiscreteOperator, t: float, n_power: int) -> Spectr
             "(banded Cholesky of A + tol*I failed)"
         )
     bound = 1.0 if n_power == 0 else (n_power / (np.e * t)) ** n_power
-    return SpectralBoundReport(True, float("nan"), float(bound), float("nan"))
+    return SpectralBoundReport(True, float("nan"), float(bound))
 
 
 # ---------------------------------------------------------------------------

@@ -71,7 +71,7 @@ def heat_residual_mehler(spec, t, z, w, reading, h=1e-2, tau=None):
     return abs(dt + hk) / max(abs(dt), abs(hk), 1e-300)
 
 
-def heat_residual_model(spec, t, z, w, reading="full", h=1e-2, tau=None):
+def heat_residual_model(spec, t, z, w, h=1e-2, tau=None):
     """Max relative residual of dK/dt + box_z K over fiber columns."""
     from heatlab import fiber
     from heatlab.model_kernels import model_kernel
@@ -80,10 +80,10 @@ def heat_residual_model(spec, t, z, w, reading="full", h=1e-2, tau=None):
     d = fiber.fiber_dim(spec.n, spec.q)
     worst = 0.0
     for col in range(d):
-        dt = dt4(lambda s: model_kernel(spec, s, z, w, reading).matrix[:, col], t, tau)
+        dt = dt4(lambda s: model_kernel(spec, s, z, w).matrix[:, col], t, tau)
         box = apply_box(
             spec.lam, spec.q,
-            lambda u: model_kernel(spec, t, u, w, reading).matrix[:, col], z, h,
+            lambda u: model_kernel(spec, t, u, w).matrix[:, col], z, h,
         )
         num = np.max(np.abs(dt + box))
         den = max(np.max(np.abs(dt)), np.max(np.abs(box)), 1e-300)

@@ -248,6 +248,17 @@ def test_deterministic_model_kernel(tmp_path):
     assert _byte_identical_outputs(tmp_path, MODEL_KERNEL_CFG, "mk.json")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_model_kernel_negative_curvature_writes_finite_cells(tmp_path):
+    # at t = 800 the twisted factor heat_factor(-1, t) e^{t} is 1/(2 pi)
+    cfg = dict(MODEL_KERNEL_CFG, **{"lambda": [-1.0], "q": 1, "t_list": [0.5, 800.0]})
+    path = _write(tmp_path, "neg.json", cfg)
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 0
+    body = (tmp_path / cfg["output"]).read_text(encoding="utf-8")
+    assert "nan" not in body and "inf" not in body
+    assert body.splitlines()[2].split(",")[4] == repr(1 / (2 * np.pi))
+
+
 def test_deterministic_stochastic_trace(tmp_path):
     cfg = {
         "experiment": "trace",

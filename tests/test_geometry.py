@@ -97,6 +97,14 @@ def test_chart_violation_raises():
         curvature_at(w, [1.0])
 
 
+def test_non_finite_hessian_raises():
+    from heatlab.errors import DomainError
+
+    nan_hessian = Perturbation(value=lambda z: 0.0, hessian=lambda z: np.full((1, 1), np.nan))
+    with pytest.raises(DomainError, match="non-finite"):
+        curvature_at(WeightFunction(1, (1.0,), nan_hessian), [0.3])
+
+
 def test_non_hermitian_curvature_rejected():
     with pytest.raises(InvariantViolation):
         CurvatureEndomorphism(2, np.array([[1.0, 1.0], [0.0, 1.0]]))

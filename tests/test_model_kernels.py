@@ -4,11 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdtools import heat_residual_mehler, heat_residual_model
+from heatlab import fiber
 from heatlab.errors import ArgumentError, InvariantViolation
 from heatlab.fiber import FiberEndomorphism
 from heatlab.geometry import CurvatureEndomorphism, asymptotic_diagonal
 from heatlab.model_kernels import (
     ModelSpec,
+    heat_factor,
     mehler_scalar,
     model_diagonal,
     model_kernel,
@@ -75,8 +77,8 @@ def test_mehler_rejects_bad_time_and_reading():
             mehler_scalar(spec, 1.0, z, w)
 
 
-def test_mehler_log_space_accumulation_consistent():
-    # n > 8 takes the log-space path; compare against a direct product
+def test_mehler_is_the_product_of_one_dimensional_kernels():
+    # one exp of the summed exponents against the product of n = 1 kernels
     lam = tuple(0.3 + 0.1 * j for j in range(9))
     spec = ModelSpec(9, lam, 0)
     z = np.full(9, 0.2 + 0.1j)
@@ -151,13 +153,15 @@ def test_model_kernel_far_coincident_points_match_model_diagonal(z, t):
     assert abs(got - expect) <= 1e-14 * abs(expect)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_model_kernel_origin_matches_model_diagonal():
-    for spec in (ModelSpec(1, (1.0,), 0), ModelSpec(2, (0.5, -1.5), 1), ModelSpec(2, (0.0, 2.0), 2)):
-        z = np.zeros(spec.n, dtype=complex)
-        k = model_kernel(spec, 0.8, z, z).matrix
-        d = model_diagonal(spec, 0.8).matrix
-        scale = np.abs(d).max()
-        np.testing.assert_allclose(k, d, atol=1e-12 * scale)
+    # both read the same paired factors; the exponent at z = w = 0 is 0
+    for spec in (ModelSpec(1, (1.0,), 0), ModelSpec(1, (-1.0,), 1), ModelSpec(2, (0.5, -1.5), 1),
+                 ModelSpec(2, (0.0, 2.0), 2), ModelSpec(3, (0.7, -0.3, 1e-9), 2)):
+        z = np.zeros(spec.n)
+        for t in (0.01, 0.8, 800.0):
+            got, expect = model_kernel(spec, t, z, z).matrix, model_diagonal(spec, t).matrix
+            assert np.array_equal(got, expect), (spec, t)
 
 
 @given(st.data())
@@ -232,8 +236,50 @@ def test_degenerate_branch_matches_closed_form(lam, z, w):
         assert abs(mp.mpc(got) - ref) / abs(ref) < 1e-15
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_half_reading_is_continuous_at_the_degeneracy_threshold():
+    # both coefficients of the "half" reading tend to 1/(2t), so its value
+    # may not jump where the degenerate limit takes over
+    got = [mehler_scalar(ModelSpec(1, (lam,), 0), 1.0, [1.0], [1.0], "half")
+           for lam in (1e-9, 2e-8)]
+    assert abs(got[0] - got[1]) <= 1e-7 * abs(got[1])
+
+
 # ---------------------------------------------------------------------------
 # model_diagonal
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_twisted_negative_curvature_is_finite_at_large_t():
+    # heat_factor(-1, 800) e^{800} is heat_factor(1, 800) = 1 / (2 pi);
+    # apart, the first factor underflows and the second overflows
+    got = model_diagonal(ModelSpec(1, (-1.0,), 1), 800.0).scalar
+    assert got == heat_factor(1.0, 800.0) == 0.15915494309189535
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_model_diagonal_matches_the_product_formula_in_high_precision():
+    # prod_j lam_j / (2 pi (1 - e^{-t lam_j})) * e^{-t sum_{j in J} lam_j}
+    # at 50 digits.  lam on a 1/64 lattice and t in single precision make
+    # every t lam_j exact, so the bound measures the formula and not the
+    # rounding of e^x's argument (condition number |x|, up to 2400 here);
+    # entries below the smallest normal float are compared absolutely
+    import mpmath as mp
+
+    rng = np.random.default_rng(30)
+    for _ in range(40):
+        n = int(rng.integers(1, 4))
+        lam = tuple(float(v) / 64 for v in rng.choice([-1, 1], n) * rng.integers(3, 193, n))
+        t = float(np.float32(np.exp(rng.uniform(np.log(0.1), np.log(800.0)))))
+        for q in range(n + 1):
+            got = np.diag(model_diagonal(ModelSpec(n, lam, q), t).matrix)
+            assert np.all(got.imag == 0.0)
+            with mp.workdps(50):
+                for g, J in zip(got.real, fiber.multi_indices(n, q)):
+                    ref = mp.exp(-t * mp.fsum(lam[j] for j in J))
+                    for lj in lam:
+                        ref *= lj / (2 * mp.pi * (1 - mp.exp(-t * mp.mpf(lj))))
+                    assert abs(g - ref) <= 1e-14 * ref + np.finfo(float).tiny, (lam, q, t)
 
 
 def test_model_diagonal_scalar_cases():
@@ -317,13 +363,14 @@ def test_kernel_value_invariants():
     spec = ModelSpec(1, (1.0,), 0)
     kv = model_kernel(spec, 1.0, [0.2], [0.2])
     assert isinstance(kv, FiberEndomorphism)
-    # e^{-t Theta_0} and the gauge factor overflow (the kernel values are
-    # finite, the factors are not): an error, not a NaN
+    # finite values whose separate factors overflow: e^{-t Theta_0} at
+    # lambda < 0, and the gauge at z = 50, where the kernel is about e^{-1455}
+    assert np.isfinite(model_kernel(ModelSpec(1, (-1.0,), 1), 800.0, [0.1], [0.2]).scalar)
+    assert weighted_kernel(spec, 1.0, [50.0], [0.0]).scalar == 0.0
+    # a value that really overflows (about e^{998}) is an error, not an inf
     with np.errstate(all="ignore"):
         with pytest.raises(InvariantViolation, match="non-finite"):
-            model_kernel(ModelSpec(1, (-1.0,), 1), 800.0, [0.1], [0.2])
-        with pytest.raises(InvariantViolation, match="non-finite"):
-            weighted_kernel(spec, 1.0, [50.0], [0.0])
+            weighted_kernel(spec, 1.0, [1000.0], [999.0])
     with pytest.raises(ArgumentError):
         ModelSpec(1, (1.0,), 2)
     with pytest.raises(InvariantViolation):

@@ -683,7 +683,7 @@ def test_bound_n0_is_one():
     op = _synthetic_op(np.linspace(0.0, 5.0, 9))
     rep = spectral_bound_check(op, 1.0, 0)
     assert rep.passed and rep.bound == 1.0
-    assert np.isnan(rep.max_value) and np.isnan(rep.attaining_eigenvalue)
+    assert np.isnan(rep.max_value)
 
 
 def test_bound_on_zero_operator():
@@ -795,7 +795,7 @@ def test_certificate_resolves_tolerance(request, monkeypatch, case, target, pass
     if passes:
         rep = spectral_bound_check(shifted, 1.0, 1)
         assert rep.passed and rep.bound == pytest.approx(1.0 / np.e)
-        assert np.isnan(rep.max_value) and np.isnan(rep.attaining_eigenvalue)
+        assert np.isnan(rep.max_value)
     else:
         with pytest.raises(InvariantViolation):
             spectral_bound_check(shifted, 1.0, 1)
@@ -850,7 +850,7 @@ def test_bound_n2_is_decided_by_its_floor(monkeypatch, q):
     calls = _count_band_factorisations(monkeypatch)
     for n_power in (2, 0):
         rep = spectral_bound_check(op, 1.0, n_power)
-        assert rep.passed and np.isnan(rep.max_value) and np.isnan(rep.attaining_eigenvalue)
+        assert rep.passed and np.isnan(rep.max_value)
     # the floor, min Theta_0 less rounding, decides: no band is factorised
     assert op._floor > -1e-8 and calls == []
 

@@ -3,10 +3,12 @@
 The files under tests/reference/ were written by ``heatlab run <config>
 --threads 1``.  Numeric cells may differ from them by 1e-12 * max(1, |ref|),
 so that another BLAS or summation order still passes; every other cell
-(labels, booleans, method names) must match exactly.
+(labels, booleans, method names) must match exactly.  No numeric cell may
+be nan or inf, whatever the reference holds.
 """
 
 import csv
+import math
 from pathlib import Path
 
 import pytest
@@ -43,8 +45,10 @@ def test_shipped_config_matches_reference(tmp_path, config):
     for i, (row, ref_row) in enumerate(zip(got[1:], ref[1:]), start=1):
         assert len(row) == len(ref_row), f"row {i}"
         for col, cell, ref_cell in zip(ref[0], row, ref_row):
+            g = _number(cell)
+            assert g is None or math.isfinite(g), f"row {i}, {col}: {cell!r}"
             if cell == ref_cell:
                 continue
-            g, r = _number(cell), _number(ref_cell)
+            r = _number(ref_cell)
             assert g is not None and r is not None, f"row {i}, {col}: {cell!r} != {ref_cell!r}"
             assert abs(g - r) <= 1e-12 * max(1.0, abs(r)), f"row {i}, {col}: {g!r} vs {r!r}"
