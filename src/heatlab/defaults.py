@@ -21,13 +21,15 @@ import math
 DEGENERACY_THRESHOLD = 1e-8
 
 # Step for the 4th-order central finite differences used for perturbation
-# gradients/Hessians when no exact derivative callable is supplied.
+# derivatives when no exact callable is supplied: the zbar-gradient from
+# the value, and the Hessian from the zbar-gradient (which reaches
+# 4 * FD_STEP from the point along one axis when both are differenced).
 FD_STEP = 1e-4
 
 # Construction-time Hermiticity tolerances.
 HERMITIAN_ABS_TOL = 1e-12          # curvature matrices (absolute)
 OPERATOR_HERMITIAN_RTOL = 1e-12    # assembled sparse operators (relative to max norm)
-HESSIAN_ASYMMETRY_TOL = 1e-10      # raw finite-difference Hessians before symmetrizing
+HESSIAN_ASYMMETRY_TOL = 1e-10      # supplied Hessians (finite-difference ones are Hermitian)
 
 # Grid caps.
 SITE_CAP = 200_000                 # max number of spatial grid sites

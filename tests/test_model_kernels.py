@@ -153,7 +153,6 @@ def test_model_kernel_far_coincident_points_match_model_diagonal(z, t):
     assert abs(got - expect) <= 1e-14 * abs(expect)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_model_kernel_origin_matches_model_diagonal():
     # both read the same paired factors; the exponent at z = w = 0 is 0
     for spec in (ModelSpec(1, (1.0,), 0), ModelSpec(1, (-1.0,), 1), ModelSpec(2, (0.5, -1.5), 1),
@@ -236,7 +235,6 @@ def test_degenerate_branch_matches_closed_form(lam, z, w):
         assert abs(mp.mpc(got) - ref) / abs(ref) < 1e-15
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_half_reading_is_continuous_at_the_degeneracy_threshold():
     # both coefficients of the "half" reading tend to 1/(2t), so its value
     # may not jump where the degenerate limit takes over
@@ -245,11 +243,16 @@ def test_half_reading_is_continuous_at_the_degeneracy_threshold():
     assert abs(got[0] - got[1]) <= 1e-7 * abs(got[1])
 
 
+def test_half_reading_does_not_overflow_at_large_t():
+    # s = lam / (2 sinh(t lam)) -> 0 at t |lam| > 710, where sinh overflows
+    got = mehler_scalar(ModelSpec(1, (1.0,), 0), 800.0, [0.1], [0.2], "half")
+    assert abs(got - 0.31672230900327414) <= 1e-15 * 0.31672230900327414
+
+
 # ---------------------------------------------------------------------------
 # model_diagonal
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_twisted_negative_curvature_is_finite_at_large_t():
     # heat_factor(-1, 800) e^{800} is heat_factor(1, 800) = 1 / (2 pi);
     # apart, the first factor underflows and the second overflows
@@ -257,7 +260,6 @@ def test_twisted_negative_curvature_is_finite_at_large_t():
     assert got == heat_factor(1.0, 800.0) == 0.15915494309189535
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_model_diagonal_matches_the_product_formula_in_high_precision():
     # prod_j lam_j / (2 pi (1 - e^{-t lam_j})) * e^{-t sum_{j in J} lam_j}
     # at 50 digits.  lam on a 1/64 lattice and t in single precision make
@@ -310,6 +312,32 @@ def test_model_diagonal_matches_asymptotic_diagonal():
         ad = asymptotic_diagonal(CurvatureEndomorphism.diagonal(lam), q, t).matrix
         scale = np.abs(md).max()
         np.testing.assert_allclose(ad, md, atol=1e-12 * scale)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_closed_forms_are_finite_at_extreme_t(data):
+    # e^{+-t lam} leaves the float range at t |lam| > 709: every closed form
+    # must stay finite and quiet (warnings are errors), and the two routes to
+    # the diagonal must agree wherever its entries are normal floats
+    n = data.draw(st.integers(1, 2))
+    q = data.draw(st.integers(0, n))
+    lam = tuple(data.draw(st.one_of(st.floats(-2, 2), st.sampled_from((0.0, 5e-9, -5e-9))))
+                for _ in range(n))
+    t = 10.0 ** data.draw(st.floats(-3, 3))
+    z = np.array([complex(data.draw(st.floats(-1, 1)), data.draw(st.floats(-1, 1)))
+                  for _ in range(n)])
+    zero = np.zeros(n)
+    spec = ModelSpec(n, lam, q)
+    md = np.diag(model_diagonal(spec, t).matrix)
+    ad = asymptotic_diagonal(CurvatureEndomorphism.diagonal(lam), q, t).matrix
+    for value in (md, ad, model_kernel(spec, t, zero, zero).matrix,
+                  model_kernel(spec, t, z, z).matrix,
+                  *(mehler_scalar(ModelSpec(n, lam, 0), t, z, zero, reading)
+                    for reading in ("full", "half"))):
+        assert np.all(np.isfinite(value))
+    normal = np.abs(md) >= np.finfo(float).tiny
+    assert np.all(np.abs(np.diag(ad) - md)[normal] <= 1e-12 * np.abs(md)[normal])
 
 
 # ---------------------------------------------------------------------------

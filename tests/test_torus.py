@@ -493,7 +493,6 @@ def test_missed_ring_eigenvalue_raises(monkeypatch):
                                resolutions=(16, 32))
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_multiplicity_checked_at_both_resolutions(monkeypatch):
     import scipy.sparse.linalg as spla
 
