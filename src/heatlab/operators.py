@@ -232,44 +232,35 @@ class PerturbationSpec:
 
     ``r`` maps a point of C^n to the n x n matrix of frame coefficients
     (must vanish at 0), ``alpha`` to the n-vector of adjoint zero-order
-    terms, ``volume_density`` to the positive density m (m(0) = 1).  All
-    default to the trivial values.  Each takes one point of shape (n,).
-    ``assemble_scaled`` calls each once per grid site, and ``r`` and
-    ``volume_density`` once more at 0 (``validate_origin``, which
-    ``converge_in_k`` runs once for all its k); the partials of ``r`` and
-    ``log m`` are taken on these samples.  A sample that is not finite
-    raises DomainError.  The CLI's ``linear_r11`` frame is evaluated once,
-    on the whole grid.
+    terms, ``volume_density`` to the positive density m (m(0) = 1); an
+    absent one is trivial.  Each takes one point of shape (n,) or is a
+    whole-grid form (``geometry._on_grid``), as the CLI's ``linear_r11``
+    frame is.  These and the weight gradient are sampled by one rule,
+    ``geometry._sample``: once on the grid per assembly, and ``r`` and m
+    once more at 0 (``validate_origin``, once for all k of
+    ``converge_in_k``).  The partials of ``r`` and ``log m`` are taken on
+    these samples.  A sample that is not finite, or an m that is not
+    positive, raises DomainError.
     """
 
     r: Optional[Callable[[np.ndarray], np.ndarray]] = None
     alpha: Optional[Callable[[np.ndarray], np.ndarray]] = None
     volume_density: Optional[Callable[[np.ndarray], float]] = None
 
-    def r_at(self, y: np.ndarray, n: int) -> np.ndarray:
-        if self.r is None:
-            return np.zeros((n, n), dtype=complex)
-        return np.asarray(self.r(y), dtype=complex).reshape(n, n)
-
-    def alpha_at(self, y: np.ndarray, n: int) -> np.ndarray:
-        if self.alpha is None:
-            return np.zeros(n, dtype=complex)
-        return np.asarray(self.alpha(y), dtype=complex).reshape(n)
-
-    def m_at(self, y: np.ndarray) -> float:
-        if self.volume_density is None:
-            return 1.0
-        m = float(self.volume_density(y))
-        if not 0 < m < np.inf:
-            raise DomainError("volume density must be positive and finite")
-        return m
-
     def validate_origin(self, n: int) -> None:
-        zero = np.zeros(n, dtype=complex)
-        if np.max(np.abs(self.r_at(zero, n))) > 1e-12:
+        zero = np.zeros((1, n), dtype=complex)
+        if self.r is not None and np.max(np.abs(_sample(self.r, zero, (n, n), complex))) > 1e-12:
             raise InvariantViolation("frame perturbation r must vanish at 0")
-        if abs(self.m_at(zero) - 1.0) > 1e-12:
+        if self.volume_density is not None and abs(_density(self.volume_density, zero) - 1) > 1e-12:
             raise InvariantViolation("volume density must equal 1 at 0")
+
+
+def _density(m: Callable, points: np.ndarray) -> np.ndarray:
+    """m at every row of ``points``; DomainError unless each is positive and finite."""
+    values = _sample(m, points, (), float)
+    if not np.all((values > 0) & (values < np.inf)):
+        raise DomainError("volume density must be positive and finite")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -587,9 +578,8 @@ def _scaled(weight: WeightFunction, pert: Optional[PerturbationSpec], grid: Grid
                               f"chart radius {weight.chart_radius:.3g}")
         y = z / sqrtk
 
-        # Every coefficient is sampled once per assembly, a user callable once
-        # per point and a whole-grid form once (``_sample``); the partials of r
-        # and log m come from these samples (``_grid_partials``).
+        # Every coefficient is sampled once per assembly (``_sample``); the
+        # partials of r and log m come from these samples (``_grid_partials``).
         if has_r:
             r = _finite(_sample(pert.r, y, (n, n), complex), "frame r")
             rbar = np.conj(r)
@@ -599,10 +589,10 @@ def _scaled(weight: WeightFunction, pert: Optional[PerturbationSpec], grid: Grid
         step = grid.spacing / sqrtk  # between neighbouring sites y
         grad_logm = np.zeros((sites, n), dtype=complex)
         if pert.volume_density is not None:
-            d = _grid_partials(np.log(_sample(pert.m_at, y)), grid, step)
+            d = _grid_partials(np.log(_density(pert.volume_density, y)), grid, step)
             grad_logm = np.stack([0.5 * (d[2 * j] + 1j * d[2 * j + 1]) for j in range(n)], axis=1)
         if pert.alpha is not None:
-            alpha = _finite(_sample(lambda u: pert.alpha_at(u, n), y, (n,)), "alpha")
+            alpha = _finite(_sample(pert.alpha, y, (n,), complex), "alpha")
         wcoef = None
         if has_r and n > 1 and q >= 1:
             wcoef = _wedge_term_coefficients(r, _grid_partials(r, grid, step))

@@ -164,7 +164,7 @@ class TraceEstimate:
 
 # Largest rounding estimate of a sweep that is trusted, relative to its result.
 _ROUNDING_LIMIT = 2.0 ** -36
-# Halvings of an untrusted first step tried before giving up.
+# Halvings in a row of the longest step tried before giving up.
 _MAX_HALVINGS = 64
 
 
@@ -180,7 +180,7 @@ def _spectral_interval(op: DiscreteOperator) -> tuple:
 
 
 def _log_bessel_tails(x: float, kmax: int) -> np.ndarray:
-    """Upper bounds on log sum_{j>K} I_j(x) for K = 0..kmax and x >= 0.
+    """Upper bounds on log sum_{j>K} I_j(x) for K = 0..kmax and x > 0.
 
     With nu = K+1, Luke's bound I_nu(x) <= (x/2)^nu e^{x^2/(4(nu+1))} / nu!
     and the ratio bound I_{j+1}(x)/I_j(x) <= x/(2(j+1)) <= rho = x/(2(nu+1))
@@ -188,8 +188,6 @@ def _log_bessel_tails(x: float, kmax: int) -> np.ndarray:
     +inf where rho >= 1.  Both follow from the power series of I_nu.
     """
     nu = np.arange(1, kmax + 2, dtype=float)
-    if x == 0:
-        return np.full(nu.size, -np.inf)
     log_i = nu * np.log(0.5 * x) + x * x / (4.0 * (nu + 1.0)) - np.cumsum(np.log(nu))
     rho = x / (2.0 * (nu + 1.0))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -282,14 +280,13 @@ class _ChebyshevBlock:
         """
         taus = np.asarray(taus, dtype=float)
         coef, tail, cap = self._expansion(taus)
-        xi_norm = np.sqrt(_squared_norms(xi))
+        xi_norm = _norms(xi)
         ys = coef[0][:, None, None] * xi
-        prev, cur = None, xi
-        k = 0
+        prev, cur, k = None, xi, 0
         check = int(np.argmax(np.all(tail <= np.sqrt(_ROUNDOFF), axis=1)))
         while True:
             if k >= check:
-                norms = np.sqrt(_squared_norms(ys))
+                norms = _norms(ys)
                 with np.errstate(divide="ignore", invalid="ignore"):
                     ratio = np.where(xi_norm > 0, xi_norm / norms, 0.0)
                 if k == cap or np.all(tail[k][:, None] * ratio <= _ROUNDOFF):
@@ -313,62 +310,60 @@ class _ChebyshevBlock:
         """e^{-tau A} xi for each tau and column of the block xi, in the
         order of taus, with a-priori bounds on their errors.
 
-        A sweep whose rounding estimate exceeds _ROUNDING_LIMIT for a tau is
-        not trusted there: the block restarts from the furthest trusted tau
-        before it, or from the largest halving of the first pending tau
-        that is trusted, by the semigroup law; later steps are no longer
-        than that halving.  That happens only when a is far below the
-        smallest eigenvalue (a Gershgorin lower end) or for tau lambda_min
-        large enough that e^{-tau A} xi is tiny beside xi.  An
-        error E_s at time s grows to at most e^{-(tau - s) a} E_s by tau, and
-        the truncation bounds of the steps add.
+        Each pass sweeps from the last trusted time s over the pending
+        steps tau - s up to ``longest``, or over one intermediate step of
+        ``longest``, and advances to its leading trusted taus (the semigroup
+        law): those whose sums are finite and whose rounding estimate is at
+        most _ROUNDING_LIMIT.  When none is, ``longest`` halves, at most
+        _MAX_HALVINGS times in a row.  That happens only when a is far below
+        lambda_min (a Gershgorin lower end), when e^{-tau A} xi is tiny
+        beside xi, or when e^{-tau a} overflows.  An error E_s at time s
+        grows to at most e^{-(tau - s) a} E_s by tau, and the truncation
+        bounds of the steps add (to inf past the largest float).
         """
         times, where = np.unique(np.asarray(taus, dtype=float), return_inverse=True)
         xi = np.asarray(xi, dtype=complex)
         if times.size == 0:
             empty = np.zeros((0, xi.shape[1]))
             return _Propagation(np.zeros((0,) + xi.shape, dtype=complex), empty, empty)
-        accepted = []  # (ys, norms, errs) of the times each trusted sweep passed
-        state, start, state_err, done = xi, 0.0, np.zeros(xi.shape[1]), 0
-        longest = np.inf  # the longest step trusted after a halving
+        accepted = []  # (ys, norms, errs) of the requested times reached
+        state, state_err, start, done, longest, halvings = xi, np.zeros(xi.shape[1]), 0.0, 0, np.inf, 0
         while done < times.size:
-            steps = times[done:] - start
-            halved = steps[0] > longest
-            steps = np.array([longest]) if halved else steps[steps <= longest]
-            for halvings in range(_MAX_HALVINGS + 1):
+            pending = times[done:] - start
+            steps = pending[pending <= longest] if pending[0] <= longest else np.array([longest])
+            with np.errstate(over="ignore", invalid="ignore"):  # sums that overflow read inf
                 sw = self.sweep(state, steps)
-                trusted = np.all(sw.rounding <= _ROUNDING_LIMIT, axis=1)
-                if trusted[0]:
-                    break
+                rounding = np.where(np.isfinite(sw.norms), sw.rounding, np.inf)
+                err = np.exp(-steps * self.low)[:, None] * state_err + sw.trunc
+            count = int(np.cumprod(np.all(rounding <= _ROUNDING_LIMIT, axis=1)).sum())
+            if count == 0:
                 if halvings == _MAX_HALVINGS:
-                    residual = float(sw.rounding.max())
+                    residual = float(rounding.max())
                     raise NumericalError(
                         f"chebyshev propagator lost accuracy on [{self.low:.6g}, "
                         f"{self.high:.6g}] (residual {residual:.3e}, the rounding "
                         f"estimate relative to the result)", residual=residual)
-                steps, halved = steps[:1] * 0.5, True
-                longest = steps[0]
-            count = int(np.argmin(trusted)) if not trusted.all() else len(steps)
-            err = np.exp(-steps[:count] * self.low)[:, None] * state_err + sw.trunc[:count]
-            state, state_err = sw.ys[count - 1], err[count - 1]
-            if halved:
+                longest, halvings = 0.5 * steps[0], halvings + 1
+                continue
+            state, state_err, halvings = sw.ys[count - 1], err[count - 1], 0
+            if steps[0] < pending[0]:  # the intermediate step
                 start += steps[0]
                 continue
-            accepted.append((sw.ys[:count], sw.norms[:count], err))
-            done += count
-            start = times[done - 1]
-        if len(accepted) == 1:
-            ys, norms, errs = accepted[0]
-        else:
-            ys, norms, errs = (np.concatenate(part) for part in zip(*accepted))
+            accepted.append((sw.ys[:count], sw.norms[:count], err[:count]))
+            done, start = done + count, times[done + count - 1]
+        ys, norms, errs = (part[0] if len(accepted) == 1 else np.concatenate(part)
+                           for part in zip(*accepted))
         if not np.array_equal(where, np.arange(times.size)):
             ys, norms, errs = ys[where], norms[where], errs[where]
         return _Propagation(ys, errs, norms ** 2)
 
 
-def _squared_norms(x) -> np.ndarray:
-    """Squared 2-norms along axis -2: of the columns of each trailing matrix."""
-    return (x.real ** 2 + x.imag ** 2).sum(axis=-2)
+def _norms(x) -> np.ndarray:
+    """2-norms along axis -2: of the columns of each trailing matrix; one
+    below 2^-484, whose squares may underflow, is a chain of hypot instead."""
+    out = np.sqrt((x.real ** 2 + x.imag ** 2).sum(axis=-2))
+    small = out < 2.0 ** -484
+    return np.where(small, np.hypot.reduce(np.abs(x), axis=-2), out) if small.any() else out
 
 
 def _rademacher_block(rng, dim: int, width: int) -> np.ndarray:

@@ -15,9 +15,9 @@ Fourier transform in y turns that operator into Harper's equation: real
 cyclic tridiagonal rings with the same spectrum, which the oracle solves
 instead of the 2-D Peierls matrix.  Without one closing site each ring is
 a path, so the rings are a tridiagonal bordered by one row per ring, and
-LAPACK's tridiagonal kernels factor them: ``dpttrf`` for ARPACK's
-shift-invert and a Sturm count (``dstebz``) with the closing sites' Schur
-complement for the inertia.  The rings fall into shift classes of
+LAPACK's tridiagonal kernels factor them: ``dpttrf`` for the inverse on
+which ARPACK runs and a Sturm count (``dstebz``) with the closing sites'
+Schur complement for the inertia.  The rings fall into shift classes of
 bit-identical copies, so ARPACK solves one ring per class and repeats
 each eigenvalue once per copy; the inertia count covers every ring.  A
 level is the set of those eigenvalues between two exact mid-gaps,
@@ -137,6 +137,8 @@ def heat_trace_exact(bundle: EllipticCurveBundle, k: int, q: int, t: float) -> f
     kd = k * bundle.degree
     if q == 0:
         return kd / (-np.expm1(-t * lam))
+    if t * lam > np.log(np.finfo(float).max):  # e^{t lam} overflows; 1/(e^x - 1) ~ e^{-x}
+        return kd * np.exp(-t * lam)
     return kd / np.expm1(t * lam)
 
 
@@ -299,12 +301,6 @@ def _harper_rings(flux_quanta: int, n_points: int, side: float):
     return (4.0 - 2.0 * np.cos(2.0 * np.pi * phase)) / h**2, -1.0 / h**2
 
 
-def _ring_apply(diag, hop, x):
-    """The rings H applied to a vector x in site order ring * L + p."""
-    x = x.reshape(diag.shape)
-    return (diag * x + hop * (np.roll(x, 1, axis=1) + np.roll(x, -1, axis=1))).ravel()
-
-
 # Bordering (Haynsworth, Linear Algebra Appl. 1, 1968).  Without its
 # closing site p = L - 1 each ring is a path of L - 1 sites; the g paths
 # form one tridiagonal T with no link between rings.  The closing sites
@@ -410,10 +406,11 @@ def _discrete_landau_levels(bundle: EllipticCurveBundle, k: int, n_points: int,
     """The ``count`` smallest eigenvalues of the discretized Laplacian on
     sections, normalized to the Landau convention (level m at k lambda m),
     split into ``count // (k d)`` levels at the mid-gaps k lambda (m -+ 1/2).
-    The eigenvalues come from shift-inverted ARPACK on the Harper rings
-    (``_harper_rings``), the real tridiagonal y-Fourier transform of the
-    Peierls matrix, each inverse applied by bordering (``_ring_inverse``).
-    The rings fall into s shift classes of c = g / s bit-identical copies
+    They are 1/nu for the largest nu that ARPACK finds in standard mode on
+    H^{-1}, applied by bordering (``_ring_inverse``), H the Harper rings
+    (``_harper_rings``): the real tridiagonal y-Fourier transform of the
+    Peierls matrix; shift-invert at 0 would apply nothing else.  The
+    rings fall into s shift classes of c = g / s bit-identical copies
     (``defaults.harper_copies``), so ARPACK solves the s representatives,
     rings 0 .. s - 1, for ceil(count / c) eigenvalues and each is repeated
     c times.  Raises ``AccuracyError`` when they miss one below the top
@@ -426,15 +423,13 @@ def _discrete_landau_levels(bundle: EllipticCurveBundle, k: int, n_points: int,
     diag, hop = _harper_rings(quanta, n_points, side)
     copies = defaults.harper_copies(quanta, n_points)
     reps = diag[:diag.shape[0] // copies]   # ring r is a shift of ring r mod s
-    n = reps.size
-    rings = spla.LinearOperator((n, n), matvec=lambda x: _ring_apply(reps, hop, x), dtype=float)
-    inverse = spla.LinearOperator((n, n), matvec=_ring_inverse(reps, hop), dtype=float)
+    inverse = spla.LinearOperator((reps.size,) * 2, matvec=_ring_inverse(reps, hop), dtype=float)
     # A fixed-seed random start vector keeps reruns byte-identical
     # without missing any symmetry class of the spectrum.
-    v0 = np.random.default_rng(0).standard_normal(n)
-    eigs = np.sort(spla.eigsh(rings, k=-(-count // copies), sigma=0.0, which="LM", v0=v0,
-                              OPinv=inverse, return_eigenvectors=False, maxiter=10000))
-    eigs = (np.repeat(eigs, copies) - field) / 4.0
+    v0 = np.random.default_rng(0).standard_normal(reps.size)
+    nus = spla.eigsh(inverse, k=-(-count // copies), which="LM", v0=v0,
+                     return_eigenvectors=False, maxiter=10000)
+    eigs = (np.repeat(np.sort(1.0 / nus), copies) - field) / 4.0
     gaps = k * bundle.lambda_scalar * (np.arange(count // quanta + 1) - 0.5)
     cuts = np.searchsorted(eigs, gaps)
     # the count runs on all g rings, so it would also catch a wrong class rule

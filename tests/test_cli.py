@@ -1,11 +1,15 @@
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from heatlab.cli import load_config, main, validate_config
-from heatlab.errors import ConfigError
+from heatlab import defaults
+from heatlab.cli import load_config, main, run_experiment, validate_config
+from heatlab.errors import AccuracyError, ConfigError
 
 
 def _write(tmp_path, name, cfg):
@@ -517,3 +521,162 @@ def test_python_m_heatlab_runs_a_config(tmp_path):
     assert proc.stdout.startswith("wrote ")
     got = (tmp_path / "spectrum_landau.csv").read_bytes()
     assert got == (root / "tests" / "reference" / "spectrum_landau.csv").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# Runs past the float range.  In the first two e^{-tau a} (a the sweep's
+# lower end) overflows inside a Chebyshev sweep, and in the third e^{t lam}
+# in the q = 1 closed form.  Each wrote inf or nan, raised or warned.
+
+TRACE_OVERFLOW_CFG = {
+    "experiment": "trace", "n": 1, "lambda": [-1.0], "q": 1, "t_list": [800.0],
+    "grid": {"radius": 1.0, "spacing": 0.5}, "stochastic": True, "probes": 4, "seed": 7,
+    "output": "trace.csv",
+}
+CONVERGE_OVERFLOW_CFG = {
+    "experiment": "converge", "n": 1, "lambda": [-2.9789514264959753], "q": 1,
+    "metric_perturbation": {"kind": "linear_r11", "amplitude": 0.1},
+    "k_list": [1, 9], "t_list": [800.0], "grid": {"radius": 1.0, "spacing": 0.25},
+    "method": {"variant": "krylov"}, "seed": 7, "output": "converge.csv",
+}
+MORSE_OVERFLOW_CFG = {
+    "experiment": "morse", "model": "elliptic", "tau_im": 0.5, "degree": 2, "k_list": [1],
+    "q_list": [0, 1], "t_list": [50.0], "seed": 7, "output": "morse.csv",
+}
+
+
+def _csv_rows(cfg, out_dir):
+    return [line.split(",") for line in
+            run_experiment(cfg, out_dir).read_text(encoding="utf-8").splitlines()[1:]]
+
+
+def test_trace_whose_sums_overflow_restarts_and_matches_dense(tmp_path):
+    # ||y||^2 overflows in the first sweep; a sum that is not finite is not
+    # trusted, so the block restarts from halvings
+    (row,) = _csv_rows(TRACE_OVERFLOW_CFG, tmp_path)
+    (dense,) = _csv_rows(dict(TRACE_OVERFLOW_CFG, stochastic=False), tmp_path)
+    value, stderr, exact = float(row[1]), float(row[2]), float(dense[1])
+    assert np.isfinite(value) and np.isfinite(stderr)
+    assert exact == pytest.approx(1.3755467103507674e+70, rel=1e-9)
+    assert abs(value - exact) <= 4 * stderr
+
+
+def test_converge_whose_coefficients_overflow_matches_dense(tmp_path):
+    # e^{-tau a} overflows the Chebyshev coefficients at t / 2 = 400
+    got = _csv_rows(CONVERGE_OVERFLOW_CFG, tmp_path)
+    ref = _csv_rows(dict(CONVERGE_OVERFLOW_CFG, method={"variant": "dense-eigen"}), tmp_path)
+    for row, dense in zip(got, ref):
+        assert float(row[5]) == pytest.approx(float(dense[5]), rel=1e-10)
+    assert [float(row[5]) for row in ref] == pytest.approx(
+        [8.376239890860369e+225, 1.2157476895968481e+224], rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Every experiment on small valid configs: it runs and writes finite cells.
+
+_LAMBDA = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
+
+
+def _times(draw, lam, q):
+    """One or two times up to 800.  At q >= 1 the spectrum reaches down to
+    2 sum of the negative lambda_j (the Gershgorin end of the twist
+    correction), so t is capped where e^{-t lambda_min} stays finite."""
+    negative = sum(max(0.0, -v) for v in lam) if q >= 1 else 0.0
+    top = min(800.0, 350.0 / negative) if negative else 800.0
+    return draw(st.lists(st.floats(1e-3, top), min_size=1, max_size=2))
+
+
+@st.composite
+def _valid_configs(draw):
+    kind = draw(st.sampled_from(["model-kernel", "converge", "trace", "morse", "spectrum",
+                                 "validate-oracle"]))
+    cfg = {"experiment": kind, "seed": draw(st.integers(0, 99)), "output": "out.csv"}
+    tau_im = draw(st.floats(0.25, 4.0))
+    if kind in ("model-kernel", "converge", "trace"):
+        n = 1 if kind == "converge" else draw(st.integers(1, 2))
+        q = draw(st.integers(0, n))
+        lam = [draw(_LAMBDA) for _ in range(n)]
+        cfg.update(n=n, q=q, **{"lambda": lam})
+        cfg["t_list"] = _times(draw, lam, q) if kind != "model-kernel" else draw(
+            st.lists(st.floats(1e-3, 800.0), min_size=1, max_size=2))
+        # at most 169 sites at n = 1 and 81 at n = 2
+        radius = draw(st.sampled_from([0.5, 1.0, 1.5])) if n == 1 else 0.5
+        spacing = draw(st.sampled_from([0.25, 0.5])) if n == 1 else 0.5
+        cfg["grid"] = {"radius": radius, "spacing": spacing}
+    if kind == "model-kernel":
+        del cfg["grid"]
+    elif kind == "converge":
+        cfg["k_list"] = sorted(draw(st.sets(st.integers(1, 16), min_size=1, max_size=2)))
+        cfg["weight_perturbation"] = {"kind": draw(st.sampled_from(["zero", "re_z3", "abs_z4"])),
+                                      "amplitude": draw(st.floats(-0.2, 0.2))}
+        cfg["metric_perturbation"] = {"kind": "linear_r11",
+                                      "amplitude": draw(st.floats(-0.2, 0.2))}
+        cfg["method"] = {"variant": draw(st.sampled_from(["krylov", "dense-eigen"]))}
+    elif kind == "trace":
+        cfg.update(stochastic=draw(st.booleans()), probes=draw(st.integers(2, 8)))
+    elif kind == "morse":
+        if draw(st.booleans()):
+            cfg.update(model="elliptic", degree=draw(st.sampled_from([-3, -2, -1, 1, 2, 3])),
+                       q_list=draw(st.lists(st.integers(0, 1), min_size=1, max_size=2)))
+        else:
+            cfg.update(model="product", degrees=[draw(st.integers(1, 3)), draw(st.integers(-3, -1))],
+                       q_list=draw(st.lists(st.integers(0, 2), min_size=1, max_size=3)))
+        cfg.update(tau_im=tau_im, k_list=draw(st.lists(st.integers(1, 4), min_size=1, max_size=2)),
+                   t_list=draw(st.lists(st.floats(1e-3, 800.0), min_size=1, max_size=2)))
+    elif kind == "spectrum":
+        cfg.update(tau_im=tau_im, degree=draw(st.sampled_from([-2, -1, 1, 2])),
+                   k=draw(st.integers(1, 4)), q=draw(st.integers(0, 1)),
+                   cutoff=draw(st.integers(0, 5)))
+    else:
+        degree, n1 = draw(st.integers(1, 2)), draw(st.sampled_from([8, 12]))
+        k_list = draw(st.lists(st.integers(1, 2), min_size=1, max_size=2))
+        low = max(k_list) * degree
+        high = min(defaults.max_eigen_count(k * degree, n1) for k in k_list)
+        cfg.update(tau_im=tau_im, degree=degree, k_list=k_list, resolutions=[n1, 2 * n1],
+                   eigen_count=draw(st.integers(low, min(high, low + 6))))
+    return cfg
+
+
+def _paths(cfg, prefix=()):
+    """The path of every key of cfg, nested objects included."""
+    for key, value in cfg.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _paths(value, prefix + (key,))
+
+
+@given(cfg=_valid_configs(), data=st.data())
+@example(cfg=TRACE_OVERFLOW_CFG, data=None)
+@example(cfg=CONVERGE_OVERFLOW_CFG, data=None)
+@example(cfg=MORSE_OVERFLOW_CFG, data=None)
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_valid_configs_write_finite_cells_and_invalid_ones_exit_2(cfg, data):
+    # warnings are errors here; only the oracle may fail, with its documented
+    # AccuracyError, on a grid too coarse to separate the levels
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        try:
+            rows = _csv_rows(cfg, tmp)
+        except AccuracyError:
+            assert cfg["experiment"] == "validate-oracle"
+            rows = []
+        for row in rows:
+            for cell in row:
+                try:
+                    value = float(cell)
+                except ValueError:
+                    continue
+                assert np.isfinite(value), (cfg, row)
+        # null is no field's type, and "bogus" no field's name
+        path = (data.draw(st.sampled_from(sorted(_paths(cfg)))) if data is not None
+                else ("experiment",))
+        bad = json.loads(json.dumps(cfg))
+        parent = bad
+        for key in path[:-1]:
+            parent = parent[key]
+        if data is not None and data.draw(st.booleans()):
+            parent["bogus"] = 1
+        else:
+            parent[path[-1]] = None
+        assert main(["validate", str(_write(tmp, "bad.json", bad))]) == 2

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heatlab import fiber
-from heatlab.errors import ArgumentError
+from heatlab.errors import ArgumentError, InvariantViolation
 
 
 def test_multi_indices_lexicographic():
@@ -112,3 +112,14 @@ def test_cached_index_position_rejects_writes():
         fiber.index_position(3, 2)[(0, 1)] = 2
     fiber.wedge_matrix.cache_clear()
     assert np.array_equal(fiber.wedge_matrix(3, 1, 1), expected)
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: fiber.FiberEndomorphism(1, 2, np.eye(1)), ArgumentError, "q=2 outside"),
+    (lambda: fiber.FiberEndomorphism(2, 1, np.eye(1)), InvariantViolation,
+     r"expected 2x2 fiber matrix, got \(1, 1\)"),
+    (lambda: fiber.FiberEndomorphism(2, 1, np.eye(2)).scalar, ArgumentError, "scalar access"),
+])
+def test_fiber_endomorphism_rejects_bad_input(make, error, message):
+    with pytest.raises(error, match=message):
+        make()

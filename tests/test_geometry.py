@@ -335,3 +335,18 @@ def test_empty_field_rejected():
     for vol in (0.0, -1.0):
         with pytest.raises(ArgumentError, match="volumes must be positive"):
             CurvatureField((curv,), np.array([vol]))
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: CurvatureEndomorphism(2, np.zeros((2, 3))), InvariantViolation, "must be square"),
+    (lambda: CurvatureEndomorphism(2, np.eye(3)), InvariantViolation, "expected 2x2 matrix"),
+    (lambda: curvature_at(WeightFunction(2, (1.0, 1.0)), np.zeros(3)), ArgumentError,
+     r"point must have shape \(2,\)"),
+    (lambda: CurvatureField.constant(CurvatureEndomorphism.diagonal([1.0]), 1.0, cells=0),
+     ArgumentError, "at least one cell"),
+    (lambda: morse_bound(CurvatureField.constant(CurvatureEndomorphism.diagonal([1.0]), 1.0), 2),
+     ArgumentError, r"q=2 outside \[0, 1\]"),
+])
+def test_geometry_rejects_bad_input(make, error, message):
+    with pytest.raises(error, match=message):
+        make()

@@ -422,3 +422,13 @@ def test_model_kernels_does_not_load_geometry():
     proc = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=str(src)),
                           capture_output=True, text=True, timeout=120, check=True)
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("n, lam, error, message", [
+    (0, (), ArgumentError, "dimension must be positive"),
+    (1, (np.nan,), InvariantViolation, "must be finite"),
+    (2, (1.0, np.inf), InvariantViolation, "must be finite"),
+])
+def test_model_spec_rejects_bad_curvature(n, lam, error, message):
+    with pytest.raises(error, match=message):
+        ModelSpec(n, lam, 0)

@@ -453,7 +453,7 @@ def _reference_assemble_scaled(weight, pert, k, grid, q):
     rs = np.zeros((sites, n, n), dtype=complex)
     if has_r:
         for i in range(sites):
-            rs[i] = pert.r_at(y[i], n)
+            rs[i] = np.asarray(pert.r(y[i]), dtype=complex).reshape(n, n)
     rbar = np.conj(rs)
     grad_phi = (lam * y).astype(complex)
     if has_p:
@@ -468,7 +468,7 @@ def _reference_assemble_scaled(weight, pert, k, grid, q):
                 grad_phi[i, j] += 0.5 * (gx + 1j * gy)
     grad_logm = np.zeros((sites, n), dtype=complex)
     if has_m:
-        logm = np.array([np.log(pert.m_at(y[i])) for i in range(sites)])
+        logm = np.array([np.log(float(pert.volume_density(y[i]))) for i in range(sites)])
         for i in range(sites):
             for j in range(n):
                 gx = _ref_grid_partial(logm, grid, i, 2 * j, step)
@@ -546,7 +546,7 @@ def _reference_assemble_scaled(weight, pert, k, grid, q):
     if pert.alpha is not None:
         alpha = np.empty((sites, n), dtype=complex)
         for i in range(sites):
-            alpha[i] = pert.alpha_at(y[i], n)
+            alpha[i] = np.asarray(pert.alpha(y[i]), dtype=complex).reshape(n)
         x = sp.csr_matrix((dq * sites, dq * sites), dtype=complex)
         if d_q is not None:
             aop = sp.csr_matrix((dq * sites, fiber.fiber_dim(n, q + 1) * sites), dtype=complex)

@@ -240,6 +240,26 @@ def test_chebyshev_block_restarts_match_dense(trace_model_op, monkeypatch, start
     assert np.all(gap <= 1e-8 * np.linalg.norm(exact, axis=1))
 
 
+def test_restarts_keep_the_norm_of_a_state_that_decays_below_1e_146():
+    # lambda_min is about 2.06 over a floor near 0, so the block restarts
+    # every ~1.1; by t / 2 = 200 the state's squares underflow.  Their sum
+    # once read 0, and a ratio ||xi|| / 0 halved the step to 1e-16 for good.
+    grid = GridSpec(1, 1.5, 0.25)
+    op = assemble_scaled(WeightFunction(1, (-2.941671672807746,)), None, 1, grid, 0)
+    ts = [300.0, 400.0]
+    got = kernel_diagonals(op, grid.origin_site(), ts)
+    ref = kernel_diagonals(op, grid.origin_site(), ts, SemigroupMethod("dense-eigen"))
+    assert ref[0].matrix[0, 0].real == pytest.approx(6.31134029e-282, rel=1e-8)
+    np.testing.assert_allclose(got[0].matrix, ref[0].matrix, rtol=1e-10)
+    assert got[1].matrix[0, 0] == ref[1].matrix[0, 0] == 0  # e^{-824} underflows
+
+
+def test_norms_of_tiny_columns_are_exact_to_rounding():
+    x = np.array([[3e-200, 1.0], [4e-200j, 0.0], [0.0, 0.0]])
+    np.testing.assert_allclose(semigroup._norms(x), [5e-200, 1.0], rtol=1e-15)
+    assert semigroup._norms(np.zeros((4, 2)))[0] == 0
+
+
 def test_krylov_zero_vector_stays_zero():
     op = _random_hermitian_op()
     out = heat_apply(op, np.zeros(op.dim, dtype=complex), 1.0, SemigroupMethod("krylov"))

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import heatlab.torus as torus
-from heatlab.errors import AccuracyError, ArgumentError
+from heatlab.errors import AccuracyError, ArgumentError, InvariantViolation
 from heatlab.geometry import CurvatureEndomorphism, asymptotic_diagonal, heat_factor
 from heatlab.torus import (
     EllipticCurveBundle,
+    SpectrumTable,
     heat_trace_exact,
     heat_trace_truncated,
     landau_spectrum,
@@ -54,6 +55,16 @@ def test_closed_forms_reject_bad_time(entry, t):
 def test_landau_spectrum_rejects_bad_arguments(k, q, cutoff, message):
     with pytest.raises(ArgumentError, match=message):
         landau_spectrum(_B1, k, q, cutoff)
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: SpectrumTable(((1.0, 1), (1.0, 1))), InvariantViolation, "strictly increasing"),
+    (lambda: SpectrumTable(((1.0, 1), (2.0, 0))), InvariantViolation, "multiplicities"),
+    (lambda: riemann_roch_dims(0, 1), ArgumentError, "k >= 1"),
+])
+def test_spectrum_table_and_riemann_roch_reject_bad_input(make, error, message):
+    with pytest.raises(error, match=message):
+        make()
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +133,20 @@ def test_trace_equals_area_times_limit_diagonal():
 def test_trace_q1_vanishes_at_large_time():
     b = EllipticCurveBundle(1j, 1)
     assert heat_trace_exact(b, 1, 1, 100.0) < 1e-40
+
+
+def test_q1_trace_past_the_overflow_of_exp_is_finite_and_quiet():
+    # at t lambda = 720 > log(DBL_MAX) e^{t lambda} overflows (a warning is
+    # an error here); kd / (e^x - 1) is kd e^{-x} to rounding, on the curve,
+    # through its dual and in the product's convolution
+    b = EllipticCurveBundle(1j, 2)
+    t = 720.0 / b.lambda_scalar
+    expected = 3 * 2 * np.exp(-t * b.lambda_scalar)
+    assert expected == pytest.approx(6 * np.exp(-720.0), rel=1e-9)  # subnormal
+    assert heat_trace_exact(b, 3, 1, t) == expected
+    assert heat_trace_exact(b.dual(), 3, 0, t) == expected
+    rec = product_torus_morse(b, EllipticCurveBundle(1j, -2), 3, 1, t)
+    assert np.isfinite(rec.rhs) and rec.holds
 
 
 def test_alternating_trace_is_index():
@@ -357,15 +382,13 @@ def test_harper_rings_have_the_peierls_spectrum(n_points, flux_quanta, side):
 @pytest.mark.parametrize("n_points, flux_quanta", _RING_CASES)
 @pytest.mark.parametrize("side", [1.0, np.sqrt(0.5)])
 def test_bordered_solve_matches_dense(n_points, flux_quanta, side):
-    from heatlab.torus import _harper_rings, _ring_apply, _ring_inverse
+    from heatlab.torus import _harper_rings, _ring_inverse
 
     diag, hop = _harper_rings(flux_quanta, n_points, side)
     # shifted by |hop|: at (5, 25) the flux per plaquette is 1, so the
     # unshifted rings have the zero-field kernel
     dense = _dense_rings(diag, hop) + abs(hop) * np.eye(diag.size)
     x = np.random.default_rng(3).standard_normal(diag.size)
-    np.testing.assert_allclose(_ring_apply(diag + abs(hop), hop, x), dense @ x,
-                               rtol=0, atol=1e-14 * np.abs(dense @ x).max())
     ref = np.linalg.solve(dense, x)
     np.testing.assert_allclose(_ring_inverse(diag + abs(hop), hop)(x), ref,
                                rtol=0, atol=1e-12 * np.abs(ref).max())
@@ -481,11 +504,12 @@ def test_missed_ring_eigenvalue_raises(monkeypatch):
     real = spla.eigsh
 
     def drop_ground(h, k, **kwargs):
-        # the k smallest eigenvalues of the one representative ring, except
-        # its ground eigenvalue, which stands for both copies of the doubly
-        # degenerate ground level, replaced by the next eigenvalue
+        # the k largest eigenvalues of the one representative ring's
+        # inverse, except the largest, the ground eigenvalue of the ring,
+        # which stands for both copies of the doubly degenerate ground
+        # level, replaced by the next one
         w = np.sort(real(h, k=k + 1, **kwargs))
-        return np.delete(w, 0)
+        return np.delete(w, -1)
 
     monkeypatch.setattr(spla, "eigsh", drop_ground)
     with pytest.raises(AccuracyError, match="below the top mid-gap"):
@@ -500,12 +524,13 @@ def test_multiplicity_checked_at_both_resolutions(monkeypatch):
 
     def move_one_ring_eigenvalue(h, k, **kwargs):
         # at the coarse resolution only, where one representative of
-        # 16^2 / 2 sites stands for both rings, the ground eigenvalue is
-        # read as a first-level one: coarse multiplicities [0, 4, 2], and
-        # the count below the top mid-gap is intact
+        # 16^2 / 2 sites stands for both rings, the ground eigenvalue (the
+        # largest of the inverse) is read as a first-level one: coarse
+        # multiplicities [0, 4, 2], and the count below the top mid-gap is
+        # intact
         w = np.sort(real(h, k=k, **kwargs))
         if h.shape[0] == 16**2 // 2:
-            w[0] = w[1]
+            w[-1] = w[-2]
         return w
 
     monkeypatch.setattr(spla, "eigsh", move_one_ring_eigenvalue)
