@@ -171,8 +171,7 @@ _MAX_HALVINGS = 64
 def _spectral_interval(op: DiscreteOperator) -> tuple:
     """An interval [a, b] holding the spectrum of the Hermitian op: its
     Gershgorin ends, a raised to the assemblers' floor.  Without a floor, an
-    a far below lambda_min costs restarts (``_ChebyshevBlock.propagate``).
-    """
+    a far below lambda_min costs restarts (``_ChebyshevBlock.propagate``)."""
     low, high, *_ = _gershgorin(op.matrix)
     if op._floor is not None:
         low = max(low, op._floor)
@@ -180,7 +179,7 @@ def _spectral_interval(op: DiscreteOperator) -> tuple:
 
 
 def _log_bessel_tails(x: float, kmax: int) -> np.ndarray:
-    """Upper bounds on log sum_{j>K} I_j(x) for K = 0..kmax and x > 0.
+    """Upper bounds on log sum_{j>K} I_j(x) for K = 0..kmax and x >= 0.
 
     With nu = K+1, Luke's bound I_nu(x) <= (x/2)^nu e^{x^2/(4(nu+1))} / nu!
     and the ratio bound I_{j+1}(x)/I_j(x) <= x/(2(j+1)) <= rho = x/(2(nu+1))
@@ -188,16 +187,15 @@ def _log_bessel_tails(x: float, kmax: int) -> np.ndarray:
     +inf where rho >= 1.  Both follow from the power series of I_nu.
     """
     nu = np.arange(1, kmax + 2, dtype=float)
-    log_i = nu * np.log(0.5 * x) + x * x / (4.0 * (nu + 1.0)) - np.cumsum(np.log(nu))
     rho = x / (2.0 * (nu + 1.0))
     with np.errstate(divide="ignore", invalid="ignore"):
+        log_i = nu * np.log(0.5 * x) + x * x / (4.0 * (nu + 1.0)) - np.cumsum(np.log(nu))
         return np.where(rho < 1.0, log_i - np.log1p(-rho), np.inf)
 
 
 class _Sweep(NamedTuple):
-    """One Chebyshev sweep of a block: per tau (rows) and column, the sums
-    y, the bound ``trunc`` on ||y - e^{-tau A} xi||, and the rounding
-    estimate K u e^{-tau a} ||xi|| / ||y|| relative to ||y||."""
+    """One Chebyshev sweep of a block: per tau (rows) and column, the sums y, the bound
+    ``trunc`` on ||y - e^{-tau A} xi||, and the rounding estimate K u e^{-tau a} ||xi|| / ||y||."""
 
     ys: np.ndarray      # (len(taus), dim, columns)
     norms: np.ndarray
@@ -207,8 +205,7 @@ class _Sweep(NamedTuple):
 
 
 class _Propagation(NamedTuple):
-    """e^{-tau A} xi per tau (first axis) and column of xi, with bounds; a
-    squared norm is off by at most 2 E ||y|| + E^2."""
+    """e^{-tau A} xi per tau and column of xi; a squared norm is off by at most 2 E ||y|| + E^2."""
 
     ys: np.ndarray       # (len(taus), dim, columns): the vectors y
     errs: np.ndarray     # (len(taus), columns): bounds E on ||y - e^{-tau A} xi||
@@ -229,10 +226,9 @@ class _ChebyshevBlock:
     def __init__(self, op: DiscreteOperator):
         self.low, self.high = a, b = _spectral_interval(op)
         self.centre, self.radius = 0.5 * (a + b), max(0.5 * (b - a), np.finfo(float).tiny)
-        # the recurrence T_{k+1} = 2 (A - c)/r T_k - T_{k-1}, with 2/r and the
-        # shift folded into a copy of the stored values; setdiag keeps the
-        # sparsity pattern when every diagonal entry is stored, as the
-        # stabilizer makes it in every assembled operator
+        # the recurrence T_{k+1} = 2 (A - c)/r T_k - T_{k-1}, with 2/r and the shift folded
+        # into a copy of the stored values; setdiag keeps the sparsity pattern when every
+        # diagonal entry is stored, as the stabilizer makes it in every assembled operator
         self.matrix = op.matrix * (2.0 / self.radius)
         self.matrix.setdiag(self.matrix.diagonal() - 2.0 * self.centre / self.radius)
 
@@ -310,16 +306,17 @@ class _ChebyshevBlock:
         """e^{-tau A} xi for each tau and column of the block xi, in the
         order of taus, with a-priori bounds on their errors.
 
-        Each pass sweeps from the last trusted time s over the pending
-        steps tau - s up to ``longest``, or over one intermediate step of
-        ``longest``, and advances to its leading trusted taus (the semigroup
-        law): those whose sums are finite and whose rounding estimate is at
-        most _ROUNDING_LIMIT.  When none is, ``longest`` halves, at most
-        _MAX_HALVINGS times in a row.  That happens only when a is far below
-        lambda_min (a Gershgorin lower end), when e^{-tau A} xi is tiny
-        beside xi, or when e^{-tau a} overflows.  An error E_s at time s
-        grows to at most e^{-(tau - s) a} E_s by tau, and the truncation
-        bounds of the steps add (to inf past the largest float).
+        Each pass sweeps from the last trusted time s over the pending steps
+        tau - s up to ``longest``, or one step of ``longest``, and advances
+        to its leading trusted taus (the semigroup law): finite sums with a
+        rounding estimate of at most _ROUNDING_LIMIT.  When none is,
+        ``longest`` halves, at most _MAX_HALVINGS times in a row: a far below
+        lambda_min, e^{-tau A} xi tiny beside xi, or e^{-tau a} overflowing.
+        An error E_s at s grows to at most e^{-(tau - s) a} E_s by tau, and
+        the steps' truncation bounds add (to inf past the largest float).
+        A sum is at most e^{-step a} ||state||: sums that overflow where that
+        factor is at most 2 raise, as ||e^{-s A} xi|| is log-convex in s and
+        a requested result (or xi) is then near the largest float too.
         """
         times, where = np.unique(np.asarray(taus, dtype=float), return_inverse=True)
         xi = np.asarray(xi, dtype=complex)
@@ -337,12 +334,13 @@ class _ChebyshevBlock:
                 err = np.exp(-steps * self.low)[:, None] * state_err + sw.trunc
             count = int(np.cumprod(np.all(rounding <= _ROUNDING_LIMIT, axis=1)).sum())
             if count == 0:
-                if halvings == _MAX_HALVINGS:
-                    residual = float(rounding.max())
+                past = steps[0] * self.low >= -np.log(2.0) and not np.isfinite(sw.norms[0]).all()
+                if past or halvings == _MAX_HALVINGS:
+                    residual = float(rounding.max())  # inf where the sums overflowed
                     raise NumericalError(
-                        f"chebyshev propagator lost accuracy on [{self.low:.6g}, "
-                        f"{self.high:.6g}] (residual {residual:.3e}, the rounding "
-                        f"estimate relative to the result)", residual=residual)
+                        f"chebyshev propagator {'overflowed' if past else 'lost accuracy'} on "
+                        f"[{self.low:.6g}, {self.high:.6g}] (residual {residual:.3e}, the "
+                        f"rounding estimate relative to the result)", residual=residual)
                 longest, halvings = 0.5 * steps[0], halvings + 1
                 continue
             state, state_err, halvings = sw.ys[count - 1], err[count - 1], 0
@@ -355,15 +353,16 @@ class _ChebyshevBlock:
                            for part in zip(*accepted))
         if not np.array_equal(where, np.arange(times.size)):
             ys, norms, errs = ys[where], norms[where], errs[where]
-        return _Propagation(ys, errs, norms ** 2)
+        with np.errstate(over="ignore"):  # inf once a norm passes 2^512
+            return _Propagation(ys, errs, norms ** 2)
 
 
 def _norms(x) -> np.ndarray:
-    """2-norms along axis -2: of the columns of each trailing matrix; one
-    below 2^-484, whose squares may underflow, is a chain of hypot instead."""
-    out = np.sqrt((x.real ** 2 + x.imag ** 2).sum(axis=-2))
-    small = out < 2.0 ** -484
-    return np.where(small, np.hypot.reduce(np.abs(x), axis=-2), out) if small.any() else out
+    """2-norms along axis -2 of the columns of each trailing matrix, scaled exactly by the power
+    of two that brings a column's largest part into [1/2, 1): no square over- or underflows."""
+    e = np.frexp(np.maximum(np.abs(x.real).max(axis=-2), np.abs(x.imag).max(axis=-2)))[1]
+    y = np.ldexp(x.real, -e[..., None, :]) ** 2 + np.ldexp(x.imag, -e[..., None, :]) ** 2
+    return np.ldexp(np.sqrt(y.sum(axis=-2)), e)
 
 
 def _rademacher_block(rng, dim: int, width: int) -> np.ndarray:
@@ -379,13 +378,12 @@ def heat_traces(op: DiscreteOperator, ts: Sequence[float],
     Hutchinson estimation with ``probes`` (at least 2) Rademacher probes
     from ``seed`` (then required), exact eigenvalue sums under dense-eigen.
 
-    Every t uses the same probes; each sample is ||e^{-(t/2)A} xi||^2.  All
-    probes and times advance as one Chebyshev block (``_ChebyshevBlock``),
-    in column slabs of at most ``defaults.TRACE_BLOCK_BYTES``.  Each sample
-    has an a-priori error bound (``_ChebyshevBlock.propagate``) below unit
-    roundoff relative to the sample, so the estimate is exact to rounding
-    for its probes.
-    """
+    Every t uses the same probes; each sample is ||e^{-(t/2)A} xi||^2, and
+    one past the float range raises NumericalError.  All probes and times
+    advance as one Chebyshev block (``_ChebyshevBlock``) in column slabs of
+    at most ``defaults.TRACE_BLOCK_BYTES``.  Each sample has an a-priori
+    error bound (``_ChebyshevBlock.propagate``) below unit roundoff relative
+    to it, so the estimate is exact to rounding for its probes."""
     ts = _positive_times(ts)
     method = method or SemigroupMethod()
     if method.variant == "dense-eigen":
@@ -405,6 +403,8 @@ def heat_traces(op: DiscreteOperator, ts: Sequence[float],
         block.propagate(_rademacher_block(rng, op.dim, min(width, probes - start)), half).squares.T
         for start in range(0, probes, width)
     ])
+    if not np.isfinite(samples).all():
+        raise NumericalError("a trace sample left the float range", residual=np.inf)
     values = samples.mean(axis=0)
     stderrs = samples.std(axis=0, ddof=1) / np.sqrt(probes)
     return [TraceEstimate(float(v), float(s), probes, method.variant)

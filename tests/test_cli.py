@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from heatlab import defaults
 from heatlab.cli import load_config, main, run_experiment, validate_config
-from heatlab.errors import AccuracyError, ConfigError
+from heatlab.errors import AccuracyError, ConfigError, NumericalError
 
 
 def _write(tmp_path, name, cfg):
@@ -539,6 +539,8 @@ CONVERGE_OVERFLOW_CFG = {
     "k_list": [1, 9], "t_list": [800.0], "grid": {"radius": 1.0, "spacing": 0.25},
     "method": {"variant": "krylov"}, "seed": 7, "output": "converge.csv",
 }
+# the trace itself, about e^{970}, is past the float range
+TRACE_PAST_RANGE_CFG = dict(TRACE_OVERFLOW_CFG, **{"lambda": [-3.0]})
 MORSE_OVERFLOW_CFG = {
     "experiment": "morse", "model": "elliptic", "tau_im": 0.5, "degree": 2, "k_list": [1],
     "q_list": [0, 1], "t_list": [50.0], "seed": 7, "output": "morse.csv",
@@ -577,13 +579,17 @@ def test_converge_whose_coefficients_overflow_matches_dense(tmp_path):
 _LAMBDA = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
 
 
-def _times(draw, lam, q):
-    """One or two times up to 800.  At q >= 1 the spectrum reaches down to
-    2 sum of the negative lambda_j (the Gershgorin end of the twist
-    correction), so t is capped where e^{-t lambda_min} stays finite."""
+def _time_cap(lam, q):
+    """At q >= 1 the spectrum reaches down to 2 sum of the negative lambda_j
+    (the Gershgorin end of the twist correction); below this cap on t,
+    e^{-t lambda_min} stays finite."""
     negative = sum(max(0.0, -v) for v in lam) if q >= 1 else 0.0
-    top = min(800.0, 350.0 / negative) if negative else 800.0
-    return draw(st.lists(st.floats(1e-3, top), min_size=1, max_size=2))
+    return min(800.0, 350.0 / negative) if negative else 800.0
+
+
+def _times(draw, lam, q):
+    """One or two times up to 800 and up to the cap."""
+    return draw(st.lists(st.floats(1e-3, _time_cap(lam, q)), min_size=1, max_size=2))
 
 
 @st.composite
@@ -649,17 +655,23 @@ def _paths(cfg, prefix=()):
 @example(cfg=TRACE_OVERFLOW_CFG, data=None)
 @example(cfg=CONVERGE_OVERFLOW_CFG, data=None)
 @example(cfg=MORSE_OVERFLOW_CFG, data=None)
+@example(cfg=TRACE_PAST_RANGE_CFG, data=None)
 @settings(max_examples=40, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 def test_valid_configs_write_finite_cells_and_invalid_ones_exit_2(cfg, data):
     # warnings are errors here; only the oracle may fail, with its documented
-    # AccuracyError, on a grid too coarse to separate the levels
+    # AccuracyError, on a grid too coarse to separate the levels, and a run
+    # past the time cap with a NumericalError where its result leaves the
+    # float range (never a hang)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         try:
             rows = _csv_rows(cfg, tmp)
         except AccuracyError:
             assert cfg["experiment"] == "validate-oracle"
+            rows = []
+        except NumericalError:
+            assert max(cfg["t_list"]) > _time_cap(cfg["lambda"], cfg["q"])
             rows = []
         for row in rows:
             for cell in row:

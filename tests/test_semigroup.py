@@ -7,7 +7,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from heatlab import defaults, semigroup
-from heatlab.errors import ArgumentError, InvariantViolation, ResourceLimitError
+from heatlab.errors import ArgumentError, InvariantViolation, NumericalError, ResourceLimitError
 from heatlab.fiber import fiber_dim
 from heatlab.geometry import WeightFunction
 from heatlab.model_kernels import ModelSpec, model_diagonal
@@ -254,10 +254,51 @@ def test_restarts_keep_the_norm_of_a_state_that_decays_below_1e_146():
     assert got[1].matrix[0, 0] == ref[1].matrix[0, 0] == 0  # e^{-824} underflows
 
 
-def test_norms_of_tiny_columns_are_exact_to_rounding():
-    x = np.array([[3e-200, 1.0], [4e-200j, 0.0], [0.0, 0.0]])
-    np.testing.assert_allclose(semigroup._norms(x), [5e-200, 1.0], rtol=1e-15)
+def test_norms_of_tiny_and_huge_columns_are_exact_to_rounding():
+    # the squares of the first and third columns underflow or overflow
+    x = np.array([[3e-200, 1.0, 3e200, 1e308, np.inf],
+                  [4e-200j, 0.0, 4e200j, 1e308j, 1.0],
+                  [0.0, 0.0, 0.0, 0.0, 0.0]])
+    np.testing.assert_allclose(semigroup._norms(x)[:4], [5e-200, 1.0, 5e200, np.sqrt(2) * 1e308],
+                               rtol=1e-15)
+    assert semigroup._norms(x)[4] == np.inf
     assert semigroup._norms(np.zeros((4, 2)))[0] == 0
+    assert semigroup._norms(np.array([[5e-324], [0.0]]))[0] == 5e-324
+
+
+def _overflow_op_and_vector():
+    """The q = 1 model operator at lambda = -3, whose lowest eigenvalue is
+    about -1.213, and a random start vector."""
+    op = assemble_model(ModelSpec(1, (-3.0,), 1), GridSpec(1, 1.0, 0.5))
+    return op, np.random.default_rng(1).normal(size=op.dim) + 0j
+
+
+def test_heat_apply_whose_result_is_near_1e200_matches_dense():
+    # ||y||^2 overflows from t ~ 290 on; a norm taken from the squares read
+    # inf, so no step near the result was trusted
+    op, v = _overflow_op_and_vector()
+    got = heat_apply(op, v, 380.0)
+    ref = heat_apply(op, v, 380.0, SemigroupMethod("dense-eigen"))
+    assert semigroup._norms(ref[:, None])[0] == pytest.approx(8.2e199, rel=0.01)
+    assert semigroup._norms((got - ref)[:, None])[0] <= 1e-10 * semigroup._norms(ref[:, None])[0]
+
+
+def test_heat_apply_past_the_float_range_raises_at_once():
+    # e^{-800 A} v has norm about e^{970}: the state creeps up to the largest
+    # float, and a step whose sums overflow there raises instead of halving
+    op, v = _overflow_op_and_vector()
+    with pytest.raises(NumericalError, match="overflowed"):
+        heat_apply(op, v, 800.0)
+
+
+def test_kernel_diagonal_at_the_smallest_time_is_quiet():
+    # t / 2 rounds to 0: the Bessel tails take log 0 = -inf
+    op = assemble_model(ModelSpec(1, (1.0,), 0), GridSpec(1, 1.0, 0.5))
+    site = op.grid.origin_site()
+    (got,) = kernel_diagonals(op, site, [5e-324])
+    (ref,) = kernel_diagonals(op, site, [5e-324], SemigroupMethod("dense-eigen"))
+    np.testing.assert_allclose(got.matrix, ref.matrix, rtol=1e-13)
+    assert got.matrix[0, 0] == 1.0 / op.grid.dv_cell
 
 
 def test_krylov_zero_vector_stays_zero():
