@@ -438,19 +438,11 @@ def run_experiment(cfg: dict, out_dir: Path) -> Path:
 
 
 def _apply_threads(args) -> None:
-    threads = args.threads
-    if threads is None:
-        env = os.environ.get("HEATLAB_THREADS")
-        if env is not None:
-            try:
-                threads = int(env)
-            except ValueError:
-                raise ConfigError("HEATLAB_THREADS must be an integer") from None
-    if threads is not None:
-        if threads < 1:
+    if args.threads is not None:
+        if args.threads < 1:
             raise ConfigError("--threads must be >= 1")
         for var in _THREAD_ENV_VARS:
-            os.environ[var] = str(threads)
+            os.environ[var] = str(args.threads)
 
 
 def main(argv=None) -> int:
@@ -460,7 +452,7 @@ def main(argv=None) -> int:
     runp.add_argument("config")
     runp.add_argument("--out", default=None, help="output directory (default: config's directory)")
     runp.add_argument("--threads", type=int, default=None,
-                      help="BLAS/OpenMP thread cap (fallback: HEATLAB_THREADS)")
+                      help="BLAS/OpenMP thread cap")
     valp = sub.add_parser("validate", help="schema-check a config, print the normalized form")
     valp.add_argument("config")
     args = parser.parse_args(argv)

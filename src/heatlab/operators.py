@@ -12,12 +12,12 @@ F, the twist correction plus the stabilizer, does not depend on k.
 ``_scaled`` builds the parts that k does not change once, as locals of the
 ``assemble(k)`` it returns: the grid's operators, the stencil of the row
 operators (index arithmetic; the model factors C_j and the twist
-correction's 5-point blocks, in closed form, are values on it), F and the
-floor's terms of it.  Nothing outlives that function.  G and G^dag
-are built from one COO triplet list: the values of each block of G on the
-stencil (``_gram``).  Their rows come out sorted; the Gram product is
-sorted once, before F is added, and nothing else is sorted.  No assembly
-converts a matrix to CSC.
+correction's 5-point blocks, in closed form, are values on it) and F;
+the floor's terms are derived for each k.  Nothing outlives that
+function.  G and G^dag are built from one COO triplet list: the values of
+each block of G on the stencil (``_gram``).  Their rows come out sorted;
+the Gram product is sorted once, before F is added, and nothing else is
+sorted.  No assembly converts a matrix to CSC.
 
 The centred first difference has checkerboard null modes; composed as
 C^dag C these would produce spurious low-lying spectrum that pollutes heat
@@ -281,8 +281,7 @@ def _place(op1d: sp.spmatrix, axis: int, axes: int, s: int) -> sp.csr_matrix:
 class _GridOperators:
     """The parts of one grid that no coefficient changes: its site
     coordinates, the squared second difference D4 and the stabilizer, the
-    stencil of the row operators, the model factors C_j on it and the
-    stabilizer terms of ``_floor``."""
+    stencil of the row operators and the model factors C_j on it."""
 
     def __init__(self, grid: GridSpec):
         self.grid = grid
@@ -331,21 +330,6 @@ class _GridOperators:
         value[diag] = 0.5 * lam * self.z[:, j]
         return rows, cols, value
 
-    def probe(self, dim: int) -> tuple:
-        """The stabilizer terms of ``_floor`` at dimension dim: its
-        Rademacher probe x, (I (x) S) x, the row bound sigma h^6
-        sum_a |D4_a|^T |D4_a| 1 on each fiber block, the longest row of S
-        and the longest inner product of D4^T D4."""
-        s, axes = self.grid.points_per_axis, 2 * self.grid.n
-        d4 = abs(self.d4)
-        w = d4.T @ (d4 @ np.ones(s))  # |D4|^T |D4| 1 along one axis
-        rows = sum(w.reshape([s if b == ax else 1 for b in range(axes)]) for ax in range(axes))
-        x = np.random.default_rng(0).choice([-1.0, 1.0], size=dim)
-        return (x, _per_block(self.stabilizer, x),
-                np.tile(defaults.GHOST_STABILIZER * self.grid.spacing**6 * rows.ravel(),
-                        dim // self.grid.sites),
-                int(np.diff(self.stabilizer.indptr).max(initial=0)), _inner_length(d4))
-
 
 def _twist(ops: _GridOperators, lam, q: int) -> tuple:
     """The exact twist correction R = sum_j pi_j (x) delta_j at degree q,
@@ -380,11 +364,6 @@ def _gershgorin(m) -> tuple:
     return float(np.min(diag - radius)), float(np.max(diag + radius)), rows, count
 
 
-def _remainder(rest, x) -> tuple:
-    """The remainder terms of ``_floor``: ``_gershgorin(rest)`` and rest @ x."""
-    return _gershgorin(rest) + (rest @ x,)
-
-
 def _inner_length(g) -> int:
     """The longest inner product in an entry of G^H G: the largest number of
     stored entries in a column of the CSR matrix G."""
@@ -396,13 +375,13 @@ def _per_block(m, x) -> np.ndarray:
     return (m @ x.reshape(-1, m.shape[1]).T).T.ravel()
 
 
-def _floor(probe: tuple, remainder: tuple, a, g, sums: int, n: int) -> float:
+def _floor(ops: _GridOperators, rest, a, g, sums: int) -> float:
     """A lower bound on the spectrum of the stored a = fl(A), A = G^H G + S
-    + R on a grid in C^n, added up in ``sums`` roundings from the product
-    of the stored Gram factor G, the stabilizer S and a stored Hermitian
-    remainder R (a G or S narrower than a acts on each fiber block).
-    ``probe`` holds the terms of S (``_GridOperators.probe``), and
-    ``remainder`` those of R (``_remainder``).
+    + R on the grid of ``ops`` in C^n, added up in ``sums`` roundings from
+    the product of the stored Gram factor G, the stabilizer S of ``ops``
+    and the stored Hermitian remainder R = ``rest`` (a G or S narrower than
+    a acts on each fiber block).  Every term is derived here, from these
+    arguments alone.
 
     lambda_min(A) is at least the Gershgorin lower end of R (Weyl), and
     |fl(A) - A| <= gamma_m B entrywise, B = |G|^H |G| + |R| + sigma h^6
@@ -423,15 +402,20 @@ def _floor(probe: tuple, remainder: tuple, a, g, sums: int, n: int) -> float:
     longest inner product.  An entry of a x - (G^H (G x) + S x + R x)
     above gamma_p (B 1)_i, p = 3 m + 8 (c + 3), raises InvariantViolation.
     """
-    x, stab_x, stab_bound, stab_count, d4_inner = probe
-    lower, _, bound, count, rest_x = remainder
-    g_abs = abs(g)
-    bound = bound + stab_bound
+    s, axes, stab = ops.grid.points_per_axis, 2 * ops.grid.n, ops.stabilizer
+    d4, g_abs = abs(ops.d4), abs(g)
+    w = d4.T @ (d4 @ np.ones(s))  # |D4|^T |D4| 1 along one axis
+    stab_rows = sum(w.reshape([s if b == ax else 1 for b in range(axes)]) for ax in range(axes))
+    lower, _, bound, count = _gershgorin(rest)
+    bound = bound + np.tile(defaults.GHOST_STABILIZER * ops.grid.spacing**6 * stab_rows.ravel(),
+                            a.shape[0] // ops.grid.sites)
     bound += np.tile(g_abs.T @ (g_abs @ np.ones(g.shape[1])), a.shape[0] // g.shape[1])
-    inner = max(d4_inner, _inner_length(g))
-    m = inner + 3 + 1 + 2 * n + sums + count
-    residual = np.abs(a @ x - stab_x - rest_x - _per_block(g.getH(), _per_block(g, x)))
-    c = max([inner, stab_count, count] + [int(np.diff(f.indptr).max(initial=0)) for f in (a, g)])
+    inner = max(_inner_length(d4), _inner_length(g))
+    m = inner + 3 + 1 + axes + sums + count
+    x = np.random.default_rng(0).choice([-1.0, 1.0], size=a.shape[0])
+    residual = np.abs(a @ x - _per_block(stab, x) - rest @ x
+                      - _per_block(g.getH(), _per_block(g, x)))
+    c = max([inner, count] + [int(np.diff(f.indptr).max(initial=0)) for f in (a, g, stab)])
     p = 3 * m + 8 * (c + 3)
     if np.any(residual > p * _ROUNDOFF / (1.0 - p * _ROUNDOFF) * bound):
         raise InvariantViolation(f"assembled matrix differs from its pieces by up to "
@@ -487,10 +471,8 @@ def assemble_model(spec: ModelSpec, grid: GridSpec) -> DiscreteOperator:
     theta = np.repeat(theta0, grid.sites)
     twist = sp.csr_matrix((theta, np.arange(theta.size), np.arange(theta.size + 1)))
     a = (a + twist if np.any(theta0 != 0) else a).tocsr()
-    probe = ops.probe(theta.size)
     # the sums are those of the stabilizer and of Theta_0
-    return DiscreteOperator(a, spec.q, grid, _floor=_floor(
-        probe, _remainder(twist, probe[0]), a, stacked, 2, grid.n))
+    return DiscreteOperator(a, spec.q, grid, _floor=_floor(ops, twist, a, stacked, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -536,8 +518,8 @@ def _scaled(weight: WeightFunction, pert: Optional[PerturbationSpec], grid: Grid
             q: int) -> Callable[[int], DiscreteOperator]:
     """``assemble(k)``, the ``assemble_scaled`` operator at each k.  The
     checks of n, q and the origin, and the parts that k does not change
-    (stencils, R, F = R + S, the floor's terms of S and, without alpha, of
-    R) are built once, here; ``assemble(k)`` builds the rest."""
+    (stencils, R and F = R + S) are built once, here; ``assemble(k)``
+    builds the rest, the floor's terms (``_floor``) included."""
     n = weight.n
     if n != grid.n:
         raise ArgumentError("weight and grid dimensions differ")
@@ -563,9 +545,6 @@ def _scaled(weight: WeightFunction, pert: Optional[PerturbationSpec], grid: Grid
     # discrete factor commutators, so the unperturbed case reduces to
     # assemble_model) and F = R + S with the stabilizer.
     twist, fixed = _twist(ops, lam, q)
-    probe = ops.probe(shape[1])
-    # Without alpha R is the twist, so its terms in the floor are k-invariant.
-    twist_terms = _remainder(twist, probe[0]) if pert.alpha is None else None
 
     def assemble(k: int) -> DiscreteOperator:
         if k < 1:
@@ -659,7 +638,7 @@ def _scaled(weight: WeightFunction, pert: Optional[PerturbationSpec], grid: Grid
             return blocks
 
         stacked, a = _gram(sites, factor_blocks(), shape, fixed)
-        terms = twist_terms
+        rest = twist
         # Optional adjoint zero-order terms (Hermitian part; see README): the
         # contractions iota_j alpha_j / sqrt(k) into and out of degree q.
         if pert.alpha is not None:
@@ -674,11 +653,11 @@ def _scaled(weight: WeightFunction, pert: Optional[PerturbationSpec], grid: Grid
                 x = x + stacked[above * sites:].getH().tocsr() @ contraction(q)
             zero_order = (0.5 * (x + x.getH())).tocsr()
             a = a + zero_order
-            terms = _remainder(twist + zero_order, probe[0])
+            rest = twist + zero_order
         # fl(A) rounds in at most 3 sums (F, G^dag G + F and the zero-order
         # part), and R in one more with alpha.
         sums = 3 if pert.alpha is None else 4
-        return DiscreteOperator(a, q, grid, _floor=_floor(probe, terms, a, stacked, sums, n))
+        return DiscreteOperator(a, q, grid, _floor=_floor(ops, rest, a, stacked, sums))
 
     return assemble
 

@@ -8,12 +8,13 @@ Alvermann & Fehske, Rev. Mod. Phys. 78, 2006).  ``heat_apply`` advances a
 one-column block, ``kernel_diagonals`` the d fiber deltas of a site, and
 stochastic ``heat_traces`` the Hutchinson probes; each block reaches every
 requested time at one sparse product per degree, with no
-orthogonalisation and no small eigenproblem.  Each result carries an
-a-priori error bound, and a sweep stops once that bound is below unit
-roundoff relative to every result (see ``_ChebyshevBlock``).  A dense
-eigendecomposition (exact up to rounding, memoized by the operator) runs
-only when asked for, as the reference.  This module reads operators and
-writes no state into them.
+orthogonalisation and no small eigenproblem.  A sweep stops once its
+a-priori truncation bound is below unit roundoff u relative to every result
+(``_ChebyshevBlock``).  Its rounding error, as that of the reference dense
+eigendecomposition (memoized by the operator), is of order
+u ||e^{-tA}|| ||xi||: a far smaller result, as where the lowest eigenvectors
+vanish at large t, may keep few correct digits, unreported.  A result past
+the float range raises NumericalError.  No operator state is written here.
 
 b is the Gershgorin upper end.  a is the spectral floor that
 ``assemble_model`` and ``assemble_scaled`` prove for every operator they
@@ -76,12 +77,12 @@ _VARIANTS = ("dense-eigen", "krylov")
 @dataclass(frozen=True)
 class SemigroupMethod:
     """Propagator selection: krylov (the default, used whenever no method
-    is given) or dense-eigen (the exact reference, run only when asked for).
+    is given) or dense-eigen (the reference, run only when asked for).
 
     Under krylov every heat action runs the Chebyshev block of the module
-    docstring, exact to rounding on its interval.  The label stays "krylov":
-    the polynomial p(A) v lies in the Krylov space of v.  Dense-eigen is
-    limited to dimension ``defaults.DENSE_EIGEN_CAP`` by
+    docstring, truncated below rounding on its interval.  The label stays
+    "krylov": the polynomial p(A) v lies in the Krylov space of v.
+    Dense-eigen is limited to dimension ``defaults.DENSE_EIGEN_CAP`` by
     ``DiscreteOperator.eigensystem``.
     """
 
@@ -100,7 +101,16 @@ def _propagate(op: DiscreteOperator, xi, ts, method: Optional[SemigroupMethod]) 
         return _ChebyshevBlock(op).propagate(xi, ts).ys
     w, vecs = op.eigensystem()
     coef = vecs.conj().T @ xi
-    return np.array([vecs @ (np.exp(-t * w)[:, None] * coef) for t in ts])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _in_range(np.array([vecs @ (np.exp(-t * w)[:, None] * coef) for t in ts]),
+                         "a dense-eigen propagation")
+
+
+def _in_range(values, what: str):
+    """values, if every one is finite; else NumericalError: ``what`` left the float range."""
+    if not np.isfinite(values).all():
+        raise NumericalError(f"{what} left the float range", residual=np.inf)
+    return values
 
 
 def _positive_times(ts) -> list:
@@ -131,7 +141,7 @@ def kernel_diagonals(op: DiscreteOperator, site, ts: Sequence[float],
     vectors x_b = e^{-(t/2)A} e_b of the fiber deltas at the site, for both
     methods; dividing by the Hermitian-volume cell 2^n h^{2n} makes it
     comparable with ``model_diagonal``.  All d deltas advance as one block
-    to every t/2; each x_b is exact to rounding (module docstring).
+    to every t/2; each x_b is truncated below rounding (module docstring).
     """
     ts = _positive_times(ts)
     grid = op.grid
@@ -139,7 +149,9 @@ def kernel_diagonals(op: DiscreteOperator, site, ts: Sequence[float],
     deltas = np.zeros((op.dim, op.fiber_dim), dtype=complex)
     deltas[fibers * grid.sites + grid.flat_index(site), fibers] = 1.0
     xs = _propagate(op, deltas, [0.5 * t for t in ts], method)
-    return [FiberEndomorphism(grid.n, op.q, _gram(x.T) / grid.dv_cell) for x in xs]
+    with np.errstate(over="ignore", invalid="ignore"):  # squares past 2^512 read inf
+        grams = _in_range([_gram(x.T) / grid.dv_cell for x in xs], "a kernel diagonal")
+    return [FiberEndomorphism(grid.n, op.q, gram) for gram in grams]
 
 
 def _gram(x) -> np.ndarray:
@@ -381,15 +393,16 @@ def heat_traces(op: DiscreteOperator, ts: Sequence[float],
     Every t uses the same probes; each sample is ||e^{-(t/2)A} xi||^2, and
     one past the float range raises NumericalError.  All probes and times
     advance as one Chebyshev block (``_ChebyshevBlock``) in column slabs of
-    at most ``defaults.TRACE_BLOCK_BYTES``.  Each sample has an a-priori
-    error bound (``_ChebyshevBlock.propagate``) below unit roundoff relative
-    to it, so the estimate is exact to rounding for its probes."""
+    at most ``defaults.TRACE_BLOCK_BYTES``.  Each sample's a-priori
+    truncation bound (``_ChebyshevBlock.propagate``) is below unit roundoff
+    relative to it; its rounding is relative to ||e^{-(t/2)A}|| ||xi||."""
     ts = _positive_times(ts)
     method = method or SemigroupMethod()
     if method.variant == "dense-eigen":
         w = op.eigenvalues()
-        return [TraceEstimate(float(np.sum(np.exp(-t * w))), 0.0, 0, "dense-eigen")
-                for t in ts]
+        with np.errstate(over="ignore"):
+            values = _in_range([np.sum(np.exp(-t * w)) for t in ts], "a dense trace")
+        return [TraceEstimate(float(v), 0.0, 0, "dense-eigen") for v in values]
     if seed is None:
         raise ArgumentError("stochastic trace estimation requires a seed")
     if probes < 2:
@@ -403,10 +416,11 @@ def heat_traces(op: DiscreteOperator, ts: Sequence[float],
         block.propagate(_rademacher_block(rng, op.dim, min(width, probes - start)), half).squares.T
         for start in range(0, probes, width)
     ])
-    if not np.isfinite(samples).all():
-        raise NumericalError("a trace sample left the float range", residual=np.inf)
-    values = samples.mean(axis=0)
-    stderrs = samples.std(axis=0, ddof=1) / np.sqrt(probes)
+    # scaled exactly by the power of two of the largest sample: no sum or square overflows
+    e = np.frexp(_in_range(samples, "a trace sample").max(axis=0))[1]
+    scaled = np.ldexp(samples, -e)
+    values = np.ldexp(scaled.mean(axis=0), e)
+    stderrs = np.ldexp(scaled.std(axis=0, ddof=1), e) / np.sqrt(probes)
     return [TraceEstimate(float(v), float(s), probes, method.variant)
             for v, s in zip(values, stderrs)]
 

@@ -370,13 +370,9 @@ def test_spectrum_and_morse_and_oracle_configs(tmp_path):
     assert all(line.endswith("True") for line in rows[1:])
 
 
-def test_threads_env_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("HEATLAB_THREADS", "notanumber")
+def test_threads_env_fallback(tmp_path):
     path = _write(tmp_path, "cfg.json", MODEL_KERNEL_CFG)
-    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
-    monkeypatch.setenv("HEATLAB_THREADS", "1")
     assert main(["run", str(path), "--threads", "0", "--out", str(tmp_path / "o0")]) == 2
-    assert main(["run", str(path), "--out", str(tmp_path / "o2")]) == 0
 
 
 # Every name the package namespace exported when it imported its submodules
@@ -432,8 +428,7 @@ def test_threads_applied_before_numpy_loads(tmp_path):
 
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    for var in ("OMP_NUM_THREADS", "HEATLAB_THREADS"):
-        env.pop(var, None)
+    env.pop("OMP_NUM_THREADS", None)
     path = _write(tmp_path, "cfg.json", MODEL_KERNEL_CFG)
     proc = subprocess.run(
         [sys.executable, "-c", _THREADS_PROBE, str(path), str(tmp_path / "o"),
@@ -479,8 +474,7 @@ def test_threads_do_not_change_csv_bytes(tmp_path):
 
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    for var in ("OMP_NUM_THREADS", "HEATLAB_THREADS"):
-        env.pop(var, None)
+    env.pop("OMP_NUM_THREADS", None)
     for name in ("trace_stochastic", "converge_scaling", "validate_oracle"):
         outputs = []
         for threads in (1, 2):
@@ -541,6 +535,12 @@ CONVERGE_OVERFLOW_CFG = {
 }
 # the trace itself, about e^{970}, is past the float range
 TRACE_PAST_RANGE_CFG = dict(TRACE_OVERFLOW_CFG, **{"lambda": [-3.0]})
+# the half-time vectors are finite, but the origin diagonal, about e^{849}, is not
+CONVERGE_PAST_RANGE_CFG = {
+    "experiment": "converge", "n": 1, "lambda": [-3.0], "q": 1, "k_list": [1],
+    "t_list": [700.0], "grid": {"radius": 1.0, "spacing": 0.5},
+    "method": {"variant": "dense-eigen"}, "seed": 7, "output": "converge.csv",
+}
 MORSE_OVERFLOW_CFG = {
     "experiment": "morse", "model": "elliptic", "tau_im": 0.5, "degree": 2, "k_list": [1],
     "q_list": [0, 1], "t_list": [50.0], "seed": 7, "output": "morse.csv",
@@ -560,6 +560,17 @@ def test_trace_whose_sums_overflow_restarts_and_matches_dense(tmp_path):
     value, stderr, exact = float(row[1]), float(row[2]), float(dense[1])
     assert np.isfinite(value) and np.isfinite(stderr)
     assert exact == pytest.approx(1.3755467103507674e+70, rel=1e-9)
+    assert abs(value - exact) <= 4 * stderr
+
+
+def test_trace_near_1e200_has_a_finite_stderr(tmp_path):
+    # the samples' squared deviations, about 1e399, once overflowed the stderr
+    cfg = dict(TRACE_PAST_RANGE_CFG, t_list=[380.0])
+    (row,) = _csv_rows(cfg, tmp_path)
+    (dense,) = _csv_rows(dict(cfg, stochastic=False), tmp_path)
+    value, stderr, exact = float(row[1]), float(row[2]), float(dense[1])
+    assert np.isfinite(stderr) and 0 < stderr < value
+    assert exact == pytest.approx(1.4966769091176189e+200, rel=1e-9)
     assert abs(value - exact) <= 4 * stderr
 
 
@@ -656,6 +667,9 @@ def _paths(cfg, prefix=()):
 @example(cfg=CONVERGE_OVERFLOW_CFG, data=None)
 @example(cfg=MORSE_OVERFLOW_CFG, data=None)
 @example(cfg=TRACE_PAST_RANGE_CFG, data=None)
+@example(cfg=CONVERGE_PAST_RANGE_CFG, data=None)
+@example(cfg=dict(TRACE_PAST_RANGE_CFG, stochastic=False), data=None)
+@example(cfg=dict(TRACE_PAST_RANGE_CFG, t_list=[380.0]), data=None)
 @settings(max_examples=40, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 def test_valid_configs_write_finite_cells_and_invalid_ones_exit_2(cfg, data):

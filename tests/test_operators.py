@@ -780,9 +780,9 @@ def test_warm_scaled_assembly_peak_is_a_few_times_its_matrix():
 
 def test_shared_grid_operators_serve_only_k_invariant_terms():
     # one _scaled closure across k gives, bit for bit, the matrix and floor
-    # of a fresh single call: the twist, the stencils and the floor's
-    # stabilizer and twist terms are built once, while the wedge terms and,
-    # with alpha, the remainder are rebuilt for every k
+    # of a fresh single call: the twist and the stencils are built once,
+    # while the wedge terms and all of the floor's terms are rebuilt for
+    # every k
     grid = GridSpec(2, 1.0, 0.5)
     weight, full = _full_two_dim_inputs()
     no_alpha = PerturbationSpec(r=full.r, volume_density=full.volume_density)
@@ -921,11 +921,11 @@ def test_floor_probe_catches_a_changed_entry(monkeypatch, case):
     real = operators._floor
     monkeypatch.setattr(operators, "_floor", lambda *args: seen.append(args) or real(*args))
     _FLOOR_CASES[case]()
-    probe, remainder, a, *pieces = seen[0]
+    ops, rest, a, *pieces = seen[0]
     bad = a.copy()
     bad.data[bad.nnz // 2] += 1e-6 * abs(a).max()
     with pytest.raises(InvariantViolation, match="differs from its pieces"):
-        real(probe, remainder, bad, *pieces)
+        real(ops, rest, bad, *pieces)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -289,6 +290,17 @@ def test_heat_apply_past_the_float_range_raises_at_once():
     op, v = _overflow_op_and_vector()
     with pytest.raises(NumericalError, match="overflowed"):
         heat_apply(op, v, 800.0)
+
+
+@pytest.mark.parametrize("variant", ["krylov", "dense-eigen"])
+def test_kernel_diagonal_past_the_float_range_raises_quietly(variant):
+    # the half-time vectors at t / 2 = 350 are finite, but their squared
+    # norms, about e^{849}, are not
+    op, _ = _overflow_op_and_vector()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="kernel diagonal left the float range"):
+            kernel_diagonals(op, op.grid.origin_site(), [700.0], SemigroupMethod(variant))
 
 
 def test_kernel_diagonal_at_the_smallest_time_is_quiet():
