@@ -15,9 +15,10 @@ carries weight 1/(2^n h^{2n}).
 
 import math
 
-# Eigenvalues with |lambda| below this are treated as degenerate: the
-# asymptotic-diagonal factor switches to its Taylor series and the Morse
-# index is reported as degenerate.  Units of curvature.
+# Eigenvalues with |lambda| below this are treated as degenerate:
+# model_kernels.heat_factor switches to its Taylor series, _exponent to
+# its limit 1/(2t), and geometry.morse_index reports the Morse index as
+# degenerate.  Units of curvature.
 DEGENERACY_THRESHOLD = 1e-8
 
 # Step for the 4th-order central finite differences used for perturbation
@@ -35,9 +36,10 @@ HESSIAN_ASYMMETRY_TOL = 1e-10      # supplied Hessians (finite-difference ones a
 SITE_CAP = 200_000                 # max number of spatial grid sites
 DENSE_EIGEN_CAP = 6000             # max matrix dimension for the dense-eigen method
 
-# Largest complex band (bytes) that the positivity certificate of
-# semigroup.spectral_bound_check factorises; it grows as 64 * side^3 on a
-# 2-D grid (62 MB at side 101), and larger bands raise ResourceLimitError.
+# Largest complex band (bytes) that the positivity certificate
+# operators.DiscreteOperator._positive factorises; it grows as 64 * side^3
+# on a 2-D grid (62 MB at side 101), and larger bands raise
+# ResourceLimitError.
 BAND_CHOLESKY_MAX_BYTES = 2**29
 
 # Ghost-mode stabilizer for the centred-difference factor assembly: the

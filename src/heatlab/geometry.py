@@ -83,6 +83,8 @@ def _grid_partials(values: np.ndarray, grid, step: float) -> list:
     is ``_D1_WEIGHTS`` inside, 4th-order one-sided on the two outer layers and
     the quadratic at s = 3; each sum is 0 + w_0 v_0 + ... + w_4 v_4."""
     s = grid.points_per_axis
+    if s < 3:
+        raise ArgumentError(f"partials need at least 3 points per axis, not {s}")
     m = min(5, s)
     first = np.clip(np.arange(s) - m // 2, 0, s - m)  # each sample's window
     # 12 times the weights are integers, and rounding makes them exact

@@ -130,7 +130,7 @@ class GridSpec:
 class DiscreteOperator:
     """Hermitian sparse operator over grid sites x fiber components: an
     immutable value that memoizes its spectral facts in ``_memo`` when first
-    asked for (``eigensystem``, ``eigenvalues``, ``_positive``).
+    asked for (``eigensystem``, ``eigenvalues``, ``_positive``, ``_interval``).
 
     ``_floor``, a proven lower bound on the spectrum, is handed over only by
     assemble_model and assemble_scaled (see ``_floor``).  Their operators
@@ -187,6 +187,15 @@ class DiscreteOperator:
         if "eigvals" not in self._memo:
             self._memo["eigvals"] = np.linalg.eigvalsh(self._dense())
         return self._memo["eigvals"]
+
+    def _interval(self) -> tuple:
+        """An interval [a, b] holding the spectrum, memoized: the Gershgorin
+        ends, a raised to the floor.  Without a floor, an a far below
+        lambda_min costs the Chebyshev sweeps restarts (``semigroup``)."""
+        if "interval" not in self._memo:
+            low, high, *_ = _gershgorin(self.matrix)
+            self._memo["interval"] = (low if self._floor is None else max(low, self._floor)), high
+        return self._memo["interval"]
 
     def _positive(self) -> bool:
         """Whether the smallest eigenvalue exceeds -_PSD_TOL: a floor above
@@ -267,17 +276,6 @@ def _density(m: Callable, points: np.ndarray) -> np.ndarray:
 # Grid operators
 
 
-def _place(op1d: sp.spmatrix, axis: int, axes: int, s: int) -> sp.csr_matrix:
-    left = s**axis
-    right = s ** (axes - axis - 1)
-    out = op1d
-    if left > 1:
-        out = sp.kron(sp.identity(left), out)
-    if right > 1:
-        out = sp.kron(out, sp.identity(right))
-    return out.tocsr()
-
-
 class _GridOperators:
     """The parts of one grid that no coefficient changes: its site
     coordinates, the squared second difference D4 and the stabilizer, the
@@ -289,9 +287,12 @@ class _GridOperators:
         e = np.ones(s)
         d2 = (sp.diags([e[1:], -2.0 * e, e[1:]], [-1, 0, 1]) / h**2).tocsr()
         self.d4 = (d2 @ d2).tocsr()
-        # The ghost stabilizer sigma * h^6 * sum_a D4_a^T D4_a.
+        # The ghost stabilizer sigma * h^6 * sum_a D4_a^T D4_a, the Kronecker
+        # sum of one axis term over the 2n axes, axis 0 slowest.
         unit = (defaults.GHOST_STABILIZER * h**6 * (self.d4.T @ self.d4)).tocsr()
-        self.stabilizer = sum(_place(unit, a, axes, s) for a in range(axes)).tocsr()
+        self.stabilizer = unit
+        for _ in range(axes - 1):
+            self.stabilizer = sp.kronsum(unit, self.stabilizer, format="csr")
         self.z = grid.site_coordinates()
 
     def stencil(self, coords: tuple) -> tuple:

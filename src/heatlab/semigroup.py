@@ -16,13 +16,13 @@ u ||e^{-tA}|| ||xi||: a far smaller result, as where the lowest eigenvectors
 vanish at large t, may keep few correct digits, unreported.  A result past
 the float range raises NumericalError.  No operator state is written here.
 
-b is the Gershgorin upper end.  a is the spectral floor that
-``assemble_model`` and ``assemble_scaled`` prove for every operator they
-build: its Gram parts are positive semidefinite, the remainder is bounded
-by Gershgorin, a rounding allowance covers the assembly, and a random
-probe checks that the matrix holds those parts (``operators._floor``).
-Any other operator sweeps from its Gershgorin lower end
-(``_spectral_interval``).
+The operator memoizes [a, b] (``DiscreteOperator._interval``).  b is the
+Gershgorin upper end.  a is the spectral floor that ``assemble_model``
+and ``assemble_scaled`` prove for every operator they build: its Gram
+parts are positive semidefinite, the remainder is bounded by Gershgorin,
+a rounding allowance covers the assembly, and a random probe checks that
+the matrix holds those parts (``operators._floor``).  Any other operator
+sweeps from its Gershgorin lower end.
 
 Kernel diagonals and trace samples are quadratic forms u^H e^{-tA} u.  As A
 is Hermitian, e^{-tA} = (e^{-tA/2})^H e^{-tA/2}: each start vector is
@@ -50,7 +50,6 @@ from .operators import (
     DiscreteOperator,
     GridSpec,
     PerturbationSpec,
-    _gershgorin,
     _scaled,
     assemble_model,
 )
@@ -180,16 +179,6 @@ _ROUNDING_LIMIT = 2.0 ** -36
 _MAX_HALVINGS = 64
 
 
-def _spectral_interval(op: DiscreteOperator) -> tuple:
-    """An interval [a, b] holding the spectrum of the Hermitian op: its
-    Gershgorin ends, a raised to the assemblers' floor.  Without a floor, an
-    a far below lambda_min costs restarts (``_ChebyshevBlock.propagate``)."""
-    low, high, *_ = _gershgorin(op.matrix)
-    if op._floor is not None:
-        low = max(low, op._floor)
-    return low, high
-
-
 def _log_bessel_tails(x: float, kmax: int) -> np.ndarray:
     """Upper bounds on log sum_{j>K} I_j(x) for K = 0..kmax and x >= 0.
 
@@ -227,7 +216,7 @@ class _Propagation(NamedTuple):
 class _ChebyshevBlock:
     """e^{-tau A} on a block of start vectors for several tau at once.
 
-    On the spectral interval [a, b] of ``_spectral_interval``, with centre c
+    On the spectral interval [a, b] of ``DiscreteOperator._interval``, with centre c
     and half-width r, e^{-tau A} = sum_k c_k(tau) T_k((A - c)/r), where
     c_k = 2 (-1)^k e^{-tau c} I_k(tau r), halved at k = 0 (Tal-Ezer & Kosloff,
     J. Chem. Phys. 81, 1984).  Truncating after degree K leaves an error of
@@ -236,7 +225,7 @@ class _ChebyshevBlock:
     """
 
     def __init__(self, op: DiscreteOperator):
-        self.low, self.high = a, b = _spectral_interval(op)
+        self.low, self.high = a, b = op._interval()
         self.centre, self.radius = 0.5 * (a + b), max(0.5 * (b - a), np.finfo(float).tiny)
         # the recurrence T_{k+1} = 2 (A - c)/r T_k - T_{k-1}, with 2/r and the shift folded
         # into a copy of the stored values; setdiag keeps the sparsity pattern when every

@@ -474,9 +474,9 @@ def validate_landau_levels(bundle: EllipticCurveBundle, k: int,
         raise ArgumentError("k must be a positive integer")
     if not all(isinstance(n, (int, np.integer)) for n in resolutions):
         raise ArgumentError(f"resolutions must be integers, not {resolutions!r}")
+    if len(resolutions) != 2 or resolutions[1] != 2 * resolutions[0]:
+        raise ArgumentError("resolutions must be (N, 2N), differing by a factor of 2")
     n1, n2 = resolutions
-    if n2 != 2 * n1:
-        raise ArgumentError("resolutions must differ by a factor of 2")
     kd = k * bundle.degree
     high = defaults.max_eigen_count(kd, n1)
     if not kd <= eigen_count <= high:

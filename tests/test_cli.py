@@ -706,3 +706,35 @@ def test_valid_configs_write_finite_cells_and_invalid_ones_exit_2(cfg, data):
         else:
             parent[path[-1]] = None
         assert main(["validate", str(_write(tmp, "bad.json", bad))]) == 2
+
+
+# ---------------------------------------------------------------------------
+# Names the benchmark harness reads
+
+
+def test_benchmark_entry_points_resolve():
+    # perfbench/spans.py wraps each (module, attr) of ENTRY_POINTS, and
+    # perfbench/workloads.py formats the fields of a spectral bound report;
+    # the harness is only read here
+    import importlib
+    import importlib.util
+    from pathlib import Path
+
+    from heatlab.model_kernels import ModelSpec
+    from heatlab.operators import GridSpec, assemble_model
+    from heatlab.semigroup import spectral_bound_check
+
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("_bench_spans", root / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    src = (root / "src" / "heatlab").resolve()
+    for module, attr, *_ in spans.ENTRY_POINTS:
+        loaded = importlib.import_module(module)
+        assert Path(loaded.__file__).resolve().parent == src, module
+        assert callable(getattr(loaded, attr, None)), f"{module}.{attr}"
+    op = assemble_model(ModelSpec(1, (1.0,), 0), GridSpec(1, 2.0, 0.5))
+    rep = spectral_bound_check(op, 1.0, 2)
+    # workloads.py reads passed and formats max_value and bound with ".6g"
+    assert rep.passed is True and np.isnan(rep.max_value)
+    assert f"{rep.bound:.6g}" == f"{(2.0 / np.e) ** 2:.6g}"

@@ -310,6 +310,24 @@ def test_grid_partials_exact_on_polynomials(radius, degree):
         assert np.abs(got[axis] - want).max() <= 1e-12 * np.abs(want).max()
 
 
+def _diagonal_frame(y):
+    return np.diag(y).astype(complex)
+
+
+@pytest.mark.parametrize("weight, pert, grid, q", [
+    (WeightFunction(2, (1.0, -0.5)), PerturbationSpec(r=_diagonal_frame),
+     GridSpec(2, 1e-12, 1.0), 1),
+    (WeightFunction(1, (1.0,)), PerturbationSpec(volume_density=lambda y: 1.0 + abs(y[0]) ** 2),
+     GridSpec(1, 1e-12, 1.0), 0),
+], ids=["frame", "density"])
+def test_grid_partials_need_three_points_per_axis(weight, pert, grid, q):
+    # a grid of one point per axis has no partials of r or log m: the
+    # assembly raises ArgumentError, where it raised a bare IndexError
+    assert grid.points_per_axis == 1
+    with pytest.raises(ArgumentError, match="at least 3 points per axis"):
+        assemble_scaled(weight, pert, 4, grid, q)
+
+
 def test_grid_partials_fourth_order_inside():
     # a frame that no polynomial matches: halving h / sqrt(k) cuts the
     # interior error by at least 12 (16 for a 4th-order rule)
@@ -431,6 +449,16 @@ def _ref_stabilizer(grid):
     d4 = (d2 @ d2).tocsr()
     unit = (defaults.GHOST_STABILIZER * h**6 * (d4.T @ d4)).tocsr()
     return sum(_ref_placed(unit, grid, a) for a in range(2 * grid.n)).tocsr()
+
+
+@pytest.mark.parametrize("grid", [GridSpec(1, 5.0, 0.1), GridSpec(2, 1.5, 0.25),
+                                  GridSpec(3, 1.0, 0.5)], ids=["n1", "n2", "n3"])
+def test_stabilizer_kronecker_sum_is_the_placed_sum_bit_for_bit(grid):
+    # the Kronecker sum over the 2n axes stores the CSR arrays of the sum
+    # of one-axis terms placed by hand, value for value
+    got, want = operators._GridOperators(grid).stabilizer, _ref_stabilizer(grid)
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, part), getattr(want, part)), part
 
 
 def _reference_assemble_scaled(weight, pert, k, grid, q):
@@ -853,6 +881,15 @@ def test_floor_is_below_the_smallest_eigenvalue(case):
 def test_model_floor_is_min_theta0_less_rounding(q, floor):
     op = assemble_model(ModelSpec(1, (1.0,), q), GridSpec(1, 5.0, 0.1))
     assert floor - 1e-11 < op._floor < floor
+
+
+def test_interval_is_the_gershgorin_ends_raised_to_the_floor():
+    # the assembled operator's lower end is its floor, far above the
+    # Gershgorin one; a floorless copy keeps the plain Gershgorin ends
+    op = assemble_model(ModelSpec(1, (1.0,), 1), GridSpec(1, 2.0, 0.25))
+    low, high, *_ = operators._gershgorin(op.matrix)
+    assert low < -10.0 < op._floor and op._interval() == (max(low, op._floor), high)
+    assert DiscreteOperator(op.matrix, op.q, op.grid)._interval() == (low, high)
 
 
 def test_floor_is_private_to_the_assemblers():

@@ -7,7 +7,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from heatlab import defaults, semigroup
+from heatlab import defaults, operators, semigroup
 from heatlab.errors import ArgumentError, InvariantViolation, NumericalError, ResourceLimitError
 from heatlab.fiber import fiber_dim
 from heatlab.geometry import WeightFunction
@@ -220,8 +220,8 @@ def test_chebyshev_block_restarts_match_dense(trace_model_op, monkeypatch, start
     # e^{-tau a} swamps the result by t = 1; the restarted block is still
     # within its a-priori bound of the exact action, and within 1e-8 of it
     op, _, starts = trace_model_op
-    monkeypatch.setattr(semigroup, "_spectral_interval",
-                        lambda o: semigroup._gershgorin(o.matrix)[:2])
+    monkeypatch.setattr(DiscreteOperator, "_interval",
+                        lambda o: operators._gershgorin(o.matrix)[:2])
     sweeps = []
     real = semigroup._ChebyshevBlock.sweep
 
@@ -640,11 +640,24 @@ def test_chebyshev_trace_with_gershgorin_lower_end():
     # without a floor the interval is the Gershgorin one, and no
     # certificate is asked for
     op = _synthetic_op(np.linspace(-3.0, 40.0, 9))
-    assert semigroup._spectral_interval(op) == (-3.0, 40.0)
+    assert op._interval() == (-3.0, 40.0)
     assert "psd" not in op._memo
     ests = heat_traces(op, _TS, seed=5, probes=6)
     for est, value in zip(ests, _dense_traces_of_probes(op, _TS, 5, 6)):
         assert abs(est.value - value) <= 1e-13 * value
+
+
+def test_second_block_reuses_the_memoized_interval(monkeypatch):
+    # the operator owns its interval: a second block on the same operator
+    # makes no second Gershgorin pass over the matrix
+    op = assemble_model(ModelSpec(1, (1.0,), 1), GridSpec(1, 2.0, 0.5))
+    calls = []
+    real = operators._gershgorin
+    monkeypatch.setattr(operators, "_gershgorin", lambda m: calls.append(m) or real(m))
+    first = semigroup._ChebyshevBlock(op)
+    assert len(calls) == 1
+    second = semigroup._ChebyshevBlock(op)
+    assert len(calls) == 1 and (second.low, second.high) == (first.low, first.high)
 
 
 def test_chebyshev_trace_when_the_band_exceeds_its_cap(small_model_op, monkeypatch):
@@ -664,7 +677,7 @@ def test_operator_without_floor_sweeps_from_gershgorin(small_model_op, monkeypat
     # Gershgorin lower end, far below lambda_min = 1, so t = 8 cancels
     # e^{-4a} and the block restarts; no certificate is asked for
     op = _shifted(small_model_op[0], 0.0)
-    low = semigroup._gershgorin(op.matrix)[0]
+    low = operators._gershgorin(op.matrix)[0]
     assert op._floor is None and low < -10.0
     sweeps = []
     real = semigroup._ChebyshevBlock.sweep
@@ -687,7 +700,7 @@ def test_floor_lets_a_large_operator_sweep_once(monkeypatch):
     # lower end (-21.9) would force restarts; the floor min Theta_0 = 0
     # gives one sweep for all probes and times, with no factorisation
     op = assemble_model(ModelSpec(2, (1.0, 0.5), 0), GridSpec(2, 1.5, 0.25))
-    assert op.dim == 28561 and semigroup._gershgorin(op.matrix)[0] < -20.0
+    assert op.dim == 28561 and operators._gershgorin(op.matrix)[0] < -20.0
     assert -1e-12 < op._floor < 0.0
     sweeps = []
     real = semigroup._ChebyshevBlock.sweep

@@ -569,3 +569,7 @@ def test_nonpositive_k_and_non_integer_resolutions_rejected():
     with pytest.raises(ArgumentError, match="resolutions must be integers"):
         validate_landau_levels(EllipticCurveBundle(1j, 1), 1, eigen_count=2,
                                resolutions=(32.0, 64.0))
+    for resolutions in [(16, 32, 64), (16,)]:
+        with pytest.raises(ArgumentError, match=r"resolutions must be \(N, 2N\)"):
+            validate_landau_levels(EllipticCurveBundle(1j, 1), 1, eigen_count=2,
+                                   resolutions=resolutions)
